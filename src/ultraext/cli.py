@@ -334,7 +334,7 @@ def cmd_matrix(cfg: dict):
     return files, EXIT_OK, [line]
 
 
-def _build_jet(cfg: dict, inter, e_hint):
+def _build_jet(cfg: dict, inter):
     jcfg = _object(cfg, "jet")
     kind = jcfg.get("kind")
     if kind == "file":
@@ -393,7 +393,7 @@ def cmd_extend(cfg: dict):
         raise ConfigError("no xi in the grid has a stored doubled row")
     inter = interleave_matrix(reg, inter_xi)
 
-    jet = _build_jet(cfg, inter, None)
+    jet = _build_jet(cfg, inter)
     jcfg = _object(cfg, "jet")
     cert_xi = jcfg.get("xi")
     cert = certify(jet, inter, xi=cert_xi)
@@ -421,7 +421,13 @@ def cmd_extend(cfg: dict):
     )
     report = verify_bounds(ext, samples=samples, alpha_cap=alpha_cap)
 
-    boundary_a = run.get("boundary_base", jet.base_points[0])
+    # The descent runs along a + 2^-j, so the default base is the first
+    # base point with nothing of the set just to its right.
+    right_ends = {b for _, b in jet.e.components}
+    default_base = next(
+        (p for p in jet.base_points if p in right_ends), jet.base_points[0]
+    )
+    boundary_a = run.get("boundary_base", default_base)
     if isinstance(boundary_a, bool) or not isinstance(boundary_a, (int, float)):
         raise ConfigError("config.run.boundary_base must be a number")
     bnd = boundary_limits(

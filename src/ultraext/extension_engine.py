@@ -17,7 +17,7 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -32,13 +32,7 @@ from .errors import (
     PrecisionFloor,
 )
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
-from .partition_of_unity import (
-    BumpSpec,
-    Partition,
-    PiecewisePolynomial,
-    build_bump,
-    build_partition,
-)
+from .partition_of_unity import Partition, build_partition
 from .seq_calculus import WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly
 from .whitney_geometry import (
@@ -155,7 +149,11 @@ class ExtensionPlan:
 
     @classmethod
     def from_json(cls, doc) -> "ExtensionPlan":
-        consts = doc.get("constants", {})
+        """Plan from its JSON form; missing constants take the field defaults."""
+        given = doc.get("constants", {})
+        unknown = set(given) - {f.name for f in fields(PlanConstants)}
+        if unknown:
+            raise PlanInvalid(f"unknown plan constants: {sorted(unknown)}")
         return cls(
             dilation=float(doc["dilation"]),
             folds=int(doc["folds"]),
@@ -163,14 +161,10 @@ class ExtensionPlan:
             rho=float(doc["rho"]),
             jet_bound=float(doc["jet_bound"]),
             constants=PlanConstants(
-                c0=float(consts.get("c0", THRESHOLD_TAYLOR)),
-                c1=float(consts.get("c1", THRESHOLD_TELESCOPE)),
-                c2=float(consts.get("c2", THRESHOLD_GLUE)),
-                h=float(consts.get("h", 1.0)),
-                k1=float(consts.get("k1", 1.0)),
-                k2=float(consts.get("k2", THRESHOLD_GLUE)),
-                k3=float(consts.get("k3", 3.0)),
-                m1=consts.get("m1"),
+                **{
+                    k: None if k == "m1" and v is None else float(v)
+                    for k, v in given.items()
+                }
             ),
             theory_degree=int(doc.get("theory_degree", 0)),
         )
@@ -203,7 +197,6 @@ def make_plan(
     # Degree rate of the smoothness budget: margin and window constants
     # of the cover enter through A_2 = 2.5 and b_1 = 7/16.
     k1 = 27.0 * 2.5 * float(envelope_base) * h / (7.0 / 16.0)
-    k2 = max(THRESHOLD_TAYLOR, THRESHOLD_TELESCOPE, THRESHOLD_GLUE)
     if dilation is None:
         dilation = 16.0 * rho
     theory = math.ceil(k1 * float(dilation))
@@ -213,7 +206,7 @@ def make_plan(
         xi=xi,
         rho=rho,
         jet_bound=float(certificate.c),
-        constants=PlanConstants(h=h, k1=k1, k2=k2, k3=3.0 * h),
+        constants=PlanConstants(h=h, k1=k1, k3=3.0 * h),
         theory_degree=theory,
     )
 
@@ -283,7 +276,6 @@ class ExtensionFunction:
     d_max: float
     degree_cutoffs: int
     degree_caps: int
-    cutoff_chain: tuple[PiecewisePolynomial, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.cover.centers)
@@ -310,7 +302,6 @@ def assemble(
     r_cov: float = 1.0,
     expansion: float = EXPANSION,
     max_generation: int = 48,
-    with_cutoff: bool = False,
     allow_degenerate: bool = False,
     check_points: int = 2048,
 ) -> ExtensionFunction:
@@ -364,17 +355,6 @@ def assemble(
         requested.append(want)
         anchors.append(anchor)
 
-    chain = None
-    if with_cutoff:
-        lo, hi = jet.e.span
-        bump = build_bump(
-            BumpSpec((lo - 0.5 * d_max, hi + 0.5 * d_max), 0.25 * d_max, plan.folds)
-        )
-        links = [bump]
-        for _ in range(plan.folds):
-            links.append(links[-1].derivative())
-        chain = tuple(links)
-
     return ExtensionFunction(
         jet=jet,
         plan=plan,
@@ -392,7 +372,6 @@ def assemble(
         d_max=d_max,
         degree_cutoffs=cutoffs,
         degree_caps=caps,
-        cutoff_chain=chain,
     )
 
 
@@ -405,29 +384,47 @@ def _check_region(f: ExtensionFunction, x: float) -> float:
     return d
 
 
-def _difference_poly(t_i: TaylorPolynomial, t_ref: TaylorPolynomial) -> TaylorPolynomial | None:
-    """t_i - t_ref as an exact polynomial when both share the center.
+def _difference_derivatives(
+    t_i: TaylorPolynomial,
+    t_ref: TaylorPolynomial,
+    ref_vals: list[float],
+    x: float,
+    order: int,
+) -> list[float] | None:
+    """Derivatives 0..order of t_i - t_ref at x; None if exactly zero.
 
-    Truncations of one derivative row at the same anchor differ exactly
-    in the tail entries, so the difference is sparse and its evaluation
-    never cancels.  Returns None for distinct centers; callers fall back
-    to value subtraction, which is safe only where the polynomials are
+    Truncations of one derivative row at a shared center differ exactly
+    in the tail entries, so the difference is a sparse polynomial whose
+    evaluation never cancels, and None marks one that vanishes.  On
+    distinct centers the values are subtracted (ref_vals is the vector
+    of t_ref at x), which is safe only where the polynomials are
     genuinely different (anchors change on shallow zones between set
     components, where the bump derivatives stay moderate).
     """
     if t_i.center != t_ref.center:
-        return None
+        return [v - r for v, r in zip(t_i.derivatives(x, order), ref_vals)]
     a, b = t_i.derivs, t_ref.derivs
     lo = min(len(a), len(b))
-    if len(a) == len(b):
-        tail: tuple[float, ...] = ()
-    elif len(a) > len(b):
-        tail = a[lo:]
-    else:
-        tail = tuple(-v for v in b[lo:])
-    if not tail:
-        return TaylorPolynomial(t_i.center, (0.0,))
-    return TaylorPolynomial(t_i.center, (0.0,) * lo + tail)
+    tail = a[lo:] if len(a) > len(b) else tuple(-v for v in b[lo:])
+    if all(v == 0.0 for v in tail):
+        return None
+    return TaylorPolynomial(t_i.center, (0.0,) * lo + tail).derivatives(x, order)
+
+
+class _PhiVectors(dict):
+    """phi_i derivative vectors 0..order at one x, each built on first use."""
+
+    def __init__(self, partition: Partition, x: float, order: int) -> None:
+        super().__init__()
+        self.partition, self.x, self.order = partition, x, order
+
+    def __missing__(self, i: int) -> list[float]:
+        vec = self[i] = self.partition.derivatives(i, self.x, self.order).tolist()
+        return vec
+
+
+def _members(f: ExtensionFunction, x: float) -> list[int]:
+    return [int(i) for i in f.cover.members(x, expanded=True)]
 
 
 def _reference_index(f: ExtensionFunction, x: float) -> int:
@@ -438,49 +435,48 @@ def _reference_index(f: ExtensionFunction, x: float) -> int:
 
 
 def _deviation_derivatives(
-    f: ExtensionFunction, x: float, order: int, t_ref: TaylorPolynomial
+    diffs: dict[int, list[float] | None], phis: _PhiVectors, order: int
 ) -> np.ndarray:
     """Derivatives 0..order of (sum_i phi_i T_i) - t_ref at x.
 
     Since the phi_i sum to one on the band, the deviation is
-    sum_i phi_i (T_i - t_ref), combined by the product rule with each
-    difference taken at the polynomial level where possible.
+    sum_i phi_i (T_i - t_ref), combined by the product rule from each
+    member's difference vector against t_ref (_difference_derivatives).
     """
     out = np.zeros(order + 1)
-    for i in f.cover.members(x, expanded=True):
-        i = int(i)
-        t_i = f.taylors[i]
-        diff = _difference_poly(t_i, t_ref)
-        if diff is not None and all(v == 0.0 for v in diff.derivs):
+    for i, dvals in diffs.items():
+        if dvals is None:
             continue
-        phis = f.partition.derivatives(i, x, order)
-        if diff is not None:
-            dvals = [diff.derivative(b)(x) for b in range(order + 1)]
-        else:
-            dvals = [
-                t_i.derivative(b)(x) - t_ref.derivative(b)(x)
-                for b in range(order + 1)
-            ]
+        p = phis[i]
         for a in range(order + 1):
             acc = 0.0
             for b in range(a + 1):
-                acc += math.comb(a, b) * phis[a - b] * dvals[b]
+                acc += math.comb(a, b) * p[a - b] * dvals[b]
             out[a] += acc
     return out
 
 
-def _glued_derivatives(f: ExtensionFunction, x: float, order: int) -> np.ndarray:
-    """Derivatives 0..order of the extension at x, off the set."""
-    t_ref = f.taylors[_reference_index(f, x)]
-    out = _deviation_derivatives(f, x, order, t_ref)
+def _glued_derivatives(
+    f: ExtensionFunction,
+    x: float,
+    order: int,
+    members: list[int],
+    phis: _PhiVectors,
+    t_ref: TaylorPolynomial,
+) -> np.ndarray:
+    """Derivatives 0..order of the extension at x, off the set.
+
+    The sum is taken as t_ref plus the deviation from it; callers pass
+    the Taylor polynomial of the interval holding x (_reference_index).
+    """
+    ref_vals = t_ref.derivatives(x, order)
+    diffs = {
+        i: _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
+        for i in members
+    }
+    out = _deviation_derivatives(diffs, phis, order)
     for a in range(order + 1):
-        out[a] += t_ref.derivative(a)(x)
-    if f.cutoff_chain is not None:
-        cut = np.array([f.cutoff_chain[m](x) for m in range(order + 1)])
-        comb = np.zeros(order + 1)
-        for a in range(order + 1):
-            comb[a] = sum(math.comb(a, b) * cut[a - b] * out[b] for b in range(a + 1))
-        out = comb
+        out[a] += ref_vals[a]
     return out
 
 
@@ -502,7 +498,9 @@ def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
                 f"x={x} lies on the set but is not a stored base point"
             ) from None
     _check_region(f, x)
-    return float(_glued_derivatives(f, x, alpha)[alpha])
+    phis = _PhiVectors(f.partition, x, alpha)
+    t_ref = f.taylors[_reference_index(f, x)]
+    return float(_glued_derivatives(f, x, alpha, _members(f, x), phis, t_ref)[alpha])
 
 
 # -- bound verification -------------------------------------------------
@@ -616,7 +614,16 @@ def _distance_trend(ds: Sequence[float], ratios: Sequence[float]) -> tuple[str, 
     if len(abscissae) < 4 or abscissae[-1] / abscissae[0] < 100.0:
         return INCONCLUSIVE, 1.0
     span = math.log10(abscissae[-1] / abscissae[0])
-    return decade_trend(abscissae, maxima, decades=min(2.0, span - 0.5))
+    decades = min(2.0, span - 0.5)
+    # decade_trend compares the two halves of its window and needs two
+    # bins in each; a sparse sample can leave one half short of that.
+    top = abscissae[-1]
+    mid = top / 10.0 ** (decades / 2.0)
+    lo = top / 10.0**decades * (1.0 - 1e-12)
+    first = np.count_nonzero((abscissae >= lo) & (abscissae < mid))
+    if first < 2 or np.count_nonzero(abscissae >= mid) < 2:
+        return INCONCLUSIVE, 1.0
+    return decade_trend(abscissae, maxima, decades=decades)
 
 
 def _alpha_trend(profile: Sequence[float]) -> tuple[str, float]:
@@ -725,21 +732,33 @@ def verify_bounds(
         deg = min(want, f.jet.alpha_max)
         cap_hits += deg < want
         t_x = taylor_poly(f.jet, anchor, deg)
-        glued = _glued_derivatives(f, x, cap)
-        dev_x = _deviation_derivatives(f, x, cap, t_x)
+        # Every vector below is evaluated once per sample and shared.
+        members = _members(f, x)
+        phis = _PhiVectors(f.partition, x, cap)
+        tx_vals = t_x.derivatives(x, cap)
+        diffs_x = {
+            i: _difference_derivatives(f.taylors[i], t_x, tx_vals, x, cap)
+            for i in members
+        }
+        dev_x = _deviation_derivatives(diffs_x, phis, cap)
+        t_ref = f.taylors[_reference_index(f, x)]
+        if t_ref == t_x:
+            # Same anchor and degree: the glued sum is t_x plus dev_x.
+            glued = dev_x.copy()
+            for a in range(cap + 1):
+                glued[a] += tx_vals[a]
+        else:
+            glued = _glued_derivatives(f, x, cap, members, phis, t_ref)
 
         lh_near, near_ok = _log_decay(f.degree_row, math.log(3.0 * ld * d))
         lh_resid, resid_ok = _log_decay(f.residual_row, math.log(k3 * ld * d))
         # The residual estimate presumes the local degrees actually reach
         # what the distance asks for; once the stored jet order caps them
         # the sum decays polynomially, not at the profile rate.
-        capped_here = deg < want or any(
-            f.degrees[int(i)] < f.requested[int(i)]
-            for i in f.cover.members(x, expanded=True)
-        )
+        capped_here = deg < want or any(f.degrees[i] < f.requested[i] for i in members)
 
         for a in range(cap + 1):
-            lhs = abs(t_x.derivative(a)(x))
+            lhs = abs(tx_vals[a])
             log_rhs = (a + 1) * math.log(2.0 * ld) + f.value_row_log[a]
             r = _log_ratio(math.log(lhs), log_rhs) if lhs > 0.0 else 0.0
             taylor_ratios.append(r)
@@ -747,7 +766,7 @@ def verify_bounds(
             taylor_alpha[a] = max(taylor_alpha.get(a, 0.0), r)
 
             if a < want and a + 1 < len(f.value_row_log):
-                lhs_c = abs(t_x.derivative(a)(x) - f.jet.value(anchor, a))
+                lhs_c = abs(tx_vals[a] - f.jet.value(anchor, a))
                 log_rhs_c = (
                     (a + 1) * math.log(2.0 * ld)
                     + math.lgamma(a + 1)
@@ -770,20 +789,16 @@ def verify_bounds(
             total = abs(glued[a])
             growth_raw.append((math.log(total) - f.growth_row_log[a] if total > 0.0 else -math.inf, a, d))
 
-        for i in f.cover.members(x, expanded=True):
-            i = int(i)
+        for i in members:
             d_i, lh_far, i_ok = center_info[i]
             t_i = f.taylors[i]
             if t_i.center == t_x.center:
                 val_pairs += 1
                 if not _valuation_oks(f.jet, anchor, t_i, t_x):
                     val_ok = False
-            diff_poly = _difference_poly(t_i, t_x)
+            dvals = diffs_x[i]
             for b in range(cap + 1):
-                if diff_poly is not None:
-                    diff = abs(diff_poly.derivative(b)(x))
-                else:
-                    diff = abs(t_i.derivative(b)(x) - t_x.derivative(b)(x))
+                diff = abs(dvals[b]) if dvals is not None else 0.0
                 log_diff = math.log(diff) if diff > 0.0 else -math.inf
                 log_row = math.lgamma(b + 1) + f.degree_row.log_values[b]
                 if i_ok:

@@ -40,6 +40,11 @@ class TaylorPolynomial:
     folded into the Horner factors.  Differentiation shifts the stored
     values instead of multiplying coefficients, so the alpha-th
     derivative at the center reproduces derivs[alpha] bit-exactly.
+
+    A scalar argument (a Python float or int, or a numpy float64) runs a
+    pure-float Horner loop that performs the array path's operations in
+    the same order, acc = derivs[m] + acc * dy / (m + 1.0), so p(y) is
+    bit-identical to p(np.array([y]))[0].
     """
 
     center: float
@@ -61,6 +66,13 @@ class TaylorPolynomial:
         return tuple(d / math.factorial(m) for m, d in enumerate(self.derivs))
 
     def __call__(self, y):
+        if isinstance(y, (float, int)):
+            derivs = self.derivs
+            dy = float(y) - self.center
+            acc = derivs[-1]
+            for m in range(len(derivs) - 2, -1, -1):
+                acc = derivs[m] + acc * dy / (m + 1.0)
+            return float(acc)
         ys = np.asarray(y, dtype=float)
         scalar = ys.ndim == 0
         dy = np.atleast_1d(ys) - self.center
@@ -72,8 +84,15 @@ class TaylorPolynomial:
     def derivative(self, alpha: int = 1) -> "TaylorPolynomial":
         if alpha < 0:
             raise ValueError("derivative order must be nonnegative")
-        cur = self.derivs[alpha:] or (0.0,)
-        return TaylorPolynomial(self.center, cur)
+        # A tail of a validated row is valid: skip the per-entry checks.
+        shifted = object.__new__(TaylorPolynomial)
+        object.__setattr__(shifted, "center", self.center)
+        object.__setattr__(shifted, "derivs", self.derivs[alpha:] or (0.0,))
+        return shifted
+
+    def derivatives(self, y: float, order: int) -> list[float]:
+        """[T^(b)(y) for b = 0..order], each bitwise equal to derivative(b)(y)."""
+        return [self.derivative(b)(y) for b in range(order + 1)]
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,15 @@ def test_extend_boundary_trace_layout(extend_run):
     assert doc["boundary"]["steps"] == len(rows)
 
 
+def test_extend_interval_default_boundary_base(tmp_path):
+    doc = dict(GEVREY_EXTEND)
+    doc["jet"] = dict(doc["jet"], set={"intervals": [[-1.0, 0.0]]})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert read_json(out / "bound_report.json")["boundary"]["a"] == 0.0
+
+
 def test_extend_reruns_byte_identical(tmp_path):
     cfg = write_config(tmp_path, dict(GEVREY_EXTEND))
     out1, out2 = tmp_path / "a", tmp_path / "b"

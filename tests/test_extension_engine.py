@@ -121,6 +121,20 @@ def test_plan_json_round_trip(pipeline):
     assert back == plan
 
 
+def test_plan_json_without_constants_uses_field_defaults():
+    doc = {"dilation": 10.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    plan = ExtensionPlan.from_json(doc)
+    assert plan.constants == PlanConstants()
+    assert not plan.meets_threshold
+    assert ExtensionPlan.from_json(json.loads(json.dumps(plan.to_json()))) == plan
+
+
+def test_plan_json_rejects_unknown_constants():
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid):
+        ExtensionPlan.from_json(dict(doc, constants={"k9": 1.0}))
+
+
 def test_make_plan_constants(pipeline):
     reg, _, _, cert, plan, _ = pipeline
     h = plan.constants.h
@@ -338,6 +352,12 @@ def test_bound_report_all_green(pipeline):
         assert c.passed, (c.name, c.notes)
     blob = json.dumps(rep.to_json(), sort_keys=True)
     assert json.loads(blob)["checks"][0]["name"] == rep.checks[0].name
+
+
+def test_sparse_audit_distance_trend_is_inconclusive(pipeline):
+    *_, ext = pipeline
+    report = verify_bounds(ext, samples=32, alpha_cap=8)
+    assert report.check("residual_decay").distance_trend == "inconclusive"
 
 
 def test_bound_report_clips_order_cap(pipeline):

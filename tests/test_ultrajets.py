@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,65 @@ def test_taylor_reproduction_random_rows(data):
     poly = taylor_poly(jet, 0.0, p)
     for alpha in range(p + 1):
         assert poly.derivative(alpha)(0.0) == row[alpha]
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def taylor_and_argument(draw):
+    degree = draw(st.integers(0, 40))
+    center = draw(
+        st.floats(-8.0, 8.0, allow_nan=False).filter(lambda c: c != 0.0)
+    )
+    derivs = tuple(draw(FINITE) for _ in range(degree + 1))
+    y = draw(
+        st.one_of(
+            st.floats(-20.0, 20.0, allow_nan=False),
+            st.integers(-20, 20),
+            st.floats(-20.0, 20.0, allow_nan=False).map(np.float64),
+        )
+    )
+    return TaylorPolynomial(center, derivs), y
+
+
+@settings(max_examples=300, deadline=None)
+@given(taylor_and_argument())
+def test_scalar_taylor_matches_array_path_bitwise(case):
+    poly, y = case
+    assert bits(poly(y)) == bits(float(poly(np.array([y], dtype=float))[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(taylor_and_argument(), st.integers(0, 44))
+def test_derivative_vector_matches_shifted_polynomials(case, order):
+    poly, y = case
+    vec = poly.derivatives(y, order)
+    assert len(vec) == order + 1
+    for b, v in enumerate(vec):
+        assert bits(v) == bits(poly.derivative(b)(y))
+        assert bits(v) == bits(float(poly.derivative(b)(np.array([y]))[0]))
+
+
+def test_derivative_equals_direct_construction():
+    poly = TaylorPolynomial(0.5, (1.0, -2.0, 3.0, 0.25))
+    assert poly.derivative(0) == poly
+    assert poly.derivative(2) == TaylorPolynomial(0.5, (3.0, 0.25))
+    assert poly.derivative(9) == TaylorPolynomial(0.5, (0.0,))
+    with pytest.raises(ValueError):
+        poly.derivative(-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_direct_construction_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        TaylorPolynomial(0.0, (1.0, bad))
+    with pytest.raises(ValueError):
+        TaylorPolynomial(1.0, (bad,))
 
 
 def test_remainder_vanishes_on_polynomial_jets():

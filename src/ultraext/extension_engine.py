@@ -149,7 +149,18 @@ class ExtensionPlan:
 
     @classmethod
     def from_json(cls, doc) -> "ExtensionPlan":
-        """Plan from its JSON form; missing constants take the field defaults."""
+        """Plan from its JSON form; missing constants take the field defaults.
+
+        Every top-level key but ``constants`` and ``theory_degree`` is
+        required, and unknown keys are rejected.
+        """
+        required = {"dilation", "folds", "xi", "rho", "jet_bound"}
+        missing = required - set(doc)
+        unknown = set(doc) - required - {"constants", "theory_degree"}
+        if missing or unknown:
+            raise PlanInvalid(
+                f"plan keys missing: {sorted(missing)}, unknown: {sorted(unknown)}"
+            )
         given = doc.get("constants", {})
         unknown = set(given) - {f.name for f in fields(PlanConstants)}
         if unknown:
@@ -247,9 +258,8 @@ def _requested_degree(row: WeightSequence, dilation: float, d: float) -> tuple[i
     return max(2 * gamma - 1, 0), False
 
 
-def _nearest_base_point(jet: UltraJet, y: float) -> tuple[float, float]:
-    best = min(jet.base_points, key=lambda p: (abs(p - y), p))
-    return best, abs(best - y)
+def _nearest_base_point(jet: UltraJet, y: float) -> float:
+    return min(jet.base_points, key=lambda p: (abs(p - y), p))
 
 
 @dataclass(frozen=True)
@@ -268,7 +278,6 @@ class ExtensionFunction:
     degrees: tuple[int, ...]
     requested: tuple[int, ...]
     anchors: tuple[float, ...]
-    anchor_snap: float
     degree_row: WeightSequence
     residual_row: WeightSequence
     value_row_log: tuple[float, ...]
@@ -339,13 +348,11 @@ def assemble(
     degrees: list[int] = []
     requested: list[int] = []
     anchors: list[float] = []
-    snap = 0.0
     cutoffs = 0
     caps = 0
     for center in cover.centers:
         d, xhat = distance_and_nearest(jet.e, float(center))
-        anchor, off = _nearest_base_point(jet, xhat)
-        snap = max(snap, off)
+        anchor = _nearest_base_point(jet, xhat)
         want, at_cut = _requested_degree(degree_row, plan.dilation, d)
         cutoffs += at_cut
         deg = min(want, jet.alpha_max)
@@ -364,7 +371,6 @@ def assemble(
         degrees=tuple(degrees),
         requested=tuple(requested),
         anchors=tuple(anchors),
-        anchor_snap=snap,
         degree_row=degree_row,
         residual_row=residual_row,
         value_row_log=tuple(float(v) for v in value_row),
@@ -726,7 +732,7 @@ def verify_bounds(
     for x in xs:
         x = float(x)
         d, xhat = distance_and_nearest(f.jet.e, x)
-        anchor, _ = _nearest_base_point(f.jet, xhat)
+        anchor = _nearest_base_point(f.jet, xhat)
         want, at_cut = _requested_degree(f.degree_row, ld, d)
         cutoff_hits += at_cut
         deg = min(want, f.jet.alpha_max)

@@ -10,6 +10,7 @@ and product rules against the same exact piece data.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,10 +37,11 @@ def _eval_local(coeffs: Sequence[float], t: float) -> float:
     return float(acc)
 
 
-def _taylor_shift(coeffs: np.ndarray, shift: float) -> np.ndarray:
-    """Coefficients of P(y + shift) from those of P(y)."""
-    out = np.array(coeffs, dtype=float)
-    n = out.size
+def _taylor_shift(coeffs: Sequence[float], shift: float) -> list[float]:
+    """Coefficients of P(y + shift) from those of P(y), on Python floats."""
+    shift = float(shift)
+    out = [float(c) for c in coeffs]
+    n = len(out)
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
             out[j] += shift * out[j + 1]
@@ -176,12 +178,10 @@ class PiecewisePolynomial:
         )
 
 
-def _local_coeffs(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray | None:
+def _local_coeffs(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray:
     """Coefficients of poly around t, taken from the piece containing probe."""
     j = poly.piece_index(probe)
-    if j < 0:
-        return None
-    return _taylor_shift(np.asarray(poly.pieces[j], dtype=float), t - poly.breakpoints[j])
+    return np.array(_taylor_shift(poly.pieces[j], t - poly.breakpoints[j]))
 
 
 def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
@@ -193,49 +193,52 @@ def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _convolve_box(f: PiecewisePolynomial, width: float) -> PiecewisePolynomial:
-    """Convolution with the unit-mass box of the given width."""
+    """Convolution with the unit-mass box of the given width.
+
+    The piece arithmetic runs on Python floats, doing the same operations
+    in the same order as elementwise float64 arrays would.
+    """
     if not (math.isfinite(width) and width > 0.0):
         raise ValueError("box width must be positive")
     half = 0.5 * width
-    bp = f._bp
+    bp = f._bp.tolist()
     anti = []
     acc = 0.0
     for j, row in enumerate(f.pieces):
-        arow = np.zeros(len(row) + 1)
-        arow[0] = acc
-        for m, c in enumerate(row):
-            arow[m + 1] = c / (m + 1)
+        arow = [acc] + [float(c) / (m + 1) for m, c in enumerate(row)]
         anti.append(arow)
         acc = _eval_local(arow, bp[j + 1] - bp[j])
     total = acc
 
-    def anti_at(expand_at: float, probe: float) -> np.ndarray:
+    def anti_at(expand_at: float, probe: float) -> list[float]:
         # Expansion of the antiderivative around expand_at.  The piece is
         # chosen by the probe (a window midpoint), which is immune to the
         # ulp-level breakpoint jitter that endpoint lookups trip over.
         if probe < bp[0]:
-            return np.array([0.0])
+            return [0.0]
         if probe >= bp[-1]:
-            return np.array([total])
-        j = int(np.searchsorted(bp, probe, side="right")) - 1
+            return [total]
+        j = bisect.bisect_right(bp, probe) - 1
         return _taylor_shift(anti[j], expand_at - bp[j])
 
-    new_bp = np.unique(np.concatenate([bp - half, bp + half]))
+    new_bp = np.unique(np.concatenate([f._bp - half, f._bp + half]))
     # Shifted copies of one exact breakpoint can land an ulp apart; the
     # sliver pieces they would create poison later piece lookups.
     tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
-    new_bp = _merge_close(new_bp, tol)
+    new_bp = _merge_close(new_bp, tol).tolist()
     rows = []
-    for j in range(new_bp.size - 1):
-        t = float(new_bp[j])
+    for j in range(len(new_bp) - 1):
+        t = new_bp[j]
         mid = 0.5 * (new_bp[j] + new_bp[j + 1])
         upper = anti_at(t + half, mid + half)
         lower = anti_at(t - half, mid - half)
-        g = np.zeros(max(upper.size, lower.size))
-        g[: upper.size] += upper
-        g[: lower.size] -= lower
-        rows.append(tuple(g / width))
-    return PiecewisePolynomial(tuple(float(b) for b in new_bp), tuple(rows))
+        g = [0.0] * max(len(upper), len(lower))
+        for m, u in enumerate(upper):
+            g[m] = 0.0 + u  # as on a zeros row: -0.0 becomes 0.0
+        for m, v in enumerate(lower):
+            g[m] -= v
+        rows.append(tuple(np.array(g) / width))
+    return PiecewisePolynomial(tuple(new_bp), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,8 @@ class Partition:
     The bump total is held as one piecewise polynomial on the common
     breakpoint refinement, and every refinement piece records the local
     coefficients of each bump alive there.  Quotient derivatives and
-    extrema therefore never leave exact piece data.
+    extrema therefore never leave exact piece data.  Live lists come from
+    each bump's support slice of the refinement, not from a scan.
     """
 
     folds: int
@@ -320,24 +324,24 @@ class Partition:
         if len(bumps) == 0:
             raise ValueError("need at least one bump")
         all_bp = np.unique(np.concatenate([b._bp for b in bumps]))
-        active_rows: list[tuple[int, ...]] = []
+        mids = 0.5 * (all_bp[:-1] + all_bp[1:])
+        live: list = [[] for _ in range(mids.size)]
+        for i, bump in enumerate(bumps):
+            # Pieces whose midpoint lies in the closed support, the test
+            # piece_index makes; ascending i keeps the summation order.
+            lo = int(np.searchsorted(mids, bump._bp[0], side="left"))
+            hi = int(np.searchsorted(mids, bump._bp[-1], side="right"))
+            for j in range(lo, hi):
+                live[j].append(i)
         coeff_rows: list[tuple[np.ndarray, ...]] = []
         total_rows: list[np.ndarray] = []
-        for j in range(all_bp.size - 1):
-            t = float(all_bp[j])
-            mid = 0.5 * (all_bp[j] + all_bp[j + 1])
-            act: list[int] = []
-            cfs: list[np.ndarray] = []
-            for i, bump in enumerate(bumps):
-                c = _local_coeffs(bump, t, mid)
-                if c is None:
-                    continue
-                act.append(i)
-                cfs.append(c)
+        for j, (t, mid) in enumerate(zip(all_bp[:-1].tolist(), mids.tolist())):
+            cfs = [_local_coeffs(bumps[i], t, mid) for i in live[j]]
             tot = np.zeros(max((c.size for c in cfs), default=1))
             for c in cfs:
                 tot[: c.size] += c
-            active_rows.append(tuple(act))
+            # Frozen in place, so the lists do not all outlive the loop.
+            live[j] = tuple(live[j])
             coeff_rows.append(tuple(cfs))
             total_rows.append(tot)
         total = PiecewisePolynomial(
@@ -349,7 +353,7 @@ class Partition:
             bumps=tuple(bumps),
             cover=cover,
             breakpoints=all_bp,
-            piece_active=tuple(active_rows),
+            piece_active=tuple(live),
             piece_coeffs=tuple(coeff_rows),
             piece_total=tuple(total_rows),
             total=total,

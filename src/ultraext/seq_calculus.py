@@ -253,18 +253,3 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
         for k in range(a, b):
             out_quotients[k] = slope
     return WeightSequence(tuple(out_values), tuple(out_quotients))
-
-
-@dataclass(frozen=True)
-class TransformGrid:
-    """Evaluation grid for the transforms: t-values plus an index cutoff."""
-
-    t_values: tuple[float, ...]
-    k_cutoff: int
-
-    @classmethod
-    def geometric(cls, t_min: float, t_max: float, points: int, k_cutoff: int):
-        if not (0.0 < t_min < t_max) or points < 2:
-            raise ValueError("need 0 < t_min < t_max and at least two points")
-        ts = np.geomspace(t_min, t_max, points)
-        return cls(tuple(float(t) for t in ts), int(k_cutoff))

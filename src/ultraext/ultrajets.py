@@ -279,9 +279,13 @@ def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float):
             if ia == ib:
                 continue
             gap = math.log(abs(b - a))
+            row_b = jet.rows[ib]
             for k in range(jet.alpha_max):
+                # remainder(jet, a, b, k, alpha) for every alpha from one
+                # Taylor polynomial, with the same operands.
+                predicted = taylor_poly(jet, a, k).derivatives(b, k)
                 for alpha in range(k + 1):
-                    lhs = abs(remainder(jet, a, b, k, alpha))
+                    lhs = abs(row_b[alpha] - predicted[alpha])
                     if lhs == 0.0:
                         continue
                     rest = (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
@@ -248,6 +249,31 @@ def test_extend_seed_changes_sample_trace_only(tmp_path):
     d2 = read_json(out2 / "bound_report.json")
     d1.pop("seed"), d2.pop("seed")
     assert d1 == d2
+
+
+# The README extend config on two points, without --seed.  The digests pin
+# the three products bit for bit: a change to any number the pipeline
+# writes (partition, certificate pairs, audit, boundary) shows here.
+GOLDEN_EXTEND = {
+    "weight": SQRT_WEIGHT,
+    "k": 64,
+    "jet": {"kind": "gevrey", "set": {"points": [0.0, 0.23]}, "alpha_max": 32, "xi": 1.0},
+    "run": {"samples": 240, "alpha_cap": 8},
+    "seed": 7,
+}
+GOLDEN_SHA256 = {
+    "bound_report.json": "be14b65ad9f09a22498e481bd46370d456a5fc8a12e7e2f06e8271b2f96a4503",
+    "extension_samples.csv": "35657076480824454ef25e912097962ccbe99bde06049c3a4add44561cc699ea",
+    "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
+}
+
+
+def test_extend_products_match_golden_digests(tmp_path):
+    cfg = write_config(tmp_path, GOLDEN_EXTEND)
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_extend_zero_jet_all_pass(tmp_path):

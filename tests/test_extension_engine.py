@@ -135,6 +135,22 @@ def test_plan_json_rejects_unknown_constants():
         ExtensionPlan.from_json(dict(doc, constants={"k9": 1.0}))
 
 
+@pytest.mark.parametrize("key", ["dilation", "folds", "xi", "rho", "jet_bound"])
+def test_plan_json_rejects_missing_keys(key):
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    del doc[key]
+    with pytest.raises(PlanInvalid, match=key):
+        ExtensionPlan.from_json(doc)
+
+
+def test_plan_json_rejects_unknown_keys():
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid, match="dilaton"):
+        ExtensionPlan.from_json(dict(doc, dilaton=32.0))
+    plan = ExtensionPlan.from_json(dict(doc, theory_degree=40))
+    assert plan.theory_degree == 40
+
+
 def test_make_plan_constants(pipeline):
     reg, _, _, cert, plan, _ = pipeline
     h = plan.constants.h
@@ -167,7 +183,6 @@ def test_assemble_counts_caps_and_cutoffs(pipeline):
     _, _, _, _, _, ext = pipeline
     assert ext.degree_caps > 0
     assert ext.degree_cutoffs > 0
-    assert ext.anchor_snap == 0.0
     assert all(d <= want for d, want in zip(ext.degrees, ext.requested))
     assert ext.d_max > 0.0
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraext._fitting import BOUNDED
@@ -17,6 +17,10 @@ from ultraext.partition_of_unity import (
     BumpSpec,
     Partition,
     PiecewisePolynomial,
+    _convolve_box,
+    _eval_local,
+    _merge_close,
+    _taylor_shift,
     build_bump,
     build_partition,
     check_derivative_bound,
@@ -355,3 +359,178 @@ def test_bump_profile_properties(lo, length, margin, folds):
     assert abs(b(slo)) <= 1e-12 and abs(b(shi)) <= 1e-12
     target = length + margin
     assert abs(b.integral() - target) <= 1e-10 * max(1.0, target)
+
+
+# Reference kernels: the Taylor shift and box convolution on float64
+# arrays, and the partition rows by a scan over pieces x bumps.  The
+# pure-float kernels and the support-indexed partition must match them
+# bit for bit, signed zeros included.
+
+
+def ref_taylor_shift(coeffs, shift):
+    out = np.array(coeffs, dtype=float)
+    n = out.size
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += shift * out[j + 1]
+    return out
+
+
+def ref_convolve_box(f, width):
+    half = 0.5 * width
+    bp = f._bp
+    anti = []
+    acc = 0.0
+    for j, row in enumerate(f.pieces):
+        arow = np.zeros(len(row) + 1)
+        arow[0] = acc
+        for m, c in enumerate(row):
+            arow[m + 1] = c / (m + 1)
+        anti.append(arow)
+        acc = _eval_local(arow, bp[j + 1] - bp[j])
+    total = acc
+
+    def anti_at(expand_at, probe):
+        if probe < bp[0]:
+            return np.array([0.0])
+        if probe >= bp[-1]:
+            return np.array([total])
+        j = int(np.searchsorted(bp, probe, side="right")) - 1
+        return ref_taylor_shift(anti[j], expand_at - bp[j])
+
+    new_bp = np.unique(np.concatenate([bp - half, bp + half]))
+    tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
+    new_bp = _merge_close(new_bp, tol)
+    rows = []
+    for j in range(new_bp.size - 1):
+        t = float(new_bp[j])
+        mid = 0.5 * (new_bp[j] + new_bp[j + 1])
+        upper = anti_at(t + half, mid + half)
+        lower = anti_at(t - half, mid - half)
+        g = np.zeros(max(upper.size, lower.size))
+        g[: upper.size] += upper
+        g[: lower.size] -= lower
+        rows.append(tuple(g / width))
+    return PiecewisePolynomial(tuple(float(b) for b in new_bp), tuple(rows))
+
+
+def ref_partition_rows(bumps):
+    """(active, coeffs, total) per refinement piece by the pieces x bumps scan."""
+    all_bp = np.unique(np.concatenate([b._bp for b in bumps]))
+    rows = []
+    for j in range(all_bp.size - 1):
+        t = float(all_bp[j])
+        mid = 0.5 * (all_bp[j] + all_bp[j + 1])
+        act, cfs = [], []
+        for i, bump in enumerate(bumps):
+            k = bump.piece_index(mid)
+            if k < 0:
+                continue
+            act.append(i)
+            cfs.append(ref_taylor_shift(bump.pieces[k], t - bump.breakpoints[k]))
+        tot = np.zeros(max((c.size for c in cfs), default=1))
+        for c in cfs:
+            tot[: c.size] += c
+        rows.append((tuple(act), cfs, tot))
+    return rows
+
+
+def raw(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_poly(got, want):
+    assert raw(got.breakpoints) == raw(want.breakpoints)
+    assert len(got.pieces) == len(want.pieces)
+    for a, b in zip(got.pieces, want.pieces):
+        assert raw(a) == raw(b)
+
+
+def assert_partition_matches_scan(part):
+    ref = ref_partition_rows(part.bumps)
+    assert len(part.piece_active) == len(ref)
+    for j, (act, cfs, tot) in enumerate(ref):
+        assert part.piece_active[j] == act
+        assert [raw(c) for c in part.piece_coeffs[j]] == [raw(c) for c in cfs]
+        assert raw(part.piece_total[j]) == raw(tot)
+        assert raw(part.total.pieces[j]) == raw(tot)
+
+
+COEFF = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+NONZERO = st.floats(-50.0, 50.0, allow_nan=False).filter(lambda v: v != 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda d: st.lists(COEFF, min_size=d + 1, max_size=d + 1)),
+       NONZERO)
+def test_taylor_shift_matches_numpy_reference(coeffs, shift):
+    assert raw(_taylor_shift(coeffs, shift)) == raw(ref_taylor_shift(coeffs, shift))
+    as_numpy = _taylor_shift(np.array(coeffs), np.float64(shift))
+    assert raw(as_numpy) == raw(ref_taylor_shift(coeffs, shift))
+
+
+@st.composite
+def piecewise_and_width(draw):
+    n = draw(st.integers(1, 4))
+    start = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+    bp = [start]
+    for g in gaps:
+        bp.append(bp[-1] + g)
+    degree = draw(st.integers(0, 10))
+    pieces = tuple(
+        tuple(draw(st.lists(COEFF, min_size=degree + 1, max_size=degree + 1)))
+        for _ in range(n)
+    )
+    width = draw(st.floats(1e-3, 4.0))
+    return PiecewisePolynomial(tuple(bp), pieces), width
+
+
+@settings(max_examples=150, deadline=None)
+@given(piecewise_and_width())
+# A -0.0 coefficient: the zeros row the difference starts from turns it into 0.0.
+@example((PiecewisePolynomial((0.0, 1.0), ((1.0, -0.0),)), 0.5))
+def test_convolve_box_matches_numpy_reference(case):
+    f, width = case
+    assert_same_poly(_convolve_box(f, width), ref_convolve_box(f, width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.floats(-5.0, 5.0),
+    length=st.floats(0.0, 3.0),
+    margin=st.floats(1e-6, 2.0),
+    folds=st.integers(1, 10),
+)
+def test_bump_chain_matches_numpy_reference(lo, length, margin, folds):
+    spec = BumpSpec((lo, lo + length), margin, folds)
+    half = 0.5 * spec.margin
+    want = PiecewisePolynomial((spec.core[0] - half, spec.core[1] + half), ((1.0,),))
+    for _ in range(folds):
+        want = ref_convolve_box(want, spec.width)
+    assert_same_poly(build_bump(spec), want)
+
+
+def test_partition_matches_scan_on_three_point_cover():
+    cover = build_cover(CompactSet1D.from_points([0.0, 0.3, 0.7]), 1.0, max_generation=6)
+    part = build_partition(cover, 3)
+    assert max(map(len, part.piece_active)) >= 2
+    assert_partition_matches_scan(part)
+
+
+def test_partition_matches_scan_on_nested_and_shared_supports():
+    bumps = [
+        build_bump(BumpSpec((0.0, 4.0), 0.5, 3)),
+        # nested inside the first, sharing no breakpoint with it
+        build_bump(BumpSpec((1.0, 2.0), 0.25, 3)),
+        # the same support as the second, a different profile
+        PiecewisePolynomial((0.75, 1.5, 2.25), ((0.0, 1.0), (0.75, -1.0))),
+        # ends where the next one starts: a shared breakpoint
+        PiecewisePolynomial((2.25, 3.0), ((2.0, 0.5, -0.25),)),
+        PiecewisePolynomial((3.0, 5.0), ((1.0,),)),
+        # beyond a gap no bump covers
+        PiecewisePolynomial((6.0, 7.0, 8.0), ((0.5,), (1.0, -1.0))),
+    ]
+    part = Partition.from_bumps(bumps, 3)
+    assert () in part.piece_active
+    assert_partition_matches_scan(part)

@@ -16,7 +16,6 @@ from ultraext.errors import (
     SupremumAtCutoff,
 )
 from ultraext.seq_calculus import (
-    TransformGrid,
     WeightSequence,
     associated_weight,
     counting_index,
@@ -267,12 +266,3 @@ def test_duality_random(draws, t):
     except (InfimumAtCutoff, SupremumAtCutoff):
         return
     assert abs(h - dual) <= 1e-12 * (1.0 + h)
-
-
-def test_transform_grid_geometric():
-    g = TransformGrid.geometric(0.01, 1.0, 9, 64)
-    assert len(g.t_values) == 9
-    assert g.t_values[0] == pytest.approx(0.01)
-    assert g.t_values[-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        TransformGrid.geometric(1.0, 0.5, 9, 64)

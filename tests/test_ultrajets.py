@@ -15,6 +15,7 @@ from ultraext.matrix_calculus import associated_matrix
 from ultraext.ultrajets import (
     TaylorPolynomial,
     UltraJet,
+    _constraints,
     certify,
     polynomial_jet,
     remainder,
@@ -284,6 +285,49 @@ def test_certify_two_point_jet_margins(matrix):
     assert math.isfinite(cert.remainder_margin)
     assert cert.remainder_margin >= 1.0 - 1e-9
     assert cert.rate_trend == BOUNDED
+
+
+def ref_constraints(jet, matrix, xi):
+    """The constraint rows with one remainder() call per (a, b, k, alpha)."""
+    log_full = matrix.full_log_row(xi)
+    log_div = matrix.row_log(xi)
+    rows = []
+    for alpha in range(jet.alpha_max + 1):
+        lhs = max(abs(r[alpha]) for r in jet.rows)
+        if lhs != 0.0:
+            rest = float(log_full[alpha])
+            rows.append((alpha, math.log(lhs) - rest, lhs, rest, "value"))
+    for a in jet.base_points:
+        for b in jet.base_points:
+            if a == b:
+                continue
+            gap = math.log(abs(b - a))
+            for k in range(jet.alpha_max):
+                for alpha in range(k + 1):
+                    lhs = abs(remainder(jet, a, b, k, alpha))
+                    if lhs == 0.0:
+                        continue
+                    rest = (
+                        math.lgamma(alpha + 1.0)
+                        + float(log_div[k + 1])
+                        + (k + 1 - alpha) * gap
+                    )
+                    rows.append((k + 1, math.log(lhs) - rest, lhs, rest, "remainder"))
+    return rows
+
+
+def test_constraints_match_remainder_reference(matrix):
+    triple = CompactSet1D.from_points([0.0, 0.23, 0.7])
+    jet = UltraJet.from_function(
+        triple, [0.0, 0.23, 0.7], 20, lambda a, k: math.cos(3.0 * a + k) * 1.5**k
+    )
+    for xi in (matrix.xi_values[0], 1.0):
+        got = _constraints(jet, matrix, xi)
+        want = ref_constraints(jet, matrix, xi)
+        assert len(got) == len(want) > 3 * 2 * 20
+        for g, w in zip(got, want):
+            assert g[0] == w[0] and g[4] == w[4]
+            assert [bits(v) for v in g[1:4]] == [bits(v) for v in w[1:4]]
 
 
 def test_certify_requires_long_enough_rows(matrix):

@@ -37,7 +37,6 @@ from .seq_calculus import WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly
 from .whitney_geometry import (
     EXPANSION,
-    CompactSet1D,
     WhitneyCover,
     build_cover,
     distance_and_nearest,
@@ -56,23 +55,6 @@ THRESHOLD_GLUE = 8.0
 # exact zero in float arithmetic whether or not the row is long enough.
 _LOG_TINY = math.log(5e-324)
 _LOG_EPS = math.log(2.0**-53)
-
-
-def local_degree(row: WeightSequence, dilation: float, x: float, e: CompactSet1D) -> int:
-    """Taylor degree 2*Gamma - 1 (at least 0) at the dilated distance.
-
-    Gamma is the counting index of ``row`` at dilation * d(x).  Far from
-    the set the index is 0 and the degree clamps to 0; close in, the
-    degree grows like the inverse quotient scale.  CountingIndexAtCutoff
-    propagates when the stored quotients cannot resolve the distance.
-    """
-    if not (dilation > 0.0 and math.isfinite(dilation)):
-        raise ValueError("dilation must be positive and finite")
-    d, _ = distance_and_nearest(e, x)
-    if d == 0.0:
-        raise ValueError("local degree is defined off the set only")
-    gamma = counting_index(row, dilation * d)
-    return max(2 * gamma - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +134,9 @@ class ExtensionPlan:
         """Plan from its JSON form; missing constants take the field defaults.
 
         Every top-level key but ``constants`` and ``theory_degree`` is
-        required, and unknown keys are rejected.
+        required, and unknown keys are rejected.  ``folds`` and
+        ``theory_degree`` must be integral numbers and every other value
+        a number (``m1`` may be null); booleans and strings are rejected.
         """
         required = {"dilation", "folds", "xi", "rho", "jet_bound"}
         missing = required - set(doc)
@@ -166,19 +150,33 @@ class ExtensionPlan:
         if unknown:
             raise PlanInvalid(f"unknown plan constants: {sorted(unknown)}")
         return cls(
-            dilation=float(doc["dilation"]),
-            folds=int(doc["folds"]),
-            xi=float(doc["xi"]),
-            rho=float(doc["rho"]),
-            jet_bound=float(doc["jet_bound"]),
+            dilation=_plan_number(doc["dilation"], "dilation"),
+            folds=_plan_integer(doc["folds"], "folds"),
+            xi=_plan_number(doc["xi"], "xi"),
+            rho=_plan_number(doc["rho"], "rho"),
+            jet_bound=_plan_number(doc["jet_bound"], "jet_bound"),
             constants=PlanConstants(
                 **{
-                    k: None if k == "m1" and v is None else float(v)
+                    k: None if k == "m1" and v is None else _plan_number(v, k)
                     for k, v in given.items()
                 }
             ),
-            theory_degree=int(doc.get("theory_degree", 0)),
+            theory_degree=_plan_integer(doc.get("theory_degree", 0), "theory_degree"),
         )
+
+
+def _plan_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PlanInvalid(f"plan value {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _plan_integer(value, name: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PlanInvalid(f"plan value {name} must be an integer, got {value!r}")
+    return value
 
 
 def make_plan(

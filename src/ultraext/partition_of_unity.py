@@ -192,19 +192,22 @@ def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept)
 
 
-def _convolve_box(f: PiecewisePolynomial, width: float) -> PiecewisePolynomial:
+def _convolve_box(
+    bp: list[float], rows: Sequence[Sequence[float]], width: float
+) -> tuple[list[float], list[tuple[float, ...]]]:
     """Convolution with the unit-mass box of the given width.
 
-    The piece arithmetic runs on Python floats, doing the same operations
-    in the same order as elementwise float64 arrays would.
+    Maps unvalidated PiecewisePolynomial data (breakpoints, rows) to the
+    same, so a fold chain builds and checks one PiecewisePolynomial at
+    its end.  The piece arithmetic runs on Python floats, doing the same
+    operations in the same order as elementwise float64 arrays would.
     """
     if not (math.isfinite(width) and width > 0.0):
         raise ValueError("box width must be positive")
     half = 0.5 * width
-    bp = f._bp.tolist()
     anti = []
     acc = 0.0
-    for j, row in enumerate(f.pieces):
+    for j, row in enumerate(rows):
         arow = [acc] + [float(c) / (m + 1) for m, c in enumerate(row)]
         anti.append(arow)
         acc = _eval_local(arow, bp[j + 1] - bp[j])
@@ -221,12 +224,12 @@ def _convolve_box(f: PiecewisePolynomial, width: float) -> PiecewisePolynomial:
         j = bisect.bisect_right(bp, probe) - 1
         return _taylor_shift(anti[j], expand_at - bp[j])
 
-    new_bp = np.unique(np.concatenate([f._bp - half, f._bp + half]))
+    new_bp = np.unique(np.concatenate([np.subtract(bp, half), np.add(bp, half)]))
     # Shifted copies of one exact breakpoint can land an ulp apart; the
     # sliver pieces they would create poison later piece lookups.
     tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
     new_bp = _merge_close(new_bp, tol).tolist()
-    rows = []
+    new_rows = []
     for j in range(len(new_bp) - 1):
         t = new_bp[j]
         mid = 0.5 * (new_bp[j] + new_bp[j + 1])
@@ -237,8 +240,8 @@ def _convolve_box(f: PiecewisePolynomial, width: float) -> PiecewisePolynomial:
             g[m] = 0.0 + u  # as on a zeros row: -0.0 becomes 0.0
         for m, v in enumerate(lower):
             g[m] -= v
-        rows.append(tuple(np.array(g) / width))
-    return PiecewisePolynomial(tuple(new_bp), tuple(rows))
+        new_rows.append(tuple(np.array(g) / width))
+    return new_bp, new_rows
 
 
 @dataclass(frozen=True)
@@ -275,14 +278,16 @@ def build_bump(spec: BumpSpec) -> PiecewisePolynomial:
     The result is a spline of degree equal to the fold count, identically
     one on the core, zero outside the core inflated by the margin, and
     each derivative up to that order is bounded by (2 / width)^order.
+    The folds run on plain rows; the one PiecewisePolynomial built at
+    the end validates the result, so coefficients that overflow partway
+    through the chain still raise ValueError.
     """
     half_margin = 0.5 * spec.margin
-    out = PiecewisePolynomial(
-        (spec.core[0] - half_margin, spec.core[1] + half_margin), ((1.0,),)
-    )
+    bp = [spec.core[0] - half_margin, spec.core[1] + half_margin]
+    rows = [(1.0,)]
     for _ in range(spec.folds):
-        out = _convolve_box(out, spec.width)
-    return out
+        bp, rows = _convolve_box(bp, rows, spec.width)
+    return PiecewisePolynomial(tuple(bp), tuple(rows))
 
 
 def _derivative_values(coeffs: np.ndarray, t: float, order: int) -> np.ndarray:
@@ -308,10 +313,8 @@ class Partition:
     folds: int
     bumps: tuple[PiecewisePolynomial, ...]
     cover: WhitneyCover | None
-    breakpoints: np.ndarray
     piece_active: tuple[tuple[int, ...], ...]
     piece_coeffs: tuple[tuple[np.ndarray, ...], ...]
-    piece_total: tuple[np.ndarray, ...]
     total: PiecewisePolynomial
 
     @classmethod
@@ -334,7 +337,7 @@ class Partition:
             for j in range(lo, hi):
                 live[j].append(i)
         coeff_rows: list[tuple[np.ndarray, ...]] = []
-        total_rows: list[np.ndarray] = []
+        total_rows: list[tuple[float, ...]] = []
         for j, (t, mid) in enumerate(zip(all_bp[:-1].tolist(), mids.tolist())):
             cfs = [_local_coeffs(bumps[i], t, mid) for i in live[j]]
             tot = np.zeros(max((c.size for c in cfs), default=1))
@@ -343,21 +346,20 @@ class Partition:
             # Frozen in place, so the lists do not all outlive the loop.
             live[j] = tuple(live[j])
             coeff_rows.append(tuple(cfs))
-            total_rows.append(tot)
-        total = PiecewisePolynomial(
-            tuple(float(b) for b in all_bp),
-            tuple(tuple(float(c) for c in row) for row in total_rows),
-        )
+            total_rows.append(tuple(tot.tolist()))
         return cls(
             folds=int(folds),
             bumps=tuple(bumps),
             cover=cover,
-            breakpoints=all_bp,
             piece_active=tuple(live),
             piece_coeffs=tuple(coeff_rows),
-            piece_total=tuple(total_rows),
-            total=total,
+            total=PiecewisePolynomial(tuple(all_bp.tolist()), tuple(total_rows)),
         )
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The common breakpoint refinement, that of the bump total."""
+        return self.total._bp
 
     def __len__(self) -> int:
         return len(self.bumps)
@@ -400,7 +402,7 @@ class Partition:
             return out
         dx = x - bp[j]
         psi_d = _derivative_values(self.piece_coeffs[j][actives.index(i)], dx, order)
-        tot_d = _derivative_values(self.piece_total[j], dx, order)
+        tot_d = _derivative_values(self.total.pieces[j], dx, order)
         if tot_d[0] == 0.0:
             return out
         recip = np.zeros(order + 1)
@@ -436,7 +438,7 @@ class Partition:
             w = float(bp[j + 1] - bp[j])
             # Unit-piece rescale keeps the chain coefficients in range.
             num = self.piece_coeffs[j][actives.index(i)]
-            den = self.piece_total[j]
+            den = np.asarray(self.total.pieces[j])
             num = num * w ** np.arange(num.size)
             den = den * w ** np.arange(den.size)
             dden = npoly.polyder(den) if den.size > 1 else np.zeros(1)

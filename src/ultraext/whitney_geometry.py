@@ -240,14 +240,12 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
     xs = np.asarray(sample_points, dtype=float)
     d_x = distance_grid(cover.e, xs)
     d_center = distance_grid(cover.e, cover.centers)
-    half = cover.expanded_halfwidths()
     worst_lo = math.inf
     worst_hi = 0.0
     checked = 0
     violations: list = []
     for x, dx in zip(xs, d_x):
-        idx = np.nonzero(np.abs(x - cover.centers) <= half)[0]
-        for i in idx:
+        for i in cover.members(x, expanded=True):
             checked += 1
             if dx == 0.0:
                 violations.append((float(x), int(i), math.inf))
@@ -270,19 +268,7 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
 def overlap_counts(cover: WhitneyCover, sample_points) -> np.ndarray:
     """Number of expanded intervals containing each sample point."""
     xs = np.asarray(sample_points, dtype=float)
-    half = cover.expanded_halfwidths()
-    return np.array(
-        [int(np.count_nonzero(np.abs(x - cover.centers) <= half)) for x in xs]
-    )
-
-
-def covering_counts(cover: WhitneyCover, sample_points) -> np.ndarray:
-    """Number of unexpanded intervals containing each sample point."""
-    xs = np.asarray(sample_points, dtype=float)
-    half = 0.5 * cover.sides
-    return np.array(
-        [int(np.count_nonzero(np.abs(x - cover.centers) <= half)) for x in xs]
-    )
+    return np.array([len(cover.members(x, expanded=True)) for x in xs])
 
 
 def covered_sample_grid(cover: WhitneyCover, n: int, pad: float = 0.0) -> np.ndarray:

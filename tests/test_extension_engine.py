@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext.errors import (
-    CountingIndexAtCutoff,
     MissingRow,
     OrderOverflow,
     OutsideRegion,
@@ -17,10 +16,10 @@ from ultraext.errors import (
 from ultraext.extension_engine import (
     ExtensionPlan,
     PlanConstants,
+    _requested_degree,
     assemble,
     boundary_limits,
     eval_derivative,
-    local_degree,
     make_plan,
     region_samples,
     verify_bounds,
@@ -72,20 +71,12 @@ def pipeline():
     return reg, inter, jet, cert, plan, ext
 
 
-def test_local_degree_frozen_examples():
-    assert local_degree(SQUARE_ROW, 1.0, 0.25, CompactSet1D.from_points([0.0])) == 1
-    assert local_degree(SQUARE_ROW, 1.0, 0.01, CompactSet1D.from_points([0.0])) == 17
-    assert local_degree(SQUARE_ROW, 1.0, 10.0, CompactSet1D.from_points([0.0])) == 0
-
-
-def test_local_degree_rejects_bad_arguments():
-    e = CompactSet1D.from_points([0.0])
-    with pytest.raises(ValueError):
-        local_degree(SQUARE_ROW, 0.0, 0.25, e)
-    with pytest.raises(ValueError):
-        local_degree(SQUARE_ROW, 1.0, 0.0, e)
-    with pytest.raises(CountingIndexAtCutoff):
-        local_degree(SQUARE_ROW, 1.0, 1e-9, e)
+def test_requested_degree_frozen_examples():
+    assert _requested_degree(SQUARE_ROW, 1.0, 0.25) == (1, False)
+    assert _requested_degree(SQUARE_ROW, 1.0, 0.01) == (17, False)
+    assert _requested_degree(SQUARE_ROW, 1.0, 10.0) == (0, False)
+    # beyond the stored quotients: the floor 2 * order - 1, flagged
+    assert _requested_degree(SQUARE_ROW, 1.0, 1e-9) == (63, True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,10 +84,11 @@ def test_local_degree_rejects_bad_arguments():
     st.floats(min_value=1e-2, max_value=10.0),
     st.floats(min_value=1e-2, max_value=10.0),
 )
-def test_local_degree_monotone_in_distance(d1, d2):
-    e = CompactSet1D.from_points([0.0])
+def test_requested_degree_monotone_in_distance(d1, d2):
     lo, hi = sorted((d1, d2))
-    assert local_degree(SQUARE_ROW, 1.0, lo, e) >= local_degree(SQUARE_ROW, 1.0, hi, e)
+    deg_lo, _ = _requested_degree(SQUARE_ROW, 1.0, lo)
+    deg_hi, _ = _requested_degree(SQUARE_ROW, 1.0, hi)
+    assert deg_lo >= deg_hi
 
 
 def test_plan_validation():
@@ -149,6 +141,43 @@ def test_plan_json_rejects_unknown_keys():
         ExtensionPlan.from_json(dict(doc, dilaton=32.0))
     plan = ExtensionPlan.from_json(dict(doc, theory_degree=40))
     assert plan.theory_degree == 40
+
+
+@pytest.mark.parametrize("key, value", [
+    ("folds", 8.9), ("folds", True), ("folds", "8"),
+    ("theory_degree", 40.5), ("theory_degree", False), ("theory_degree", "40"),
+])
+def test_plan_json_rejects_non_integer_counts(key, value):
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid, match=key):
+        ExtensionPlan.from_json(dict(doc, **{key: value}))
+
+
+@pytest.mark.parametrize("key", ["dilation", "xi", "rho", "jet_bound"])
+@pytest.mark.parametrize("value", [True, "16", None, [16.0]])
+def test_plan_json_rejects_non_numbers(key, value):
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid, match=key):
+        ExtensionPlan.from_json(dict(doc, **{key: value}))
+
+
+@pytest.mark.parametrize("name", ["c0", "c1", "c2", "h", "k1", "k2", "k3", "m1"])
+@pytest.mark.parametrize("value", [True, "1"])
+def test_plan_json_rejects_non_number_constants(name, value):
+    # A string k2 of "1" at dilation 20 and rho 1 would clear the threshold
+    # and skip the negative control.
+    doc = {"dilation": 20.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid, match=name):
+        ExtensionPlan.from_json(dict(doc, constants={name: value}))
+
+
+def test_plan_json_accepts_integral_numbers_and_null_m1():
+    doc = {"dilation": 16, "folds": 8.0, "xi": 1, "rho": 1, "jet_bound": 2,
+           "constants": {"k2": 12, "m1": None}, "theory_degree": 40.0}
+    plan = ExtensionPlan.from_json(doc)
+    assert (plan.folds, plan.theory_degree) == (8, 40)
+    assert type(plan.folds) is int and type(plan.theory_degree) is int
+    assert plan.dilation == 16.0 and plan.constants.m1 is None
 
 
 def test_make_plan_constants(pipeline):

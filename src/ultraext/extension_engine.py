@@ -111,8 +111,12 @@ class ExtensionPlan:
             raise PlanInvalid("certificate radius rho must be >= 1")
         if not (self.jet_bound > 0.0 and math.isfinite(self.jet_bound)):
             raise PlanInvalid("certificate bound must be positive and finite")
-        if self.constants.h < 1.0:
-            raise PlanInvalid("doubling constant h must be >= 1")
+        c = self.constants
+        if not 1.0 <= c.h < math.inf:
+            raise PlanInvalid(f"doubling constant h must be finite and >= 1, got {c.h}")
+        bad = [k for k in ("c0", "c1", "c2", "k1", "k2", "k3") if not 0.0 < getattr(c, k) < math.inf]
+        if bad or not (c.m1 is None or math.isfinite(c.m1)):
+            raise PlanInvalid(f"plan constants must be positive and finite: {bad or ['m1']}")
 
     @property
     def meets_threshold(self) -> bool:
@@ -289,13 +293,9 @@ class ExtensionFunction:
         if not (len(self.taylors) == len(self.degrees) == len(self.anchors) == n):
             raise ValueError("per-interval data must align with the cover")
 
-    @property
-    def interval_count(self) -> int:
-        return len(self.taylors)
-
-    def terms(self, x: float) -> np.ndarray:
+    def terms(self, x: float) -> list[int]:
         """Indices of the intervals whose bump can be alive at x."""
-        return self.cover.members(x, expanded=True)
+        return [int(i) for i in self.cover.members(x, expanded=True)]
 
     def __call__(self, x: float) -> float:
         return eval_derivative(self, x, 0)
@@ -427,10 +427,6 @@ class _PhiVectors(dict):
         return vec
 
 
-def _members(f: ExtensionFunction, x: float) -> list[int]:
-    return [int(i) for i in f.cover.members(x, expanded=True)]
-
-
 def _reference_index(f: ExtensionFunction, x: float) -> int:
     inside = f.cover.members(x, expanded=False)
     if len(inside):
@@ -504,7 +500,7 @@ def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
     _check_region(f, x)
     phis = _PhiVectors(f.partition, x, alpha)
     t_ref = f.taylors[_reference_index(f, x)]
-    return float(_glued_derivatives(f, x, alpha, _members(f, x), phis, t_ref)[alpha])
+    return float(_glued_derivatives(f, x, alpha, f.terms(x), phis, t_ref)[alpha])
 
 
 # -- bound verification -------------------------------------------------
@@ -737,7 +733,7 @@ def verify_bounds(
         cap_hits += deg < want
         t_x = taylor_poly(f.jet, anchor, deg)
         # Every vector below is evaluated once per sample and shared.
-        members = _members(f, x)
+        members = f.terms(x)
         phis = _PhiVectors(f.partition, x, cap)
         tx_vals = t_x.derivatives(x, cap)
         diffs_x = {

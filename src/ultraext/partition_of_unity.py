@@ -3,7 +3,9 @@
 Everything in this module is an exact piecewise polynomial.  Bumps arise
 from convolving an interval indicator with box kernels, so derivatives
 and extrema come from the piece coefficients, never from numerical
-differencing.  The normalized family phi_i = psi_i / sum_j psi_j is
+differencing.  A cover partition places one template bump on every
+interval by the exact dyadic map t -> center + side*t, or raises
+DegenerateSupport.  The normalized family phi_i = psi_i / sum_j psi_j is
 piecewise rational; its derivatives are evaluated with the reciprocal
 and product rules against the same exact piece data.
 """
@@ -464,24 +466,32 @@ def build_partition(cover: WhitneyCover, folds: int, check_points: int = 2048) -
 
     Each interval gets a bump whose core is the interval and whose margin
     is a sixteenth of the side, so supports end exactly on the expanded
-    intervals of a 9/8 cover.  Raises UncoveredPoint when the bump total
-    fails to be positive somewhere on the covered sample grid.
+    intervals of a 9/8 cover.  One template bump on the core [-1/2, 1/2]
+    is placed on the interval (c, s) as t -> c + s*t with row m divided
+    by s**m, exact for the power-of-two sides of a cover.  Raises
+    DegenerateSupport, naming c and s, when a placement's breakpoints do
+    not strictly increase or its rows overflow, and UncoveredPoint when
+    the bump total fails to be positive somewhere on the covered sample
+    grid.
     """
-    if folds < 1:
-        raise ValueError("fold count must be at least 1")
     if cover.expansion < _MIN_EXPANSION - 1e-12:
         raise ValueError(
             f"cover expansion {cover.expansion} leaves bump supports outside"
             " the expanded intervals; need at least 9/8"
         )
+    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, int(folds)))
+    rows: dict[float, tuple] = {}
     bumps = []
-    for center, side in zip(cover.centers, cover.sides):
-        spec = BumpSpec(
-            (float(center - 0.5 * side), float(center + 0.5 * side)),
-            float(side) * MARGIN_FRACTION,
-            int(folds),
-        )
-        bumps.append(build_bump(spec))
+    for center, side in zip(map(float, cover.centers), map(float, cover.sides)):
+        try:
+            if side not in rows:
+                rows[side] = tuple(
+                    tuple(float(c) / side**m for m, c in enumerate(r)) for r in template.pieces
+                )
+            bp = (center + side * template._bp).tolist()
+            bumps.append(PiecewisePolynomial(tuple(bp), rows[side]))
+        except (ValueError, ArithmeticError) as exc:
+            raise DegenerateSupport(f"bump at center {center}, side {side}: {exc}") from None
     partition = Partition.from_bumps(bumps, folds, cover=cover)
     xs = covered_sample_grid(cover, check_points)
     if xs.size:

@@ -87,13 +87,6 @@ class WeightSequence:
         return cls(lv, lq)
 
     @classmethod
-    def from_values(cls, values) -> "WeightSequence":
-        vals = [float(v) for v in values]
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("weight sequence entries must be positive")
-        return cls.from_log_values([math.log(v) for v in vals])
-
-    @classmethod
     def from_log_quotients(cls, log_quotients) -> "WeightSequence":
         lq = tuple(float(q) for q in log_quotients)
         lv = [0.0]

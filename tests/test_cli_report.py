@@ -266,14 +266,42 @@ GOLDEN_SHA256 = {
     "extension_samples.csv": "35657076480824454ef25e912097962ccbe99bde06049c3a4add44561cc699ea",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
+# The same config on the eight points of the extend_cluster benchmark
+# workload.
+CLUSTER_POINTS = [0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]
+CLUSTER_EXTEND = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": CLUSTER_POINTS}))
+CLUSTER_SHA256 = {
+    "bound_report.json": "c70127a9ecfc15c97717574eae40e3914a264190017414ea94a6fcc9f89daa7f",
+    "extension_samples.csv": "53ba6a24fab07a570d101ed34b63fa14527c5c092b1624bf69c999be65260121",
+    "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
+}
 
 
-def test_extend_products_match_golden_digests(tmp_path):
-    cfg = write_config(tmp_path, GOLDEN_EXTEND)
+@pytest.mark.parametrize(
+    "config, digests",
+    [(GOLDEN_EXTEND, GOLDEN_SHA256), (CLUSTER_EXTEND, CLUSTER_SHA256)],
+    ids=["two_points", "cluster"],
+)
+def test_extend_products_match_golden_digests(tmp_path, config, digests):
+    cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    for name, digest in GOLDEN_SHA256.items():
+    for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("k3", ["NaN", "-3"])
+def test_extend_plan_file_with_bad_constant_fails(tmp_path, capsys, k3):
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        '{"dilation": 16, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 1.0,'
+        f' "constants": {{"k3": {k3}}}}}'
+    )
+    cfg = write_config(tmp_path, dict(GOLDEN_EXTEND, plan={"path": str(plan)}))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert "PlanInvalid" in capsys.readouterr().err
 
 
 def test_extend_zero_jet_all_pass(tmp_path):

@@ -180,6 +180,20 @@ def test_plan_json_accepts_integral_numbers_and_null_m1():
     assert plan.dilation == 16.0 and plan.constants.m1 is None
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("k3", "NaN"), ("k3", "-3"), ("h", "NaN"), ("h", "Infinity"), ("c0", "0"),
+     ("k1", "-Infinity"), ("k2", "NaN"), ("m1", "NaN")],
+)
+def test_plan_file_rejects_non_finite_or_non_positive_constants(name, value):
+    text = (
+        '{"dilation": 16, "folds": 8, "xi": 1, "rho": 1, "jet_bound": 2,'
+        f' "constants": {{"{name}": {value}}}}}'
+    )
+    with pytest.raises(PlanInvalid, match=name):
+        ExtensionPlan.from_json(json.loads(text))
+
+
 def test_make_plan_constants(pipeline):
     reg, _, _, cert, plan, _ = pipeline
     h = plan.constants.h

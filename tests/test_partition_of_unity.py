@@ -542,3 +542,48 @@ def test_partition_matches_scan_on_nested_and_shared_supports():
     part = Partition.from_bumps(bumps, 3)
     assert () in part.piece_active
     assert_partition_matches_scan(part)
+
+
+# Eight points with irregular, non-dyadic gaps, as in the extend_cluster
+# benchmark workload.
+CLUSTER_POINTS = (0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81)
+
+
+@pytest.mark.parametrize("points", [(0.0,), CLUSTER_POINTS])
+@pytest.mark.parametrize("folds", [1, 2, 4, 8, 16])
+def test_placed_template_matches_each_fold_chain(points, folds):
+    # Sides are powers of two, so the dyadic placement of the template
+    # reproduces every chain bit for bit (signed zeros included) except
+    # where the chain's breakpoint merge collapses it; placed bumps never
+    # collapse.
+    cover = build_cover(CompactSet1D.from_points(points), 1.0, max_generation=40)
+    part = build_partition(cover, folds)
+    for c, s, bump in zip(cover.centers.tolist(), cover.sides.tolist(), part.bumps):
+        assert len(bump.breakpoints) > 2
+        chain = build_bump(BumpSpec((c - 0.5 * s, c + 0.5 * s), s * MARGIN_FRACTION, folds))
+        if len(chain.breakpoints) > 2:
+            assert_same_poly(bump, chain)
+
+
+def test_deepest_template_bumps_stay_smooth():
+    cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=44)
+    part = build_partition(cover, 8)
+    assert min(len(b.breakpoints) for b in part.bumps) > 2
+    deep = cover.sides == cover.sides.min()
+    xs = np.concatenate(
+        [cover.centers[deep] + t * cover.sides[deep] for t in (-0.5, -0.25, 0.0, 0.25, 0.5)]
+    )
+    sums = part.values_matrix(xs).sum(axis=0)
+    assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "point, generations, reason", [(1000.0, 40, "strictly increasing"), (0.0, 125, "finite")]
+)
+def test_unresolvable_placement_raises_degenerate_support(point, generations, reason):
+    # Near 1000 the deepest sides span fewer ulps than the template has
+    # breakpoints; at 0, sides near 1e-37 make the rows divided by
+    # side**m overflow.
+    cover = build_cover(CompactSet1D.from_points([point]), 1.0, max_generation=generations)
+    with pytest.raises(DegenerateSupport, match=f"center .*, side .*{reason}"):
+        build_partition(cover, 8)

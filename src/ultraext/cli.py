@@ -3,8 +3,10 @@
 One job per invocation: a JSON config names the inputs, a handful of
 flags override the common knobs, and every product is written to the
 output directory in one pass at the end of the run.  Nothing is written
-when the config or the computation fails, so an output directory is
-either complete or untouched by a given run.
+when the config or the computation fails, and products are first written
+to temporary siblings that replace the old files only once every write
+has succeeded, so an output directory is either complete or untouched by
+a given run.
 
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.
@@ -16,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -627,10 +630,21 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in sorted(files.items()):
-        (out / name).write_text(text)
-        print(f"wrote {out / name}")
+    staged = {}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in sorted(files.items()):
+            staged[out / name] = tmp = out / f".{name}.{os.getpid()}.tmp"
+            tmp.write_text(text)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except OSError as err:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    for path in staged:
+        print(f"wrote {path}")
     for line in lines:
         print(line)
     return code

@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
-    InconclusiveTrend,
     MissingRow,
     SandwichUnverifiable,
 )
-from ._fitting import BOUNDED, GROWING, range_trend
+from ._fitting import BOUNDED, range_trend
 from .seq_calculus import MIN_ORDER, WeightSequence, counting_index, log_convex_minorant
 from .weight_functions import WeightFunction, young_conjugate_grid
 
@@ -564,64 +563,3 @@ def goodness(matrix: WeightMatrix, k_cap: int | None = None) -> GoodnessReport:
             "quotient_root_beurling": qb_wit,
         },
     )
-
-
-@dataclass(frozen=True)
-class InclusionResult:
-    included: bool | None
-    witnesses: dict
-
-
-def _root_gap(m_row: np.ndarray, n_row: np.ndarray) -> np.ndarray:
-    k = np.arange(1, len(m_row), dtype=float)
-    return (m_row[1:] - n_row[1:]) / k
-
-
-def _inclusion(
-    outer: WeightMatrix, inner_rows: Mapping[float, np.ndarray], flip: bool
-) -> InclusionResult:
-    """Root-comparison inclusion with one quantifier order per variant."""
-    witnesses: dict = {}
-    for t_key, target in inner_rows.items():
-        best = None
-        saw_inconclusive = False
-        for c_xi in outer.xi_values:
-            cand = outer.full_log_row(c_xi)
-            gap = _root_gap(cand, target) if flip else _root_gap(target, cand)
-            ratios = np.exp(gap - gap.max())
-            if len(ratios) >= 8:
-                verdict, _ = range_trend(ratios)
-                if verdict == GROWING:
-                    continue
-                if verdict != BOUNDED:
-                    saw_inconclusive = True
-                    continue
-            c = float(np.exp(max(gap.max(), 0.0)))
-            if best is None or c < best[1]:
-                best = (c_xi, c)
-        if best is None:
-            if saw_inconclusive:
-                raise InconclusiveTrend(
-                    f"root trend undecidable against every candidate row for {t_key}"
-                )
-            witnesses[t_key] = None
-            return InclusionResult(False, witnesses)
-        witnesses[t_key] = {"partner": best[0], "constant": best[1]}
-    return InclusionResult(True, witnesses)
-
-
-def roumieu_inclusion(m: WeightMatrix, n: WeightMatrix) -> InclusionResult:
-    """Roumieu-type inclusion: every row of m sits below some row of n.
-
-    Decided through k-th roots of the full rows, (M_k/N_k)^(1/k) bounded
-    along the range.  A clear unbounded trend against every candidate row
-    refutes the inclusion; an undecidable trend raises InconclusiveTrend.
-    """
-    rows = {xi: m.full_log_row(xi) for xi in m.xi_values}
-    return _inclusion(n, rows, flip=False)
-
-
-def beurling_inclusion(m: WeightMatrix, n: WeightMatrix) -> InclusionResult:
-    """Beurling-type inclusion: every row of n dominates some row of m."""
-    rows = {xi: n.full_log_row(xi) for xi in n.xi_values}
-    return _inclusion(m, rows, flip=True)

@@ -6,15 +6,18 @@ and extrema come from the piece coefficients, never from numerical
 differencing.  A cover partition places one template bump on every
 interval by the exact dyadic map t -> center + side*t, or raises
 DegenerateSupport.  The normalized family phi_i = psi_i / sum_j psi_j is
-piecewise rational; its derivatives are evaluated with the reciprocal
-and product rules against the same exact piece data.
+piecewise rational on the common breakpoint refinement of the bumps; its
+derivatives are evaluated with the reciprocal and product rules against
+the same exact piece data.  A refinement piece's coefficients are built
+when a value, derivative or extremum first reads that piece, not when
+the partition is built.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -305,19 +308,21 @@ def _derivative_values(coeffs: np.ndarray, t: float, order: int) -> np.ndarray:
 class Partition:
     """Normalized bump family phi_i = psi_i / sum_j psi_j.
 
-    The bump total is held as one piecewise polynomial on the common
-    breakpoint refinement, and every refinement piece records the local
-    coefficients of each bump alive there.  Quotient derivatives and
-    extrema therefore never leave exact piece data.  Live lists come from
-    each bump's support slice of the refinement, not from a scan.
+    The family lives on the common breakpoint refinement of its bumps.
+    Building it records, per refinement piece, only which bumps are alive
+    there (from each bump's support slice, not a scan).  A piece's local
+    coefficients, of each live bump and of their total, are built by
+    piece(j) on first read and kept, so quotient derivatives and extrema
+    never leave exact piece data and a run pays only for the pieces it
+    reads.
     """
 
     folds: int
     bumps: tuple[PiecewisePolynomial, ...]
     cover: WhitneyCover | None
+    breakpoints: np.ndarray
     piece_active: tuple[tuple[int, ...], ...]
-    piece_coeffs: tuple[tuple[np.ndarray, ...], ...]
-    total: PiecewisePolynomial
+    _pieces: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_bumps(
@@ -338,33 +343,56 @@ class Partition:
             hi = int(np.searchsorted(mids, bump._bp[-1], side="right"))
             for j in range(lo, hi):
                 live[j].append(i)
-        coeff_rows: list[tuple[np.ndarray, ...]] = []
-        total_rows: list[tuple[float, ...]] = []
-        for j, (t, mid) in enumerate(zip(all_bp[:-1].tolist(), mids.tolist())):
-            cfs = [_local_coeffs(bumps[i], t, mid) for i in live[j]]
-            tot = np.zeros(max((c.size for c in cfs), default=1))
-            for c in cfs:
-                tot[: c.size] += c
-            # Frozen in place, so the lists do not all outlive the loop.
-            live[j] = tuple(live[j])
-            coeff_rows.append(tuple(cfs))
-            total_rows.append(tuple(tot.tolist()))
         return cls(
             folds=int(folds),
             bumps=tuple(bumps),
             cover=cover,
-            piece_active=tuple(live),
-            piece_coeffs=tuple(coeff_rows),
-            total=PiecewisePolynomial(tuple(all_bp.tolist()), tuple(total_rows)),
+            breakpoints=all_bp,
+            piece_active=tuple(map(tuple, live)),
         )
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """The common breakpoint refinement, that of the bump total."""
-        return self.total._bp
+    def piece(self, j: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+        """Local coefficients of piece j around its left end, built once.
+
+        Returns the rows of the bumps in piece_active[j], in that order,
+        and the row of their total, summed in ascending bump order.  Each
+        bump row is taken from the bump piece holding the midpoint.
+        """
+        got = self._pieces.get(j)
+        if got is None:
+            bp = self.breakpoints
+            t, mid = float(bp[j]), float(0.5 * (bp[j] + bp[j + 1]))
+            cfs = tuple(_local_coeffs(self.bumps[i], t, mid) for i in self.piece_active[j])
+            tot = np.zeros(max((c.size for c in cfs), default=1))
+            for c in cfs:
+                tot[: c.size] += c
+                c.flags.writeable = False  # every later read shares this row
+            row = tuple(tot.tolist())
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"bump total coefficients overflow on piece {j}")
+            got = self._pieces[j] = (cfs, row)
+        return got
 
     def __len__(self) -> int:
         return len(self.bumps)
+
+    def total(self, xs):
+        """The bump total sum_i psi_i at xs, zero outside the breakpoints.
+
+        Each x is evaluated on the refinement piece holding it (the
+        rightmost breakpoint belongs to the last piece), by Horner on that
+        piece's total row.
+        """
+        xs = np.asarray(xs, dtype=float)
+        scalar = xs.ndim == 0
+        xs = np.atleast_1d(xs)
+        bp = self.breakpoints
+        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, bp.size - 2)
+        out = np.zeros_like(xs)
+        for k in np.flatnonzero((xs >= bp[0]) & (xs <= bp[-1])):
+            j = int(idx[k])
+            out[k] = _eval_local(self.piece(j)[1], float(xs[k] - bp[j]))
+        return float(out[0]) if scalar else out
 
     def value(self, i: int, x: float) -> float:
         psi = self.bumps[i](x)
@@ -403,8 +431,9 @@ class Partition:
             out[0] = 1.0
             return out
         dx = x - bp[j]
-        psi_d = _derivative_values(self.piece_coeffs[j][actives.index(i)], dx, order)
-        tot_d = _derivative_values(self.total.pieces[j], dx, order)
+        cfs, tot = self.piece(j)
+        psi_d = _derivative_values(cfs[actives.index(i)], dx, order)
+        tot_d = _derivative_values(tot, dx, order)
         if tot_d[0] == 0.0:
             return out
         recip = np.zeros(order + 1)
@@ -439,8 +468,9 @@ class Partition:
                 continue
             w = float(bp[j + 1] - bp[j])
             # Unit-piece rescale keeps the chain coefficients in range.
-            num = self.piece_coeffs[j][actives.index(i)]
-            den = np.asarray(self.total.pieces[j])
+            cfs, tot = self.piece(j)
+            num = cfs[actives.index(i)]
+            den = np.asarray(tot)
             num = num * w ** np.arange(num.size)
             den = den * w ** np.arange(den.size)
             dden = npoly.polyder(den) if den.size > 1 else np.zeros(1)

@@ -112,13 +112,6 @@ class WeightSequence:
         """Plain m_k values; overflows for fast-growing long sequences."""
         return np.exp(self._lv)
 
-    def to_json_list(self) -> list[float]:
-        return list(self.log_values)
-
-    @classmethod
-    def from_json_list(cls, data) -> "WeightSequence":
-        return cls.from_log_values(data)
-
 
 # -- transforms ---------------------------------------------------------
 

@@ -151,10 +151,6 @@ class UltraJet:
             self, rows=tuple(tuple(c * v for v in r) for r in self.rows)
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for r in self.rows for v in r)
-
     @classmethod
     def from_function(
         cls,

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,39 @@ def test_extend_reruns_byte_identical(tmp_path):
     assert main(["extend", "--config", cfg, "--out", str(out2)]) == EXIT_OK
     for name in ("bound_report.json", "extension_samples.csv", "boundary_limits.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_failed_write_leaves_old_products_untouched(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, dict(GEVREY_EXTEND))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in out.iterdir())
+    old = {name: (out / name).read_bytes() for name in names}
+    real = Path.write_text
+    calls = []
+
+    def second_write_fails(self, text, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", second_write_fails)
+    # Another seed changes bound_report.json, the first product written.
+    assert main(["extend", "--config", cfg, "--out", str(out), "--seed", "11"]) == EXIT_ERROR
+    assert len(calls) == 2
+    assert "error: OSError" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == old
+
+
+def test_out_naming_a_regular_file_is_an_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    cfg = write_config(tmp_path, {"weight": SQRT_WEIGHT})
+    assert main(["classify", "--config", cfg, "--out", str(taken)]) == EXIT_ERROR
+    assert "error: FileExistsError" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_extend_seed_changes_sample_trace_only(tmp_path):

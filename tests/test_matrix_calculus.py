@@ -17,12 +17,10 @@ from ultraext.matrix_calculus import (
     DEFAULT_XI,
     WeightMatrix,
     associated_matrix,
-    beurling_inclusion,
     gamma_doubling_check,
     goodness,
     interleave_matrix,
     lemma8_regularize,
-    roumieu_inclusion,
     sandwich_H,
     sandwich_fit,
     strong_regularization,
@@ -382,32 +380,6 @@ def test_goodness_not_decidable_single_oscillating_row():
     rep = goodness(m)
     assert rep.r_good is None
     assert rep.witnesses["r_good"][1.0] is None
-
-
-# -- inclusions -------------------------------------------------------------
-
-
-def test_roumieu_inclusion_gevrey_pair():
-    K = 32
-    ones = [0.0] * (K + 1)
-    lg = log_factorials(K)
-    analytic = WeightMatrix.from_divided_rows({1.0: ones})  # full rows k!
-    gevrey2 = WeightMatrix.from_divided_rows({1.0: lg})  # full rows (k!)^2
-    fwd = roumieu_inclusion(analytic, gevrey2)
-    assert fwd.included is True
-    assert fwd.witnesses[1.0]["constant"] <= 1.0 + 1e-12
-    assert roumieu_inclusion(gevrey2, analytic).included is False
-    same = roumieu_inclusion(gevrey2, gevrey2)
-    assert same.included is True
-    assert same.witnesses[1.0]["constant"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_beurling_inclusion_mirrored():
-    K = 32
-    analytic = WeightMatrix.from_divided_rows({1.0: [0.0] * (K + 1)})
-    gevrey2 = WeightMatrix.from_divided_rows({1.0: log_factorials(K)})
-    assert beurling_inclusion(analytic, gevrey2).included is True
-    assert beurling_inclusion(gevrey2, analytic).included is False
 
 
 # -- the conjugate chain across weights -------------------------------------

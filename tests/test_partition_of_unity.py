@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ultraext import partition_of_unity as pou
 from ultraext._fitting import BOUNDED
 from ultraext.errors import DegenerateSupport, UncoveredPoint
 from ultraext.partition_of_unity import (
@@ -451,8 +452,9 @@ def assert_partition_matches_scan(part):
     assert len(part.piece_active) == len(ref)
     for j, (act, cfs, tot) in enumerate(ref):
         assert part.piece_active[j] == act
-        assert [raw(c) for c in part.piece_coeffs[j]] == [raw(c) for c in cfs]
-        assert raw(part.total.pieces[j]) == raw(tot)
+        got_cfs, got_tot = part.piece(j)
+        assert [raw(c) for c in got_cfs] == [raw(c) for c in cfs]
+        assert raw(got_tot) == raw(tot)
 
 
 COEFF = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -587,3 +589,49 @@ def test_unresolvable_placement_raises_degenerate_support(point, generations, re
     cover = build_cover(CompactSet1D.from_points([point]), 1.0, max_generation=generations)
     with pytest.raises(DegenerateSupport, match=f"center .*, side .*{reason}"):
         build_partition(cover, 8)
+
+
+def test_piece_rows_are_built_on_first_read_only(monkeypatch):
+    cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=44)
+    bumps = build_partition(cover, 8).bumps
+    calls = []
+    real = pou._local_coeffs
+    monkeypatch.setattr(pou, "_local_coeffs", lambda *a: calls.append(a) or real(*a))
+    part = Partition.from_bumps(bumps, 8, cover=cover)
+    assert calls == []
+    j = next(j for j, act in enumerate(part.piece_active) if len(act) >= 2)
+    x = float(0.5 * (part.breakpoints[j] + part.breakpoints[j + 1]))
+    first = part.derivatives(part.piece_active[j][0], x, 8)
+    assert len(calls) == len(part.piece_active[j])
+    assert raw(part.derivatives(part.piece_active[j][0], x, 8)) == raw(first)
+    assert len(calls) == len(part.piece_active[j])
+
+
+@pytest.mark.parametrize("points, folds", [((0.0, 0.3, 0.7), 3), (CLUSTER_POINTS, 8)])
+def test_total_matches_the_piecewise_total(points, folds):
+    cover = build_cover(CompactSet1D.from_points(list(points)), 1.0, max_generation=40)
+    part = build_partition(cover, folds)
+    bp = part.breakpoints
+    want = PiecewisePolynomial(
+        tuple(bp.tolist()), tuple(part.piece(j)[1] for j in range(bp.size - 1))
+    )
+    span = bp[-1] - bp[0]
+    xs = np.concatenate(
+        [
+            bp,
+            0.5 * (bp[:-1] + bp[1:]),
+            covered_sample_grid(cover, 4096),
+            [bp[0] - span, np.nextafter(bp[0], -np.inf), np.nextafter(bp[-1], np.inf)],
+        ]
+    )
+    assert raw(part.total(xs)) == raw(want(xs))
+    x = float(xs[bp.size + 1])
+    assert isinstance(part.total(x), float)
+    assert part.total(x) == want(x)
+
+
+def test_piece_rows_that_overflow_raise_on_read():
+    huge = PiecewisePolynomial((0.0, 1.0), ((1e308,),))
+    part = Partition.from_bumps([huge, huge], 1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        part.piece(0)

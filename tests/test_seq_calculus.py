@@ -163,12 +163,6 @@ def test_rejects_non_escaping_sequence():
         WeightSequence.from_log_values([0.0] * 21)  # m_k == 1 throughout
 
 
-def test_json_round_trip():
-    m = gevrey2(24)
-    again = WeightSequence.from_json_list(m.to_json_list())
-    assert again == m
-
-
 # -- identity suite on the canonical example ----------------------------
 
 

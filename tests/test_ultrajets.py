@@ -65,8 +65,6 @@ def test_value_access_and_overflow():
         jet.value(0.0, 3)
     with pytest.raises(ValueError):
         jet.value(0.5, 0)
-    assert not jet.is_zero
-    assert UltraJet(POINT, (0.0,), ((0.0, 0.0),)).is_zero
 
 
 def test_taylor_trivial_examples():

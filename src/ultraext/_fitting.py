@@ -14,6 +14,12 @@ GROWING = "growing"
 INCONCLUSIVE = "inconclusive"
 
 
+def check_growth_tol(growth_tol: float) -> None:
+    """Reject a growth tolerance under which no trend verdict means anything."""
+    if not (np.isfinite(growth_tol) and growth_tol >= 1.0):
+        raise ValueError(f"growth tolerance must be finite and at least 1, got {growth_tol}")
+
+
 def decade_trend(
     abscissae,
     values,
@@ -29,6 +35,7 @@ def decade_trend(
     window is monotone nondecreasing (a genuine divergence trend) and
     INCONCLUSIVE otherwise.
     """
+    check_growth_tol(growth_tol)
     t = np.asarray(abscissae, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or len(t) < 4:
@@ -62,6 +69,7 @@ def range_trend(values, growth_tol: float = 1.05, slack: float = 1e-9) -> tuple[
     quarter; the same three-way verdict as decade_trend, for sequences
     indexed by order k rather than by a geometric abscissa.
     """
+    check_growth_tol(growth_tol)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 8:
         raise ValueError("need a 1-d sequence of length >= 8 for a trend verdict")

@@ -5,8 +5,9 @@ flags override the common knobs, and every product is written to the
 output directory in one pass at the end of the run.  Nothing is written
 when the config or the computation fails, and products are first written
 to temporary siblings that replace the old files only once every write
-has succeeded, so an output directory is either complete or untouched by
-a given run.
+has succeeded, so a failed write leaves the old products untouched.  The
+replacements are one os.replace per file: a failure between two of them
+can leave a mix of new and old products.
 
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.

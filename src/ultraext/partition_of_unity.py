@@ -93,16 +93,17 @@ class PiecewisePolynomial:
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != bp.size - 1:
             raise ValueError("need exactly one coefficient row per piece")
-        deg = 0
-        for row in self.pieces:
-            if len(row) == 0:
-                raise ValueError("empty coefficient row")
-            if not all(math.isfinite(c) for c in row):
-                raise ValueError("coefficients must be finite")
-            deg = max(deg, len(row) - 1)
-        coeff = np.zeros((bp.size - 1, deg + 1))
-        for j, row in enumerate(self.pieces):
-            coeff[j, : len(row)] = row
+        lengths = {len(row) for row in self.pieces}
+        if 0 in lengths:
+            raise ValueError("empty coefficient row")
+        if len(lengths) == 1:
+            coeff = np.array(self.pieces, dtype=float)
+        else:
+            coeff = np.zeros((bp.size - 1, max(lengths)))
+            for j, row in enumerate(self.pieces):
+                coeff[j, : len(row)] = row
+        if not np.isfinite(coeff).all():
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "_bp", bp)
         object.__setattr__(self, "_coeff", coeff)
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
+from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, check_growth_tol, range_trend
 from .errors import InconclusiveTrend, NotInClass, OrderOverflow
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
@@ -259,8 +259,47 @@ class JetCertificate:
             raise ValueError("certificate growth rate must be at least 1")
 
 
-def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float):
-    """(power, log need, linear lhs, log rest, family) rows, fixed order."""
+def _remainder_table(jet: UltraJet):
+    """Every nonzero |(R_a^k F)^(alpha)(b)| with its row data, in row order.
+
+    One numpy Horner pass per base point a covers every other b, every
+    k < alpha_max and every alpha <= k with the scalar path's operations
+    in the same order, acc = d[alpha+m] + acc * dy / (m + 1.0), so each
+    entry is bitwise equal to |remainder(jet, a, b, k, alpha)|.  Returns
+    flat arrays (k+1, log alpha!, (k+1-alpha) log|b-a|, |R|, log|R|) over
+    (a, b, k, alpha) in loop order without the exact zeros; the logs stay
+    per-element math calls.  Nothing here depends on the weight row.
+    """
+    pts, big_k = jet.base_points, jet.alpha_max
+    vals = np.array(jet.rows)
+    k, alpha = np.tril_indices(big_k)
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ia, a in enumerate(pts):
+            d, others = vals[ia], [ib for ib in range(len(pts)) if ib != ia]
+            dy = np.array([pts[ib] - a for ib in others])[:, None]
+            acc = np.tile(d[k], (len(others), 1))
+            for m in range(big_k - 2, -1, -1):
+                step = d[np.minimum(alpha + m, big_k)] + acc * dy / (m + 1.0)
+                acc = np.where(alpha + m <= k - 1, step, acc)
+            parts.append(np.abs(vals[others][:, alpha] - acc))
+    lhs = np.concatenate(parts)
+    gaps = np.array([math.log(abs(b - a)) for a in pts for b in pts if b != a])
+    keep = lhs != 0.0
+    lgamma = np.array([math.lgamma(i + 1.0) for i in range(big_k)])[alpha]
+    power, lgamma = (np.broadcast_to(c, lhs.shape)[keep] for c in (k + 1, lgamma))
+    pgap = ((k + 1 - alpha) * gaps[:, None])[keep]
+    lhs = lhs[keep]
+    return power, lgamma, pgap, lhs, np.array([math.log(v) for v in lhs.tolist()])
+
+
+def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float, table=None):
+    """(power, log need, linear lhs, log rest, family) rows, fixed order.
+
+    Value rows, then a row per entry of the remainder table (built here
+    unless passed) with rest = log alpha! + log_div[k+1] + (k+1-alpha)
+    log|b-a| summed in that order, bitwise as from remainder() directly.
+    """
     log_full = matrix.full_log_row(xi)
     log_div = matrix.row_log(xi)
     rows = []
@@ -270,26 +309,10 @@ def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float):
             continue
         rest = float(log_full[alpha])
         rows.append((alpha, math.log(lhs) - rest, lhs, rest, "value"))
-    for ia, a in enumerate(jet.base_points):
-        for ib, b in enumerate(jet.base_points):
-            if ia == ib:
-                continue
-            gap = math.log(abs(b - a))
-            row_b = jet.rows[ib]
-            for k in range(jet.alpha_max):
-                # remainder(jet, a, b, k, alpha) for every alpha from one
-                # Taylor polynomial, with the same operands.
-                predicted = taylor_poly(jet, a, k).derivatives(b, k)
-                for alpha in range(k + 1):
-                    lhs = abs(row_b[alpha] - predicted[alpha])
-                    if lhs == 0.0:
-                        continue
-                    rest = (
-                        math.lgamma(alpha + 1.0)
-                        + float(log_div[k + 1])
-                        + (k + 1 - alpha) * gap
-                    )
-                    rows.append((k + 1, math.log(lhs) - rest, lhs, rest, "remainder"))
+    power, lgamma, pgap, lhs, log_lhs = _remainder_table(jet) if table is None else table
+    rest = lgamma + log_div[power] + pgap
+    cols = (power, log_lhs - rest, lhs, rest)
+    rows.extend(zip(*(c.tolist() for c in cols), ["remainder"] * len(power)))
     return rows
 
 
@@ -300,8 +323,8 @@ def _rate_profile(rows, alpha_max: int) -> tuple[np.ndarray, tuple[int, int]]:
     powers <= K, floored at zero so the snapped rho never drops below 1.
     """
     prof = np.full(alpha_max + 1, -np.inf)
-    for power, need, _, _, _ in rows:
-        prof[power] = max(prof[power], need)
+    # fmax, like max(), passes over a NaN need.
+    np.fmax.at(prof, np.array([r[0] for r in rows], dtype=int), [r[1] for r in rows])
     rates = np.zeros(alpha_max + 1)
     witness = (0, 0)
     running = 0.0
@@ -333,20 +356,24 @@ def certify(
     rho is scaling-invariant); C is the exact maximum of the linear
     constraint ratios at that rho.  A row accepts when the needed rate is
     stable in the truncation order; rows are tried in ascending xi and
-    the first acceptance wins.  Raises NotInClass with the steepest-chord
-    witness when the rate grows with truncation on every row.
+    the first acceptance wins; the remainder table, bitwise equal to
+    remainder() and independent of the row, is built once per jet.
+    Raises NotInClass with the steepest-chord witness when the rate grows
+    with truncation on every row.
     """
+    check_growth_tol(growth_tol)
     if matrix.order < jet.alpha_max:
         raise OrderOverflow(
             f"matrix rows stop at order {matrix.order}, jet needs {jet.alpha_max}"
         )
     candidates = matrix.xi_values if xi is None else (float(xi),)
     grid = sorted(float(g) for g in rho_grid)
-    if not grid or grid[0] != 1.0:
-        raise ValueError("rho grid must start at 1")
+    if not grid or grid[0] != 1.0 or not np.isfinite(grid).all():
+        raise ValueError("rho grid must be finite and start at 1")
+    table = _remainder_table(jet)
     failures = []
     for x in candidates:
-        rows = _constraints(jet, matrix, x)
+        rows = _constraints(jet, matrix, x, table)
         if not rows:
             return JetCertificate(1.0, 1.0, x, math.inf, math.inf, BOUNDED)
         rates, witness = _rate_profile(rows, jet.alpha_max)
@@ -366,15 +393,15 @@ def certify(
             failures.append((x, trend, growth, witness, needed))
             continue
         log_rho = math.log(snapped)
+        scales = [math.exp(rest + power * log_rho) for power, _, _, rest, _ in rows]
         best_c = 0.0
         margins = {"value": math.inf, "remainder": math.inf}
-        for power, _, lhs, rest, family in rows:
-            ratio = lhs / math.exp(rest + power * log_rho)
+        for (_, _, lhs, _, _), scale in zip(rows, scales):
+            ratio = lhs / scale
             if ratio > best_c:
                 best_c = ratio
-        for power, _, lhs, rest, family in rows:
-            margin = best_c * math.exp(rest + power * log_rho) / lhs
-            margins[family] = min(margins[family], margin)
+        for (_, _, lhs, _, family), scale in zip(rows, scales):
+            margins[family] = min(margins[family], best_c * scale / lhs)
         return JetCertificate(
             best_c, snapped, x, margins["value"], margins["remainder"], trend
         )

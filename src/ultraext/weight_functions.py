@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, bound_constant, decade_trend
+from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, bound_constant, check_growth_tol, decade_trend
 from .errors import BracketFailure, DivergentTail, InconclusiveTrend
 
 # log of the value of t/(log t)^2 at its stationary point t = e^2; the
@@ -396,6 +396,9 @@ def classify(
     nothing: every property tested is invariant under the additive
     normalization.
     """
+    check_growth_tol(growth_tol)
+    if not (math.isfinite(little_o_eps) and little_o_eps > 0.0):
+        raise ValueError(f"little-o threshold must be finite and positive, got {little_o_eps}")
     grid = geometric_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 13:
         raise ValueError("classification grid must be 1-d with enough samples")

@@ -97,6 +97,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"growth_tol": math.nan}, {"growth_tol": 0.5}, {"little_o_eps": math.nan}, {"little_o_eps": -1}],
+)
+def test_classify_bad_tolerance_is_an_error(tmp_path, capsys, tolerances):
+    cfg = write_config(
+        tmp_path, {"weight": SQRT_WEIGHT, "tolerances": tolerances, "out": str(tmp_path / "out")}
+    )
+    assert main(["classify", "--config", cfg]) == EXIT_ERROR
+    assert not (tmp_path / "out").exists()
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = write_config(
         tmp_path,

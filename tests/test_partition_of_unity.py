@@ -78,6 +78,19 @@ def test_piecewise_validation():
         PiecewisePolynomial((0.0, 1.0), ((math.nan,),))
 
 
+def test_piecewise_rows_of_mixed_length():
+    # shorter rows are zero-padded; every row is still checked
+    p = PiecewisePolynomial((0.0, 1.0, 2.0), ((1.0, 2.0), (3.0,)))
+    assert p.degree == 1
+    assert p(0.5) == 2.0 and p(1.5) == 3.0
+    with pytest.raises(ValueError, match="empty"):
+        PiecewisePolynomial((0.0, 1.0, 2.0), ((1.0, 2.0), ()))
+    with pytest.raises(ValueError, match="finite"):
+        PiecewisePolynomial((0.0, 1.0, 2.0), ((1.0, 2.0), (math.inf,)))
+    with pytest.raises(ValueError, match="finite"):
+        PiecewisePolynomial((0.0, 1.0, 2.0), ((1.0, 2.0), (3.0, -math.inf)))
+
+
 def test_piecewise_evaluation_uses_local_coordinates():
     f = PiecewisePolynomial((0.0, 1.0, 3.0), ((0.0, 1.0), (1.0, -1.0)))
     assert f(0.5) == 0.5

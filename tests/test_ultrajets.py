@@ -3,16 +3,18 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraext._fitting import BOUNDED
-from ultraext.errors import NotInClass, OrderOverflow
+from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
+from ultraext.errors import InconclusiveTrend, NotInClass, OrderOverflow
 from ultraext.matrix_calculus import associated_matrix
 from ultraext.ultrajets import (
+    JetCertificate,
     TaylorPolynomial,
     UltraJet,
     _constraints,
@@ -326,6 +328,171 @@ def test_constraints_match_remainder_reference(matrix):
         for g, w in zip(got, want):
             assert g[0] == w[0] and g[4] == w[4]
             assert [bits(v) for v in g[1:4]] == [bits(v) for v in w[1:4]]
+
+
+@st.composite
+def small_jets(draw):
+    """Jets of 1-5 points and orders 0-16; polynomial ones have exact-zero remainders."""
+    alpha_max = draw(st.integers(0, 16))
+    if draw(st.booleans()):
+        dyadic = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+        pts = draw(st.lists(dyadic, min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=4))
+        return polynomial_jet(CompactSet1D.from_points(pts), pts, coeffs, alpha_max)
+    anywhere = st.floats(-4.0, 4.0, allow_nan=False)
+    pts = sorted(draw(st.lists(anywhere, min_size=1, max_size=5, unique=True)))
+    rows = tuple(tuple(draw(FINITE) for _ in range(alpha_max + 1)) for _ in pts)
+    return UltraJet(CompactSet1D.from_points(pts), tuple(pts), rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_jets(), st.sampled_from([0.25, 1.0, 8.0]))
+def test_constraint_rows_match_remainder_reference_bitwise(matrix, jet, xi):
+    got = _constraints(jet, matrix, xi)
+    want = ref_constraints(jet, matrix, xi)
+    assert [(r[0], *map(float.hex, r[1:4]), r[4]) for r in got] == [
+        (r[0], *map(float.hex, r[1:4]), r[4]) for r in want
+    ]
+
+
+def test_polynomial_jet_remainder_zeros_are_skipped(matrix):
+    pts = [-1.0, 0.0, 0.5, 1.5]
+    jet = polynomial_jet(CompactSet1D.from_points(pts), pts, [1.0, -2.0, 3.0, 1.0], 12)
+    got = [r for r in _constraints(jet, matrix, 1.0) if r[4] == "remainder"]
+    assert got and all(r[0] <= 3 for r in got)  # every k >= 3 remainder is 0
+    assert got == [r for r in ref_constraints(jet, matrix, 1.0) if r[4] == "remainder"]
+
+
+def parent_rate_profile(rows, alpha_max):
+    """The scalar rate profile certify used before the remainder table."""
+    prof = np.full(alpha_max + 1, -np.inf)
+    for power, need, _, _, _ in rows:
+        prof[power] = max(prof[power], need)
+    rates = np.zeros(alpha_max + 1)
+    witness = (0, 0)
+    running = 0.0
+    for top in range(1, alpha_max + 1):
+        if np.isfinite(prof[top]):
+            for low in range(top):
+                if not np.isfinite(prof[low]):
+                    continue
+                slope = (prof[top] - prof[low]) / (top - low)
+                if slope > running:
+                    running = slope
+                    witness = (low, top)
+        rates[top] = running
+    return rates, witness
+
+
+def parent_certify(jet, matrix, rho_grid=tuple(2.0 ** (i / 4.0) for i in range(41)), growth_tol=1.05):
+    """certify as it was with one Taylor evaluation per remainder.
+
+    ref_constraints stands in for the old _constraints: both evaluate
+    remainder() with the same operands, bit for bit.
+    """
+    grid = sorted(float(g) for g in rho_grid)
+    failures = []
+    for x in matrix.xi_values:
+        rows = ref_constraints(jet, matrix, x)
+        if not rows:
+            return JetCertificate(1.0, 1.0, x, math.inf, math.inf, BOUNDED)
+        rates, witness = parent_rate_profile(rows, jet.alpha_max)
+        needed = float(rates[-1])
+        if len(rates) >= 9:
+            trend, growth = range_trend(np.exp(rates[1:] - rates.max()), growth_tol=growth_tol)
+        else:
+            trend, growth = INCONCLUSIVE, 1.0
+        accept = trend == BOUNDED or len(rates) < 9
+        snapped = next((g for g in grid if math.log(g) >= needed - 1e-12), None)
+        if snapped is None:
+            accept = False
+            trend = GROWING
+        if not accept:
+            failures.append((x, trend, growth, witness, needed))
+            continue
+        log_rho = math.log(snapped)
+        best_c = 0.0
+        margins = {"value": math.inf, "remainder": math.inf}
+        for power, _, lhs, rest, family in rows:
+            ratio = lhs / math.exp(rest + power * log_rho)
+            if ratio > best_c:
+                best_c = ratio
+        for power, _, lhs, rest, family in rows:
+            margin = best_c * math.exp(rest + power * log_rho) / lhs
+            margins[family] = min(margins[family], margin)
+        return JetCertificate(
+            best_c, snapped, x, margins["value"], margins["remainder"], trend
+        )
+    worst = failures[-1]
+    detail = (
+        f"needed growth rate e^{worst[4]:.3f} per order keeps rising with the "
+        f"truncation (trend {worst[1]}, last-window growth {worst[2]:.3f}); "
+        f"steepest chord between orders {worst[3][0]} and {worst[3][1]} at xi={worst[0]}"
+    )
+    if any(f[1] == GROWING for f in failures):
+        raise NotInClass(detail)
+    raise InconclusiveTrend(detail)
+
+
+def outcome(fn, *args):
+    """Certificate fields as hex, or the error type and message."""
+    try:
+        cert = fn(*args)
+    except (ValueError, NotInClass, InconclusiveTrend) as err:
+        return type(err).__name__, str(err)
+    fields = (cert.c, cert.rho, cert.xi, cert.value_margin, cert.remainder_margin)
+    return (*map(float.hex, fields), cert.rate_trend)
+
+
+def row_jet(matrix, xi, alpha_max, points=(0.0, 0.3, 0.7), scale=1.0):
+    full = matrix.full_log_row(xi)
+    return UltraJet.from_function(
+        CompactSet1D.from_points(points),
+        points,
+        alpha_max,
+        lambda a, k: scale * math.exp(full[k]) * math.cos(2.0 * a + k),
+    )
+
+
+@pytest.mark.parametrize(
+    "xi, alpha_max, accepted_xi",
+    [(1.0, 16, 2.0), (2.0, 12, 4.0), (4.0, 16, 8.0), (0.5, 12, 0.5), (1.0, 6, None)],
+)
+def test_certify_matches_the_per_remainder_certify_bitwise(matrix, xi, alpha_max, accepted_xi):
+    jet = row_jet(matrix, xi, alpha_max)
+    got = outcome(certify, jet, matrix)
+    assert got == outcome(parent_certify, jet, matrix)
+    if accepted_xi is not None:  # rows below accepted_xi were tried and refused
+        assert got[2] == accepted_xi.hex()
+
+
+def test_certify_not_in_class_message_matches_the_per_remainder_certify(matrix):
+    jet = row_jet(matrix, 8.0, 16)
+    with pytest.raises(NotInClass) as info:
+        certify(jet, matrix)
+    assert outcome(parent_certify, jet, matrix) == ("NotInClass", str(info.value))
+
+
+@pytest.mark.parametrize("points", [(0.0, 0.3, 0.7), (0.0, 40.0), (-60.0, 0.0, 90.0)])
+def test_certify_of_huge_jets_is_silent(matrix, points):
+    # at |b - a| >= 40 the Horner terms overflow to inf, as in the scalar path
+    jet = row_jet(matrix, 0.25, 16, points, scale=1e300 / math.exp(matrix.full_log_row(0.25)[16]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = outcome(certify, jet, matrix)
+    assert got == outcome(parent_certify, jet, matrix)
+
+
+@pytest.mark.parametrize("growth_tol", [math.nan, math.inf, 0.5, 0.0])
+def test_certify_rejects_bad_growth_tolerance(matrix, growth_tol):
+    with pytest.raises(ValueError, match="growth tolerance"):
+        certify(gevrey_jet(matrix), matrix, growth_tol=growth_tol)
+
+
+@pytest.mark.parametrize("grid", [(1.0, math.nan), (math.nan, 1.0, 2.0), (1.0, math.inf), ()])
+def test_certify_rejects_bad_rho_grid(matrix, grid):
+    with pytest.raises(ValueError, match="rho grid"):
+        certify(gevrey_jet(matrix), matrix, rho_grid=grid)
 
 
 def test_certify_requires_long_enough_rows(matrix):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend
+from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend, range_trend
 from ultraext.errors import BracketFailure, DivergentTail, InconclusiveTrend
 from ultraext.weight_functions import (
     WeightFunction,
@@ -251,6 +251,31 @@ def test_decade_trend_rejects_bad_input():
     t = np.geomspace(1.0, 10.0, 21)
     with pytest.raises(ValueError):
         decade_trend(t, np.ones_like(t))  # no two-decade window
+
+
+@pytest.mark.parametrize("growth_tol", [math.nan, math.inf, 0.5, 0.0, -1.0])
+def test_trend_helpers_reject_bad_growth_tolerance(growth_tol):
+    t = np.geomspace(1.0, 1e8, 81)
+    with pytest.raises(ValueError, match="growth tolerance"):
+        decade_trend(t, np.log(t), growth_tol=growth_tol)
+    with pytest.raises(ValueError, match="growth tolerance"):
+        range_trend(np.arange(1.0, 17.0), growth_tol=growth_tol)
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"growth_tol": math.nan},
+        {"growth_tol": 0.5},
+        {"little_o_eps": math.nan},
+        {"little_o_eps": -1.0},
+        {"little_o_eps": 0.0},
+    ],
+)
+def test_classify_rejects_bad_tolerances(tolerances):
+    # growth_tol 0.5 used to call the strong weight t^0.5 not strong
+    with pytest.raises(ValueError):
+        classify(WeightFunction.power(0.5), **tolerances)
 
 
 # -- construction and serialization -------------------------------------

@@ -359,7 +359,8 @@ def certify(
     the first acceptance wins; the remainder table, bitwise equal to
     remainder() and independent of the row, is built once per jet.
     Raises NotInClass with the steepest-chord witness when the rate grows
-    with truncation on every row.
+    with truncation on every row, and NotInClass naming xi when the
+    fitted constant overflows double precision.
     """
     check_growth_tol(growth_tol)
     if matrix.order < jet.alpha_max:
@@ -400,6 +401,8 @@ def certify(
             ratio = lhs / scale
             if ratio > best_c:
                 best_c = ratio
+        if best_c == math.inf:
+            raise NotInClass(f"certificate constant overflows double precision at xi={x}")
         for (_, _, lhs, _, family), scale in zip(rows, scales):
             margins[family] = min(margins[family], best_c * scale / lhs)
         return JetCertificate(

@@ -144,6 +144,14 @@ class WhitneyCover:
         half = self.expanded_halfwidths() if expanded else 0.5 * self.sides
         return np.nonzero(np.abs(x - self.centers) <= half)[0]
 
+    def memberships(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """(members(x), members(x, expanded=True)) from one |x - centers|."""
+        gap = np.abs(x - self.centers)
+        return (
+            np.nonzero(gap <= 0.5 * self.sides)[0],
+            np.nonzero(gap <= self.expanded_halfwidths())[0],
+        )
+
 
 def build_cover(
     e: CompactSet1D,

@@ -316,7 +316,7 @@ def test_criterion_09_extension_end_to_end():
     bnd = boundary_limits(ext, 6, 0.0, max_index=40)
     assert bnd.steps[-1].index == 40 and bnd.floor_index is None
     assert all(bnd.nonincreasing)
-    e0 = bnd.errors_for(0)
+    e0 = np.array([s.errors[0] for s in bnd.steps])
     assert np.all(np.diff(e0) < 0.0)
     for alpha in range(7):
         fitted = bnd.fitted[alpha]

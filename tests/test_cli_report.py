@@ -458,3 +458,17 @@ def test_extend_bad_jet_kind_is_config_error(tmp_path, capsys):
     assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
     assert not out.exists()
     assert "mystery" in capsys.readouterr().err
+
+
+def test_extend_fires_every_traced_layer(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps named module bindings of each layer; a
+    # refactor that moves one must fail here, not only in a traced run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    from workloads import README_CONFIG
+
+    cfg = write_config(tmp_path, README_CONFIG)
+    with tracing.traced(tracing.Recorder()) as rec:
+        code = main(["extend", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    tracing.check_fired(rec)

@@ -1,0 +1,373 @@
+"""One derivative vector per evaluation point, checked bitwise.
+
+eval_derivative keeps the last off-set point's vector 0..folds and serves
+every order there from it; verify_bounds builds its Taylor vectors per
+(anchor, degree) group.  Both are compared with fresh per-order
+evaluation, the second against a copy of the per-sample audit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ultraext import extension_engine
+from ultraext.errors import OrderOverflow, OutsideRegion
+from ultraext.extension_engine import (
+    BoundReport,
+    _deviation_derivatives,
+    _difference_derivatives,
+    _finish_check,
+    _glued_derivatives,
+    _log_decay,
+    _log_ratio,
+    _nearest_base_point,
+    _PhiVectors,
+    _requested_degree,
+    _valuation_oks,
+    assemble,
+    eval_derivative,
+    make_plan,
+    region_samples,
+    verify_bounds,
+)
+from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
+from ultraext.ultrajets import UltraJet, certify, taylor_poly
+from ultraext.weight_functions import WeightFunction
+from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
+
+
+def gevrey_extension(points, folds=8):
+    """The README extend job's extension (power 0.5, gevrey jet at xi 1) on points."""
+    reg = strong_regularization(associated_matrix(WeightFunction.power(0.5), k_max=64))
+    inter = interleave_matrix(reg)
+    row = tuple(float(v) for v in np.exp(inter.full_log_row(1.0)[:33]))
+    jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
+    plan = make_plan(certify(jet, inter, xi=1.0), reg, folds=folds)
+    return assemble(jet, reg, plan, max_generation=44)
+
+
+@pytest.fixture(scope="module")
+def extensions():
+    return {
+        "one_point": gevrey_extension([0.0]),
+        "two_points": gevrey_extension([0.0, 0.23]),
+        "folds_12": gevrey_extension([0.0], folds=12),
+    }
+
+
+def parent_reference_index(f, x):
+    inside = f.cover.members(x, expanded=False)
+    if len(inside):
+        return int(inside[0])
+    return int(f.cover.members(x, expanded=True)[0])
+
+
+def fresh_derivative(f, x, alpha):
+    """The order-alpha vector's last entry, built from nothing stored."""
+    phis = _PhiVectors(f.partition, x, alpha)
+    t_ref = f.taylors[parent_reference_index(f, x)]
+    return float(_glued_derivatives(f, x, alpha, f.terms(x), phis, t_ref)[alpha])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["one_point", "two_points"]),
+    picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    drawn=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8)), max_size=20),
+)
+def test_eval_derivative_serves_every_order_bitwise_as_fresh(extensions, name, picks, drawn):
+    f = extensions[name]
+    xs = region_samples(f, 120).tolist()
+    x1, x2 = (xs[p % len(xs)] for p in picks)
+    base, top = f.jet.base_points[-1], f.plan.folds
+    onset = [(base, 0), (base, top)]
+    calls = (
+        [(x1, a) for a in range(top + 1)]  # ascending
+        + onset
+        + [(x1, a) for a in range(top, -1, -1)]  # descending
+        + [(x2, 3)] * 3 + [(x2, 0)] * 2  # repeated
+        + onset
+        + [(x, a) for a in range(top + 1) for x in (x1, x2)]  # interleaved points
+        + [((x1, x2, base)[k], a) for k, a in drawn]
+    )
+    for x, a in calls:
+        want = f.jet.value(x, a) if x == base else fresh_derivative(f, x, a)
+        assert eval_derivative(f, x, a).hex() == want.hex(), (x, a)
+
+
+def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
+    f = dataclasses.replace(extensions["two_points"])  # an empty store
+    built = []
+    glue = extension_engine._glued_derivatives
+
+    def counted(f, x, *rest):
+        built.append(x)
+        return glue(f, x, *rest)
+
+    monkeypatch.setattr(extension_engine, "_glued_derivatives", counted)
+    xs = region_samples(f, 40).tolist()
+    x1, x2, top = xs[3], xs[-3], f.plan.folds
+    for a in range(top + 1):
+        eval_derivative(f, x1, a)
+    eval_derivative(f, 0.23, 2)  # on the set: no vector built, none dropped
+    for a in (top, 0, 4, 4):
+        eval_derivative(f, x1, a)
+    assert built == [x1]
+    eval_derivative(f, x2, 0)
+    eval_derivative(f, x1, 1)
+    assert built == [x1, x2, x1]
+
+    # Order and region checks still run at and right after a stored point.
+    for a in (top + 1, -1):
+        with pytest.raises(OrderOverflow):
+            eval_derivative(f, x1, a)
+    for x in (0.23 + 2.0 * f.d_max, 0.5 * f.cover.d_min_covered):
+        with pytest.raises(OutsideRegion):
+            eval_derivative(f, x, 0)
+    assert eval_derivative(f, x1, 5).hex() == fresh_derivative(f, x1, 5).hex()
+    assert built == [x1, x2, x1]
+
+
+def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
+    """verify_bounds with per-sample Taylor vectors and per-order log terms."""
+    plan = f.plan
+    cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
+    notes: list[str] = []
+    if cap < alpha_cap:
+        notes.append(f"order cap clipped to {cap} by folds or stored jet order")
+    xs = region_samples(f, samples)
+    ld = plan.dilation
+    k3 = plan.constants.k3
+
+    taylor_ratios: list[float] = []
+    taylor_ds: list[float] = []
+    taylor_alpha: dict[int, float] = {}
+    consis_ratios: list[float] = []
+    consis_ds: list[float] = []
+    consis_alpha: dict[int, float] = {}
+    pair_i_ratios: list[float] = []
+    pair_i_ds: list[float] = []
+    pair_i_alpha: dict[int, float] = {}
+    pair_x_ratios: list[float] = []
+    pair_x_ds: list[float] = []
+    pair_x_alpha: dict[int, float] = {}
+    resid_raw: list[tuple[float, int, float]] = []
+    growth_raw: list[tuple[float, int, float]] = []
+    skipped_pairs = 0
+    skipped_resid = 0
+    cap_hits = 0
+    cutoff_hits = 0
+    val_pairs = 0
+    val_ok = True
+
+    # Per-interval decay values at the dilated center distance.
+    center_info: dict[int, tuple[float, float, bool]] = {}
+    for i, c in enumerate(f.cover.centers):
+        d_i, _ = distance_and_nearest(f.jet.e, float(c))
+        lh, ok = _log_decay(f.degree_row, math.log(ld * d_i))
+        center_info[i] = (d_i, lh, ok)
+
+    for x in xs:
+        x = float(x)
+        d, xhat = distance_and_nearest(f.jet.e, x)
+        anchor = _nearest_base_point(f.jet, xhat)
+        want, at_cut = _requested_degree(f.degree_row, ld, d)
+        cutoff_hits += at_cut
+        deg = min(want, f.jet.alpha_max)
+        cap_hits += deg < want
+        t_x = taylor_poly(f.jet, anchor, deg)
+        # Every vector below is evaluated once per sample and shared.
+        members = f.terms(x)
+        phis = _PhiVectors(f.partition, x, cap)
+        tx_vals = t_x.derivatives(x, cap)
+        diffs_x = {
+            i: _difference_derivatives(f.taylors[i], t_x, tx_vals, x, cap)
+            for i in members
+        }
+        dev_x = _deviation_derivatives(diffs_x, phis, cap)
+        t_ref = f.taylors[parent_reference_index(f, x)]
+        if t_ref == t_x:
+            # Same anchor and degree: the glued sum is t_x plus dev_x.
+            glued = dev_x.copy()
+            for a in range(cap + 1):
+                glued[a] += tx_vals[a]
+        else:
+            glued = _glued_derivatives(f, x, cap, members, phis, t_ref)
+
+        lh_near, near_ok = _log_decay(f.degree_row, math.log(3.0 * ld * d))
+        lh_resid, resid_ok = _log_decay(f.residual_row, math.log(k3 * ld * d))
+        # The residual estimate presumes the local degrees actually reach
+        # what the distance asks for; once the stored jet order caps them
+        # the sum decays polynomially, not at the profile rate.
+        capped_here = deg < want or any(f.degrees[i] < f.requested[i] for i in members)
+
+        for a in range(cap + 1):
+            lhs = abs(tx_vals[a])
+            log_rhs = (a + 1) * math.log(2.0 * ld) + f.value_row_log[a]
+            r = _log_ratio(math.log(lhs), log_rhs) if lhs > 0.0 else 0.0
+            taylor_ratios.append(r)
+            taylor_ds.append(d)
+            taylor_alpha[a] = max(taylor_alpha.get(a, 0.0), r)
+
+            if a < want and a + 1 < len(f.value_row_log):
+                lhs_c = abs(tx_vals[a] - f.jet.value(anchor, a))
+                log_rhs_c = (
+                    (a + 1) * math.log(2.0 * ld)
+                    + math.lgamma(a + 1)
+                    + f.value_row_log[a + 1]
+                    - math.lgamma(a + 2)
+                    + math.log(d)
+                )
+                r = _log_ratio(math.log(lhs_c), log_rhs_c) if lhs_c > 0.0 else 0.0
+                consis_ratios.append(r)
+                consis_ds.append(d)
+                consis_alpha[a] = max(consis_alpha.get(a, 0.0), r)
+
+            resid = abs(dev_x[a])
+            if resid_ok and not capped_here:
+                log_base = f.growth_row_log[a] + lh_resid
+                resid_raw.append((math.log(resid) - log_base if resid > 0.0 else -math.inf, a, d))
+            else:
+                skipped_resid += 1
+
+            total = abs(glued[a])
+            growth_raw.append((math.log(total) - f.growth_row_log[a] if total > 0.0 else -math.inf, a, d))
+
+        for i in members:
+            d_i, lh_far, i_ok = center_info[i]
+            t_i = f.taylors[i]
+            if t_i.center == t_x.center:
+                val_pairs += 1
+                if not _valuation_oks(f.jet, anchor, t_i, t_x):
+                    val_ok = False
+            dvals = diffs_x[i]
+            for b in range(cap + 1):
+                diff = abs(dvals[b]) if dvals is not None else 0.0
+                log_diff = math.log(diff) if diff > 0.0 else -math.inf
+                log_row = math.lgamma(b + 1) + f.degree_row.log_values[b]
+                if i_ok:
+                    log_rhs = (b + 1) * math.log(ld) + log_row + lh_far
+                    r = _log_ratio(log_diff, log_rhs)
+                    pair_i_ratios.append(r)
+                    pair_i_ds.append(d_i)
+                    pair_i_alpha[b] = max(pair_i_alpha.get(b, 0.0), r)
+                else:
+                    skipped_pairs += 1
+                if near_ok:
+                    log_rhs = (b + 1) * math.log(3.0 * ld) + log_row + lh_near
+                    r = _log_ratio(log_diff, log_rhs)
+                    pair_x_ratios.append(r)
+                    pair_x_ds.append(d)
+                    pair_x_alpha[b] = max(pair_x_alpha.get(b, 0.0), r)
+                else:
+                    skipped_pairs += 1
+
+    # Fit one growth base per terminal estimate, in log space.  The base
+    # is the worst (a + 1)-th root of the per-order log envelope, which
+    # makes the companion constant at most one over the sample, so every
+    # normalized ratio is bounded by one.
+    def order_envelope(raw: list[tuple[float, int, float]]) -> dict[int, float]:
+        env: dict[int, float] = {}
+        for log_r, a, _ in raw:
+            env[a] = max(env.get(a, -math.inf), log_r)
+        return env
+
+    def fit_log_base(env: dict[int, float]) -> float:
+        vals = [v / (a + 1) for a, v in env.items() if v > -math.inf]
+        return max([0.0] + vals)
+
+    def slope_profile(env: dict[int, float]) -> list[float]:
+        # Consecutive chord slopes of the log envelope.  A uniform base
+        # exists exactly when these stabilize rather than keep growing,
+        # so the order verdict is taken on this profile.  The normalized
+        # per-order maxima rise toward one at the binding order by
+        # construction and carry no verdict of their own.
+        orders = sorted(a for a, v in env.items() if v > -math.inf)
+        return [
+            math.exp(min((env[a2] - env[a1]) / (a2 - a1), 700.0))
+            for a1, a2 in zip(orders, orders[1:])
+        ]
+
+    resid_env = order_envelope(resid_raw)
+    growth_env = order_envelope(growth_raw)
+    log_m1 = fit_log_base(resid_env)
+    log_m = fit_log_base(growth_env)
+    m1 = math.exp(min(log_m1, 700.0))
+    m = math.exp(min(log_m, 700.0))
+
+    def normalize(raw, log_base):
+        ratios, ds, per_alpha = [], [], {}
+        for log_r, a, d in raw:
+            r = math.exp(log_r - (a + 1) * log_base) if log_r > -math.inf else 0.0
+            ratios.append(r)
+            ds.append(d)
+            per_alpha[a] = max(per_alpha.get(a, 0.0), r)
+        return ratios, ds, per_alpha
+
+    resid_n = normalize(resid_raw, log_m1)
+    growth_n = normalize(growth_raw, log_m)
+
+    checks = (
+        _finish_check("taylor_value_bound", taylor_ratios, taylor_ds, taylor_alpha, 0),
+        _finish_check("taylor_jet_consistency", consis_ratios, consis_ds, consis_alpha, 0),
+        _finish_check(
+            "pair_difference_interval", pair_i_ratios, pair_i_ds, pair_i_alpha, skipped_pairs
+        ),
+        _finish_check(
+            "pair_difference_point", pair_x_ratios, pair_x_ds, pair_x_alpha, 0
+        ),
+        _finish_check(
+            "residual_decay", resid_n[0], resid_n[1], resid_n[2], skipped_resid,
+            fitted=m1, alpha_profile=slope_profile(resid_env),
+        ),
+        _finish_check(
+            "global_derivative_growth", growth_n[0], growth_n[1], growth_n[2], 0,
+            fitted=m, alpha_profile=slope_profile(growth_env),
+        ),
+    )
+    return BoundReport(
+        checks=checks,
+        sample_count=len(xs),
+        alpha_cap=cap,
+        fitted_m=m,
+        fitted_m1=m1,
+        degree_cap_hits=cap_hits,
+        degree_cutoff_hits=cutoff_hits,
+        valuation_pairs=val_pairs,
+        valuation_ok=val_ok,
+        plan=plan,
+        notes=tuple(notes),
+    )
+
+
+@pytest.mark.parametrize("name, alpha_cap", [("one_point", 8), ("two_points", 8), ("folds_12", 12)])
+def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap):
+    f = extensions[name]
+    got = verify_bounds(f, samples=240, alpha_cap=alpha_cap).to_json()
+    want = parent_verify_bounds(f, samples=240, alpha_cap=alpha_cap).to_json()
+    assert json.dumps(got) == json.dumps(want)
+    assert got["alpha_cap"] == alpha_cap
+
+
+def test_two_point_audit_changes_anchor_and_reference(extensions):
+    # The samples reach both anchors, and some of them glue around a
+    # reference polynomial other than their own t_x, so the audit above
+    # ran its t_ref != t_x branch.
+    f = extensions["two_points"]
+    anchors, other_ref = set(), 0
+    for x in region_samples(f, 240).tolist():
+        d, xhat = distance_and_nearest(f.jet.e, x)
+        anchor = _nearest_base_point(f.jet, xhat)
+        want, _ = _requested_degree(f.degree_row, f.plan.dilation, d)
+        t_x = taylor_poly(f.jet, anchor, min(want, f.jet.alpha_max))
+        anchors.add(anchor)
+        other_ref += f.taylors[parent_reference_index(f, x)] != t_x
+    assert anchors == {0.0, 0.23}
+    assert other_ref > 0

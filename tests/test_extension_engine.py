@@ -434,7 +434,7 @@ def test_boundary_descent_reaches_deep_dyadics(pipeline):
     e0 = [s.errors[0] for s in bnd.steps]
     assert e0[0] > e0[-1] > 0.0
     for al in range(7):
-        errs = bnd.errors_for(al)
+        errs = [s.errors[al] for s in bnd.steps]
         fits = bnd.fitted[al]
         assert math.isfinite(fits)
         for s, err in zip(bnd.steps, errs):

@@ -480,7 +480,13 @@ def test_certify_of_huge_jets_is_silent(matrix, points):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = outcome(certify, jet, matrix)
-    assert got == outcome(parent_certify, jet, matrix)
+    expected = outcome(parent_certify, jet, matrix)
+    if expected == ("ValueError", "certificate constant must be positive"):
+        # parent_certify overflows C to inf and trips the certificate's own check
+        expected = ("NotInClass", "certificate constant overflows double precision at xi=0.25")
+    assert got == expected
+    if max(points) - min(points) >= 40.0:
+        assert got[0] == "NotInClass"
 
 
 @pytest.mark.parametrize("growth_tol", [math.nan, math.inf, 0.5, 0.0])

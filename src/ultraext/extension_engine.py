@@ -225,9 +225,11 @@ def make_plan(
 
 
 def _log_decay(
-    row: WeightSequence, log_t: float, *, negligible_below: float | None = None
+    row: WeightSequence, log_t, *, negligible_below: float | None = None
 ) -> tuple[float, bool]:
     """(log of the decay profile, settled flag) at log argument log_t.
+
+    An array of log arguments gives an array of each, entry by entry.
 
     Settled means the infimum is attained strictly inside the stored
     range, or is already an exact float zero so the missing tail cannot
@@ -238,13 +240,10 @@ def _log_decay(
     for every h under the threshold).
     """
     lh, k = log_h_function(row, log_t)
-    if k < row.order:
-        return lh, True
-    if lh < _LOG_TINY:
-        return lh, True
-    if negligible_below is not None and lh < negligible_below:
-        return lh, True
-    return lh, False
+    settled = (k < row.order) | (lh < _LOG_TINY)
+    if negligible_below is not None:
+        settled = settled | (lh < negligible_below)
+    return lh, settled
 
 
 def _requested_degree(row: WeightSequence, dilation: float, d: float) -> tuple[int, bool]:
@@ -425,8 +424,8 @@ class _PhiVectors(dict):
         super().__init__()
         self.partition, self.x, self.order = partition, x, order
 
-    def __missing__(self, i: int) -> list[float]:
-        vec = self[i] = self.partition.derivatives(i, self.x, self.order).tolist()
+    def __missing__(self, i: int) -> np.ndarray:
+        vec = self[i] = self.partition.derivatives(i, self.x, self.order)
         return vec
 
 
@@ -442,25 +441,26 @@ def _members(f: ExtensionFunction, x: float) -> tuple[list[int], int]:
     return members, int(inside[0]) if len(inside) else members[0]
 
 
-def _deviation_derivatives(
-    diffs: dict[int, list[float] | None], phis: _PhiVectors, order: int
-) -> np.ndarray:
-    """Derivatives 0..order of (sum_i phi_i T_i) - t_ref at x.
+def _deviation_derivatives(rows: list, n: int, width: int) -> np.ndarray:
+    """Derivatives 0..width-1 of (sum_i phi_i T_i) - t_ref at n points.
 
     Since the phi_i sum to one on the band, the deviation is
-    sum_i phi_i (T_i - t_ref), combined by the product rule from each
-    member's difference vector against t_ref (_difference_derivatives).
+    sum_i phi_i (T_i - t_ref).  A row is (point, a member's nonzero
+    difference vector against t_ref, its phi vector).  The product rule
+    runs column-wise over all rows in the scalar loop's order, which it
+    matches bit for bit: entry a sums comb(a, b) * phi[a - b] * diff[b]
+    from 0.0 for b = 0..a in turn, then np.add.at adds a point's rows
+    to its output in the order given.  Only + and * run here, which
+    numpy rounds as Python does (no log or exp, which must stay libm's).
     """
-    out = np.zeros(order + 1)
-    for i, dvals in diffs.items():
-        if dvals is None:
-            continue
-        p = phis[i]
-        for a in range(order + 1):
-            acc = 0.0
-            for b in range(a + 1):
-                acc += math.comb(a, b) * p[a - b] * dvals[b]
-            out[a] += acc
+    out = np.zeros((n, width))
+    if rows:
+        owners, diffs, phis = (np.array(v) for v in zip(*rows))
+        acc = np.zeros(diffs.shape)
+        for b in range(width):
+            combs = np.array([math.comb(a, b) for a in range(b, width)], dtype=float)
+            acc[:, b:] += combs * phis[:, : width - b] * diffs[:, b : b + 1]
+        np.add.at(out, owners, acc)
     return out
 
 
@@ -478,13 +478,13 @@ def _glued_derivatives(
     the Taylor polynomial of the interval holding x (_members).
     """
     ref_vals = t_ref.derivatives(x, order)
-    diffs = {
-        i: _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
-        for i in members
-    }
-    out = _deviation_derivatives(diffs, phis, order)
-    for a in range(order + 1):
-        out[a] += ref_vals[a]
+    rows = []
+    for i in members:
+        dvals = _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
+        if dvals is not None:
+            rows.append((0, dvals, phis[i]))
+    out = _deviation_derivatives(rows, 1, order + 1)[0]
+    out += ref_vals
     return out
 
 
@@ -623,9 +623,10 @@ def _ratio_bins(ds: Sequence[float], ratios: Sequence[float]) -> tuple[np.ndarra
     r = np.asarray(ratios, dtype=float)
     logs = np.log10(inv)
     idx = np.floor(logs * 2.0).astype(int)
-    keys = np.unique(idx)
+    order = np.argsort(idx, kind="stable")
+    keys, starts = np.unique(idx[order], return_index=True)
     abscissae = 10.0 ** ((keys + 0.5) / 2.0)
-    maxima = np.array([r[idx == k].max() for k in keys])
+    maxima = np.maximum.reduceat(r[order], starts)
     return abscissae, maxima
 
 
@@ -657,21 +658,29 @@ def _alpha_trend(profile: Sequence[float]) -> tuple[str, float]:
 
 def _finish_check(
     name: str,
-    ratios: list[float],
-    ds: list[float],
+    ratios: Sequence[float],
+    ds: Sequence[float],
     per_alpha: dict[int, float],
     skipped: int,
     fitted: float | None = None,
     notes: tuple[str, ...] = (),
     alpha_profile: Sequence[float] | None = None,
 ) -> BoundCheck:
-    if not ratios:
+    """One check's verdict from its ratios and their distances (arrays or lists).
+
+    The worst ratio is Python's max over the sequence: a leading NaN is
+    the result, a later one is passed over.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.size == 0:
         trivially = skipped > 0
         return BoundCheck(
             name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, trivially,
             notes + (("every sample was skipped",) if trivially else ("no usable samples",)),
         )
-    max_ratio = float(max(ratios))
+    max_ratio = float(ratios[0])
+    if not math.isnan(max_ratio):
+        max_ratio = float(np.fmax.reduce(ratios))
     if alpha_profile is None:
         alpha_profile = [per_alpha[a] for a in sorted(per_alpha)]
     at, ag = _alpha_trend(alpha_profile)
@@ -685,15 +694,33 @@ def _finish_check(
         alpha_growth=float(ag),
         distance_trend=dt,
         distance_growth=float(dg),
-        samples_used=len(ratios),
+        samples_used=ratios.size,
         skipped=skipped,
         passed=passed,
         notes=notes,
     )
 
 
-def _log_ratio(log_lhs: float, log_rhs: float) -> float:
-    return math.exp(min(log_lhs - log_rhs, 700.0))
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn (math.log or math.exp) per entry: numpy's own round differently on some inputs."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|v| > 0, math.log|v| there and -inf elsewhere), entrywise."""
+    mag = np.abs(values)
+    pos = mag > 0.0
+    logs = np.full(mag.shape, -np.inf)
+    logs[pos] = _libm(math.log, mag[pos])
+    return pos, logs
+
+
+def _exp_where(x: np.ndarray, live) -> np.ndarray:
+    """math.exp(x) on the live entries, 0.0 elsewhere."""
+    live = live & (x != -np.inf)  # math.exp(-inf) is 0.0 exactly
+    out = np.zeros(x.shape)
+    out[live] = _libm(math.exp, x[live])
+    return out
 
 
 def verify_bounds(
@@ -707,6 +734,16 @@ def verify_bounds(
     The two terminal estimates fit a growth base instead (one base for
     all orders, no per-order refit).  Failures are entries in the
     report, not exceptions, so a degenerate plan can be audited.
+
+    Phase 1 walks the samples and fills (samples x orders) tables
+    with the vectors of t_x (the sample's Taylor polynomial), its jet
+    row, dev_x (the glued sum minus t_x) and the glued sum, and a pair
+    table with each (sample, member) difference vector against t_x and
+    the member's d_i, decay value and settled flag.  Phase 2 computes
+    every check from the tables with elementwise array arithmetic in the
+    operation order of a per-sample loop, bit for bit: subtraction, abs,
+    minimum and fmax are the scalar operations, and log and exp stay
+    libm's (math.log and math.exp per entry, _libm).
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -716,55 +753,36 @@ def verify_bounds(
     xs = region_samples(f, samples)
     ld = plan.dilation
     k3 = plan.constants.k3
-
-    taylor_ratios: list[float] = []
-    taylor_ds: list[float] = []
-    taylor_alpha: dict[int, float] = {}
-    consis_ratios: list[float] = []
-    consis_ds: list[float] = []
-    consis_alpha: dict[int, float] = {}
-    pair_i_ratios: list[float] = []
-    pair_i_ds: list[float] = []
-    pair_i_alpha: dict[int, float] = {}
-    pair_x_ratios: list[float] = []
-    pair_x_ds: list[float] = []
-    pair_x_alpha: dict[int, float] = {}
-    resid_raw: list[tuple[float, int, float]] = []
-    growth_raw: list[tuple[float, int, float]] = []
-    skipped_pairs = 0
-    skipped_resid = 0
-    cap_hits = 0
+    n, width = len(xs), cap + 1
+    orders = np.arange(width)
     cutoff_hits = 0
     val_pairs = 0
     val_ok = True
 
     # Per-interval decay values at the dilated center distance.
-    center_info: dict[int, tuple[float, float, bool]] = {}
-    for i, c in enumerate(f.cover.centers):
-        d_i, _ = distance_and_nearest(f.jet.e, float(c))
-        lh, ok = _log_decay(f.degree_row, math.log(ld * d_i))
-        center_info[i] = (d_i, lh, ok)
+    center_d = distance_grid(f.jet.e, f.cover.centers)
+    center_lh, center_ok = _log_decay(f.degree_row, _libm(math.log, ld * center_d))
 
     # Order-only log terms, each the left part of the per-sample sum it
     # starts, so adding the sample's own term gives the same float.
     log_2ld = math.log(2.0 * ld)
-    taylor_rhs = [(a + 1) * log_2ld + f.value_row_log[a] for a in range(cap + 1)]
+    taylor_rhs = np.array([(a + 1) * log_2ld + f.value_row_log[a] for a in range(width)])
     consis_rhs = [
         (a + 1) * log_2ld + math.lgamma(a + 1) + f.value_row_log[a + 1] - math.lgamma(a + 2)
-        for a in range(min(cap + 1, len(f.value_row_log) - 1))
+        for a in range(min(width, len(f.value_row_log) - 1))
     ]
-    log_rows = [math.lgamma(b + 1) + f.degree_row.log_values[b] for b in range(cap + 1)]
-    far_rhs = [(b + 1) * math.log(ld) + r for b, r in enumerate(log_rows)]
-    near_rhs = [(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)]
+    log_rows = [math.lgamma(b + 1) + f.degree_row.log_values[b] for b in range(width)]
+    far_rhs = np.array([(b + 1) * math.log(ld) + r for b, r in enumerate(log_rows)])
+    near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
+    growth_log = np.array(f.growth_row_log[:width])
 
-    # Per sample, the anchor and local degree of its Taylor polynomial
-    # t_x.  The samples sharing both get their t_x vectors from one array
-    # evaluation per order, bitwise equal to the scalar one, into one
-    # table per group (one table over all samples can pass glibc's mmap
-    # threshold, and freeing it raised a 2000-sample job's peak RSS 1 MB).
+    # Phase 1.  Per sample, the anchor and local degree of t_x.  The
+    # samples sharing both get their t_x vectors from one array
+    # evaluation per order, bitwise equal to the scalar one.
     xs_list = xs.tolist()
     ds: list[float] = []
     wants: list[int] = []
+    degs: list[int] = []
     groups: dict[tuple[float, int], list[int]] = {}
     for k, x in enumerate(xs_list):
         d, xhat = distance_and_nearest(f.jet.e, x)
@@ -772,170 +790,138 @@ def verify_bounds(
         want, at_cut = _requested_degree(f.degree_row, ld, d)
         cutoff_hits += at_cut
         deg = min(want, f.jet.alpha_max)
-        cap_hits += deg < want
         ds.append(d)
         wants.append(want)
+        degs.append(deg)
         groups.setdefault((anchor, deg), []).append(k)
-    sample_group: list = [None] * len(xs)
+    ds = np.array(ds)
+    tx = np.empty((n, width))
+    jet_tab = np.empty((n, width))
+    sample_poly: list = [None] * n
     for (anchor, deg), idx in groups.items():
         t_x = taylor_poly(f.jet, anchor, deg)
-        table = np.empty((len(idx), cap + 1))
-        for a in range(cap + 1):
-            table[:, a] = t_x.derivative(a)(xs[idx])
-        group = (anchor, deg, t_x, f.jet.rows[f.jet.base_points.index(anchor)], table)
-        for j, k in enumerate(idx):
-            sample_group[k] = group, j
+        for a in range(width):
+            tx[idx, a] = t_x.derivative(a)(xs[idx])
+        jet_tab[idx] = f.jet.rows[f.jet.base_points.index(anchor)][:width]
+        for k in idx:
+            sample_poly[k] = t_x
+    lh_near, near_ok = _log_decay(f.degree_row, _libm(math.log, 3.0 * ld * ds))
+    lh_resid, resid_ok = _log_decay(f.residual_row, _libm(math.log, k3 * ld * ds))
 
+    zeros = [0.0] * width
+    pair_k: list[int] = []
+    pair_i: list[int] = []
+    pair_diffs: list = []  # zeros where a difference vanishes
+    live: list = []  # (sample, difference vector, phi vector) where it does not
+    other_ref: list[int] = []  # samples glued around a t_ref other than t_x
+    other_glued: list = []
+    capped: list[bool] = []
     for k, x in enumerate(xs_list):
-        d, want = ds[k], wants[k]
-        (anchor, deg, t_x, jet_row, table), j = sample_group[k]
-        tx_vals = table[j].tolist()
-        # Every vector below is evaluated once per sample and shared.
+        t_x = sample_poly[k]
+        tx_vals = tx[k].tolist()
         members, ref = _members(f, x)
         phis = _PhiVectors(f.partition, x, cap)
-        diffs_x = {
-            i: _difference_derivatives(f.taylors[i], t_x, tx_vals, x, cap)
-            for i in members
-        }
-        dev_x = _deviation_derivatives(diffs_x, phis, cap)
-        t_ref = f.taylors[ref]
-        if t_ref == t_x:
-            # Same anchor and degree: the glued sum is t_x plus dev_x.
-            glued = dev_x.copy()
-            for a in range(cap + 1):
-                glued[a] += tx_vals[a]
-        else:
-            glued = _glued_derivatives(f, x, cap, members, phis, t_ref)
-
-        log_d = math.log(d)
-        lh_near, near_ok = _log_decay(f.degree_row, math.log(3.0 * ld * d))
-        lh_resid, resid_ok = _log_decay(f.residual_row, math.log(k3 * ld * d))
-        # The residual estimate presumes the local degrees actually reach
-        # what the distance asks for; once the stored jet order caps them
-        # the sum decays polynomially, not at the profile rate.
-        capped_here = deg < want or any(f.degrees[i] < f.requested[i] for i in members)
-
-        for a in range(cap + 1):
-            lhs = abs(tx_vals[a])
-            r = _log_ratio(math.log(lhs), taylor_rhs[a]) if lhs > 0.0 else 0.0
-            taylor_ratios.append(r)
-            taylor_ds.append(d)
-            taylor_alpha[a] = max(taylor_alpha.get(a, 0.0), r)
-
-            if a < want and a < len(consis_rhs):
-                lhs_c = abs(tx_vals[a] - jet_row[a])
-                log_rhs_c = consis_rhs[a] + log_d
-                r = _log_ratio(math.log(lhs_c), log_rhs_c) if lhs_c > 0.0 else 0.0
-                consis_ratios.append(r)
-                consis_ds.append(d)
-                consis_alpha[a] = max(consis_alpha.get(a, 0.0), r)
-
-            resid = abs(dev_x[a])
-            if resid_ok and not capped_here:
-                log_base = f.growth_row_log[a] + lh_resid
-                resid_raw.append((math.log(resid) - log_base if resid > 0.0 else -math.inf, a, d))
-            else:
-                skipped_resid += 1
-
-            total = abs(glued[a])
-            growth_raw.append((math.log(total) - f.growth_row_log[a] if total > 0.0 else -math.inf, a, d))
-
         for i in members:
-            d_i, lh_far, i_ok = center_info[i]
             t_i = f.taylors[i]
             if t_i.center == t_x.center:
                 val_pairs += 1
-                if not _valuation_oks(f.jet, anchor, t_i, t_x):
+                if not _valuation_oks(f.jet, t_x.center, t_i, t_x):
                     val_ok = False
-            dvals = diffs_x[i]
-            for b in range(cap + 1):
-                diff = abs(dvals[b]) if dvals is not None else 0.0
-                log_diff = math.log(diff) if diff > 0.0 else -math.inf
-                if i_ok:
-                    r = _log_ratio(log_diff, far_rhs[b] + lh_far)
-                    pair_i_ratios.append(r)
-                    pair_i_ds.append(d_i)
-                    pair_i_alpha[b] = max(pair_i_alpha.get(b, 0.0), r)
-                else:
-                    skipped_pairs += 1
-                if near_ok:
-                    r = _log_ratio(log_diff, near_rhs[b] + lh_near)
-                    pair_x_ratios.append(r)
-                    pair_x_ds.append(d)
-                    pair_x_alpha[b] = max(pair_x_alpha.get(b, 0.0), r)
-                else:
-                    skipped_pairs += 1
+            dvals = _difference_derivatives(t_i, t_x, tx_vals, x, cap)
+            if dvals is not None:
+                live.append((k, dvals, phis[i]))
+            pair_k.append(k)
+            pair_i.append(i)
+            pair_diffs.append(zeros if dvals is None else dvals)
+        t_ref = f.taylors[ref]
+        if t_ref != t_x:
+            other_ref.append(k)
+            other_glued.append(_glued_derivatives(f, x, cap, members, phis, t_ref))
+        # The residual estimate presumes the local degrees actually reach
+        # what the distance asks for; once the stored jet order caps them
+        # the sum decays polynomially, not at the profile rate.
+        capped.append(degs[k] < wants[k] or any(f.degrees[i] < f.requested[i] for i in members))
+    pair_k, pair_i = np.array(pair_k, dtype=int), np.array(pair_i, dtype=int)
+    diffs = np.reshape(pair_diffs, (len(pair_diffs), width))
+
+    dev = _deviation_derivatives(live, n, width)
+    # Where t_ref is t_x the glued sum is t_x plus dev_x.
+    glued = dev + tx
+    glued[other_ref] = np.reshape(other_glued, (len(other_ref), width))
+
+    # Phase 2: the checks, column-wise over the tables.  A check reads
+    # the entries marked in `used`; its tables are dropped once its
+    # verdict is in.
+    checks: list[BoundCheck] = []
+
+    def finish(name, ratios, row_ds, skipped, used=True, **kwargs) -> None:
+        used = np.broadcast_to(used, ratios.shape)
+        maxima = np.fmax.reduce(ratios, axis=0, initial=0.0).tolist()
+        per_alpha = {a: v for a, v in enumerate(maxima) if used[:, a].any()}
+        ds_used = np.broadcast_to(row_ds[:, None], used.shape)[used]
+        checks.append(_finish_check(name, ratios[used], ds_used, per_alpha, skipped, **kwargs))
+
+    pos, logs = _log_abs(tx)
+    finish("taylor_value_bound", _exp_where(np.minimum(logs - taylor_rhs, 700.0), pos), ds, 0)
+
+    used = orders < np.minimum(wants, len(consis_rhs))[:, None]
+    pos, logs = _log_abs(np.where(used, tx - jet_tab, 0.0))
+    log_rhs = np.array(consis_rhs + [0.0] * (width - len(consis_rhs)))
+    log_rhs = log_rhs + _libm(math.log, ds)[:, None]
+    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), pos)
+    finish("taylor_jet_consistency", ratios, ds, 0, used)
+
+    _, logs = _log_abs(diffs)
+    i_ok, x_ok = center_ok[pair_i][:, None], near_ok[pair_k][:, None]
+    skipped_pairs = width * int(np.count_nonzero(~i_ok) + np.count_nonzero(~x_ok))
+    log_rhs = far_rhs + center_lh[pair_i][:, None]
+    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), i_ok)
+    finish("pair_difference_interval", ratios, center_d[pair_i], skipped_pairs, i_ok)
+    log_rhs = near_rhs + lh_near[pair_k][:, None]
+    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), x_ok)
+    finish("pair_difference_point", ratios, ds[pair_k], 0, x_ok)
 
     # Fit one growth base per terminal estimate, in log space.  The base
     # is the worst (a + 1)-th root of the per-order log envelope, which
     # makes the companion constant at most one over the sample, so every
     # normalized ratio is bounded by one.
-    def order_envelope(raw: list[tuple[float, int, float]]) -> dict[int, float]:
-        env: dict[int, float] = {}
-        for log_r, a, _ in raw:
-            env[a] = max(env.get(a, -math.inf), log_r)
-        return env
-
-    def fit_log_base(env: dict[int, float]) -> float:
-        vals = [v / (a + 1) for a, v in env.items() if v > -math.inf]
+    def fit_log_base(env: list[float]) -> float:
+        vals = [v / (a + 1) for a, v in enumerate(env) if v > -math.inf]
         return max([0.0] + vals)
 
-    def slope_profile(env: dict[int, float]) -> list[float]:
+    def slope_profile(env: list[float]) -> list[float]:
         # Consecutive chord slopes of the log envelope.  A uniform base
         # exists exactly when these stabilize rather than keep growing,
         # so the order verdict is taken on this profile.  The normalized
         # per-order maxima rise toward one at the binding order by
         # construction and carry no verdict of their own.
-        orders = sorted(a for a, v in env.items() if v > -math.inf)
+        kept = [a for a, v in enumerate(env) if v > -math.inf]
         return [
             math.exp(min((env[a2] - env[a1]) / (a2 - a1), 700.0))
-            for a1, a2 in zip(orders, orders[1:])
+            for a1, a2 in zip(kept, kept[1:])
         ]
 
-    resid_env = order_envelope(resid_raw)
-    growth_env = order_envelope(growth_raw)
-    log_m1 = fit_log_base(resid_env)
-    log_m = fit_log_base(growth_env)
-    m1 = math.exp(min(log_m1, 700.0))
-    m = math.exp(min(log_m, 700.0))
+    def terminal(name, raw, skipped, used=True) -> float:
+        env = np.fmax.reduce(raw, axis=0, initial=-np.inf).tolist()
+        log_base = fit_log_base(env)
+        ratios = _exp_where(raw - (orders + 1) * log_base, raw > -np.inf)
+        fitted = math.exp(min(log_base, 700.0))
+        finish(name, ratios, ds, skipped, used, fitted=fitted, alpha_profile=slope_profile(env))
+        return fitted
 
-    def normalize(raw, log_base):
-        ratios, ds, per_alpha = [], [], {}
-        for log_r, a, d in raw:
-            r = math.exp(log_r - (a + 1) * log_base) if log_r > -math.inf else 0.0
-            ratios.append(r)
-            ds.append(d)
-            per_alpha[a] = max(per_alpha.get(a, 0.0), r)
-        return ratios, ds, per_alpha
-
-    resid_n = normalize(resid_raw, log_m1)
-    growth_n = normalize(growth_raw, log_m)
-
-    checks = (
-        _finish_check("taylor_value_bound", taylor_ratios, taylor_ds, taylor_alpha, 0),
-        _finish_check("taylor_jet_consistency", consis_ratios, consis_ds, consis_alpha, 0),
-        _finish_check(
-            "pair_difference_interval", pair_i_ratios, pair_i_ds, pair_i_alpha, skipped_pairs
-        ),
-        _finish_check(
-            "pair_difference_point", pair_x_ratios, pair_x_ds, pair_x_alpha, 0
-        ),
-        _finish_check(
-            "residual_decay", resid_n[0], resid_n[1], resid_n[2], skipped_resid,
-            fitted=m1, alpha_profile=slope_profile(resid_env),
-        ),
-        _finish_check(
-            "global_derivative_growth", growth_n[0], growth_n[1], growth_n[2], 0,
-            fitted=m, alpha_profile=slope_profile(growth_env),
-        ),
-    )
+    rows = (resid_ok & ~np.array(capped, dtype=bool))[:, None]
+    pos, logs = _log_abs(np.where(rows, dev, 0.0))
+    raw = np.where(pos, logs - (growth_log + lh_resid[:, None]), -np.inf)
+    m1 = terminal("residual_decay", raw, width * int(np.count_nonzero(~rows)), rows)
+    pos, logs = _log_abs(glued)
+    m = terminal("global_derivative_growth", np.where(pos, logs - growth_log, -np.inf), 0)
     return BoundReport(
-        checks=checks,
-        sample_count=len(xs),
+        checks=tuple(checks),
+        sample_count=n,
         alpha_cap=cap,
         fitted_m=m,
         fitted_m1=m1,
-        degree_cap_hits=cap_hits,
+        degree_cap_hits=int(np.count_nonzero(np.array(degs) < wants)),
         degree_cutoff_hits=cutoff_hits,
         valuation_pairs=val_pairs,
         valuation_ok=val_ok,

@@ -296,12 +296,13 @@ def build_bump(spec: BumpSpec) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(bp), tuple(rows))
 
 
-def _derivative_values(coeffs: np.ndarray, t: float, order: int) -> np.ndarray:
+def _derivative_values(coeffs: Sequence[float], t: float, order: int) -> np.ndarray:
+    """Derivatives 0..order at t; each derivative row is j * c[j], as npoly.polyder forms it."""
     out = np.empty(order + 1)
-    cur = np.asarray(coeffs, dtype=float)
+    cur = [float(c) for c in coeffs]
     for m in range(order + 1):
         out[m] = _eval_local(cur, t)
-        cur = npoly.polyder(cur) if cur.size > 1 else np.zeros(1)
+        cur = [j * cur[j] for j in range(1, len(cur))] or [0.0]
     return out
 
 

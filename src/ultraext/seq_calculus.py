@@ -156,15 +156,19 @@ def h_function(m: WeightSequence, t: float) -> float:
     return math.exp(best)
 
 
-def log_h_function(m: WeightSequence, log_t: float) -> tuple[float, int]:
+def log_h_function(m: WeightSequence, log_t):
     """(log inf_k m_k t^k, argmin k) without the cutoff guard.
 
     Low-level variant for callers that handle the at-cutoff case
     themselves (boundary-limit reports); argmin == K signals the cutoff.
+    An array of log arguments gives two arrays, one row of terms per
+    entry, so each entry is the scalar result bit for bit.
     """
-    terms = m._lv + np.arange(m.order + 1) * float(log_t)
-    k = int(terms.argmin())
-    return float(terms[k]), k
+    log_ts = np.asarray(log_t, dtype=float)
+    terms = m._lv + np.arange(m.order + 1) * log_ts[..., None]
+    k = terms.argmin(axis=-1)
+    lh = np.take_along_axis(terms, k[..., None], axis=-1)[..., 0]
+    return (lh, k) if log_ts.ndim else (float(lh), int(k))
 
 
 # Quotients within this log-distance of 1/t count as ties (smallest k wins).

@@ -1,9 +1,10 @@
 """One derivative vector per evaluation point, checked bitwise.
 
 eval_derivative keeps the last off-set point's vector 0..folds and serves
-every order there from it; verify_bounds builds its Taylor vectors per
-(anchor, degree) group.  Both are compared with fresh per-order
-evaluation, the second against a copy of the per-sample audit.
+every order there from it; verify_bounds fills per-sample tables and runs
+every check column-wise.  Both are compared with scalar code: the first
+with a fresh per-order evaluation by the per-member product rule, the
+second with a copy of the per-sample audit.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +23,11 @@ from ultraext import extension_engine
 from ultraext.errors import OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
-    _deviation_derivatives,
     _difference_derivatives,
+    _exp_where,
     _finish_check,
-    _glued_derivatives,
+    _log_abs,
     _log_decay,
-    _log_ratio,
     _nearest_base_point,
     _PhiVectors,
     _requested_degree,
@@ -43,9 +44,43 @@ from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
 
 
-def gevrey_extension(points, folds=8):
+# The per-point helpers of the scalar audit, kept as its oracle: one
+# product rule per member with Python floats, then t_ref added.  The
+# engine now runs the same operations column-wise over member rows.
+def _log_ratio(log_lhs: float, log_rhs: float) -> float:
+    return math.exp(min(log_lhs - log_rhs, 700.0))
+
+
+def _deviation_derivatives(diffs, phis, order):
+    out = np.zeros(order + 1)
+    for i, dvals in diffs.items():
+        if dvals is None:
+            continue
+        p = phis[i]
+        for a in range(order + 1):
+            acc = 0.0
+            for b in range(a + 1):
+                acc += math.comb(a, b) * p[a - b] * dvals[b]
+            out[a] += acc
+    return out
+
+
+def _glued_derivatives(f, x, order, members, phis, t_ref):
+    ref_vals = t_ref.derivatives(x, order)
+    diffs = {
+        i: _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
+        for i in members
+    }
+    out = _deviation_derivatives(diffs, phis, order)
+    for a in range(order + 1):
+        out[a] += ref_vals[a]
+    return out
+
+
+def gevrey_extension(points, folds=8, weight=None):
     """The README extend job's extension (power 0.5, gevrey jet at xi 1) on points."""
-    reg = strong_regularization(associated_matrix(WeightFunction.power(0.5), k_max=64))
+    weight = WeightFunction.power(0.5) if weight is None else weight
+    reg = strong_regularization(associated_matrix(weight, k_max=64))
     inter = interleave_matrix(reg)
     row = tuple(float(v) for v in np.exp(inter.full_log_row(1.0)[:33]))
     jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
@@ -59,6 +94,12 @@ def extensions():
         "one_point": gevrey_extension([0.0]),
         "two_points": gevrey_extension([0.0, 0.23]),
         "folds_12": gevrey_extension([0.0], folds=12),
+        # The eight points of the benchmark's extend_cluster job.
+        "cluster": gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]),
+        "power_09": gevrey_extension([0.0], weight=WeightFunction.power(0.9)),
+        "log_squared": gevrey_extension(
+            [0.0], weight=WeightFunction.linear_over_log_squared()
+        ),
     }
 
 
@@ -347,13 +388,95 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
     )
 
 
-@pytest.mark.parametrize("name, alpha_cap", [("one_point", 8), ("two_points", 8), ("folds_12", 12)])
-def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap):
+@pytest.mark.parametrize(
+    "name, alpha_cap, samples",
+    [
+        pytest.param("one_point", 8, 240, id="one_point-8"),
+        pytest.param("two_points", 8, 240, id="two_points-8"),
+        pytest.param("folds_12", 12, 240, id="folds_12-12"),
+        # 24 samples glue around a t_ref other than t_x, and 5 have two
+        # nonzero member differences, summed in member order.
+        pytest.param("cluster", 8, 240, id="cluster-8"),
+        # Every residual_decay sample is skipped: its tables are empty.
+        pytest.param("power_09", 8, 240, id="power_09-8"),
+        # The stored jet order caps the degree on 230 of 240 samples.
+        pytest.param("log_squared", 8, 240, id="log_squared-8"),
+        # One- and two-column tables.
+        pytest.param("one_point", 0, 240, id="one_point-0"),
+        pytest.param("one_point", 1, 240, id="one_point-1"),
+        pytest.param("one_point", 8, 2000, id="one_point-8-2000"),
+    ],
+)
+def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap, samples):
     f = extensions[name]
-    got = verify_bounds(f, samples=240, alpha_cap=alpha_cap).to_json()
-    want = parent_verify_bounds(f, samples=240, alpha_cap=alpha_cap).to_json()
+    got = verify_bounds(f, samples=samples, alpha_cap=alpha_cap).to_json()
+    want = parent_verify_bounds(f, samples=samples, alpha_cap=alpha_cap).to_json()
     assert json.dumps(got) == json.dumps(want)
     assert got["alpha_cap"] == alpha_cap
+
+
+def test_audit_cases_reach_their_edge_tables(extensions):
+    # What the cases above are there for, so a change of the fixtures
+    # cannot quietly drop one.
+    checks = {
+        name: {c.name: c for c in verify_bounds(extensions[name], samples=240).checks}
+        for name in ("power_09", "log_squared")
+    }
+    resid = checks["power_09"]["residual_decay"]
+    assert resid.samples_used == 0 and resid.skipped > 0
+    rep = verify_bounds(extensions["log_squared"], samples=240)
+    assert rep.degree_cap_hits == 230 and rep.sample_count == 240
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [
+        [NAN, 0.0, 2.0, INF, 1.0, 0.5, 3.0, 0.0],  # a leading NaN is the maximum
+        [0.0, 2.0, NAN, 1.0, INF, 0.5, 3.0, 0.25],  # a later NaN is passed over
+        [0.0, 2.0, NAN, 1.0, 0.5, 3.0, 0.25, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.5, INF, 0.0, 2.0],
+    ],
+)
+def test_finish_check_takes_arrays_with_the_list_semantics(ratios):
+    ds = np.geomspace(1e-9, 1e-1, len(ratios)).tolist()
+    per_alpha = {a: r for a, r in enumerate(ratios[:3])}
+    want = _finish_check("check", ratios, ds, per_alpha, 1)
+    got = _finish_check("check", np.array(ratios), np.array(ds), per_alpha, 1)
+    assert repr(got) == repr(want)
+    assert repr(got.max_ratio) == repr(max(ratios))
+
+
+def test_audit_log_and_exp_are_libm_per_entry():
+    # numpy's vectorized log and exp round differently from libm on some
+    # inputs (the first three of each list did on one x86-64 build); the
+    # audit's figures are libm's.
+    vals = [1.0082016495047519, 0.969198109122836, -0.48041963949836897, 0.0, math.nan, 7e-300]
+    pos, logs = _log_abs(np.array(vals))
+    want = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in vals]
+    assert pos.tolist() == [abs(v) > 0.0 for v in vals]
+    assert [v.hex() for v in logs.tolist()] == [v.hex() for v in want]
+    xs = [531.0938228084433, 335.7787464585925, 494.17133009082085, -math.inf, -745.5, 1.0]
+    live = np.array([True] * 5 + [False])
+    got = _exp_where(np.array(xs), live).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in [math.exp(x) for x in xs[:5]] + [0.0]]
+
+
+def test_audit_heap_peak_stays_below_the_per_sample_lists(extensions):
+    # The per-sample audit held one Python float per (sample, order) in
+    # each check's lists, and its tracemalloc peak on this run was 6.0 MB.
+    f = extensions["one_point"]
+    verify_bounds(f, samples=2000)  # pieces and phi rows built once
+    tracemalloc.start()
+    try:
+        verify_bounds(f, samples=2000, alpha_cap=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0e6
 
 
 def test_two_point_audit_changes_anchor_and_reference(extensions):

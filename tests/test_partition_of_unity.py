@@ -648,3 +648,25 @@ def test_piece_rows_that_overflow_raise_on_read():
     part = Partition.from_bumps([huge, huge], 1)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
         part.piece(0)
+
+
+def polyder_derivative_values(coeffs, t, order):
+    """_derivative_values with each derivative row taken by npoly.polyder."""
+    out = np.empty(order + 1)
+    cur = np.asarray(coeffs, dtype=float)
+    for m in range(order + 1):
+        out[m] = _eval_local(cur, t)
+        cur = np.polynomial.polynomial.polyder(cur) if cur.size > 1 else np.zeros(1)
+    return out
+
+
+def test_derivative_values_match_the_polyder_chain():
+    rng = np.random.default_rng(17)
+    rows = [np.zeros(1), np.zeros(9), np.array([2.5]), np.array([0.0, -0.0, 3.0])]
+    rows += [rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n) for n in range(1, 14)]
+    for row in rows:
+        for t in (0.0, 1e-7, 0.37, float(rng.uniform(0.0, 2.0))):
+            for order in (0, 1, len(row) - 1, len(row) + 2):
+                got = pou._derivative_values(row, t, order)
+                want = polyder_derivative_values(row, t, order)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]

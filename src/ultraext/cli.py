@@ -9,6 +9,11 @@ has succeeded, so a failed write leaves the old products untouched.  The
 replacements are one os.replace per file: a failure between two of them
 can leave a mix of new and old products.
 
+The seed (config "seed" or --seed) is a nonnegative integer; `extend`
+draws its sample-trace jitter from numpy's default generator stream
+(PCG64 as seeded by numpy.random.default_rng), reproduced in-repo so the
+job never imports numpy.random.
+
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.
 """
@@ -376,6 +381,70 @@ def _build_jet(cfg: dict, inter):
     )
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64): hashmix/mix over a 4-word pool."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    h = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = (h * 0x931E8875) & _MASK32
+        value = (value * h) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = (h * 0x58F38DED) & _MASK32
+        value = (value * h) & _MASK32
+        out.append(value ^ (value >> 16))
+    return [out[2 * i] | (out[2 * i + 1] << 32) for i in range(4)]
+
+
+def _uniform_stream(seed: int):
+    """numpy.random.default_rng(seed).uniform() draws, bit for bit, without numpy.random.
+
+    PCG64 (128-bit LCG, XSL-RR output) seeded as numpy seeds it; each
+    draw is the top 53 bits of one 64-bit output.
+    """
+    s = _pcg64_seed_words(seed)
+    inc = ((((s[2] << 64) | s[3]) << 1) | 1) & _MASK128
+    state = ((inc + ((s[0] << 64) | s[1])) * _PCG64_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        yield (x >> 11) * 2.0**-53
+
+
 def cmd_extend(cfg: dict):
     """Full pipeline: certificate, plan, assembly, audit, boundary trace."""
     w = _require_weight(cfg)
@@ -441,12 +510,12 @@ def cmd_extend(cfg: dict):
     # Jittered sample trace.  The jitter rescales the distance to the
     # nearest set point, keeping every sample inside the verified band;
     # the generator is seeded from the config so reruns are identical.
-    rng = np.random.default_rng(seed)
+    uniforms = _uniform_stream(seed)
     xs = region_samples(ext, csv_samples)
     sample_rows = []
     for x in xs:
         d, nearest = distance_and_nearest(jet.e, float(x))
-        factor = 1.0 + 0.04 * (rng.uniform() - 0.5)
+        factor = 1.0 + 0.04 * (next(uniforms) - 0.5)
         if ext.cover.d_min_covered <= d * factor < ext.d_max:
             x = nearest + (float(x) - nearest) * factor
         for a in range(report.alpha_cap + 1):
@@ -581,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--k", type=int, default=None, help="matrix order override")
         p.add_argument("--xi", default=None, help="comma separated xi grid override")
-        p.add_argument("--seed", type=int, default=None, help="sample jitter seed")
+        p.add_argument("--seed", type=int, default=None, help="sample jitter seed, a nonnegative integer")
     return parser
 
 
@@ -613,8 +682,8 @@ def _load_config(args) -> dict:
             cfg["k"] = value
     if "out" not in cfg or not isinstance(cfg["out"], str):
         raise ConfigError("give an output directory via config 'out' or --out")
-    if "seed" in cfg:
-        _integer(cfg, "seed", 0)
+    if "seed" in cfg and _integer(cfg, "seed", 0) < 0:
+        raise ConfigError("config.seed must be a nonnegative integer")
     return cfg
 
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
 from .partition_of_unity import Partition, build_partition
-from .seq_calculus import WeightSequence, counting_index, log_h_function
+from .seq_calculus import QUOTIENT_TIE_SLACK, WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly
 from .whitney_geometry import (
     EXPANSION,
@@ -41,6 +41,7 @@ from .whitney_geometry import (
     build_cover,
     distance_and_nearest,
     distance_grid,
+    sorted_unique,
 )
 
 # Threshold multiples on the dilation, in units of the certificate
@@ -257,6 +258,22 @@ def _requested_degree(row: WeightSequence, dilation: float, d: float) -> tuple[i
     except CountingIndexAtCutoff:
         return 2 * row.order - 1, True
     return max(2 * gamma - 1, 0), False
+
+
+def _requested_degrees(
+    row: WeightSequence, dilation: float, ds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_requested_degree at every distance in ds: one searchsorted over the quotients.
+
+    The thresholds are counting_index's, with libm log per entry, so
+    every degree and cutoff flag is the scalar one.
+    """
+    if not row.is_log_convex:
+        raise ValueError("counting index requires a log-convex sequence")
+    thresholds = -_libm(math.log, dilation * ds) - QUOTIENT_TIE_SLACK
+    k = np.searchsorted(row._lq, thresholds, side="left")
+    at_cut = k >= len(row.log_quotients)
+    return np.where(at_cut, 2 * row.order - 1, np.maximum(2 * k - 1, 0)), at_cut
 
 
 def _nearest_base_point(jet: UltraJet, y: float) -> float:
@@ -612,7 +629,7 @@ def region_samples(f: ExtensionFunction, n: int) -> np.ndarray:
     for a, b in f.jet.e.components:
         pts.append(a - rungs)
         pts.append(b + rungs)
-    xs = np.unique(np.concatenate(pts))
+    xs = sorted_unique(np.concatenate(pts))
     d = distance_grid(f.jet.e, xs)
     return xs[(d >= f.cover.d_min_covered) & (d < f.d_max)]
 
@@ -755,7 +772,6 @@ def verify_bounds(
     k3 = plan.constants.k3
     n, width = len(xs), cap + 1
     orders = np.arange(width)
-    cutoff_hits = 0
     val_pairs = 0
     val_ok = True
 
@@ -780,21 +796,20 @@ def verify_bounds(
     # samples sharing both get their t_x vectors from one array
     # evaluation per order, bitwise equal to the scalar one.
     xs_list = xs.tolist()
-    ds: list[float] = []
-    wants: list[int] = []
-    degs: list[int] = []
-    groups: dict[tuple[float, int], list[int]] = {}
-    for k, x in enumerate(xs_list):
+    ds_list: list[float] = []
+    anchors: list[float] = []
+    for x in xs_list:
         d, xhat = distance_and_nearest(f.jet.e, x)
-        anchor = _nearest_base_point(f.jet, xhat)
-        want, at_cut = _requested_degree(f.degree_row, ld, d)
-        cutoff_hits += at_cut
-        deg = min(want, f.jet.alpha_max)
-        ds.append(d)
-        wants.append(want)
-        degs.append(deg)
-        groups.setdefault((anchor, deg), []).append(k)
-    ds = np.array(ds)
+        ds_list.append(d)
+        anchors.append(_nearest_base_point(f.jet, xhat))
+    ds = np.array(ds_list)
+    wants_arr, at_cut = _requested_degrees(f.degree_row, ld, ds)
+    cutoff_hits = int(np.count_nonzero(at_cut))
+    wants = wants_arr.tolist()
+    degs = np.minimum(wants_arr, f.jet.alpha_max).tolist()
+    groups: dict[tuple[float, int], list[int]] = {}
+    for k, key in enumerate(zip(anchors, degs)):
+        groups.setdefault(key, []).append(k)
     tx = np.empty((n, width))
     jet_tab = np.empty((n, width))
     sample_poly: list = [None] * n

@@ -214,11 +214,9 @@ def associated_matrix(
     xis = sorted(_as_xi(x) for x in xi_grid)
     k = np.arange(k_max + 1, dtype=float)
     lgam = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
-    rows: dict[float, WeightSequence] = {}
-    for xi in xis:
-        conj = young_conjugate_grid(w, xi * k)
-        full = conj / xi
-        rows[xi] = WeightSequence.from_log_values(full - lgam)
+    xi_col = np.array(xis)[:, None]
+    full = young_conjugate_grid(w, xi_col * k) / xi_col
+    rows = {xi: WeightSequence.from_log_values(r - lgam) for xi, r in zip(xis, full)}
     return WeightMatrix.from_divided_rows(rows)
 
 

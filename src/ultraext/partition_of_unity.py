@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._fitting import BOUNDED, INCONCLUSIVE, range_trend
 from .errors import DegenerateSupport, UncoveredPoint
 from .seq_calculus import WeightSequence, log_h_function
-from .whitney_geometry import WhitneyCover, covered_sample_grid, distance_grid
+from .whitney_geometry import WhitneyCover, covered_sample_grid, distance_grid, sorted_unique
 
 # Bump margins are this fraction of the interval side.  Supports then
 # reach exactly to the expanded intervals of a 9/8 cover, which is the
@@ -158,6 +157,8 @@ class PiecewisePolynomial:
 
     def sup_norm(self) -> float:
         """Exact max of the absolute value, from per-piece critical points."""
+        from numpy.polynomial import polynomial as npoly  # no extend job needs it
+
         best = 0.0
         for j, row in enumerate(self.pieces):
             w = float(self.breakpoints[j + 1] - self.breakpoints[j])
@@ -230,7 +231,7 @@ def _convolve_box(
         j = bisect.bisect_right(bp, probe) - 1
         return _taylor_shift(anti[j], expand_at - bp[j])
 
-    new_bp = np.unique(np.concatenate([np.subtract(bp, half), np.add(bp, half)]))
+    new_bp = sorted_unique(np.concatenate([np.subtract(bp, half), np.add(bp, half)]))
     # Shifted copies of one exact breakpoint can land an ulp apart; the
     # sliver pieces they would create poison later piece lookups.
     tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
@@ -335,7 +336,7 @@ class Partition:
     ) -> "Partition":
         if len(bumps) == 0:
             raise ValueError("need at least one bump")
-        all_bp = np.unique(np.concatenate([b._bp for b in bumps]))
+        all_bp = sorted_unique(np.concatenate([b._bp for b in bumps]))
         mids = 0.5 * (all_bp[:-1] + all_bp[1:])
         live: list = [[] for _ in range(mids.size)]
         for i, bump in enumerate(bumps):
@@ -460,6 +461,8 @@ class Partition:
         """
         if not 0 <= order <= self.folds:
             raise ValueError("order must lie between 0 and the fold count")
+        from numpy.polynomial import polynomial as npoly  # no extend job needs it
+
         best = 0.0
         bp = self.breakpoints
         for j, actives in enumerate(self.piece_active):

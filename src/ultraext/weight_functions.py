@@ -225,6 +225,10 @@ def _log_kappa_grid(
     tail extrapolation below is asymptotically exact for either.  The
     truncated integrand value itself is a rigorous lower bound for the
     tail (the weight is nondecreasing) and is folded in as a floor.
+
+    Batching contract: every step is per row (panel sums are row sums,
+    not a matrix product whose rounding can depend on the row count), so
+    each entry is bitwise what a call with that entry alone returns.
     """
     if not 0.0 < rtol < 1.0:
         raise ValueError("rtol must lie in (0, 1)")
@@ -249,7 +253,7 @@ def _log_kappa_grid(
             shift[idx] = np.where(np.isfinite(s), s, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.exp(g_log - shift[idx][:, None])
-        inc = (hi - lo) / _SIMPSON_SUB * (g @ _SIMPSON_W)
+        inc = (hi - lo) / _SIMPSON_SUB * (g * _SIMPSON_W).sum(axis=1)
         partial[idx] += inc
         if m >= 1:
             done = (inc <= rtol * partial[idx]) & (inc <= inc_prev[idx])
@@ -306,25 +310,37 @@ def young_conjugate_grid(
     Ternary search on the concave objective after a doubling bracket.
     Raises BracketFailure when the objective is still rising at
     max_exponent, which is a genuine infinite conjugate for weights with
-    linearly growing phi.
+    linearly growing phi; the message names the first such y in C order.
+
+    Batching contract: y_values may have any shape, and each entry's
+    search runs on its own.  The bracket evaluates hi and hi/2, and each
+    ternary step m1 and m2, in one phi call over all entries; for a phi
+    that is elementwise (every family, kappa_of included) each result
+    is bitwise the one a call with that entry alone gives.
     """
     ys = np.asarray(y_values, dtype=float)
     shape = ys.shape
     ys = np.ravel(ys)
     if np.any(ys < 0.0) or not np.all(np.isfinite(ys)):
         raise ValueError("conjugate arguments must be finite and nonnegative")
+    yy = np.concatenate((ys, ys))
 
-    def obj(x: np.ndarray) -> np.ndarray:
-        return x * ys - w.phi(x)
+    def obj_pair(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.concatenate((x1, x2))
+        f = x * yy - w.phi(x)
+        return f[: ys.size], f[ys.size :]
 
     hi = np.ones_like(ys)
     for _ in range(64):
-        rising = obj(hi) - obj(0.5 * hi) > 1e-15 * (1.0 + np.abs(obj(hi)))
+        f_hi, f_half = obj_pair(hi, 0.5 * hi)
+        rising = f_hi - f_half > 1e-15 * (1.0 + np.abs(f_hi))
         rising &= hi <= max_exponent
         if not np.any(rising):
             break
         hi = np.where(rising, 2.0 * hi, hi)
-    still = (hi > max_exponent) & (obj(hi) - obj(0.5 * hi) > 0.0)
+    else:
+        f_hi, f_half = obj_pair(hi, 0.5 * hi)
+    still = (hi > max_exponent) & (f_hi - f_half > 0.0)
     if np.any(still):
         y_bad = float(ys[np.nonzero(still)[0][0]])
         raise BracketFailure(
@@ -334,10 +350,12 @@ def young_conjugate_grid(
     for _ in range(iterations):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        left_lower = obj(m1) < obj(m2)
+        f1, f2 = obj_pair(m1, m2)
+        left_lower = f1 < f2
         lo = np.where(left_lower, m1, lo)
         hi = np.where(left_lower, hi, m2)
-    val = np.maximum(0.0, obj(0.5 * (lo + hi)))
+    mid = 0.5 * (lo + hi)
+    val = np.maximum(0.0, mid * ys - w.phi(mid))
     return np.reshape(val, shape)
 
 

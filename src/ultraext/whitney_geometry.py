@@ -81,6 +81,22 @@ def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
     return best_d, best_p
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique of a float array, without the numpy.ma import np.unique makes.
+
+    A stable sort keeps the first of equal values in input order, so the
+    first of -0.0 and 0.0; NaNs sort last and collapse to one, as in
+    np.unique.
+    """
+    a = np.sort(np.ravel(values), kind="stable")
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    if a.size and np.isnan(a[-1]):
+        keep[int(np.argmax(np.isnan(a))) + 1 :] = False
+    return a[keep]
+
+
 def distance_grid(e: CompactSet1D, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.full(xs.shape, np.inf)
@@ -294,7 +310,7 @@ def covered_sample_grid(cover: WhitneyCover, n: int, pad: float = 0.0) -> np.nda
     for a, b in cover.e.components:
         ladders.append(a - rungs)
         ladders.append(b + rungs)
-    xs = np.unique(np.concatenate(ladders))
+    xs = sorted_unique(np.concatenate(ladders))
     d = distance_grid(cover.e, xs)
     kept = xs[(d >= max(cover.d_min_covered, pad)) & (d < cover.r_cov)]
     if len(kept) > n:

@@ -6,11 +6,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ultraext.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, main
+from ultraext.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, _uniform_stream, main
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -472,3 +476,50 @@ def test_extend_fires_every_traced_layer(tmp_path, monkeypatch):
         code = main(["extend", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     tracing.check_fired(rec)
+
+
+# 2**128 + 5 has five 32-bit words, one more than the seeding pool.
+@pytest.mark.parametrize("seed", [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 17, 2**128 + 5])
+def test_jitter_stream_is_numpys_default_generator(seed):
+    rng = np.random.default_rng(seed)
+    draws = _uniform_stream(seed)
+    want = [rng.uniform().hex() for _ in range(1000)]
+    assert [next(draws).hex() for _ in range(1000)] == want
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_extend_negative_seed_is_config_error(tmp_path, capsys, where):
+    doc = dict(GEVREY_EXTEND, seed=-1) if where == "config" else dict(GEVREY_EXTEND)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = ["extend", "--config", cfg, "--out", str(out)]
+    if where == "flag":
+        argv += ["--seed", "-3"]
+    assert main(argv) == EXIT_ERROR
+    assert not out.exists()
+    assert "ConfigError: config.seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+_COLD_START_PROBE = """
+import sys
+from ultraext.cli import main
+code = main(["extend", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, [m for m in ("numpy.ma", "numpy.random", "numpy.polynomial") if m in sys.modules])
+"""
+
+
+def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, monkeypatch):
+    # Each of these imports costs an extend job milliseconds and MB of
+    # RSS at every start; none is needed.  A fresh interpreter, since the
+    # test session itself has them loaded.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import README_CONFIG
+
+    cfg = write_config(tmp_path, README_CONFIG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == f"{EXIT_OK} []"

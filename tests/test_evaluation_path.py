@@ -31,6 +31,7 @@ from ultraext.extension_engine import (
     _nearest_base_point,
     _PhiVectors,
     _requested_degree,
+    _requested_degrees,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -39,6 +40,7 @@ from ultraext.extension_engine import (
     verify_bounds,
 )
 from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
+from ultraext.seq_calculus import QUOTIENT_TIE_SLACK
 from ultraext.ultrajets import UltraJet, certify, taylor_poly
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
@@ -426,6 +428,29 @@ def test_audit_cases_reach_their_edge_tables(extensions):
     assert resid.samples_used == 0 and resid.skipped > 0
     rep = verify_bounds(extensions["log_squared"], samples=240)
     assert rep.degree_cap_hits == 230 and rep.sample_count == 240
+
+
+@pytest.mark.parametrize("name", ["one_point", "cluster", "log_squared"])
+def test_requested_degrees_are_the_scalar_rule(extensions, name):
+    f = extensions[name]
+    ld, row = f.plan.dilation, f.degree_row
+    ds = [distance_and_nearest(f.jet.e, x)[0] for x in region_samples(f, 2000).tolist()]
+    # Distances whose threshold -log(ld * d) - slack equals a quotient
+    # exactly (a tie) or sits an ulp of d away from one, and distances far
+    # past the last quotient (the cutoff).
+    ties = 0
+    for q in row.log_quotients[::3]:
+        d = math.exp(-q - QUOTIENT_TIE_SLACK) / ld
+        for _ in range(64):
+            ds.append(d)
+            ties += -math.log(ld * d) - QUOTIENT_TIE_SLACK == q
+            d = math.nextafter(d, 0.0)
+    ds += [1e-300, 1e-200, 1e-120]
+    assert ties > 0
+    wants, at_cut = _requested_degrees(row, ld, np.array(ds))
+    want = [_requested_degree(row, ld, d) for d in ds]
+    assert list(zip(wants.tolist(), at_cut.tolist())) == want
+    assert any(cut for _, cut in want) and not all(cut for _, cut in want)
 
 
 NAN, INF = math.nan, math.inf

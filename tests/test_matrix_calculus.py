@@ -139,6 +139,22 @@ def test_associated_propagates_conjugate_failure():
         associated_matrix(WeightFunction.power(0.5), k_max=8)
 
 
+def test_associated_matrix_solves_all_rows_in_one_conjugate_call(monkeypatch):
+    from ultraext import matrix_calculus
+
+    calls = []
+    solver = matrix_calculus.young_conjugate_grid
+
+    def counted(w, ys, *args, **kwargs):
+        calls.append(np.shape(ys))
+        return solver(w, ys, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_calculus, "young_conjugate_grid", counted)
+    mat = associated_matrix(WeightFunction.power(0.5), (4.0, 0.5, 1.0), k_max=20)
+    assert calls == [(3, 21)]
+    assert mat.xi_values == (0.5, 1.0, 4.0)
+
+
 # -- regularization and the sandwich ---------------------------------------
 
 

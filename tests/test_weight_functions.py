@@ -77,6 +77,73 @@ def test_bracket_failure_for_linear_phi():
     assert young_conjugate(w, 0.5) == 0.0
 
 
+# The conjugate solver before it was batched: one call per y row, obj
+# evaluated separately at each point.  Kept as the oracle of the batched
+# solver, which must match it bit for bit.
+def per_row_conjugate(w, y_values, max_exponent=512.0, iterations=100):
+    ys = np.asarray(y_values, dtype=float)
+
+    def obj(x):
+        return x * ys - w.phi(x)
+
+    hi = np.ones_like(ys)
+    for _ in range(64):
+        rising = obj(hi) - obj(0.5 * hi) > 1e-15 * (1.0 + np.abs(obj(hi)))
+        rising &= hi <= max_exponent
+        if not np.any(rising):
+            break
+        hi = np.where(rising, 2.0 * hi, hi)
+    still = (hi > max_exponent) & (obj(hi) - obj(0.5 * hi) > 0.0)
+    if np.any(still):
+        y_bad = float(ys[np.nonzero(still)[0][0]])
+        raise BracketFailure(
+            f"conjugate maximizer exceeds x = {max_exponent} at y = {y_bad:.6g}"
+        )
+    lo = np.zeros_like(ys)
+    for _ in range(iterations):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        left_lower = obj(m1) < obj(m2)
+        lo = np.where(left_lower, m1, lo)
+        hi = np.where(left_lower, hi, m2)
+    return np.maximum(0.0, obj(0.5 * (lo + hi)))
+
+
+CONJUGATE_FAMILIES = {
+    "power": WeightFunction.power(0.5),
+    "power_scaled": WeightFunction.power(0.3, 2.0),
+    "log_power": WeightFunction.log_power(2.5),
+    "linear_over_log_squared": WeightFunction.linear_over_log_squared(),
+    "tabulated": WeightFunction.tabulated([0.0, 1.0, 3.0, 10.0], [0.0, 0.3, 1.0, 6.0]),
+    "kappa_of": WeightFunction.kappa_of(WeightFunction.power(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(CONJUGATE_FAMILIES))
+def test_batched_conjugate_matches_the_per_row_solver(name):
+    w = CONJUGATE_FAMILIES[name]
+    xis = np.array([0.1, 0.25, 0.5, 1.0, 1.3, 2.0, 4.0, 8.0])
+    grid = xis[:, None] * np.arange(33.0)
+    got = young_conjugate_grid(w, grid)
+    assert got.shape == grid.shape
+    want = [per_row_conjugate(w, row) for row in grid]
+    assert [[v.hex() for v in r] for r in got.tolist()] == [
+        [v.hex() for v in r.tolist()] for r in want
+    ]
+
+
+@pytest.mark.parametrize("xis", [[0.25, 0.5, 1.0], [0.1, 0.3, 2.0]])
+def test_batched_conjugate_names_the_first_failing_y(xis):
+    w = WeightFunction.log_power(1.0)
+    grid = np.array(xis)[:, None] * np.arange(17.0)
+    with pytest.raises(BracketFailure) as batched:
+        young_conjugate_grid(w, grid)
+    with pytest.raises(BracketFailure) as per_row:
+        for row in grid:
+            per_row_conjugate(w, row)
+    assert str(batched.value) == str(per_row.value)
+
+
 # -- kappa transform ----------------------------------------------------
 
 
@@ -135,6 +202,24 @@ def test_kappa_grid_matches_scalar_calls():
     grid_vals = kappa_transform_grid(w, ts)
     for t, v in zip(ts, grid_vals):
         assert kappa_transform(w, float(t)) == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        WeightFunction.power(0.5),
+        WeightFunction.log_power(2.0),
+        WeightFunction.linear_over_log_squared(),
+        WeightFunction.kappa_of(WeightFunction.power(0.5)),
+    ],
+    ids=["power", "log_power", "linear_over_log_squared", "kappa_of"],
+)
+def test_kappa_grid_entries_are_bitwise_the_scalar_calls(w):
+    # A grid entry must not depend on which other points share the call
+    # (or are still converging in it): each is the one-point result.
+    ts = np.geomspace(1e-2, 1e9, 130)
+    grid_vals = kappa_transform_grid(w, ts).tolist()
+    assert [v.hex() for v in grid_vals] == [kappa_transform(w, float(t)).hex() for t in ts]
 
 
 # -- classification -----------------------------------------------------

@@ -19,6 +19,7 @@ from ultraext.whitney_geometry import (
     distance_and_nearest,
     distance_grid,
     overlap_counts,
+    sorted_unique,
     verify_eq14,
 )
 
@@ -186,3 +187,32 @@ def test_csv_dump_round_trips():
     assert float(c) == cov.centers[0]
     assert float(s) == cov.sides[0]
     assert int(g) == cov.generations[0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 2.0, 1.0, 3.0, 3.0, -1.5],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [1.0, -0.0, 0.0, -1.0],
+        [-1.0, 0.0, 2.0, -0.0, 0.0],
+        [],
+        [2.5],
+        [math.nan],
+        [1.0, math.nan, 0.5, math.nan, 1.0, -math.inf, math.inf],
+        np.linspace(-1.0, 1.0, 301).tolist() + np.linspace(-1.0, 1.0, 201).tolist(),
+    ],
+)
+def test_sorted_unique_equals_np_unique(values):
+    a = np.array(values, dtype=float)
+    got = sorted_unique(a)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in np.unique(a).tolist()]
+
+
+def test_sorted_unique_keeps_the_first_of_signed_zeros():
+    # Defined by input order at any length; np.unique's pick follows its
+    # hash table on longer inputs, so it is not the oracle here.
+    for first, rest in ((-0.0, 0.0), (0.0, -0.0)):
+        got = sorted_unique(np.array([1.0, first] + [rest, -1.0] * 100))
+        assert [v.hex() for v in got.tolist()] == ["-0x1.0000000000000p+0", first.hex(), "0x1.0000000000000p+0"]

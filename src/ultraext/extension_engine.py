@@ -329,7 +329,6 @@ def assemble(
     expansion: float = EXPANSION,
     max_generation: int = 48,
     allow_degenerate: bool = False,
-    check_points: int = 2048,
 ) -> ExtensionFunction:
     """Build the extension for a jet against a regularized matrix.
 
@@ -338,7 +337,10 @@ def assemble(
     stored jet order are capped and counted; quotient-range cutoffs in
     the degree rule are likewise counted, never silently absorbed.  A
     plan below its threshold raises PlanInvalid unless the degenerate
-    run is requested explicitly.
+    run is requested explicitly.  The partition comes from
+    build_partition, which certifies the bump total positive on the
+    whole covered band from the template's plateau (no sampling) and
+    raises UncoveredPoint where it cannot.
     """
     if not plan.meets_threshold and not allow_degenerate:
         raise PlanInvalid(
@@ -354,7 +356,7 @@ def assemble(
     growth_row = matrix.full_log_row(2.0 * plan.xi)
 
     cover = build_cover(jet.e, r_cov, expansion, max_generation)
-    partition = build_partition(cover, plan.folds, check_points=check_points)
+    partition = build_partition(cover, plan.folds)
     s1 = math.exp(degree_row.log_values[1])
     d_max = min(
         cover.constants.r_0 / (3.0 * cover.constants.B_1),

@@ -3,14 +3,17 @@
 Everything in this module is an exact piecewise polynomial.  Bumps arise
 from convolving an interval indicator with box kernels, so derivatives
 and extrema come from the piece coefficients, never from numerical
-differencing.  A cover partition places one template bump on every
-interval by the exact dyadic map t -> center + side*t, or raises
-DegenerateSupport.  The normalized family phi_i = psi_i / sum_j psi_j is
-piecewise rational on the common breakpoint refinement of the bumps; its
-derivatives are evaluated with the reciprocal and product rules against
-the same exact piece data.  A refinement piece's coefficients are built
-when a value, derivative or extremum first reads that piece, not when
-the partition is built.
+differencing.  A cover partition is one template bump and its placements
+t -> center + side*t, an exact dyadic map, on every interval; a placed
+bump is built only when something reads it.  build_partition validates
+all placements at once (or raises DegenerateSupport) and certifies that
+the bump total is positive on the whole covered band from the template's
+plateau, not from samples (or raises UncoveredPoint).  The normalized
+family phi_i = psi_i / sum_j psi_j is piecewise rational on the common
+breakpoint refinement of the bumps; its derivatives are evaluated with
+the reciprocal and product rules against the same exact piece data.  A
+refinement piece's coefficients are built when a value, derivative or
+extremum first reads that piece, not when the partition is built.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -307,6 +310,33 @@ def _derivative_values(coeffs: Sequence[float], t: float, order: int) -> np.ndar
     return out
 
 
+class PlacedBumps(Sequence):
+    """One template bump placed on many intervals, each bump built on first read.
+
+    Row i of ``breakpoints`` is center_i + side_i * t over the template
+    breakpoints t; ``rows[i]`` are the template rows with row m divided
+    by side_i**m, one tuple shared by every interval of a side.  Bump i
+    is the PiecewisePolynomial of those two, built and kept when it is
+    first read.
+    """
+
+    def __init__(self, breakpoints: np.ndarray, rows: Sequence[tuple]) -> None:
+        self.breakpoints = breakpoints
+        self.rows = rows
+        self._built: dict[int, PiecewisePolynomial] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> PiecewisePolynomial:
+        i = range(len(self.rows))[i]  # IndexError ends iteration
+        got = self._built.get(i)
+        if got is None:
+            bp = tuple(self.breakpoints[i].tolist())
+            got = self._built[i] = PiecewisePolynomial(bp, self.rows[i])
+        return got
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Normalized bump family phi_i = psi_i / sum_j psi_j.
@@ -321,7 +351,7 @@ class Partition:
     """
 
     folds: int
-    bumps: tuple[PiecewisePolynomial, ...]
+    bumps: Sequence[PiecewisePolynomial]
     cover: WhitneyCover | None
     breakpoints: np.ndarray
     piece_active: tuple[tuple[int, ...], ...]
@@ -334,21 +364,31 @@ class Partition:
         folds: int,
         cover: WhitneyCover | None = None,
     ) -> "Partition":
+        """The partition of the bumps; PlacedBumps are kept and none is built."""
+        if not isinstance(bumps, PlacedBumps):
+            bumps = tuple(bumps)
         if len(bumps) == 0:
             raise ValueError("need at least one bump")
-        all_bp = sorted_unique(np.concatenate([b._bp for b in bumps]))
+        if isinstance(bumps, PlacedBumps):
+            flat = bumps.breakpoints
+            starts, ends = flat[:, 0], flat[:, -1]
+        else:
+            flat = np.concatenate([b._bp for b in bumps])
+            starts = [b._bp[0] for b in bumps]
+            ends = [b._bp[-1] for b in bumps]
+        all_bp = sorted_unique(flat)
         mids = 0.5 * (all_bp[:-1] + all_bp[1:])
+        # Pieces whose midpoint lies in the closed support, the test
+        # piece_index makes; ascending i keeps the summation order.
+        firsts = np.searchsorted(mids, starts, side="left").tolist()
+        stops = np.searchsorted(mids, ends, side="right").tolist()
         live: list = [[] for _ in range(mids.size)]
-        for i, bump in enumerate(bumps):
-            # Pieces whose midpoint lies in the closed support, the test
-            # piece_index makes; ascending i keeps the summation order.
-            lo = int(np.searchsorted(mids, bump._bp[0], side="left"))
-            hi = int(np.searchsorted(mids, bump._bp[-1], side="right"))
+        for i, (lo, hi) in enumerate(zip(firsts, stops)):
             for j in range(lo, hi):
                 live[j].append(i)
         return cls(
             folds=int(folds),
-            bumps=tuple(bumps),
+            bumps=bumps,
             cover=cover,
             breakpoints=all_bp,
             piece_active=tuple(map(tuple, live)),
@@ -496,18 +536,81 @@ class Partition:
         return best
 
 
-def build_partition(cover: WhitneyCover, folds: int, check_points: int = 2048) -> Partition:
+def template_plateau(template: PiecewisePolynomial) -> tuple[int, int, float]:
+    """Breakpoint indices (q0, q1) of the template's plateau, and its floor.
+
+    Each piece, rescaled to [0, 1], is converted to the Bernstein basis;
+    its smallest Bernstein coefficient is a lower bound of the piece.
+    The plateau [bp[q0], bp[q1]] is the run of contiguous pieces around 0
+    whose bound is at least 1/2, and the floor is min(0, smallest bound
+    of any piece).  No row is assumed exact: at fold counts such as 3,
+    5, 6 and 7 the float chain moves the core row off (1, 0, ...) and
+    the core breakpoints off -1/2 and 1/2.
+    """
+    bp = template.breakpoints
+    bounds = []
+    for j, row in enumerate(template.pieces):
+        w = bp[j + 1] - bp[j]
+        unit = [float(c) * w**m for m, c in enumerate(row)]
+        n = len(unit) - 1
+        bounds.append(
+            min(
+                sum(math.comb(k, m) / math.comb(n, m) * unit[m] for m in range(k + 1))
+                for k in range(n + 1)
+            )
+        )
+    q0 = bisect.bisect_right(bp, 0.0) - 1
+    if not (0 <= q0 < len(bounds) and bounds[q0] >= 0.5):
+        raise UncoveredPoint("the template bump has no plateau at 0")
+    q1 = q0 + 1
+    while q0 > 0 and bounds[q0 - 1] >= 0.5:
+        q0 -= 1
+    while q1 < len(bounds) and bounds[q1] >= 0.5:
+        q1 += 1
+    return q0, q1, min(0.0, min(bounds))
+
+
+def _band_meets(cover: WhitneyCover, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each open interval (a, b) holds a point of the covered band.
+
+    The band is d_min_covered <= d(x) < r_cov.  On (a, b) the distance
+    d ranges over an interval: its infimum is 0 if the set meets (a, b)
+    and min(d(a), d(b)) otherwise; its supremum is the largest of d(a),
+    d(b) and d at the midpoints between set components inside (a, b).
+    """
+    comps = np.array(cover.e.components)
+    da, db = distance_grid(cover.e, a), distance_grid(cover.e, b)
+    meets_set = ((comps[:, 0] < b[:, None]) & (comps[:, 1] > a[:, None])).any(axis=1)
+    mids = 0.5 * (comps[:-1, 1] + comps[1:, 0])
+    inside = (mids > a[:, None]) & (mids < b[:, None])
+    peak = np.where(inside, 0.5 * (comps[1:, 0] - comps[:-1, 1]), 0.0).max(axis=1, initial=0.0)
+    sup = np.maximum(np.maximum(da, db), peak)
+    inf = np.where(meets_set, 0.0, np.minimum(da, db))
+    return (sup >= cover.d_min_covered) & (inf < cover.r_cov)
+
+
+def build_partition(cover: WhitneyCover, folds: int) -> Partition:
     """Normalized partition subordinate to the expanded cover intervals.
 
     Each interval gets a bump whose core is the interval and whose margin
     is a sixteenth of the side, so supports end exactly on the expanded
     intervals of a 9/8 cover.  One template bump on the core [-1/2, 1/2]
     is placed on the interval (c, s) as t -> c + s*t with row m divided
-    by s**m, exact for the power-of-two sides of a cover.  Raises
-    DegenerateSupport, naming c and s, when a placement's breakpoints do
-    not strictly increase or its rows overflow, and UncoveredPoint when
-    the bump total fails to be positive somewhere on the covered sample
-    grid.
+    by s**m, exact for the power-of-two sides of a cover.  All placements
+    are checked at once; DegenerateSupport names c and s of the first
+    placement whose breakpoints do not strictly increase or are not
+    finite, or whose rows overflow.
+
+    Coverage is certified, not sampled.  Every bump is at least 1/2 on
+    its placed plateau and at least the template floor (<= 0) everywhere
+    (template_plateau).  If the plateaus cover the band d_min_covered <=
+    d(x) < r_cov, then on the whole band
+        sum_i psi_i >= 1/2 + (live_max - 1) * floor > 0,
+    with live_max the most bumps alive on one refinement piece; a gap
+    in the plateaus that meets the band, or a bound that is not
+    positive, raises UncoveredPoint.  The bound holds for the
+    polynomials the float rows define; the Horner evaluation of a
+    piece's total row errs by about 1e-14, far below the 1/2 margin.
     """
     if cover.expansion < _MIN_EXPANSION - 1e-12:
         raise ValueError(
@@ -515,25 +618,61 @@ def build_partition(cover: WhitneyCover, folds: int, check_points: int = 2048) -
             " the expanded intervals; need at least 9/8"
         )
     template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, int(folds)))
-    rows: dict[float, tuple] = {}
-    bumps = []
-    for center, side in zip(map(float, cover.centers), map(float, cover.sides)):
+    centers = np.asarray(cover.centers, dtype=float)
+    sides = np.asarray(cover.sides, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bpm = centers[:, None] + sides[:, None] * template._bp
+        bad = ~(np.isfinite(bpm).all(axis=1) & (np.diff(bpm, axis=1) > 0.0).all(axis=1))
+    # Scaled rows once per side: c / side**m, one IEEE division per entry.
+    side_list = sides.tolist()
+    rows_of: dict = {}
+    for side in dict.fromkeys(side_list):
         try:
-            if side not in rows:
-                rows[side] = tuple(
-                    tuple(float(c) / side**m for m, c in enumerate(r)) for r in template.pieces
-                )
-            bp = (center + side * template._bp).tolist()
-            bumps.append(PiecewisePolynomial(tuple(bp), rows[side]))
+            scale = np.array([side**m for m in range(template._coeff.shape[1])])
+        except OverflowError as exc:
+            rows_of[side] = (exc, False)
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scaled = template._coeff / scale
+        rows = tuple(tuple(r[: len(t)]) for r, t in zip(scaled.tolist(), template.pieces))
+        rows_of[side] = (rows, bool(np.isfinite(scaled).all()))
+    placed = [rows_of[side] for side in side_list]
+    bad |= np.array([not ok for _, ok in placed], dtype=bool)
+    if bad.any():
+        # Name the first bad placement as its own construction would.
+        i = int(np.argmax(bad))
+        try:
+            rows = placed[i][0]
+            if isinstance(rows, OverflowError):
+                raise rows
+            PiecewisePolynomial(tuple(bpm[i].tolist()), rows)
         except (ValueError, ArithmeticError) as exc:
-            raise DegenerateSupport(f"bump at center {center}, side {side}: {exc}") from None
-    partition = Partition.from_bumps(bumps, folds, cover=cover)
-    xs = covered_sample_grid(cover, check_points)
-    if xs.size:
-        totals = partition.total(xs)
-        if np.any(totals <= 0.0):
-            bad = float(xs[int(np.argmin(totals))])
-            raise UncoveredPoint(f"bump total vanishes at covered point x={bad}")
+            raise DegenerateSupport(
+                f"bump at center {float(centers[i])}, side {float(sides[i])}: {exc}"
+            ) from None
+    partition = Partition.from_bumps(
+        PlacedBumps(bpm, [rows for rows, _ in placed]), folds, cover=cover
+    )
+
+    q0, q1, floor = template_plateau(template)
+    lo, hi = bpm[:, q0], bpm[:, q1]
+    order = np.argsort(lo, kind="stable")
+    reach = np.maximum.accumulate(hi[order])
+    gap_lo = np.concatenate([[-np.inf], reach])
+    gap_hi = np.concatenate([lo[order], [np.inf]])
+    gaps = np.flatnonzero(gap_lo < gap_hi)
+    hit = gaps[_band_meets(cover, gap_lo[gaps], gap_hi[gaps])]
+    if hit.size:
+        a, b = float(gap_lo[hit[0]]), float(gap_hi[hit[0]])
+        raise UncoveredPoint(
+            f"no bump plateau covers ({a}, {b}), which meets the covered band"
+            f" {cover.d_min_covered} <= d(x) < {cover.r_cov}"
+        )
+    live_max = max(map(len, partition.piece_active))
+    if not 0.5 + (live_max - 1) * floor > 0.0:
+        raise UncoveredPoint(
+            f"template floor {floor} over {live_max} live bumps leaves no positive bound"
+        )
     return partition
 
 

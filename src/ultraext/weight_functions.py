@@ -257,7 +257,9 @@ def _log_kappa_grid(
         partial[idx] += inc
         if m >= 1:
             done = (inc <= rtol * partial[idx]) & (inc <= inc_prev[idx])
-            done &= np.isfinite(partial[idx])
+            # Zero increments on a zero sum are no convergence: the weight
+            # may vanish on the first panels (log_power below t = 1).
+            done &= np.isfinite(partial[idx]) & (partial[idx] > 0.0)
             if np.any(done):
                 di = idx[done]
                 with np.errstate(divide="ignore", invalid="ignore"):

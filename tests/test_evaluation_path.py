@@ -145,6 +145,21 @@ def test_eval_derivative_serves_every_order_bitwise_as_fresh(extensions, name, p
         assert eval_derivative(f, x, a).hex() == want.hex(), (x, a)
 
 
+def test_eval_derivative_builds_only_the_bumps_of_its_piece():
+    # A fresh cluster extension: assembly builds no bump and no piece row;
+    # one evaluation builds the bumps alive on the piece holding x.
+    f = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
+    part = f.partition
+    assert part.bumps._built == {} and part._pieces == {}
+    for x in region_samples(f, 40).tolist():
+        j = int(np.searchsorted(part.breakpoints, x, side="right")) - 1
+        if len(part.piece_active[j]) == 2:
+            break
+    eval_derivative(f, x, f.plan.folds)
+    assert sorted(part.bumps._built) == list(part.piece_active[j])
+    assert list(part._pieces) == [j]
+
+
 def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
     f = dataclasses.replace(extensions["two_points"])  # an empty store
     built = []

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ultraext.partition_of_unity import (
     build_bump,
     build_partition,
     check_derivative_bound,
+    template_plateau,
 )
 from ultraext.seq_calculus import WeightSequence
 from ultraext.whitney_geometry import (
@@ -33,6 +35,8 @@ from ultraext.whitney_geometry import (
     covered_sample_grid,
     distance_grid,
 )
+
+EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=None)
@@ -670,3 +674,105 @@ def test_derivative_values_match_the_polyder_chain():
                 got = pou._derivative_values(row, t, order)
                 want = polyder_derivative_values(row, t, order)
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+# The template in exact arithmetic: the core [-17/32, 17/32] convolved
+# with `folds` unit-mass boxes of width 1/(16 folds) is a difference of
+# two Irwin-Hall distribution functions (integrated cardinal B-splines).
+
+
+def exact_template_rows(folds, lefts, mids):
+    """Rows of the exact template on each piece, expanded at its left end."""
+    w = Fraction(1, 16 * folds)
+    half = Fraction(folds, 2)
+    rows = []
+    for t, mid in zip(lefts, mids):
+        row = [Fraction(0)] * (folds + 1)
+        for sign, end in ((1, Fraction(-17, 32)), (-1, Fraction(17, 32))):
+            s_mid = (mid - end) / w + half  # Irwin-Hall argument at the midpoint
+            if s_mid >= folds:
+                row[0] += sign
+                continue
+            for k in range(math.floor(s_mid) + 1) if s_mid > 0 else ():
+                alpha = (t - end) / w + half - k
+                for m in range(folds + 1):
+                    row[m] += (
+                        sign * (-1) ** k * math.comb(folds, k) * math.comb(folds, m)
+                        * alpha ** (folds - m) / w**m / math.factorial(folds)
+                    )
+        rows.append(row)
+    return rows
+
+
+# (folds, bound): the float rows' largest deviation from the exact ones,
+# in units of eps times the row's largest exact coefficient.  Measured:
+# 35.5 at folds 3, 122 at folds 6, 0.25 at folds 8 (dyadic box widths).
+@pytest.mark.parametrize("folds, row_eps", [(3, 64.0), (6, 256.0), (8, 1.0)])
+def test_float_template_matches_the_rational_template(folds, row_eps):
+    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, folds))
+    bp = [Fraction(b) for b in template.breakpoints]
+    w = Fraction(1, 16 * folds)
+    exact_bp = sorted(
+        end + (k - Fraction(folds, 2)) * w
+        for end in (Fraction(-17, 32), Fraction(17, 32))
+        for k in range(folds + 1)
+    )
+    assert len(bp) == len(exact_bp)
+    for got, want in zip(bp, exact_bp):
+        assert abs(got - want) <= 2 * Fraction(math.ulp(float(want)))
+    # Expanded at the float breakpoints, so only the rows' rounding shows.
+    mids = [(a + b) / 2 for a, b in zip(bp, bp[1:])]
+    for row, exact in zip(template.pieces, exact_template_rows(folds, bp[:-1], mids)):
+        scale = max(abs(c) for c in exact)
+        assert len(row) == len(exact)
+        assert max(abs(Fraction(c) - e) for c, e in zip(row, exact)) <= row_eps * EPS * scale
+
+    # The certificate, computed from the float rows, claims no more than
+    # the exact template: a plateau holding the exact one, [-1/2, 1/2]
+    # (where the exact template is 1), and a floor next to the exact 0.
+    # Floors measured: -13 eps at folds 3, -80 eps at folds 6, 0 at 8.
+    q0, q1, floor = template_plateau(template)
+    assert bp[q0] <= Fraction(-1, 2) and bp[q1] >= Fraction(1, 2)
+    assert -256 * EPS <= floor <= 0.0
+
+
+def test_every_dropped_band_cell_raises_uncovered_point():
+    # The README cover; a 2048-point sample of the bump total missed 12
+    # of these 86 drops.  A drop that uncovers band points must raise; a
+    # drop whose whole core lies below d_min_covered uncovers none.
+    cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=44)
+    d_center = distance_grid(cover.e, cover.centers)
+    half = 0.5 * cover.sides
+    d_far = np.maximum(
+        distance_grid(cover.e, cover.centers - half), distance_grid(cover.e, cover.centers + half)
+    )
+    raised = passed = 0
+    for drop in range(len(cover)):
+        keep = np.arange(len(cover)) != drop
+        broken = dataclasses.replace(
+            cover,
+            centers=cover.centers[keep],
+            sides=cover.sides[keep],
+            generations=cover.generations[keep],
+        )
+        if d_center[drop] >= cover.d_min_covered:
+            with pytest.raises(UncoveredPoint):
+                build_partition(broken, 8)
+            raised += 1
+        elif d_far[drop] < cover.d_min_covered:
+            build_partition(broken, 8)
+            passed += 1
+    assert passed >= 1 and raised + passed == len(cover)
+
+
+def test_build_partition_materializes_no_bump_and_no_piece():
+    cover = build_cover(CompactSet1D.from_points(list(CLUSTER_POINTS)), 1.0, max_generation=44)
+    part = build_partition(cover, 8)
+    assert isinstance(part.bumps, pou.PlacedBumps)
+    assert part.bumps._built == {} and part._pieces == {}
+    # Reading bump i builds bump i only, once: the template placed at (c, s).
+    bump = part.bumps[3]
+    assert list(part.bumps._built) == [3] and part.bumps[3] is bump
+    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, 8))
+    c, s = float(cover.centers[3]), float(cover.sides[3])
+    assert raw(bump.breakpoints) == raw(c + s * template._bp)

@@ -222,6 +222,23 @@ def test_kappa_grid_entries_are_bitwise_the_scalar_calls(w):
     assert [v.hex() for v in grid_vals] == [kappa_transform(w, float(t)).hex() for t in ts]
 
 
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.5])
+def test_kappa_of_a_weight_vanishing_on_the_first_panels_matches_mpmath(t):
+    # w(s) = max(0, log s)^2 vanishes for s <= 1, so below t = 1 the
+    # first panels add exactly zero; that must not pass for convergence.
+    # Oracle: kappa(t) = int_{v >= 0} w(t e^v) e^-v dv by mpmath
+    # quadrature at 30 digits, split where the integrand starts.  The
+    # Simpson panels straddle that kink; the measured relative error is
+    # 3e-6 at t = 0.01, 4e-7 at 0.1 and 5e-8 at 0.5.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        start = -mpmath.log(t)
+        want = mpmath.quad(lambda v: (v - start) ** 2 * mpmath.exp(-v), [start, mpmath.inf])
+    got = kappa_transform(WeightFunction.log_power(2.0), t)
+    assert got == pytest.approx(float(want), rel=1e-5)
+
+
 # -- classification -----------------------------------------------------
 
 

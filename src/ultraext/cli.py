@@ -21,7 +21,6 @@ negative control was requested and confirmed, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -216,13 +215,27 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+# _cell of the exact types a product column holds: float.__repr__ is
+# repr(float(v)) for a float or numpy float64, int.__repr__ and
+# bool.__repr__ are str(v).
+_FORMATS = {
+    float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, bool: bool.__repr__
+}
+
+
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+    """CSV text of equal-length rows, byte for byte what csv.writer writes.
+
+    No header name and no _cell holds a comma, quote or newline, so no
+    field is quoted.  A column whose entries share one type of _FORMATS
+    is formatted by one map of that type's repr, any other by _cell.
+    """
+    columns = []
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        fmt = _FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(fmt or _cell, col))
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
 def _build_set(doc: dict, where: str) -> CompactSet1D:

@@ -64,6 +64,10 @@ class DegenerateSupport(UltraextError):
     """Bump support would be empty or have zero margin."""
 
 
+class CoverOverlap(UltraextError):
+    """An expanded cover interval reaches the center of a neighbouring one."""
+
+
 class UncoveredPoint(UltraextError):
     """A point inside the claimed region is not covered by the partition."""
 

@@ -34,13 +34,14 @@ from .errors import (
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
 from .partition_of_unity import Partition, build_partition
 from .seq_calculus import QUOTIENT_TIE_SLACK, WeightSequence, counting_index, log_h_function
-from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly
+from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly, taylor_vectors
 from .whitney_geometry import (
     EXPANSION,
     WhitneyCover,
     build_cover,
     distance_and_nearest,
     distance_grid,
+    distances_and_nearest,
     sorted_unique,
 )
 
@@ -280,6 +281,17 @@ def _nearest_base_point(jet: UltraJet, y: float) -> float:
     return min(jet.base_points, key=lambda p: (abs(p - y), p))
 
 
+def _anchor_indices(jet: UltraJet, hats: np.ndarray) -> np.ndarray:
+    """Index in jet.base_points of _nearest_base_point at each entry of hats.
+
+    The rule runs once per distinct nearest set point (at most two per
+    component), and np.searchsorted maps every entry to its point.
+    """
+    points = sorted_unique(hats)
+    index = [jet.base_points.index(_nearest_base_point(jet, y)) for y in points.tolist()]
+    return np.array(index, dtype=int)[np.searchsorted(points, hats)]
+
+
 @dataclass(frozen=True)
 class ExtensionFunction:
     """The glued extension and everything needed to evaluate and audit it.
@@ -409,6 +421,22 @@ def _check_region(f: ExtensionFunction, x: float) -> float:
     return d
 
 
+def _shared_center_difference(
+    t_i: TaylorPolynomial, t_ref: TaylorPolynomial
+) -> TaylorPolynomial | None:
+    """t_i - t_ref for two truncations of one derivative row; None if zero.
+
+    They differ exactly in the tail entries, so the difference is a
+    sparse polynomial whose evaluation never cancels.
+    """
+    a, b = t_i.derivs, t_ref.derivs
+    lo = min(len(a), len(b))
+    tail = a[lo:] if len(a) > len(b) else tuple(-v for v in b[lo:])
+    if all(v == 0.0 for v in tail):
+        return None
+    return TaylorPolynomial(t_i.center, (0.0,) * lo + tail)
+
+
 def _difference_derivatives(
     t_i: TaylorPolynomial,
     t_ref: TaylorPolynomial,
@@ -418,22 +446,17 @@ def _difference_derivatives(
 ) -> list[float] | None:
     """Derivatives 0..order of t_i - t_ref at x; None if exactly zero.
 
-    Truncations of one derivative row at a shared center differ exactly
-    in the tail entries, so the difference is a sparse polynomial whose
-    evaluation never cancels, and None marks one that vanishes.  On
-    distinct centers the values are subtracted (ref_vals is the vector
-    of t_ref at x), which is safe only where the polynomials are
-    genuinely different (anchors change on shallow zones between set
-    components, where the bump derivatives stay moderate).
+    On a shared center the difference is _shared_center_difference's,
+    and None marks one that vanishes.  On distinct centers the values
+    are subtracted (ref_vals is the vector of t_ref at x), which is safe
+    only where the polynomials are genuinely different (anchors change
+    on shallow zones between set components, where the bump derivatives
+    stay moderate).
     """
     if t_i.center != t_ref.center:
         return [v - r for v, r in zip(t_i.derivatives(x, order), ref_vals)]
-    a, b = t_i.derivs, t_ref.derivs
-    lo = min(len(a), len(b))
-    tail = a[lo:] if len(a) > len(b) else tuple(-v for v in b[lo:])
-    if all(v == 0.0 for v in tail):
-        return None
-    return TaylorPolynomial(t_i.center, (0.0,) * lo + tail).derivatives(x, order)
+    diff = _shared_center_difference(t_i, t_ref)
+    return None if diff is None else diff.derivatives(x, order)
 
 
 class _PhiVectors(dict):
@@ -460,21 +483,22 @@ def _members(f: ExtensionFunction, x: float) -> tuple[list[int], int]:
     return members, int(inside[0]) if len(inside) else members[0]
 
 
-def _deviation_derivatives(rows: list, n: int, width: int) -> np.ndarray:
+def _deviation_derivatives(owners, diffs, phis, n: int, width: int) -> np.ndarray:
     """Derivatives 0..width-1 of (sum_i phi_i T_i) - t_ref at n points.
 
     Since the phi_i sum to one on the band, the deviation is
-    sum_i phi_i (T_i - t_ref).  A row is (point, a member's nonzero
-    difference vector against t_ref, its phi vector).  The product rule
-    runs column-wise over all rows in the scalar loop's order, which it
-    matches bit for bit: entry a sums comb(a, b) * phi[a - b] * diff[b]
-    from 0.0 for b = 0..a in turn, then np.add.at adds a point's rows
-    to its output in the order given.  Only + and * run here, which
-    numpy rounds as Python does (no log or exp, which must stay libm's).
+    sum_i phi_i (T_i - t_ref).  Row r of diffs is a member's nonzero
+    difference vector against t_ref at point owners[r], and row r of
+    phis its phi vector.  The product rule runs column-wise over all
+    rows in the scalar loop's order, which it matches bit for bit: entry
+    a sums comb(a, b) * phi[a - b] * diff[b] from 0.0 for b = 0..a in
+    turn, then np.add.at adds a point's rows to its output in the order
+    given.  Only + and * run here, which numpy rounds as Python does (no
+    log or exp, which must stay libm's).
     """
     out = np.zeros((n, width))
-    if rows:
-        owners, diffs, phis = (np.array(v) for v in zip(*rows))
+    if len(owners):
+        diffs, phis = np.asarray(diffs), np.asarray(phis)
         acc = np.zeros(diffs.shape)
         for b in range(width):
             combs = np.array([math.comb(a, b) for a in range(b, width)], dtype=float)
@@ -497,12 +521,13 @@ def _glued_derivatives(
     the Taylor polynomial of the interval holding x (_members).
     """
     ref_vals = t_ref.derivatives(x, order)
-    rows = []
+    diffs, rows = [], []
     for i in members:
         dvals = _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
         if dvals is not None:
-            rows.append((0, dvals, phis[i]))
-    out = _deviation_derivatives(rows, 1, order + 1)[0]
+            diffs.append(dvals)
+            rows.append(phis[i])
+    out = _deviation_derivatives([0] * len(rows), diffs, rows, 1, order + 1)[0]
     out += ref_vals
     return out
 
@@ -720,6 +745,16 @@ def _finish_check(
     )
 
 
+def _groups(keys: np.ndarray):
+    """(key, ascending indices of its entries) per distinct key, keys ascending."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    bounds = np.flatnonzero(np.diff(keys)) + 1
+    for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [keys.size]):
+        if lo < hi:
+            yield int(keys[lo]), order[lo:hi]
+
+
 def _libm(fn, values: np.ndarray) -> np.ndarray:
     """fn (math.log or math.exp) per entry: numpy's own round differently on some inputs."""
     return np.fromiter(map(fn, values.tolist()), float, values.size)
@@ -754,15 +789,29 @@ def verify_bounds(
     all orders, no per-order refit).  Failures are entries in the
     report, not exceptions, so a degenerate plan can be audited.
 
-    Phase 1 walks the samples and fills (samples x orders) tables
-    with the vectors of t_x (the sample's Taylor polynomial), its jet
-    row, dev_x (the glued sum minus t_x) and the glued sum, and a pair
-    table with each (sample, member) difference vector against t_x and
-    the member's d_i, decay value and settled flag.  Phase 2 computes
-    every check from the tables with elementwise array arithmetic in the
-    operation order of a per-sample loop, bit for bit: subtraction, abs,
-    minimum and fmax are the scalar operations, and log and exp stay
-    libm's (math.log and math.exp per entry, _libm).
+    Phase 1 fills (samples x orders) tables with the vectors of t_x
+    (the sample's Taylor polynomial), its jet row, dev_x (the glued sum
+    minus t_x) and the glued sum, and a pair table with each (sample,
+    member) difference vector against t_x and the member's d_i, decay
+    value and settled flag.  It runs as array passes over the whole
+    sample set, bitwise equal to a per-sample walk: distances and
+    nearest set points by distances_and_nearest, anchors by one
+    _nearest_base_point call per distinct nearest point, and members
+    by WhitneyCover.window_memberships, which tests only the two
+    intervals whose centers bracket a sample.  That window holds because
+    no expanded interval reaches a neighbouring center (sorted centers,
+    disjoint cells, the 9/8 expansion); it is checked once per call and
+    CoverOverlap raised if it fails.  Shared center, valuation and
+    vanishing are decided once per distinct (T_i, t_x) pair; the t_x
+    vectors and the difference rows that do not vanish come from one
+    Horner pass over all rows and orders (taylor_vectors).  Only the phi
+    vectors of those rows, and the samples glued around a t_ref other
+    than t_x (_glued_derivatives), are computed per point.
+
+    Phase 2 computes every check from the tables with elementwise array
+    arithmetic in the operation order of a per-sample loop, bit for bit:
+    subtraction, abs, minimum and fmax are the scalar operations, and
+    log and exp stay libm's (math.log and math.exp per entry, _libm).
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -794,77 +843,89 @@ def verify_bounds(
     near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
     growth_log = np.array(f.growth_row_log[:width])
 
-    # Phase 1.  Per sample, the anchor and local degree of t_x.  The
-    # samples sharing both get their t_x vectors from one array
-    # evaluation per order, bitwise equal to the scalar one.
+    # Phase 1, geometry: distance, nearest set point and anchor of every
+    # sample, then the degree of t_x, one polynomial per distinct anchor
+    # and degree, and the t_x vectors of all samples from one Horner pass.
     xs_list = xs.tolist()
-    ds_list: list[float] = []
-    anchors: list[float] = []
-    for x in xs_list:
-        d, xhat = distance_and_nearest(f.jet.e, x)
-        ds_list.append(d)
-        anchors.append(_nearest_base_point(f.jet, xhat))
-    ds = np.array(ds_list)
-    wants_arr, at_cut = _requested_degrees(f.degree_row, ld, ds)
+    ds, hats = distances_and_nearest(f.jet.e, xs)
+    anchor_ix = _anchor_indices(f.jet, hats)
+    wants, at_cut = _requested_degrees(f.degree_row, ld, ds)
     cutoff_hits = int(np.count_nonzero(at_cut))
-    wants = wants_arr.tolist()
-    degs = np.minimum(wants_arr, f.jet.alpha_max).tolist()
-    groups: dict[tuple[float, int], list[int]] = {}
-    for k, key in enumerate(zip(anchors, degs)):
-        groups.setdefault(key, []).append(k)
-    tx = np.empty((n, width))
-    jet_tab = np.empty((n, width))
-    sample_poly: list = [None] * n
-    for (anchor, deg), idx in groups.items():
-        t_x = taylor_poly(f.jet, anchor, deg)
-        for a in range(width):
-            tx[idx, a] = t_x.derivative(a)(xs[idx])
-        jet_tab[idx] = f.jet.rows[f.jet.base_points.index(anchor)][:width]
-        for k in idx:
-            sample_poly[k] = t_x
+    degs = np.minimum(wants, f.jet.alpha_max)
+    # A Taylor polynomial's key: anchor index * (alpha_max + 1) + degree.
+    span = f.jet.alpha_max + 1
+    sample_key = anchor_ix * span + degs
+    interval_key = np.searchsorted(f.jet.base_points, f.anchors) * span + np.asarray(f.degrees)
+    polys: list[TaylorPolynomial] = []  # t_x of each key among the samples
+    group = np.empty(n, dtype=int)
+    for key, idx in _groups(sample_key):
+        a_ix, deg = divmod(key, span)
+        group[idx] = len(polys)
+        polys.append(taylor_poly(f.jet, f.jet.base_points[a_ix], deg))
+    tx = taylor_vectors(polys, group, xs, cap)
+    jet_tab = np.array(f.jet.rows)[anchor_ix, :width]
     lh_near, near_ok = _log_decay(f.degree_row, _libm(math.log, 3.0 * ld * ds))
     lh_resid, resid_ok = _log_decay(f.residual_row, _libm(math.log, k3 * ld * ds))
 
-    zeros = [0.0] * width
-    pair_k: list[int] = []
-    pair_i: list[int] = []
-    pair_diffs: list = []  # zeros where a difference vanishes
-    live: list = []  # (sample, difference vector, phi vector) where it does not
-    other_ref: list[int] = []  # samples glued around a t_ref other than t_x
-    other_glued: list = []
-    capped: list[bool] = []
-    for k, x in enumerate(xs_list):
-        t_x = sample_poly[k]
-        tx_vals = tx[k].tolist()
-        members, ref = _members(f, x)
-        phis = _PhiVectors(f.partition, x, cap)
-        for i in members:
-            t_i = f.taylors[i]
-            if t_i.center == t_x.center:
-                val_pairs += 1
-                if not _valuation_oks(f.jet, t_x.center, t_i, t_x):
-                    val_ok = False
-            dvals = _difference_derivatives(t_i, t_x, tx_vals, x, cap)
-            if dvals is not None:
-                live.append((k, dvals, phis[i]))
-            pair_k.append(k)
-            pair_i.append(i)
-            pair_diffs.append(zeros if dvals is None else dvals)
-        t_ref = f.taylors[ref]
-        if t_ref != t_x:
-            other_ref.append(k)
-            other_glued.append(_glued_derivatives(f, x, cap, members, phis, t_ref))
-        # The residual estimate presumes the local degrees actually reach
-        # what the distance asks for; once the stored jet order caps them
-        # the sum decays polynomially, not at the profile rate.
-        capped.append(degs[k] < wants[k] or any(f.degrees[i] < f.requested[i] for i in members))
-    pair_k, pair_i = np.array(pair_k, dtype=int), np.array(pair_i, dtype=int)
-    diffs = np.reshape(pair_diffs, (len(pair_diffs), width))
+    # Membership: the (sample, member) pairs in member order, and the
+    # reference interval of each sample (_members' rule).
+    cand, inside, expanded = f.cover.window_memberships(xs)
+    slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
+    ref = cand[np.arange(n), slot]
+    pair_k, pair_slot = np.nonzero(expanded)
+    pair_i = cand[pair_k, pair_slot]
 
-    dev = _deviation_derivatives(live, n, width)
-    # Where t_ref is t_x the glued sum is t_x plus dev_x.
+    # Pairs: shared center, valuation and vanishing are decided once per
+    # distinct (T_i, t_x).  The difference rows that do not vanish come
+    # from one Horner pass over the sparse difference, or over T_i less
+    # t_x where the centers differ (_difference_derivatives' two cases);
+    # a vanishing row stays zero.
+    diff_polys: list[TaylorPolynomial] = []
+    which = np.full(pair_k.size, -1)
+    apart = np.zeros(pair_k.size, dtype=bool)  # centers differ
+    for _, sel in _groups(interval_key[pair_i] * len(polys) + group[pair_k]):
+        t_i, t_x = f.taylors[pair_i[sel[0]]], polys[group[pair_k[sel[0]]]]
+        if t_i.center != t_x.center:
+            apart[sel] = True
+            poly = t_i
+        else:
+            val_pairs += sel.size
+            val_ok = _valuation_oks(f.jet, t_x.center, t_i, t_x) and val_ok
+            poly = _shared_center_difference(t_i, t_x)
+        if poly is not None:
+            which[sel] = len(diff_polys)
+            diff_polys.append(poly)
+    live = which >= 0
+    live_k, live_i = pair_k[live], pair_i[live]
+    diffs = np.zeros((pair_k.size, width))
+    if diff_polys:
+        rows = taylor_vectors(diff_polys, which[live], xs[live_k], cap)
+        rows[apart[live]] -= tx[live_k[apart[live]]]
+        diffs[live] = rows
+    phis = [
+        f.partition.derivatives(i, xs_list[k], cap)
+        for k, i in zip(live_k.tolist(), live_i.tolist())
+    ]
+    dev = _deviation_derivatives(live_k, diffs[live], phis, n, width)
+
+    # Where t_ref is t_x the glued sum is t_x plus dev_x; the other
+    # samples are glued around t_ref, reusing their phi vectors.
     glued = dev + tx
-    glued[other_ref] = np.reshape(other_glued, (len(other_ref), width))
+    other = interval_key[ref] != sample_key
+    known: dict[int, dict] = {}
+    for k, i, vec in zip(live_k.tolist(), live_i.tolist(), phis):
+        if other[k]:
+            known.setdefault(k, {})[i] = vec
+    for k in np.flatnonzero(other).tolist():
+        phi_k = _PhiVectors(f.partition, xs_list[k], cap)
+        phi_k.update(known.get(k, {}))
+        members = cand[k][expanded[k]].tolist()
+        glued[k] = _glued_derivatives(f, xs_list[k], cap, members, phi_k, f.taylors[ref[k]])
+    # The residual estimate presumes the local degrees actually reach
+    # what the distance asks for; once the stored jet order caps them
+    # the sum decays polynomially, not at the profile rate.
+    interval_capped = np.asarray(f.degrees) < np.asarray(f.requested)
+    capped = (degs < wants) | (expanded & interval_capped[cand]).any(axis=1)
 
     # Phase 2: the checks, column-wise over the tables.  A check reads
     # the entries marked in `used`; its tables are dropped once its
@@ -926,7 +987,7 @@ def verify_bounds(
         finish(name, ratios, ds, skipped, used, fitted=fitted, alpha_profile=slope_profile(env))
         return fitted
 
-    rows = (resid_ok & ~np.array(capped, dtype=bool))[:, None]
+    rows = (resid_ok & ~capped)[:, None]
     pos, logs = _log_abs(np.where(rows, dev, 0.0))
     raw = np.where(pos, logs - (growth_log + lh_resid[:, None]), -np.inf)
     m1 = terminal("residual_decay", raw, width * int(np.count_nonzero(~rows)), rows)
@@ -938,7 +999,7 @@ def verify_bounds(
         alpha_cap=cap,
         fitted_m=m,
         fitted_m1=m1,
-        degree_cap_hits=int(np.count_nonzero(np.array(degs) < wants)),
+        degree_cap_hits=int(np.count_nonzero(degs < wants)),
         degree_cutoff_hits=cutoff_hits,
         valuation_pairs=val_pairs,
         valuation_ok=val_ok,

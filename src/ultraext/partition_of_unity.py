@@ -337,6 +337,39 @@ class PlacedBumps(Sequence):
         return got
 
 
+def _live_bumps(
+    breakpoints: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """Per refinement piece, the bumps whose closed support holds its midpoint.
+
+    That is the test piece_index makes.  Bump i covers the pieces from
+    the first midpoint >= starts[i] to the last one <= ends[i]; the
+    (piece, bump) pairs are sorted by piece with a stable sort, so each
+    piece lists its bumps ascending, the summation order.  Runs of
+    pieces with one live set share one tuple, placed by an object-array
+    gather rather than a Python int per piece.
+    """
+    mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    firsts = np.searchsorted(mids, starts, side="left")
+    counts = np.maximum(np.searchsorted(mids, ends, side="right") - firsts, 0)
+    owners = np.repeat(np.arange(counts.size), counts)
+    pieces = np.arange(owners.size) + np.repeat(firsts - (np.cumsum(counts) - counts), counts)
+    order = np.argsort(pieces, kind="stable")
+    owners, pieces = owners[order], pieces[order]
+    per = np.bincount(pieces, minlength=mids.size)
+    table = np.full((mids.size, int(per.max(initial=0))), -1)
+    table[pieces, np.arange(owners.size) - np.repeat(np.cumsum(per) - per, per)] = owners
+    new = np.ones(mids.size, dtype=bool)
+    new[1:] = (table[1:] != table[:-1]).any(axis=1)
+    runs = np.flatnonzero(new)
+    sets = np.fromiter(
+        (tuple(row[:k]) for row, k in zip(table[runs].tolist(), per[runs].tolist())),
+        object,
+        runs.size,
+    )
+    return tuple(sets[np.cumsum(new) - 1].tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Normalized bump family phi_i = psi_i / sum_j psi_j.
@@ -377,21 +410,12 @@ class Partition:
             starts = [b._bp[0] for b in bumps]
             ends = [b._bp[-1] for b in bumps]
         all_bp = sorted_unique(flat)
-        mids = 0.5 * (all_bp[:-1] + all_bp[1:])
-        # Pieces whose midpoint lies in the closed support, the test
-        # piece_index makes; ascending i keeps the summation order.
-        firsts = np.searchsorted(mids, starts, side="left").tolist()
-        stops = np.searchsorted(mids, ends, side="right").tolist()
-        live: list = [[] for _ in range(mids.size)]
-        for i, (lo, hi) in enumerate(zip(firsts, stops)):
-            for j in range(lo, hi):
-                live[j].append(i)
         return cls(
             folds=int(folds),
             bumps=bumps,
             cover=cover,
             breakpoints=all_bp,
-            piece_active=tuple(map(tuple, live)),
+            piece_active=_live_bumps(all_bp, np.asarray(starts), np.asarray(ends)),
         )
 
     def piece(self, j: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:

@@ -41,10 +41,9 @@ class TaylorPolynomial:
     values instead of multiplying coefficients, so the alpha-th
     derivative at the center reproduces derivs[alpha] bit-exactly.
 
-    A scalar argument (a Python float or int, or a numpy float64) runs a
-    pure-float Horner loop that performs the array path's operations in
-    the same order, acc = derivs[m] + acc * dy / (m + 1.0), so p(y) is
-    bit-identical to p(np.array([y]))[0].
+    p(y) takes a float (or int) and runs the Horner loop acc = derivs[m]
+    + acc * dy / (m + 1.0) on Python floats; taylor_vectors is its array
+    form, bit for bit.
     """
 
     center: float
@@ -65,21 +64,13 @@ class TaylorPolynomial:
         """Monomial coefficients in powers of (y - center)."""
         return tuple(d / math.factorial(m) for m, d in enumerate(self.derivs))
 
-    def __call__(self, y):
-        if isinstance(y, (float, int)):
-            derivs = self.derivs
-            dy = float(y) - self.center
-            acc = derivs[-1]
-            for m in range(len(derivs) - 2, -1, -1):
-                acc = derivs[m] + acc * dy / (m + 1.0)
-            return float(acc)
-        ys = np.asarray(y, dtype=float)
-        scalar = ys.ndim == 0
-        dy = np.atleast_1d(ys) - self.center
-        acc = np.full_like(dy, self.derivs[-1])
-        for m in range(self.degree - 1, -1, -1):
-            acc = self.derivs[m] + acc * dy / (m + 1.0)
-        return float(acc[0]) if scalar else acc
+    def __call__(self, y: float) -> float:
+        derivs = self.derivs
+        dy = float(y) - self.center
+        acc = derivs[-1]
+        for m in range(len(derivs) - 2, -1, -1):
+            acc = derivs[m] + acc * dy / (m + 1.0)
+        return float(acc)
 
     def derivative(self, alpha: int = 1) -> "TaylorPolynomial":
         if alpha < 0:
@@ -93,6 +84,34 @@ class TaylorPolynomial:
     def derivatives(self, y: float, order: int) -> list[float]:
         """[T^(b)(y) for b = 0..order], each bitwise equal to derivative(b)(y)."""
         return [self.derivative(b)(y) for b in range(order + 1)]
+
+
+def taylor_vectors(
+    polys: Sequence[TaylorPolynomial], which: np.ndarray, ys: np.ndarray, order: int
+) -> np.ndarray:
+    """Row r is polys[which[r]].derivatives(ys[r], order), bit for bit.
+
+    One Horner pass runs over all rows and orders at once.  Entry (r, b)
+    performs the scalar loop of derivative(b): it starts from the last
+    stored value (0.0 past the degree) and runs acc = derivs[b + m] +
+    acc * dy / (m + 1.0) for m from the degree of derivative(b) minus
+    one down to 0; np.where holds an entry once its loop has ended.
+    """
+    width = order + 1
+    lens = np.array([len(p.derivs) for p in polys])
+    table = np.zeros((len(polys), int(lens.max()) + width))
+    for g, p in enumerate(polys):
+        table[g, : lens[g]] = p.derivs
+    centers = np.array([p.center for p in polys])
+    dy = (np.asarray(ys, dtype=float) - centers[which])[:, None]
+    coeffs = table[which]
+    steps = (lens[which] - 1)[:, None] - np.arange(width)  # degree of derivative(b)
+    acc = np.where(steps >= 0, table[which, lens[which] - 1][:, None], 0.0)
+    # A held entry may overflow; Python's float loop raises on nothing either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(int(steps.max(initial=0)) - 1, -1, -1):
+            acc = np.where(m < steps, coeffs[:, m : m + width] + acc * dy / (m + 1.0), acc)
+    return acc
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import EmptyCover
+from .errors import CoverOverlap, EmptyCover
 
 EXPANSION = 9.0 / 8.0
 
@@ -78,6 +78,26 @@ def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
             d, p = 0.0, x
         if d < best_d:
             best_d, best_p = d, p
+    return best_d, best_p
+
+
+def distances_and_nearest(e: CompactSet1D, xs) -> tuple[np.ndarray, np.ndarray]:
+    """distance_and_nearest at every entry of xs, bit for bit.
+
+    The components are visited in order and a later one replaces the
+    nearest point only at a strictly smaller distance, as in the scalar
+    loop, so ties go to the smaller coordinate.  The distances are
+    distance_grid's.
+    """
+    xs = np.asarray(xs, dtype=float)
+    best_d = np.full(xs.shape, np.inf)
+    best_p = np.full(xs.shape, np.nan)
+    for a, b in e.components:
+        left, right = xs < a, xs > b
+        d = np.where(left, a - xs, np.where(right, xs - b, 0.0))
+        closer = d < best_d
+        best_d[closer] = d[closer]
+        best_p[closer] = np.where(left, a, np.where(right, b, xs))[closer]
     return best_d, best_p
 
 
@@ -167,6 +187,39 @@ class WhitneyCover:
             np.nonzero(gap <= 0.5 * self.sides)[0],
             np.nonzero(gap <= self.expanded_halfwidths())[0],
         )
+
+    def window_memberships(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """memberships at many points, with no (points x intervals) table.
+
+        Returns (candidates, inside, expanded), each of shape (len(xs), 2):
+        the candidates of x are the intervals j - 1 and j whose centers
+        bracket it, j = searchsorted(centers, x), and the masks are
+        memberships' tests on them (false out of range), members ascending.
+
+        The window is complete when no expanded interval reaches the
+        center of a neighbour.  On a cover of build_cover that follows
+        from sorted centers, disjoint cells, side <= d(center) < 2.5 side
+        and the 9/8 expansion: a neighbour k within 9/16 s_i of center i
+        has d(c_k) >= 7/16 s_i, so s_k > 7/40 s_i, yet disjoint cells put
+        it (s_i + s_k) / 2 > 0.5875 s_i away.  The condition is checked on
+        the float centers and halfwidths, so it holds for the float tests;
+        CoverOverlap if it fails (a wider expansion can break it).
+        """
+        xs = np.asarray(xs, dtype=float)
+        half = self.expanded_halfwidths()
+        gaps = np.diff(self.centers)
+        if not ((gaps > half[:-1]) & (gaps > half[1:])).all():
+            raise CoverOverlap(
+                "an expanded interval reaches a neighbouring center; the"
+                " two-interval window would miss members"
+            )
+        j = np.searchsorted(self.centers, xs, side="left")
+        pair = np.stack([j - 1, j], axis=-1)
+        valid = (pair >= 0) & (pair < len(self.centers))
+        pair = np.clip(pair, 0, len(self.centers) - 1)
+        gap = np.abs(xs[..., None] - self.centers[pair])
+        inside = valid & (gap <= (0.5 * self.sides)[pair])
+        return pair, inside, valid & (gap <= half[pair])
 
 
 def build_cover(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultraext.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, _uniform_stream, main
+from ultraext.cli import (
+    EXIT_ERROR,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    _cell,
+    _csv_text,
+    _uniform_stream,
+    main,
+)
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -326,12 +335,28 @@ CLUSTER_SHA256 = {
     "extension_samples.csv": "53ba6a24fab07a570d101ed34b63fa14527c5c092b1624bf69c999be65260121",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
+# The benchmark's audit_dense config: one point, a 2000-sample audit and
+# a 400-point sample trace.
+DENSE_EXTEND = dict(
+    GOLDEN_EXTEND,
+    jet=dict(GOLDEN_EXTEND["jet"], set={"points": [0.0]}),
+    run={"samples": 2000, "alpha_cap": 8, "csv_samples": 400},
+)
+DENSE_SHA256 = {
+    "bound_report.json": "b751d2f23b4b4d429826ff8a9451f911c11f265352a39763d1e054460f2dac7e",
+    "extension_samples.csv": "81ba35613ef6a705afde53a71e9fc5f0eb56c7142b363bbab542b4a14df8bcfb",
+    "boundary_limits.csv": "6ca8ae156c53aa9d9206421ff1d795fa03d3dffc5253feb710dce6ab5f220963",
+}
 
 
 @pytest.mark.parametrize(
     "config, digests",
-    [(GOLDEN_EXTEND, GOLDEN_SHA256), (CLUSTER_EXTEND, CLUSTER_SHA256)],
-    ids=["two_points", "cluster"],
+    [
+        (GOLDEN_EXTEND, GOLDEN_SHA256),
+        (CLUSTER_EXTEND, CLUSTER_SHA256),
+        (DENSE_EXTEND, DENSE_SHA256),
+    ],
+    ids=["two_points", "cluster", "dense"],
 )
 def test_extend_products_match_golden_digests(tmp_path, config, digests):
     cfg = write_config(tmp_path, config)
@@ -476,6 +501,28 @@ def test_extend_fires_every_traced_layer(tmp_path, monkeypatch):
         code = main(["extend", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     tracing.check_fired(rec)
+
+
+def test_csv_text_matches_csv_writer():
+    # The products' CSV is joined by hand; csv.writer with the same cells
+    # is the reference, on every kind of value a product row holds, in
+    # columns of one type (float, numpy float64, int, bool) and mixed ones.
+    f64 = np.float64
+    rows = [
+        (math.nan, 0, f64(math.nan), True, -math.inf, np.int64(-3)),
+        (math.inf, -3, f64(-0.0), False, 0, np.int64(0)),
+        (5e-324, 2**70, f64(5e-324), True, f64(1.0 / 3.0), True),
+        (-0.0, 7, f64(-math.inf), False, np.int64(9), 0.1),
+        (-1.5e300, 1, f64(1e-300), True, False, 2),
+    ]
+    header = ("x", "alpha", "derivative", "flag", "mixed", "more")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    assert _csv_text(header, rows) == buf.getvalue()
+    assert _csv_text(header, []) == "x,alpha,derivative,flag,mixed,more\n"
 
 
 # 2**128 + 5 has five 32-bit words, one more than the seeding pool.

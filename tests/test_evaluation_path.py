@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext import extension_engine
-from ultraext.errors import OrderOverflow, OutsideRegion
+from ultraext.errors import CoverOverlap, OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
+    _anchor_indices,
     _difference_derivatives,
     _exp_where,
     _finish_check,
@@ -41,9 +42,14 @@ from ultraext.extension_engine import (
 )
 from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
 from ultraext.seq_calculus import QUOTIENT_TIE_SLACK
-from ultraext.ultrajets import UltraJet, certify, taylor_poly
+from ultraext.ultrajets import TaylorPolynomial, UltraJet, certify, taylor_poly, taylor_vectors
 from ultraext.weight_functions import WeightFunction
-from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
+from ultraext.whitney_geometry import (
+    CompactSet1D,
+    distance_and_nearest,
+    distance_grid,
+    distances_and_nearest,
+)
 
 
 # The per-point helpers of the scalar audit, kept as its oracle: one
@@ -534,3 +540,71 @@ def test_two_point_audit_changes_anchor_and_reference(extensions):
         other_ref += f.taylors[parent_reference_index(f, x)] != t_x
     assert anchors == {0.0, 0.23}
     assert other_ref > 0
+
+
+@pytest.mark.parametrize("name", ["one_point", "two_points", "cluster", "folds_12", "log_squared"])
+def test_array_lookup_matches_the_per_sample_lookup(extensions, name):
+    # The audit's whole-sample geometry against the scalar helpers it
+    # replaces, on every region sample: distances, nearest set points and
+    # anchors by float.hex, members and reference intervals exactly.
+    f = extensions[name]
+    xs = region_samples(f, 2000)
+    ds, hats = distances_and_nearest(f.jet.e, xs)
+    anchors = np.asarray(f.jet.base_points)[_anchor_indices(f.jet, hats)]
+    cand, inside, expanded = f.cover.window_memberships(xs)
+    grid = distance_grid(f.jet.e, xs)
+    for k, x in enumerate(xs.tolist()):
+        d, xhat = distance_and_nearest(f.jet.e, x)
+        assert (ds[k].hex(), grid[k].hex(), hats[k].hex()) == (d.hex(), d.hex(), xhat.hex())
+        assert anchors[k].hex() == _nearest_base_point(f.jet, xhat).hex()
+        want_in, want_ex = f.cover.memberships(x)
+        assert cand[k][inside[k]].tolist() == want_in.tolist()
+        assert cand[k][expanded[k]].tolist() == want_ex.tolist()
+        assert parent_reference_index(f, x) == (want_in.tolist() or want_ex.tolist())[0]
+
+
+def test_pair_classification_runs_once_per_distinct_pair(extensions, monkeypatch):
+    # On the README extension at 2000 samples the (sample, member) pairs
+    # fall on 26 distinct (T_i, t_x) pairs, every one on a shared center;
+    # each is classified once and counted once per (sample, member) pair.
+    f = extensions["one_point"]
+    calls = []
+    real = extension_engine._valuation_oks
+
+    def counted(jet, anchor, t_i, t_x):
+        calls.append((t_i, t_x))
+        return real(jet, anchor, t_i, t_x)
+
+    monkeypatch.setattr(extension_engine, "_valuation_oks", counted)
+    rep = verify_bounds(f, samples=2000)
+    assert len(calls) == len(set(calls)) == 26
+    assert rep.valuation_pairs == sum(
+        len(f.cover.memberships(x)[1]) for x in region_samples(f, 2000).tolist()
+    )
+
+
+def test_window_lookup_refuses_a_cover_it_cannot_serve(extensions):
+    # At expansion 1.9 an expanded interval reaches its neighbour's
+    # center, so the two-interval window could miss members.
+    cover = dataclasses.replace(extensions["one_point"].cover, expansion=1.9)
+    with pytest.raises(CoverOverlap):
+        cover.window_memberships(np.array([0.1]))
+
+
+@pytest.mark.parametrize("order", [0, 3, 8, 40])
+def test_taylor_vectors_are_the_scalar_derivative_vectors(extensions, order):
+    # Rows of mixed degree (0, 1 and 32), shared centers, derivative
+    # orders past the degree, and a difference polynomial with a -0.0 tail.
+    jet = extensions["two_points"].jet
+    polys = [
+        taylor_poly(jet, 0.0, 32),
+        taylor_poly(jet, 0.23, 0),
+        taylor_poly(jet, 0.23, 1),
+        TaylorPolynomial(0.0, (0.0, 0.0, 1e300, -0.0)),
+    ]
+    ys = np.array([0.01, -0.003, 0.25, 0.1, 1e-9, 0.2, 0.229, 0.3])
+    which = np.array([0, 0, 1, 2, 3, 3, 2, 0])
+    got = taylor_vectors(polys, which, ys, order)
+    for r, (g, y) in enumerate(zip(which.tolist(), ys.tolist())):
+        want = polys[g].derivatives(y, order)
+        assert [v.hex() for v in got[r].tolist()] == [v.hex() for v in want]

@@ -563,6 +563,26 @@ def test_partition_matches_scan_on_nested_and_shared_supports():
     assert_partition_matches_scan(part)
 
 
+def test_live_bumps_match_the_per_bump_slices():
+    # The array fill of piece_active against one support slice per bump
+    # (midpoints from the first >= start to the last <= end), on the
+    # 630-interval cover of the eight cluster points.
+    cover = build_cover(CompactSet1D.from_points(CLUSTER_POINTS), 1.0, max_generation=44)
+    part = build_partition(cover, 8)
+    bp = part.breakpoints
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    live = [[] for _ in range(mids.size)]
+    for i, row in enumerate(part.bumps.breakpoints):
+        lo = int(np.searchsorted(mids, row[0], side="left"))
+        hi = int(np.searchsorted(mids, row[-1], side="right"))
+        for j in range(lo, hi):
+            live[j].append(i)
+    assert part.piece_active == tuple(map(tuple, live))
+    assert type(part.piece_active) is tuple
+    assert {type(i) for act in part.piece_active for i in act} == {int}
+    assert {len(act) for act in part.piece_active} == {0, 1, 2}
+
+
 # Eight points with irregular, non-dyadic gaps, as in the extend_cluster
 # benchmark workload.
 CLUSTER_POINTS = (0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81)

@@ -18,6 +18,7 @@ from ultraext.whitney_geometry import (
     covered_sample_grid,
     distance_and_nearest,
     distance_grid,
+    distances_and_nearest,
     overlap_counts,
     sorted_unique,
     verify_eq14,
@@ -216,3 +217,25 @@ def test_sorted_unique_keeps_the_first_of_signed_zeros():
     for first, rest in ((-0.0, 0.0), (0.0, -0.0)):
         got = sorted_unique(np.array([1.0, first] + [rest, -1.0] * 100))
         assert [v.hex() for v in got.tolist()] == ["-0x1.0000000000000p+0", first.hex(), "0x1.0000000000000p+0"]
+
+
+@pytest.mark.parametrize(
+    "components, xs",
+    [
+        # Exact ties between two components, in-set points and the far ends.
+        (((0.0, 0.0), (1.0, 1.0)), [0.5, -0.25, 0.0, 1.0, 0.75, 2.0, -math.inf, math.inf, math.nan]),
+        (((-1.0, 0.0), (0.5, 2.0), (3.0, 3.0)), [0.25, 2.5, -2.0, -0.5, 1.0, 3.0, 2.75, 10.0]),
+        # 0.1 - 1e-300 rounds to 0.1: a rounding tie with the farther
+        # component, which the scalar loop settles toward 0.0.
+        (((0.0, 0.0), (1e-300, 1e-300)), [0.1, -0.1, 5e-301, 2e-300]),
+    ],
+)
+def test_distances_and_nearest_is_the_scalar_rule(components, xs):
+    e = CompactSet1D(components)
+    ds, ps = distances_and_nearest(e, np.array(xs))
+    grid = distance_grid(e, np.array(xs))
+    for x, d, p, g in zip(xs, ds.tolist(), ps.tolist(), grid.tolist()):
+        want_d, want_p = distance_and_nearest(e, x)
+        assert (d.hex(), p.hex()) == (want_d.hex(), want_p.hex()), x
+        if not math.isnan(x):
+            assert g.hex() == want_d.hex(), x

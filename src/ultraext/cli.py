@@ -215,27 +215,16 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-# _cell of the exact types a product column holds: float.__repr__ is
-# repr(float(v)) for a float or numpy float64, int.__repr__ and
-# bool.__repr__ are str(v).
-_FORMATS = {
-    float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, bool: bool.__repr__
-}
-
-
 def _csv_text(header, rows) -> str:
-    """CSV text of equal-length rows, byte for byte what csv.writer writes.
+    """CSV text of the rows, byte for byte what csv.writer writes.
 
     No header name and no _cell holds a comma, quote or newline, so no
-    field is quoted.  A column whose entries share one type of _FORMATS
-    is formatted by one map of that type's repr, any other by _cell.
+    field is quoted.
     """
-    columns = []
-    for col in zip(*rows):
-        kinds = set(map(type, col))
-        fmt = _FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-        columns.append(map(fmt or _cell, col))
-    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _build_set(doc: dict, where: str) -> CompactSet1D:

@@ -353,6 +353,12 @@ def assemble(
     build_partition, which certifies the bump total positive on the
     whole covered band from the template's plateau (no sampling) and
     raises UncoveredPoint where it cannot.
+
+    verify_bounds audits only a cover whose expanded intervals reach no
+    neighbouring center (WhitneyCover.window_memberships), and raises
+    CoverOverlap on any other.  The default 9/8 expansion always meets
+    that; a wider one may not (from 1.5 on a one-point set, from about
+    1.25 on the eight-point cluster), though evaluation still works.
     """
     if not plan.meets_threshold and not allow_degenerate:
         raise PlanInvalid(

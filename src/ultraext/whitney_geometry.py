@@ -82,22 +82,20 @@ def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
 
 
 def distances_and_nearest(e: CompactSet1D, xs) -> tuple[np.ndarray, np.ndarray]:
-    """distance_and_nearest at every entry of xs, bit for bit.
+    """distance_and_nearest at every entry of xs, bit for bit (NaN gives NaN).
 
     The components are visited in order and a later one replaces the
     nearest point only at a strictly smaller distance, as in the scalar
-    loop, so ties go to the smaller coordinate.  The distances are
-    distance_grid's.
+    loop, so ties go to the smaller coordinate.
     """
     xs = np.asarray(xs, dtype=float)
     best_d = np.full(xs.shape, np.inf)
     best_p = np.full(xs.shape, np.nan)
     for a, b in e.components:
-        left, right = xs < a, xs > b
-        d = np.where(left, a - xs, np.where(right, xs - b, 0.0))
-        closer = d < best_d
-        best_d[closer] = d[closer]
-        best_p[closer] = np.where(left, a, np.where(right, b, xs))[closer]
+        d = np.maximum(a - xs, xs - b)
+        np.maximum(d, 0.0, out=d)
+        np.copyto(best_p, np.clip(xs, a, b), where=d < best_d)
+        np.minimum(best_d, d, out=best_d)
     return best_d, best_p
 
 
@@ -118,12 +116,7 @@ def sorted_unique(values) -> np.ndarray:
 
 
 def distance_grid(e: CompactSet1D, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    out = np.full(xs.shape, np.inf)
-    for a, b in e.components:
-        d = np.maximum.reduce([a - xs, xs - b, np.zeros_like(xs)])
-        np.minimum(out, d, out=out)
-    return out
+    return distances_and_nearest(e, xs)[0]
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,10 @@ def build_cover(
     Cells touching the region are split until their side drops below the
     center distance; the survivors are mutually disjoint up to endpoints
     and cover every x with 3 * side_floor <= d(x) < r_cov, where
-    side_floor is the finest side the generation cap admits.
+    side_floor is the finest side the generation cap admits.  At an
+    expansion above 9/8 an expanded interval may reach a neighbouring
+    center, and window_memberships (so verify_bounds) then raises
+    CoverOverlap.
     """
     if not (r_cov > 0.0 and math.isfinite(r_cov)):
         raise ValueError("r_cov must be positive and finite")

@@ -13,6 +13,9 @@ BOUNDED = "bounded"
 GROWING = "growing"
 INCONCLUSIVE = "inconclusive"
 
+# Relative slack under which a dip still counts as monotone nondecreasing.
+_MONOTONE_SLACK = 1e-9
+
 
 def check_growth_tol(growth_tol: float) -> None:
     """Reject a growth tolerance under which no trend verdict means anything."""
@@ -25,7 +28,6 @@ def decade_trend(
     values,
     growth_tol: float = 1.05,
     decades: float = 2.0,
-    slack: float = 1e-9,
 ) -> tuple[str, float]:
     """Classify the tail of positive values sampled on a geometric grid.
 
@@ -58,11 +60,11 @@ def decade_trend(
         return BOUNDED, growth
     w = v[window]
     scale = float(np.abs(w).max())
-    monotone = bool(np.all(np.diff(w) >= -slack * (1.0 + scale)))
+    monotone = bool(np.all(np.diff(w) >= -_MONOTONE_SLACK * (1.0 + scale)))
     return (GROWING if monotone else INCONCLUSIVE), growth
 
 
-def range_trend(values, growth_tol: float = 1.05, slack: float = 1e-9) -> tuple[str, float]:
+def range_trend(values, growth_tol: float = 1.05) -> tuple[str, float]:
     """Quarter-based trend of a positive sequence over its index range.
 
     Compares the maximum over the last quarter against the previous
@@ -81,7 +83,7 @@ def range_trend(values, growth_tol: float = 1.05, slack: float = 1e-9) -> tuple[
     if growth <= growth_tol:
         return BOUNDED, growth
     tail = v[n // 2 :]
-    monotone = bool(np.all(np.diff(tail) >= -slack * (1.0 + np.abs(tail).max())))
+    monotone = bool(np.all(np.diff(tail) >= -_MONOTONE_SLACK * (1.0 + np.abs(tail).max())))
     return (GROWING if monotone else INCONCLUSIVE), growth
 
 

@@ -21,7 +21,6 @@ negative control was requested and confirmed, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -58,7 +57,6 @@ from .whitney_geometry import (
     EXPANSION,
     CompactSet1D,
     build_cover,
-    cover_to_csv,
     covered_sample_grid,
     distance_and_nearest,
     overlap_counts,
@@ -536,17 +534,7 @@ def cmd_extend(cfg: dict):
                 "xi": cert.xi,
                 "rate_trend": cert.rate_trend,
             },
-            "boundary": {
-                "a": bnd.a,
-                "alpha_cap": bnd.alpha_cap,
-                "steps": len(bnd.steps),
-                "floor_index": bnd.floor_index,
-                "floor_reason": bnd.floor_reason,
-                "decay_scale": bnd.decay_scale,
-                "fitted": list(bnd.fitted),
-                "nonincreasing": list(bnd.nonincreasing),
-                "ratio_trend": list(bnd.ratio_trend),
-            },
+            "boundary": bnd.to_json(),
         }
     )
 
@@ -595,8 +583,6 @@ def cmd_cover(cfg: dict):
     eq14 = verify_eq14(cover, xs)
     overlap = overlap_counts(cover, xs)
 
-    buf = io.StringIO()
-    cover_to_csv(cover, buf)
     summary = {
         "command": "cover-dump",
         "set": {"components": [list(c) for c in e.components]},
@@ -614,7 +600,11 @@ def cmd_cover(cfg: dict):
         },
         "max_overlap": int(overlap.max()) if len(overlap) else 0,
     }
-    files = {"cover.csv": buf.getvalue(), "cover_summary.json": _dump_json(summary)}
+    rows = zip(cover.centers, cover.sides, cover.generations)
+    files = {
+        "cover.csv": _csv_text(("center", "side", "generation"), rows),
+        "cover_summary.json": _dump_json(summary),
+    }
     code = EXIT_OK if eq14.ok else EXIT_INCONCLUSIVE
     line = (
         f"cover: intervals={len(cover.centers)} d_min={cover.d_min_covered:.3g} "

@@ -191,8 +191,6 @@ def make_plan(
     *,
     dilation: float | None = None,
     folds: int = 8,
-    envelope_base: float = 1.0,
-    k_cap: int | None = None,
 ) -> ExtensionPlan:
     """Derive a plan from a jet certificate and the regularized matrix.
 
@@ -208,10 +206,10 @@ def make_plan(
     if not regular.has(2.0 * xi) or not regular.has(4.0 * xi):
         raise MissingRow(f"plan needs rows at 2*xi={2 * xi} and 4*xi={4 * xi}")
     inter = interleave_matrix(regular, [2.0 * xi])
-    h = sandwich_H(regular, inter, 2.0 * xi, k_cap if k_cap is not None else regular.order)
-    # Degree rate of the smoothness budget: margin and window constants
-    # of the cover enter through A_2 = 2.5 and b_1 = 7/16.
-    k1 = 27.0 * 2.5 * float(envelope_base) * h / (7.0 / 16.0)
+    h = sandwich_H(regular, inter, 2.0 * xi, regular.order)
+    # Degree rate of the smoothness budget at envelope base 1: margin and
+    # window constants of the cover enter through A_2 = 2.5 and b_1 = 7/16.
+    k1 = 27.0 * 2.5 * h / (7.0 / 16.0)
     if dilation is None:
         dilation = 16.0 * rho
     theory = math.ceil(k1 * float(dilation))
@@ -338,7 +336,6 @@ def assemble(
     plan: ExtensionPlan,
     *,
     r_cov: float = 1.0,
-    expansion: float = EXPANSION,
     max_generation: int = 48,
     allow_degenerate: bool = False,
 ) -> ExtensionFunction:
@@ -352,13 +349,8 @@ def assemble(
     run is requested explicitly.  The partition comes from
     build_partition, which certifies the bump total positive on the
     whole covered band from the template's plateau (no sampling) and
-    raises UncoveredPoint where it cannot.
-
-    verify_bounds audits only a cover whose expanded intervals reach no
-    neighbouring center (WhitneyCover.window_memberships), and raises
-    CoverOverlap on any other.  The default 9/8 expansion always meets
-    that; a wider one may not (from 1.5 on a one-point set, from about
-    1.25 on the eight-point cluster), though evaluation still works.
+    raises UncoveredPoint where it cannot.  The cover uses the 9/8
+    expansion.
     """
     if not plan.meets_threshold and not allow_degenerate:
         raise PlanInvalid(
@@ -373,7 +365,7 @@ def assemble(
     value_row = interleave_matrix(matrix, [plan.xi]).full_log_row(plan.xi)
     growth_row = matrix.full_log_row(2.0 * plan.xi)
 
-    cover = build_cover(jet.e, r_cov, expansion, max_generation)
+    cover = build_cover(jet.e, r_cov, EXPANSION, max_generation)
     partition = build_partition(cover, plan.folds)
     s1 = math.exp(degree_row.log_values[1])
     d_max = min(
@@ -418,13 +410,12 @@ def assemble(
     )
 
 
-def _check_region(f: ExtensionFunction, x: float) -> float:
-    d, _ = distance_and_nearest(f.jet.e, x)
+def _check_region(f: ExtensionFunction, d: float) -> None:
+    """Refuse a distance d(x) outside the resolved band."""
     if d >= f.d_max:
         raise OutsideRegion(f"d(x)={d} is not below d_max={f.d_max}")
     if d < f.cover.d_min_covered:
         raise OutsideRegion(f"d(x)={d} lies below the resolved cover depth")
-    return d
 
 
 def _shared_center_difference(
@@ -546,7 +537,8 @@ def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
 
     Off the set, a call builds the whole vector 0..plan.folds at x once
     and keeps it in a one-slot store on f, so the per-order calls at one
-    point share it and a call at another off-set point replaces it.
+    point share it and a call at another off-set point replaces it.  The
+    store is read first: a call at the stored point does not scan the set.
     Entry alpha of that vector is bitwise the order-alpha vector's last
     entry: the Taylor vectors, Partition.derivatives and the product rule
     each compute entry a from entries <= a only.
@@ -554,18 +546,18 @@ def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
     if not 0 <= alpha <= f.plan.folds:
         raise OrderOverflow(f"order {alpha} exceeds the fold count {f.plan.folds}")
     x = float(x)
-    d, _ = distance_and_nearest(f.jet.e, x)
-    if d == 0.0:
-        try:
-            return f.jet.value(x, alpha)
-        except ValueError:
-            raise OutsideRegion(
-                f"x={x} lies on the set but is not a stored base point"
-            ) from None
     key = x.hex()
     vec = f._last.get(key)
     if vec is None:
-        _check_region(f, x)
+        d, _ = distance_and_nearest(f.jet.e, x)
+        if d == 0.0:
+            try:
+                return f.jet.value(x, alpha)
+            except ValueError:
+                raise OutsideRegion(
+                    f"x={x} lies on the set but is not a stored base point"
+                ) from None
+        _check_region(f, d)
         order = f.plan.folds
         members, ref = _members(f, x)
         phis = _PhiVectors(f.partition, x, order)
@@ -1072,19 +1064,11 @@ class BoundaryReport:
     decay_scale: float
 
     def to_json(self) -> dict:
+        """The summary in bound_report.json; the steps themselves go to a CSV."""
         return {
             "a": self.a,
             "alpha_cap": self.alpha_cap,
-            "steps": [
-                {
-                    "index": s.index,
-                    "x": s.x,
-                    "distance": s.distance,
-                    "decay": s.decay,
-                    "errors": list(s.errors),
-                }
-                for s in self.steps
-            ],
+            "steps": len(self.steps),
             "fitted": list(self.fitted),
             "nonincreasing": list(self.nonincreasing),
             "ratio_trend": list(self.ratio_trend),

@@ -1,19 +1,21 @@
-"""Bump splines by box convolution and the normalized cover partition.
+"""The template bump and the normalized cover partition.
 
-Everything in this module is an exact piecewise polynomial.  Bumps arise
-from convolving an interval indicator with box kernels, so derivatives
-and extrema come from the piece coefficients, never from numerical
-differencing.  A cover partition is one template bump and its placements
-t -> center + side*t, an exact dyadic map, on every interval; a placed
-bump is built only when something reads it.  build_partition validates
-all placements at once (or raises DegenerateSupport) and certifies that
-the bump total is positive on the whole covered band from the template's
-plateau, not from samples (or raises UncoveredPoint).  The normalized
-family phi_i = psi_i / sum_j psi_j is piecewise rational on the common
-breakpoint refinement of the bumps; its derivatives are evaluated with
-the reciprocal and product rules against the same exact piece data.  A
-refinement piece's coefficients are built when a value, derivative or
-extremum first reads that piece, not when the partition is built.
+Everything in this module is an exact piecewise polynomial.  One
+template bump is built per fold count: the indicator of the core
+[-1/2, 1/2], half inflated by the margin, convolved with `folds` box
+kernels, so derivatives and extrema come from the piece coefficients,
+never from numerical differencing.  A cover partition places that
+template on every interval by t -> center + side*t, an exact dyadic map;
+a placed bump is built only when something reads it.  build_partition
+validates all placements at once (or raises DegenerateSupport) and
+certifies that the bump total is positive on the whole covered band from
+the template's plateau, not from samples (or raises UncoveredPoint).
+The normalized family phi_i = psi_i / sum_j psi_j is piecewise rational
+on the common breakpoint refinement of the bumps; its derivatives are
+evaluated with the reciprocal and product rules against the same exact
+piece data.  A refinement piece's coefficients are built when a value,
+derivative or extremum first reads that piece, not when the partition is
+built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .whitney_geometry import WhitneyCover, covered_sample_grid, distance_grid, 
 # smallest expansion the margin rule tolerates.
 MARGIN_FRACTION = 1.0 / 16.0
 _MIN_EXPANSION = 1.0 + 2.0 * MARGIN_FRACTION
+
+# Candidate envelope parameters B of check_derivative_bound, smallest first.
+ENVELOPE_B_GRID = (1.0, 2.0, 4.0, 8.0)
 
 
 def _eval_local(coeffs: Sequence[float], t: float) -> float:
@@ -174,19 +179,6 @@ class PiecewisePolynomial:
                 best = max(best, abs(_eval_local(scaled, t)))
         return best
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "pieces": [[float(c) for c in row] for row in self.pieces],
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "PiecewisePolynomial":
-        return cls(
-            tuple(float(b) for b in doc["breakpoints"]),
-            tuple(tuple(float(c) for c in row) for row in doc["pieces"]),
-        )
-
 
 def _local_coeffs(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray:
     """Coefficients of poly around t, taken from the piece containing probe."""
@@ -212,8 +204,6 @@ def _convolve_box(
     its end.  The piece arithmetic runs on Python floats, doing the same
     operations in the same order as elementwise float64 arrays would.
     """
-    if not (math.isfinite(width) and width > 0.0):
-        raise ValueError("box width must be positive")
     half = 0.5 * width
     anti = []
     acc = 0.0
@@ -254,49 +244,24 @@ def _convolve_box(
     return new_bp, new_rows
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Core interval, margin and fold count for a box-convolution bump."""
+def build_bump(folds: int) -> PiecewisePolynomial:
+    """The template: the core [-1/2, 1/2] half inflated, convolved once per fold.
 
-    core: tuple[float, float]
-    margin: float
-    folds: int
-
-    def __post_init__(self) -> None:
-        lo, hi = (float(v) for v in self.core)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("core must be a finite interval")
-        if not (math.isfinite(self.margin) and self.margin > 0.0):
-            raise DegenerateSupport(f"margin must be positive, got {self.margin}")
-        if not (isinstance(self.folds, int) and self.folds >= 1):
-            raise ValueError("fold count must be a positive integer")
-        object.__setattr__(self, "core", (lo, hi))
-
-    @property
-    def width(self) -> float:
-        """Box width per fold."""
-        return self.margin / self.folds
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.core[0] - self.margin, self.core[1] + self.margin
-
-
-def build_bump(spec: BumpSpec) -> PiecewisePolynomial:
-    """Indicator of the half-inflated core convolved once per fold.
-
-    The result is a spline of degree equal to the fold count, identically
-    one on the core, zero outside the core inflated by the margin, and
+    Each fold convolves with the unit-mass box of width MARGIN_FRACTION /
+    folds.  The result is a spline of degree folds, one on the core,
+    zero outside [-1/2 - MARGIN_FRACTION, 1/2 + MARGIN_FRACTION], and
     each derivative up to that order is bounded by (2 / width)^order.
     The folds run on plain rows; the one PiecewisePolynomial built at
     the end validates the result, so coefficients that overflow partway
     through the chain still raise ValueError.
     """
-    half_margin = 0.5 * spec.margin
-    bp = [spec.core[0] - half_margin, spec.core[1] + half_margin]
+    if not (isinstance(folds, int) and folds >= 1):
+        raise ValueError("fold count must be a positive integer")
+    half_margin = 0.5 * MARGIN_FRACTION
+    bp = [-0.5 - half_margin, 0.5 + half_margin]
     rows = [(1.0,)]
-    for _ in range(spec.folds):
-        bp, rows = _convolve_box(bp, rows, spec.width)
+    for _ in range(folds):
+        bp, rows = _convolve_box(bp, rows, MARGIN_FRACTION / folds)
     return PiecewisePolynomial(tuple(bp), tuple(rows))
 
 
@@ -384,38 +349,25 @@ class Partition:
     """
 
     folds: int
-    bumps: Sequence[PiecewisePolynomial]
-    cover: WhitneyCover | None
+    bumps: PlacedBumps
+    cover: WhitneyCover
     breakpoints: np.ndarray
     piece_active: tuple[tuple[int, ...], ...]
     _pieces: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_bumps(
-        cls,
-        bumps: Sequence[PiecewisePolynomial],
-        folds: int,
-        cover: WhitneyCover | None = None,
-    ) -> "Partition":
-        """The partition of the bumps; PlacedBumps are kept and none is built."""
-        if not isinstance(bumps, PlacedBumps):
-            bumps = tuple(bumps)
+    def from_bumps(cls, bumps: PlacedBumps, folds: int, cover: WhitneyCover) -> "Partition":
+        """The partition of the placed bumps on the cover; no bump is built."""
         if len(bumps) == 0:
             raise ValueError("need at least one bump")
-        if isinstance(bumps, PlacedBumps):
-            flat = bumps.breakpoints
-            starts, ends = flat[:, 0], flat[:, -1]
-        else:
-            flat = np.concatenate([b._bp for b in bumps])
-            starts = [b._bp[0] for b in bumps]
-            ends = [b._bp[-1] for b in bumps]
+        flat = bumps.breakpoints
         all_bp = sorted_unique(flat)
         return cls(
             folds=int(folds),
             bumps=bumps,
             cover=cover,
             breakpoints=all_bp,
-            piece_active=_live_bumps(all_bp, np.asarray(starts), np.asarray(ends)),
+            piece_active=_live_bumps(all_bp, flat[:, 0], flat[:, -1]),
         )
 
     def piece(self, j: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
@@ -641,7 +593,7 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
             f"cover expansion {cover.expansion} leaves bump supports outside"
             " the expanded intervals; need at least 9/8"
         )
-    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, int(folds)))
+    template = build_bump(int(folds))
     centers = np.asarray(cover.centers, dtype=float)
     sides = np.asarray(cover.sides, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -674,9 +626,8 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
             raise DegenerateSupport(
                 f"bump at center {float(centers[i])}, side {float(sides[i])}: {exc}"
             ) from None
-    partition = Partition.from_bumps(
-        PlacedBumps(bpm, [rows for rows, _ in placed]), folds, cover=cover
-    )
+    bumps = PlacedBumps(bpm, [rows for rows, _ in placed])
+    partition = Partition.from_bumps(bumps, folds, cover)
 
     q0, q1, floor = template_plateau(template)
     lo, hi = bpm[:, q0], bpm[:, q1]
@@ -734,7 +685,6 @@ def check_derivative_bound(
     beta_max: int,
     *,
     sample_points=None,
-    envelope_b_grid: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
     sample_count: int = 256,
 ) -> DerivativeBoundReport:
     """Fit the constants closing the derivative envelope bound.
@@ -745,13 +695,11 @@ def check_derivative_bound(
     log-domain h-function.  The per-order fit is reduced by its best
     geometric factor before the trend test, since the dominating weight
     family behind the bound is only determined up to such a rescale, and
-    B is taken as the smallest grid member whose normalized profile is
-    bounded in the order.  Exact sup norms of every phi derivative ride
-    along as a side table.
+    B is taken as the smallest member of ENVELOPE_B_GRID whose normalized
+    profile is bounded in the order.  Exact sup norms of every phi
+    derivative ride along as a side table.
     """
     cover = partition.cover
-    if cover is None:
-        raise ValueError("partition was built without a cover")
     folds = partition.folds
     if not 0 <= beta_max <= folds:
         raise ValueError("beta_max must lie between 0 and the fold count")
@@ -779,7 +727,7 @@ def check_derivative_bound(
     cst = cover.constants
     orders = np.arange(beta_max + 1, dtype=float)
     chosen = None
-    for b_par in envelope_b_grid:
+    for b_par in ENVELOPE_B_GRID:
         log_env = np.empty(xs.size)
         clamped = 0
         for col in range(xs.size):

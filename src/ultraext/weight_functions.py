@@ -208,13 +208,14 @@ _SIMPSON_W = np.ones(_SIMPSON_SUB + 1)
 _SIMPSON_W[1:-1:2] = 4.0
 _SIMPSON_W[2:-1:2] = 2.0
 _SIMPSON_W /= 3.0
+# Doubling panels before the tail must pass its Cauchy test.
+_MAX_PANELS = 64
 
 
 def _log_kappa_grid(
     log_raw_fn: Callable[[np.ndarray], np.ndarray],
     log_t,
     rtol: float = 1e-8,
-    max_panels: int = 64,
 ) -> np.ndarray:
     """log kappa(e^a) for an array of exponents a, by panel quadrature.
 
@@ -242,7 +243,7 @@ def _log_kappa_grid(
     tail = np.zeros(n)
     active = np.ones(n, dtype=bool)
     lo, hi = 0.0, 1.0
-    for m in range(max_panels):
+    for m in range(_MAX_PANELS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -274,7 +275,7 @@ def _log_kappa_grid(
         bad = np.nonzero(active | ~np.isfinite(partial))[0][0]
         raise DivergentTail(
             f"tail of the smoothing integral fails the Cauchy test after "
-            f"{max_panels} doubling panels at log t = {a[bad]:.6g}"
+            f"{_MAX_PANELS} doubling panels at log t = {a[bad]:.6g}"
         )
     return np.reshape(shift + np.log(partial + tail), shape)
 
@@ -300,19 +301,20 @@ def kappa_transform_grid(w: WeightFunction, t_values, rtol: float = 1e-8) -> np.
 
 # -- Young conjugate ----------------------------------------------------
 
+# The doubling bracket gives up past this x; a fixed number of ternary
+# steps then narrows it.
+CONJUGATE_MAX_EXPONENT = 512.0
+_TERNARY_STEPS = 100
 
-def young_conjugate_grid(
-    w: WeightFunction,
-    y_values,
-    max_exponent: float = 512.0,
-    iterations: int = 100,
-) -> np.ndarray:
+
+def young_conjugate_grid(w: WeightFunction, y_values) -> np.ndarray:
     """sup over x >= 0 of x*y - phi(x) for each y, phi the normalized log-composition.
 
-    Ternary search on the concave objective after a doubling bracket.
-    Raises BracketFailure when the objective is still rising at
-    max_exponent, which is a genuine infinite conjugate for weights with
-    linearly growing phi; the message names the first such y in C order.
+    Ternary search (_TERNARY_STEPS steps) on the concave objective after
+    a doubling bracket.  Raises BracketFailure when the objective is
+    still rising at x = CONJUGATE_MAX_EXPONENT (512), which is a genuine
+    infinite conjugate for weights with linearly growing phi; the
+    message names the first such y in C order.
 
     Batching contract: y_values may have any shape, and each entry's
     search runs on its own.  The bracket evaluates hi and hi/2, and each
@@ -336,20 +338,20 @@ def young_conjugate_grid(
     for _ in range(64):
         f_hi, f_half = obj_pair(hi, 0.5 * hi)
         rising = f_hi - f_half > 1e-15 * (1.0 + np.abs(f_hi))
-        rising &= hi <= max_exponent
+        rising &= hi <= CONJUGATE_MAX_EXPONENT
         if not np.any(rising):
             break
         hi = np.where(rising, 2.0 * hi, hi)
     else:
         f_hi, f_half = obj_pair(hi, 0.5 * hi)
-    still = (hi > max_exponent) & (f_hi - f_half > 0.0)
+    still = (hi > CONJUGATE_MAX_EXPONENT) & (f_hi - f_half > 0.0)
     if np.any(still):
         y_bad = float(ys[np.nonzero(still)[0][0]])
         raise BracketFailure(
-            f"conjugate maximizer exceeds x = {max_exponent} at y = {y_bad:.6g}"
+            f"conjugate maximizer exceeds x = {CONJUGATE_MAX_EXPONENT} at y = {y_bad:.6g}"
         )
     lo = np.zeros_like(ys)
-    for _ in range(iterations):
+    for _ in range(_TERNARY_STEPS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         f1, f2 = obj_pair(m1, m2)
@@ -361,8 +363,8 @@ def young_conjugate_grid(
     return np.reshape(val, shape)
 
 
-def young_conjugate(w: WeightFunction, y: float, max_exponent: float = 512.0) -> float:
-    return float(young_conjugate_grid(w, np.array([float(y)]), max_exponent=max_exponent)[0])
+def young_conjugate(w: WeightFunction, y: float) -> float:
+    return float(young_conjugate_grid(w, np.array([float(y)]))[0])
 
 
 # -- classification -----------------------------------------------------

@@ -11,10 +11,9 @@ proportionality of distances on expanded intervals holds with margin.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -344,32 +343,25 @@ def overlap_counts(cover: WhitneyCover, sample_points) -> np.ndarray:
     return np.array([len(cover.members(x, expanded=True)) for x in xs])
 
 
-def covered_sample_grid(cover: WhitneyCover, n: int, pad: float = 0.0) -> np.ndarray:
+def covered_sample_grid(cover: WhitneyCover, n: int) -> np.ndarray:
     """Deterministic sample of the covered region, denser toward E.
 
     Blends a uniform grid over the bounding box with geometric ladders
     descending toward each component endpoint, then keeps points x with
-    max(d_min_covered, pad) <= d(x) < r_cov.
+    d_min_covered <= d(x) < r_cov.
     """
     lo, hi = cover.e.span
     box = np.linspace(lo - cover.r_cov, hi + cover.r_cov, 3 * max(n, 16))
     ladders = [box]
-    depth = max(cover.d_min_covered, pad, 1e-12)
+    depth = max(cover.d_min_covered, 1e-12)
     rungs = np.geomspace(depth, cover.r_cov, 128)
     for a, b in cover.e.components:
         ladders.append(a - rungs)
         ladders.append(b + rungs)
     xs = sorted_unique(np.concatenate(ladders))
     d = distance_grid(cover.e, xs)
-    kept = xs[(d >= max(cover.d_min_covered, pad)) & (d < cover.r_cov)]
+    kept = xs[(d >= cover.d_min_covered) & (d < cover.r_cov)]
     if len(kept) > n:
         kept = kept[np.linspace(0, len(kept) - 1, n).round().astype(int)]
     return kept
 
-
-def cover_to_csv(cover: WhitneyCover, stream: TextIO) -> None:
-    """Dump intervals as CSV rows (center, side, generation)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["center", "side", "generation"])
-    for c, s, g in zip(cover.centers, cover.sides, cover.generations):
-        writer.writerow([repr(float(c)), repr(float(s)), int(g)])

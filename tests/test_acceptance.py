@@ -35,12 +35,7 @@ from ultraext.matrix_calculus import (
     sandwich_fit,
     strong_regularization,
 )
-from ultraext.partition_of_unity import (
-    BumpSpec,
-    MARGIN_FRACTION,
-    build_bump,
-    build_partition,
-)
+from ultraext.partition_of_unity import MARGIN_FRACTION, build_bump, build_partition
 from ultraext.seq_calculus import (
     WeightSequence,
     associated_weight,
@@ -246,9 +241,8 @@ def test_criterion_08_partition_bounds():
     assert float(np.max(np.abs(sums - 1.0))) <= 1e-12
 
     # every bump derivative up to the fold count obeys (2 / width)^order
-    spec = BumpSpec((0.0, 0.5), 0.5 * MARGIN_FRACTION, 8)
-    cap = 2.0 / spec.width
-    cur = build_bump(spec)
+    cap = 2.0 / (MARGIN_FRACTION / 8)
+    cur = build_bump(8)
     for order in range(1, 9):
         cur = cur.derivative()
         assert cur.sup_norm() <= cap**order * (1.0 + 1e-12)

@@ -501,6 +501,12 @@ def test_extend_fires_every_traced_layer(tmp_path, monkeypatch):
         code = main(["extend", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     tracing.check_fired(rec)
+    # The bump and partition spans time one template and one partition
+    # per assembly, so each fires once per build_partition.
+    calls = rec.times()[3]
+    assert calls["partition_of_unity.build_partition"] == 1
+    assert calls["partition_of_unity.build_bump"] == 1
+    assert calls["partition_of_unity.Partition.from_bumps"] == 1
 
 
 def test_csv_text_matches_csv_writer():

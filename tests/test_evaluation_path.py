@@ -169,24 +169,35 @@ def test_eval_derivative_builds_only_the_bumps_of_its_piece():
 def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
     f = dataclasses.replace(extensions["two_points"])  # an empty store
     built = []
+    scanned = []
     glue = extension_engine._glued_derivatives
+    nearest = extension_engine.distance_and_nearest
 
     def counted(f, x, *rest):
         built.append(x)
         return glue(f, x, *rest)
 
+    def counted_scan(e, x):
+        scanned.append(x)
+        return nearest(e, x)
+
     monkeypatch.setattr(extension_engine, "_glued_derivatives", counted)
+    monkeypatch.setattr(extension_engine, "distance_and_nearest", counted_scan)
     xs = region_samples(f, 40).tolist()
     x1, x2, top = xs[3], xs[-3], f.plan.folds
     for a in range(top + 1):
         eval_derivative(f, x1, a)
+    # The set is scanned once, for the call that built the vector.
+    assert scanned == [x1]
     eval_derivative(f, 0.23, 2)  # on the set: no vector built, none dropped
     for a in (top, 0, 4, 4):
         eval_derivative(f, x1, a)
     assert built == [x1]
+    assert scanned == [x1, 0.23]
     eval_derivative(f, x2, 0)
     eval_derivative(f, x1, 1)
     assert built == [x1, x2, x1]
+    assert scanned == [x1, 0.23, x2, x1]
 
     # Order and region checks still run at and right after a stored point.
     for a in (top + 1, -1):

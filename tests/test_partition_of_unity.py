@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import json
 import math
 from fractions import Fraction
 
@@ -16,9 +15,9 @@ from ultraext._fitting import BOUNDED
 from ultraext.errors import DegenerateSupport, UncoveredPoint
 from ultraext.partition_of_unity import (
     MARGIN_FRACTION,
-    BumpSpec,
     Partition,
     PiecewisePolynomial,
+    PlacedBumps,
     _convolve_box,
     _eval_local,
     _merge_close,
@@ -50,6 +49,17 @@ def mixed_partition():
     e = CompactSet1D(((-1.0, 0.0), (1.0, 1.0)))
     cover = build_cover(e, 1.0, max_generation=7)
     return build_partition(cover, 8)
+
+
+def placed(folds, centers, sides):
+    """PlacedBumps of the template at each (center, side), as build_partition places it."""
+    template = build_bump(folds)
+    centers, sides = np.asarray(centers, dtype=float), np.asarray(sides, dtype=float)
+    rows = [
+        tuple(tuple(c / s**m for m, c in enumerate(row)) for row in template.pieces)
+        for s in sides.tolist()
+    ]
+    return PlacedBumps(centers[:, None] + sides[:, None] * template._bp, rows)
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -127,60 +137,41 @@ def test_sup_norm_exact_on_a_quadratic():
     assert g.sup_norm() == 1.0  # attained at the middle breakpoint
 
 
-def test_piecewise_json_round_trip():
-    f = PiecewisePolynomial((0.0, 0.5, 1.25), ((0.25,), (0.25, -1.0, 2.0)))
-    doc = json.loads(json.dumps(f.to_json()))
-    assert PiecewisePolynomial.from_json(doc) == f
-
-
-def test_bump_spec_validation():
-    with pytest.raises(DegenerateSupport):
-        BumpSpec((0.0, 1.0), 0.0, 2)
-    with pytest.raises(DegenerateSupport):
-        BumpSpec((0.0, 1.0), -0.5, 2)
-    with pytest.raises(ValueError):
-        BumpSpec((0.0, 1.0), 0.5, 0)
-    with pytest.raises(ValueError):
-        BumpSpec((1.0, 0.0), 0.5, 2)
-    spec = BumpSpec((0.0, 1.0), 0.5, 4)
-    assert spec.width == 0.125
-    assert spec.support == (-0.5, 1.5)
-
-
-def test_triangle_bump_frozen_values():
-    b = build_bump(BumpSpec((0.0, 0.0), 2.0, 1))
-    assert b.support == (-2.0, 2.0)
+def test_one_fold_template_frozen_values():
+    # One fold of width 1/16 on [-17/32, 17/32]: linear ramps over
+    # [-9/16, -1/2] and [1/2, 9/16], all dyadic, so every value is exact.
+    b = build_bump(1)
+    assert b.support == (-0.5625, 0.5625)
+    assert b.breakpoints == (-0.5625, -0.5, 0.5, 0.5625)
     assert b.degree == 1
-    assert b(0.0) == 1.0
-    assert b(1.0) == 0.5 and b(-1.0) == 0.5
-    assert b(2.0) == 0.0
-    assert b.integral() == 2.0
+    assert b(0.0) == 1.0 and b(0.5) == 1.0 and b(-0.5) == 1.0
+    assert b(0.53125) == 0.5 and b(-0.53125) == 0.5
+    assert b(0.5625) == 0.0 and b(-0.5625) == 0.0
+    assert b.integral() == 1.0625
 
 
 def test_plateau_support_and_range():
-    spec = BumpSpec((0.0, 1.0), 0.5, 3)
-    b = build_bump(spec)
-    # width 1/6 is not dyadic, so endpoints may carry an ulp of drift
-    assert abs(b.support[0] + 0.5) <= 1e-12
-    assert abs(b.support[1] - 1.5) <= 1e-12
-    for x in (0.0, 0.25, 0.5, 1.0):
+    b = build_bump(3)
+    # width 1/48 is not dyadic, so endpoints may carry an ulp of drift
+    assert abs(b.support[0] + 0.5625) <= 1e-12
+    assert abs(b.support[1] - 0.5625) <= 1e-12
+    for x in (-0.5, -0.25, 0.0, 0.5):
         assert abs(b(x) - 1.0) <= 1e-14
-    xs = np.linspace(-0.6, 1.6, 2000)
+    xs = np.linspace(-0.6, 0.6, 2000)
     vals = b(xs)
     assert np.all(vals >= -1e-14) and np.all(vals <= 1.0 + 1e-14)
-    assert abs(b.integral() - 1.5) <= 1e-13
+    assert abs(b.integral() - 1.0625) <= 1e-13
 
 
 def test_single_fold_ramp_slope_is_exact():
-    b = build_bump(BumpSpec((0.0, 1.0), 0.25, 1))
-    assert b.derivative().sup_norm() == 4.0  # 1 / width
+    b = build_bump(1)
+    assert b.derivative().sup_norm() == 16.0  # 1 / width
 
 
 def test_derivative_chain_bound():
     # Every derivative up to the fold count obeys (2 / width)^order.
-    spec = BumpSpec((0.0, 0.5), 0.5 * MARGIN_FRACTION, 8)
-    cap = 2.0 / spec.width
-    cur = build_bump(spec)
+    cap = 2.0 / (MARGIN_FRACTION / 8)
+    cur = build_bump(8)
     assert cur.sup_norm() <= 1.0 + 1e-12
     for order in range(1, 9):
         cur = cur.derivative()
@@ -188,10 +179,9 @@ def test_derivative_chain_bound():
 
 
 def test_single_bump_partition_is_identity():
-    bump = build_bump(BumpSpec((0.0, 1.0), 0.25, 4))
-    part = Partition.from_bumps([bump], 4)
+    part = Partition.from_bumps(placed(4, [0.5], [1.0]), 4, point_partition().cover)
     assert len(part) == 1
-    for x in (-0.2, 0.0, 0.37, 1.0, 1.2):
+    for x in (-0.05, 0.0, 0.37, 1.0, 1.05):
         assert part.value(0, x) == 1.0
         assert part.derivatives(0, x, 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert part.value(0, 2.0) == 0.0
@@ -200,12 +190,8 @@ def test_single_bump_partition_is_identity():
 
 
 def test_two_bump_overlap_sums_to_one():
-    bumps = [
-        build_bump(BumpSpec((0.0, 1.0), 0.25, 3)),
-        build_bump(BumpSpec((1.0, 2.0), 0.25, 3)),
-    ]
-    part = Partition.from_bumps(bumps, 3)
-    xs = np.linspace(-0.2, 2.2, 4001)
+    part = Partition.from_bumps(placed(3, [0.5, 1.5], [1.0, 1.0]), 3, point_partition().cover)
+    xs = np.linspace(-0.05, 2.05, 4001)
     sums = part.values_matrix(xs).sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
     # both bumps genuinely alive somewhere in the overlap
@@ -259,7 +245,7 @@ def test_build_partition_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_partition(narrow, 3)
     with pytest.raises(ValueError):
-        Partition.from_bumps([], 2)
+        Partition.from_bumps(PlacedBumps(np.empty((0, 2)), []), 2, cover)
 
 
 def test_order_caps():
@@ -343,9 +329,6 @@ def test_derivative_bound_report():
 def test_derivative_bound_errors():
     part = point_partition()
     row = WeightSequence.factorial_power(1.0, 64)
-    bare = Partition.from_bumps([build_bump(BumpSpec((0.0, 1.0), 0.25, 2))], 2)
-    with pytest.raises(ValueError):
-        check_derivative_bound(bare, row, 2)
     with pytest.raises(ValueError):
         check_derivative_bound(part, row, 9)
     short = WeightSequence.factorial_power(1.0, 16)
@@ -358,24 +341,27 @@ def test_derivative_bound_errors():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    lo=st.floats(-5.0, 5.0),
-    length=st.floats(0.0, 3.0),
-    margin=st.floats(0.05, 2.0),
+    center=st.floats(-5.0, 5.0),
+    log_side=st.integers(-10, 2),
     folds=st.integers(1, 4),
 )
-def test_bump_profile_properties(lo, length, margin, folds):
-    spec = BumpSpec((lo, lo + length), margin, folds)
-    b = build_bump(spec)
+def test_bump_profile_properties(center, log_side, folds):
+    # The template placed on the interval (center, side): one on the
+    # core, supported on the core widened by a margin of side / 16.
+    side = 2.0**log_side
+    b = placed(folds, [center], [side])[0]
+    core = (center - 0.5 * side, center + 0.5 * side)
+    margin = side * MARGIN_FRACTION
     slo, shi = b.support
-    assert abs(slo - (lo - margin)) <= 1e-12 * max(1.0, abs(lo) + margin)
-    assert abs(shi - (lo + length + margin)) <= 1e-12 * max(1.0, abs(lo) + length + margin)
+    assert abs(slo - (core[0] - margin)) <= 1e-12 * max(1.0, abs(center) + side)
+    assert abs(shi - (core[1] + margin)) <= 1e-12 * max(1.0, abs(center) + side)
     for t in (0.0, 0.5, 1.0):
-        assert abs(b(lo + t * length) - 1.0) <= 1e-12
+        assert abs(b(core[0] + t * side) - 1.0) <= 1e-12
     xs = np.linspace(slo, shi, 500)
     vals = b(xs)
     assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
     assert abs(b(slo)) <= 1e-12 and abs(b(shi)) <= 1e-12
-    target = length + margin
+    target = side + margin
     assert abs(b.integral() - target) <= 1e-10 * max(1.0, target)
 
 
@@ -514,28 +500,25 @@ def test_convolve_box_matches_numpy_reference(case):
     assert_same_poly(PiecewisePolynomial(tuple(bp), tuple(rows)), ref_convolve_box(f, width))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    lo=st.floats(-5.0, 5.0),
-    length=st.floats(0.0, 3.0),
-    margin=st.floats(1e-6, 2.0),
-    folds=st.integers(1, 10),
-)
-def test_bump_chain_matches_numpy_reference(lo, length, margin, folds):
-    spec = BumpSpec((lo, lo + length), margin, folds)
-    half = 0.5 * spec.margin
-    want = PiecewisePolynomial((spec.core[0] - half, spec.core[1] + half), ((1.0,),))
-    for _ in range(folds):
-        want = ref_convolve_box(want, spec.width)
-    assert_same_poly(build_bump(spec), want)
+def test_bump_chain_matches_numpy_reference():
+    for folds in range(1, 11):
+        half = 0.5 * MARGIN_FRACTION
+        want = PiecewisePolynomial((-0.5 - half, 0.5 + half), ((1.0,),))
+        for _ in range(folds):
+            want = ref_convolve_box(want, MARGIN_FRACTION / folds)
+        assert_same_poly(build_bump(folds), want)
 
 
-def test_bump_overflow_partway_through_the_chain_raises():
-    # The coefficients overflow at fold 25 of 30; the one validation at
-    # the end of the chain must still see the non-finite rows.
+def test_bump_overflow_partway_through_the_chain_raises(monkeypatch):
+    # With a margin of 1e-12 the coefficients overflow at fold 25 of 30;
+    # the one validation at the end of the chain must still see the
+    # non-finite rows.  (With the template's own margin of 1/16 the rows
+    # grow about 1.9 decades per fold, so they overflow near 160 folds,
+    # a chain too slow for a unit test: 0.9 s at 64 folds, ~ folds**4.)
+    monkeypatch.setattr(pou, "MARGIN_FRACTION", 1e-12)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            build_bump(BumpSpec((0.0, 1.0), 1e-12, 30))
+            build_bump(30)
 
 
 def test_partition_matches_scan_on_three_point_cover():
@@ -546,19 +529,20 @@ def test_partition_matches_scan_on_three_point_cover():
 
 
 def test_partition_matches_scan_on_nested_and_shared_supports():
-    bumps = [
-        build_bump(BumpSpec((0.0, 4.0), 0.5, 3)),
-        # nested inside the first, sharing no breakpoint with it
-        build_bump(BumpSpec((1.0, 2.0), 0.25, 3)),
-        # the same support as the second, a different profile
-        PiecewisePolynomial((0.75, 1.5, 2.25), ((0.0, 1.0), (0.75, -1.0))),
-        # ends where the next one starts: a shared breakpoint
-        PiecewisePolynomial((2.25, 3.0), ((2.0, 0.5, -0.25),)),
-        PiecewisePolynomial((3.0, 5.0), ((1.0,),)),
-        # beyond a gap no bump covers
-        PiecewisePolynomial((6.0, 7.0, 8.0), ((0.5,), (1.0, -1.0))),
-    ]
-    part = Partition.from_bumps(bumps, 3)
+    # Supports at folds 4 are center +- 9/16 side, all dyadic here.
+    bumps = placed(
+        4,
+        [
+            0.0,  # support [-2.25, 2.25]
+            0.5,  # nested inside the first, sharing no breakpoint with it
+            0.5,  # the same center, a narrower side: nested in the second
+            3.0,  # beyond a gap no bump covers; ends at 3.5625 ...
+            4.125,  # ... where this one starts: a shared breakpoint
+            7.0,  # beyond another gap
+        ],
+        [4.0, 0.5, 0.25, 1.0, 1.0, 2.0],
+    )
+    part = Partition.from_bumps(bumps, 4, point_partition().cover)
     assert () in part.piece_active
     assert_partition_matches_scan(part)
 
@@ -588,6 +572,16 @@ def test_live_bumps_match_the_per_bump_slices():
 CLUSTER_POINTS = (0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81)
 
 
+def interval_chain(c, s, folds):
+    """The fold chain run on the interval itself: core [c - s/2, c + s/2], margin s/16."""
+    margin = s * MARGIN_FRACTION
+    half = 0.5 * margin
+    bp, rows = [(c - 0.5 * s) - half, (c + 0.5 * s) + half], [(1.0,)]
+    for _ in range(folds):
+        bp, rows = _convolve_box(bp, rows, margin / folds)
+    return PiecewisePolynomial(tuple(bp), tuple(rows))
+
+
 @pytest.mark.parametrize("points", [(0.0,), CLUSTER_POINTS])
 @pytest.mark.parametrize("folds", [1, 2, 4, 8, 16])
 def test_placed_template_matches_each_fold_chain(points, folds):
@@ -599,7 +593,7 @@ def test_placed_template_matches_each_fold_chain(points, folds):
     part = build_partition(cover, folds)
     for c, s, bump in zip(cover.centers.tolist(), cover.sides.tolist(), part.bumps):
         assert len(bump.breakpoints) > 2
-        chain = build_bump(BumpSpec((c - 0.5 * s, c + 0.5 * s), s * MARGIN_FRACTION, folds))
+        chain = interval_chain(c, s, folds)
         if len(chain.breakpoints) > 2:
             assert_same_poly(bump, chain)
 
@@ -668,8 +662,8 @@ def test_total_matches_the_piecewise_total(points, folds):
 
 
 def test_piece_rows_that_overflow_raise_on_read():
-    huge = PiecewisePolynomial((0.0, 1.0), ((1e308,),))
-    part = Partition.from_bumps([huge, huge], 1)
+    huge = PlacedBumps(np.array([[0.0, 1.0], [0.0, 1.0]]), [((1e308,),), ((1e308,),)])
+    part = Partition.from_bumps(huge, 1, point_partition().cover)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
         part.piece(0)
 
@@ -729,7 +723,7 @@ def exact_template_rows(folds, lefts, mids):
 # 35.5 at folds 3, 122 at folds 6, 0.25 at folds 8 (dyadic box widths).
 @pytest.mark.parametrize("folds, row_eps", [(3, 64.0), (6, 256.0), (8, 1.0)])
 def test_float_template_matches_the_rational_template(folds, row_eps):
-    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, folds))
+    template = build_bump(folds)
     bp = [Fraction(b) for b in template.breakpoints]
     w = Fraction(1, 16 * folds)
     exact_bp = sorted(
@@ -793,6 +787,6 @@ def test_build_partition_materializes_no_bump_and_no_piece():
     # Reading bump i builds bump i only, once: the template placed at (c, s).
     bump = part.bumps[3]
     assert list(part.bumps._built) == [3] and part.bumps[3] is bump
-    template = build_bump(BumpSpec((-0.5, 0.5), MARGIN_FRACTION, 8))
+    template = build_bump(8)
     c, s = float(cover.centers[3]), float(cover.sides[3])
     assert raw(bump.breakpoints) == raw(c + s * template._bp)

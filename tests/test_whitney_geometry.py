@@ -1,7 +1,9 @@
 """Compact sets, distance oracles, and the Whitney interval cover."""
 
+import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultraext.cli import main as cli_main
 from ultraext.errors import EmptyCover
 from ultraext.whitney_geometry import (
     CompactSet1D,
     ExtensionConstants,
     build_cover,
-    cover_to_csv,
     covered_sample_grid,
     distance_and_nearest,
     distance_grid,
@@ -177,17 +179,30 @@ def test_cover_window_for_random_sets(data):
     assert overlap_counts(cov, xs).max() <= 3
 
 
-def test_csv_dump_round_trips():
-    cov = build_cover(POINT, 1.0)
-    buf = io.StringIO()
-    cover_to_csv(cov, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "center,side,generation"
-    assert len(lines) == len(cov) + 1
-    c, s, g = lines[1].split(",")
-    assert float(c) == cov.centers[0]
-    assert float(s) == cov.sides[0]
-    assert int(g) == cov.generations[0]
+def test_csv_dump_round_trips(tmp_path):
+    # cover-dump's cover.csv, byte for byte what csv.writer renders from
+    # the cover's own arrays, and every value reads back exactly.
+    # At 1.9 the distance check fails (exit 2), and the CSV is written still.
+    cases = [([0.0], 1.125, 0), ([0.0, 0.3, 0.7], 1.9, 2)]
+    for k, (points, expansion, code) in enumerate(cases):
+        doc = {"set": {"points": points}, "cover": {"expansion": expansion}}
+        cfg = tmp_path / f"cover{k}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"out{k}"
+        assert cli_main(["cover-dump", "--config", str(cfg), "--out", str(out)]) == code
+        cov = build_cover(CompactSet1D.from_points(points), 1.0, expansion=expansion)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["center", "side", "generation"])
+        for c, s, g in zip(cov.centers, cov.sides, cov.generations):
+            writer.writerow([repr(float(c)), repr(float(s)), int(g)])
+        text = (out / "cover.csv").read_text()
+        assert text == buf.getvalue()
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert len(rows) == len(cov)
+        assert [float(r[0]) for r in rows] == cov.centers.tolist()
+        assert [float(r[1]) for r in rows] == cov.sides.tolist()
+        assert [int(r[2]) for r in rows] == cov.generations.tolist()
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, InconclusiveTrend, UltraextError
 from .extension_engine import (
+    MAX_GENERATION,
     ExtensionPlan,
     assemble,
     boundary_limits,
@@ -455,7 +456,7 @@ def cmd_extend(cfg: dict):
     csv_samples = _integer(run, "csv_samples", 40, "config.run")
     alpha_cap = _integer(run, "alpha_cap", 8, "config.run")
     r_cov = _number(run, "r_cov", 1.0, "config.run")
-    max_generation = _integer(run, "max_generation", 44, "config.run")
+    max_generation = _integer(run, "max_generation", MAX_GENERATION, "config.run")
     boundary_max = _integer(run, "boundary_max_index", 40, "config.run")
     seed = _integer(cfg, "seed", 0)
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._fitting import GROWING, INCONCLUSIVE, decade_trend, range_trend
 from .errors import (
-    CountingIndexAtCutoff,
     MissingRow,
     OrderOverflow,
     OutsideRegion,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
 from .partition_of_unity import Partition, build_partition
-from .seq_calculus import QUOTIENT_TIE_SLACK, WeightSequence, counting_index, log_h_function
+from .seq_calculus import WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly, taylor_vectors
 from .whitney_geometry import (
     EXPANSION,
@@ -57,6 +56,10 @@ THRESHOLD_GLUE = 8.0
 # exact zero in float arithmetic whether or not the row is long enough.
 _LOG_TINY = math.log(5e-324)
 _LOG_EPS = math.log(2.0**-53)
+
+# Cover depth for assemble and the extend job.  build_cover's own 48
+# reaches sides where placed bumps degenerate (DegenerateSupport).
+MAX_GENERATION = 44
 
 
 @dataclass(frozen=True)
@@ -246,48 +249,43 @@ def _log_decay(
     return lh, settled
 
 
-def _requested_degree(row: WeightSequence, dilation: float, d: float) -> tuple[int, bool]:
-    """(degree wanted at distance d, quotient-range cutoff flag).
+class _LocalTaylor(NamedTuple):
+    """The local Taylor rule at an array of points, entry by entry."""
 
-    At cutoff the true degree exceeds what the stored quotients resolve;
-    the returned floor 2 * order - 1 is a lower bound on it.
+    distance: np.ndarray
+    requested: np.ndarray  # degree the distance asks for
+    cutoff: np.ndarray  # no stored quotient reached: requested is the floor 2K - 1
+    anchor: np.ndarray  # index in jet.base_points
+    degree: np.ndarray  # requested, capped by the stored jet order
+    which: np.ndarray  # index of the point's polynomial in polys
+    polys: list[TaylorPolynomial]  # one per distinct (anchor, degree), ascending
+
+
+def _local_taylor(jet: UltraJet, row: WeightSequence, dilation: float, xs) -> _LocalTaylor:
+    """The Taylor polynomial of the jet glued at each point of xs.
+
+    Its anchor is the base point nearest the point's nearest set point,
+    ties to the smaller one.  Its degree is 2 * gamma - 1, at least 0,
+    for gamma = counting_index(row, dilation * d(x)), capped by the
+    stored jet order; where no stored quotient reaches, gamma is K and
+    2K - 1 is a flagged lower bound.  Each entry is the scalar rule at
+    its point bit for bit, and taylor_poly runs once per distinct
+    (anchor, degree).
     """
-    try:
-        gamma = counting_index(row, dilation * d)
-    except CountingIndexAtCutoff:
-        return 2 * row.order - 1, True
-    return max(2 * gamma - 1, 0), False
-
-
-def _requested_degrees(
-    row: WeightSequence, dilation: float, ds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """_requested_degree at every distance in ds: one searchsorted over the quotients.
-
-    The thresholds are counting_index's, with libm log per entry, so
-    every degree and cutoff flag is the scalar one.
-    """
-    if not row.is_log_convex:
-        raise ValueError("counting index requires a log-convex sequence")
-    thresholds = -_libm(math.log, dilation * ds) - QUOTIENT_TIE_SLACK
-    k = np.searchsorted(row._lq, thresholds, side="left")
-    at_cut = k >= len(row.log_quotients)
-    return np.where(at_cut, 2 * row.order - 1, np.maximum(2 * k - 1, 0)), at_cut
-
-
-def _nearest_base_point(jet: UltraJet, y: float) -> float:
-    return min(jet.base_points, key=lambda p: (abs(p - y), p))
-
-
-def _anchor_indices(jet: UltraJet, hats: np.ndarray) -> np.ndarray:
-    """Index in jet.base_points of _nearest_base_point at each entry of hats.
-
-    The rule runs once per distinct nearest set point (at most two per
-    component), and np.searchsorted maps every entry to its point.
-    """
+    ds, hats = distances_and_nearest(jet.e, xs)
     points = sorted_unique(hats)
-    index = [jet.base_points.index(_nearest_base_point(jet, y)) for y in points.tolist()]
-    return np.array(index, dtype=int)[np.searchsorted(points, hats)]
+    pts = jet.base_points
+    nearest = [pts.index(min(pts, key=lambda p: (abs(p - y), p))) for y in points.tolist()]
+    anchor = np.array(nearest, dtype=int)[np.searchsorted(points, hats)]
+    gamma = counting_index(row, dilation * ds)
+    requested = np.maximum(2 * gamma - 1, 0)
+    degree = np.minimum(requested, jet.alpha_max)
+    span = jet.alpha_max + 1
+    key = anchor * span + degree
+    keys = sorted_unique(key)
+    polys = [taylor_poly(jet, pts[k // span], k % span) for k in keys.tolist()]
+    which = np.searchsorted(keys, key)
+    return _LocalTaylor(ds, requested, gamma == row.order, anchor, degree, which, polys)
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def assemble(
     plan: ExtensionPlan,
     *,
     r_cov: float = 1.0,
-    max_generation: int = 48,
+    max_generation: int = MAX_GENERATION,
     allow_degenerate: bool = False,
 ) -> ExtensionFunction:
     """Build the extension for a jet against a regularized matrix.
@@ -350,7 +348,8 @@ def assemble(
     build_partition, which certifies the bump total positive on the
     whole covered band from the template's plateau (no sampling) and
     raises UncoveredPoint where it cannot.  The cover uses the 9/8
-    expansion.
+    expansion.  Each interval's Taylor polynomial is _local_taylor's at
+    its center, and intervals with one (anchor, degree) share one object.
     """
     if not plan.meets_threshold and not allow_degenerate:
         raise PlanInvalid(
@@ -373,40 +372,23 @@ def assemble(
         1.0 / (3.0 * plan.dilation * s1),
     )
 
-    taylors: list[TaylorPolynomial] = []
-    degrees: list[int] = []
-    requested: list[int] = []
-    anchors: list[float] = []
-    cutoffs = 0
-    caps = 0
-    for center in cover.centers:
-        d, xhat = distance_and_nearest(jet.e, float(center))
-        anchor = _nearest_base_point(jet, xhat)
-        want, at_cut = _requested_degree(degree_row, plan.dilation, d)
-        cutoffs += at_cut
-        deg = min(want, jet.alpha_max)
-        caps += deg < want
-        taylors.append(taylor_poly(jet, anchor, deg))
-        degrees.append(deg)
-        requested.append(want)
-        anchors.append(anchor)
-
+    local = _local_taylor(jet, degree_row, plan.dilation, cover.centers)
     return ExtensionFunction(
         jet=jet,
         plan=plan,
         cover=cover,
         partition=partition,
-        taylors=tuple(taylors),
-        degrees=tuple(degrees),
-        requested=tuple(requested),
-        anchors=tuple(anchors),
+        taylors=tuple(local.polys[w] for w in local.which.tolist()),
+        degrees=tuple(local.degree.tolist()),
+        requested=tuple(local.requested.tolist()),
+        anchors=tuple(jet.base_points[a] for a in local.anchor.tolist()),
         degree_row=degree_row,
         residual_row=residual_row,
         value_row_log=tuple(float(v) for v in value_row),
         growth_row_log=tuple(float(v) for v in growth_row),
         d_max=d_max,
-        degree_cutoffs=cutoffs,
-        degree_caps=caps,
+        degree_cutoffs=int(np.count_nonzero(local.cutoff)),
+        degree_caps=int(np.count_nonzero(local.degree < local.requested)),
     )
 
 
@@ -792,11 +774,10 @@ def verify_bounds(
     minus t_x) and the glued sum, and a pair table with each (sample,
     member) difference vector against t_x and the member's d_i, decay
     value and settled flag.  It runs as array passes over the whole
-    sample set, bitwise equal to a per-sample walk: distances and
-    nearest set points by distances_and_nearest, anchors by one
-    _nearest_base_point call per distinct nearest point, and members
-    by WhitneyCover.window_memberships, which tests only the two
-    intervals whose centers bracket a sample.  That window holds because
+    sample set, bitwise equal to a per-sample walk: distances and t_x by
+    _local_taylor (the rule assemble applies to the interval centers),
+    and members by WhitneyCover.window_memberships, which tests only the
+    two intervals whose centers bracket a sample.  That window holds because
     no expanded interval reaches a neighbouring center (sorted centers,
     disjoint cells, the 9/8 expansion); it is checked once per call and
     CoverOverlap raised if it fails.  Shared center, valuation and
@@ -841,27 +822,18 @@ def verify_bounds(
     near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
     growth_log = np.array(f.growth_row_log[:width])
 
-    # Phase 1, geometry: distance, nearest set point and anchor of every
-    # sample, then the degree of t_x, one polynomial per distinct anchor
-    # and degree, and the t_x vectors of all samples from one Horner pass.
+    # Phase 1, geometry: each sample's t_x by the local Taylor rule, and
+    # the t_x vectors of all samples from one Horner pass.
     xs_list = xs.tolist()
-    ds, hats = distances_and_nearest(f.jet.e, xs)
-    anchor_ix = _anchor_indices(f.jet, hats)
-    wants, at_cut = _requested_degrees(f.degree_row, ld, ds)
-    cutoff_hits = int(np.count_nonzero(at_cut))
-    degs = np.minimum(wants, f.jet.alpha_max)
+    local = _local_taylor(f.jet, f.degree_row, ld, xs)
+    ds, wants, degs = local.distance, local.requested, local.degree
+    polys, group = local.polys, local.which
     # A Taylor polynomial's key: anchor index * (alpha_max + 1) + degree.
     span = f.jet.alpha_max + 1
-    sample_key = anchor_ix * span + degs
+    sample_key = local.anchor * span + degs
     interval_key = np.searchsorted(f.jet.base_points, f.anchors) * span + np.asarray(f.degrees)
-    polys: list[TaylorPolynomial] = []  # t_x of each key among the samples
-    group = np.empty(n, dtype=int)
-    for key, idx in _groups(sample_key):
-        a_ix, deg = divmod(key, span)
-        group[idx] = len(polys)
-        polys.append(taylor_poly(f.jet, f.jet.base_points[a_ix], deg))
     tx = taylor_vectors(polys, group, xs, cap)
-    jet_tab = np.array(f.jet.rows)[anchor_ix, :width]
+    jet_tab = np.array(f.jet.rows)[local.anchor, :width]
     lh_near, near_ok = _log_decay(f.degree_row, _libm(math.log, 3.0 * ld * ds))
     lh_resid, resid_ok = _log_decay(f.residual_row, _libm(math.log, k3 * ld * ds))
 
@@ -998,7 +970,7 @@ def verify_bounds(
         fitted_m=m,
         fitted_m1=m1,
         degree_cap_hits=int(np.count_nonzero(degs < wants)),
-        degree_cutoff_hits=cutoff_hits,
+        degree_cutoff_hits=int(np.count_nonzero(local.cutoff)),
         valuation_pairs=val_pairs,
         valuation_ok=val_ok,
         plan=plan,

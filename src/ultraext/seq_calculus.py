@@ -176,7 +176,7 @@ def log_h_function(m: WeightSequence, log_t):
 QUOTIENT_TIE_SLACK = 1e-9
 
 
-def counting_index(m: WeightSequence, t: float) -> int:
+def counting_index(m: WeightSequence, t):
     """min{k >= 0 : m_{k+1}/m_k >= 1/t} for a log-convex sequence.
 
     This is the index at which the h-function infimum settles; it is
@@ -184,17 +184,33 @@ def counting_index(m: WeightSequence, t: float) -> int:
     defining inequality resolve to the smallest k, with a relative slack
     so that a quotient equal to 1/t up to rounding still counts.  The
     comparison uses the stored quotient view against the threshold -log t.
+
+    An array of t gives an array of indices, with libm log per entry, so
+    each entry is the scalar result bit for bit.  An entry that no stored
+    quotient reaches is K = m.order there, where a scalar t raises
+    CountingIndexAtCutoff.
     """
-    t = _require_positive_t(t)
+    array = np.ndim(t) > 0
+    if array:
+        ts = np.asarray(t, dtype=float)
+        bad = ~((ts > 0.0) & np.isfinite(ts))
+        if bad.any():
+            raise ValueError(f"t must be positive and finite, got {ts[bad][0]!r}")
+        log_t = np.fromiter(map(math.log, ts.ravel().tolist()), float, ts.size)
+        log_t = log_t.reshape(ts.shape)
+    else:
+        t = _require_positive_t(t)
+        log_t = math.log(t)
     if not m.is_log_convex:
         raise ValueError("counting index requires a log-convex sequence")
-    threshold = -math.log(t) - QUOTIENT_TIE_SLACK
-    k = int(np.searchsorted(m._lq, threshold, side="left"))
-    if k >= len(m.log_quotients):
+    k = np.searchsorted(m._lq, -log_t - QUOTIENT_TIE_SLACK, side="left")
+    if array:
+        return k
+    if k >= m.order:
         raise CountingIndexAtCutoff(
             f"no quotient reaches 1/t within the stored range for t={t}"
         )
-    return k
+    return int(k)
 
 
 # -- log-convex minorant ------------------------------------------------

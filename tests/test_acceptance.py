@@ -299,7 +299,7 @@ def test_criterion_09_extension_end_to_end():
     jet = UltraJet(e, (0.0,), (tuple(float(v) for v in np.exp(full[:33])),))
     cert = certify(jet, inter, xi=1.0)
     plan = make_plan(cert, reg)
-    ext = assemble(jet, reg, plan, max_generation=44)
+    ext = assemble(jet, reg, plan)
 
     # stored-point agreement is exact
     for a in range(9):
@@ -352,7 +352,6 @@ def test_criterion_09_extension_end_to_end():
         reg,
         make_plan(cert, reg, dilation=0.5 * cert.rho),
         allow_degenerate=True,
-        max_generation=44,
     )
     bad = verify_bounds(degenerate, samples=200, alpha_cap=8)
     assert not bad.all_passed

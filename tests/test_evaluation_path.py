@@ -4,7 +4,8 @@ eval_derivative keeps the last off-set point's vector 0..folds and serves
 every order there from it; verify_bounds fills per-sample tables and runs
 every check column-wise.  Both are compared with scalar code: the first
 with a fresh per-order evaluation by the per-member product rule, the
-second with a copy of the per-sample audit.
+second with a copy of the per-sample audit.  The local Taylor rule that
+assembly and the audit share is compared with its scalar form.
 """
 
 from __future__ import annotations
@@ -20,19 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext import extension_engine
-from ultraext.errors import CoverOverlap, OrderOverflow, OutsideRegion
+from ultraext.errors import CountingIndexAtCutoff, CoverOverlap, OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
-    _anchor_indices,
     _difference_derivatives,
     _exp_where,
     _finish_check,
+    _local_taylor,
     _log_abs,
     _log_decay,
-    _nearest_base_point,
     _PhiVectors,
-    _requested_degree,
-    _requested_degrees,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -41,8 +39,15 @@ from ultraext.extension_engine import (
     verify_bounds,
 )
 from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
-from ultraext.seq_calculus import QUOTIENT_TIE_SLACK
-from ultraext.ultrajets import TaylorPolynomial, UltraJet, certify, taylor_poly, taylor_vectors
+from ultraext.seq_calculus import QUOTIENT_TIE_SLACK, counting_index
+from ultraext.ultrajets import (
+    TaylorPolynomial,
+    UltraJet,
+    certify,
+    polynomial_jet,
+    taylor_poly,
+    taylor_vectors,
+)
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import (
     CompactSet1D,
@@ -50,6 +55,22 @@ from ultraext.whitney_geometry import (
     distance_grid,
     distances_and_nearest,
 )
+
+
+# The scalar local Taylor rule, the oracle of _local_taylor: the anchor
+# is the base point nearest the nearest set point, the degree comes from
+# the counting index at the dilated distance.
+def nearest_base_point(jet, y):
+    return min(jet.base_points, key=lambda p: (abs(p - y), p))
+
+
+def requested_degree(row, dilation, d):
+    """(degree wanted at distance d, cutoff flag); at cutoff the floor 2K - 1."""
+    try:
+        gamma = counting_index(row, dilation * d)
+    except CountingIndexAtCutoff:
+        return 2 * row.order - 1, True
+    return max(2 * gamma - 1, 0), False
 
 
 # The per-point helpers of the scalar audit, kept as its oracle: one
@@ -85,15 +106,27 @@ def _glued_derivatives(f, x, order, members, phis, t_ref):
     return out
 
 
-def gevrey_extension(points, folds=8, weight=None):
-    """The README extend job's extension (power 0.5, gevrey jet at xi 1) on points."""
+def gevrey_extension(points, folds=8, weight=None, e=None):
+    """The README extend job's extension (power 0.5, gevrey jet at xi 1) on points.
+
+    e, when given, is the set; points are then its base points.
+    """
     weight = WeightFunction.power(0.5) if weight is None else weight
     reg = strong_regularization(associated_matrix(weight, k_max=64))
     inter = interleave_matrix(reg)
     row = tuple(float(v) for v in np.exp(inter.full_log_row(1.0)[:33]))
-    jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
+    e = CompactSet1D.from_points(points) if e is None else e
+    jet = UltraJet(e, tuple(points), (row,) * len(points))
     plan = make_plan(certify(jet, inter, xi=1.0), reg, folds=folds)
-    return assemble(jet, reg, plan, max_generation=44)
+    return assemble(jet, reg, plan)
+
+
+def polynomial_extension(points, coeffs):
+    """The extend job with a polynomial jet (README weight, certify's own row)."""
+    reg = strong_regularization(associated_matrix(WeightFunction.power(0.5), k_max=64))
+    inter = interleave_matrix(reg)
+    jet = polynomial_jet(CompactSet1D.from_points(points), points, coeffs, 32)
+    return assemble(jet, reg, make_plan(certify(jet, inter), reg))
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +141,12 @@ def extensions():
         "log_squared": gevrey_extension(
             [0.0], weight=WeightFunction.linear_over_log_squared()
         ),
+        "interval": gevrey_extension(
+            [-1.0, 0.0], e=CompactSet1D.from_intervals([(-1.0, 0.0)])
+        ),
+        # Two points close enough that some (sample, member) pairs join
+        # Taylor polynomials of distinct anchors.
+        "polynomial": polynomial_extension([0.0, 0.01], [1.0, 2.0, -3.0]),
     }
 
 
@@ -252,8 +291,8 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
     for x in xs:
         x = float(x)
         d, xhat = distance_and_nearest(f.jet.e, x)
-        anchor = _nearest_base_point(f.jet, xhat)
-        want, at_cut = _requested_degree(f.degree_row, ld, d)
+        anchor = nearest_base_point(f.jet, xhat)
+        want, at_cut = requested_degree(f.degree_row, ld, d)
         cutoff_hits += at_cut
         deg = min(want, f.jet.alpha_max)
         cap_hits += deg < want
@@ -439,6 +478,8 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         pytest.param("one_point", 0, 240, id="one_point-0"),
         pytest.param("one_point", 1, 240, id="one_point-1"),
         pytest.param("one_point", 8, 2000, id="one_point-8-2000"),
+        # Some (sample, member) pairs join polynomials of distinct anchors.
+        pytest.param("polynomial", 8, 2000, id="polynomial-8-2000"),
     ],
 )
 def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap, samples):
@@ -466,23 +507,58 @@ def test_audit_cases_reach_their_edge_tables(extensions):
 def test_requested_degrees_are_the_scalar_rule(extensions, name):
     f = extensions[name]
     ld, row = f.plan.dilation, f.degree_row
-    ds = [distance_and_nearest(f.jet.e, x)[0] for x in region_samples(f, 2000).tolist()]
-    # Distances whose threshold -log(ld * d) - slack equals a quotient
-    # exactly (a tie) or sits an ulp of d away from one, and distances far
-    # past the last quotient (the cutoff).
+    xs = region_samples(f, 2000).tolist()
+    # Points at distances whose threshold -log(ld * d) - slack equals a
+    # quotient exactly (a tie) or sits an ulp of d away from one, and
+    # points far past the last quotient (the cutoff).  Each set starts at
+    # 0.0, so -d lies at distance d exactly.
     ties = 0
     for q in row.log_quotients[::3]:
         d = math.exp(-q - QUOTIENT_TIE_SLACK) / ld
         for _ in range(64):
-            ds.append(d)
+            xs.append(-d)
             ties += -math.log(ld * d) - QUOTIENT_TIE_SLACK == q
             d = math.nextafter(d, 0.0)
-    ds += [1e-300, 1e-200, 1e-120]
+    xs += [-1e-300, -1e-200, -1e-120]
     assert ties > 0
-    wants, at_cut = _requested_degrees(row, ld, np.array(ds))
-    want = [_requested_degree(row, ld, d) for d in ds]
-    assert list(zip(wants.tolist(), at_cut.tolist())) == want
+    local = _local_taylor(f.jet, row, ld, np.array(xs))
+    want = [requested_degree(row, ld, distance_and_nearest(f.jet.e, x)[0]) for x in xs]
+    assert list(zip(local.requested.tolist(), local.cutoff.tolist())) == want
     assert any(cut for _, cut in want) and not all(cut for _, cut in want)
+
+
+@pytest.mark.parametrize("name", ["one_point", "cluster", "interval", "polynomial", "log_squared"])
+def test_assembly_is_the_scalar_local_taylor_rule(extensions, name):
+    # Every interval's polynomial, degree and flags against the scalar
+    # rule at its center, and the counts assemble reports.
+    f = extensions[name]
+    caps = cutoffs = 0
+    for i, c in enumerate(f.cover.centers.tolist()):
+        d, xhat = distance_and_nearest(f.jet.e, c)
+        want, at_cut = requested_degree(f.degree_row, f.plan.dilation, d)
+        deg = min(want, f.jet.alpha_max)
+        t = taylor_poly(f.jet, nearest_base_point(f.jet, xhat), deg)
+        got = f.taylors[i]
+        assert [v.hex() for v in (got.center, *got.derivs)] == [
+            v.hex() for v in (t.center, *t.derivs)
+        ]
+        assert (f.anchors[i].hex(), f.degrees[i], f.requested[i]) == (t.center.hex(), deg, want)
+        assert type(f.degrees[i]) is type(f.requested[i]) is int
+        caps += deg < want
+        cutoffs += at_cut
+    assert (f.degree_caps, f.degree_cutoffs) == (caps, cutoffs)
+
+
+def test_assembly_builds_one_polynomial_per_anchor_and_degree(monkeypatch):
+    # The eight cluster points: 630 intervals share 73 polynomials.
+    made = []
+    real = extension_engine.taylor_poly
+    monkeypatch.setattr(
+        extension_engine, "taylor_poly", lambda *args: made.append(args) or real(*args)
+    )
+    f = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
+    assert len(f.taylors) == 630
+    assert len(made) == len(set(made)) == len(set(f.taylors)) == 73
 
 
 NAN, INF = math.nan, math.inf
@@ -544,8 +620,8 @@ def test_two_point_audit_changes_anchor_and_reference(extensions):
     anchors, other_ref = set(), 0
     for x in region_samples(f, 240).tolist():
         d, xhat = distance_and_nearest(f.jet.e, x)
-        anchor = _nearest_base_point(f.jet, xhat)
-        want, _ = _requested_degree(f.degree_row, f.plan.dilation, d)
+        anchor = nearest_base_point(f.jet, xhat)
+        want, _ = requested_degree(f.degree_row, f.plan.dilation, d)
         t_x = taylor_poly(f.jet, anchor, min(want, f.jet.alpha_max))
         anchors.add(anchor)
         other_ref += f.taylors[parent_reference_index(f, x)] != t_x
@@ -561,13 +637,15 @@ def test_array_lookup_matches_the_per_sample_lookup(extensions, name):
     f = extensions[name]
     xs = region_samples(f, 2000)
     ds, hats = distances_and_nearest(f.jet.e, xs)
-    anchors = np.asarray(f.jet.base_points)[_anchor_indices(f.jet, hats)]
+    local = _local_taylor(f.jet, f.degree_row, f.plan.dilation, xs)
+    anchors = np.asarray(f.jet.base_points)[local.anchor]
+    assert local.distance.tobytes() == ds.tobytes()
     cand, inside, expanded = f.cover.window_memberships(xs)
     grid = distance_grid(f.jet.e, xs)
     for k, x in enumerate(xs.tolist()):
         d, xhat = distance_and_nearest(f.jet.e, x)
         assert (ds[k].hex(), grid[k].hex(), hats[k].hex()) == (d.hex(), d.hex(), xhat.hex())
-        assert anchors[k].hex() == _nearest_base_point(f.jet, xhat).hex()
+        assert anchors[k].hex() == nearest_base_point(f.jet, xhat).hex()
         want_in, want_ex = f.cover.memberships(x)
         assert cand[k][inside[k]].tolist() == want_in.tolist()
         assert cand[k][expanded[k]].tolist() == want_ex.tolist()

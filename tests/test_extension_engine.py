@@ -1,12 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultraext import cli
 from ultraext.errors import (
+    DegenerateSupport,
     MissingRow,
     OrderOverflow,
     OutsideRegion,
@@ -16,7 +19,7 @@ from ultraext.errors import (
 from ultraext.extension_engine import (
     ExtensionPlan,
     PlanConstants,
-    _requested_degree,
+    _local_taylor,
     assemble,
     boundary_limits,
     eval_derivative,
@@ -67,16 +70,21 @@ def pipeline():
     jet = UltraJet(e, (0.0,), (tuple(np.exp(full[:33])),))
     cert = certify(jet, inter, xi=1.0)
     plan = make_plan(cert, reg)
-    ext = assemble(jet, reg, plan, max_generation=44)
+    ext = assemble(jet, reg, plan)
     return reg, inter, jet, cert, plan, ext
 
 
+def square_row_degrees(ds):
+    """(requested degree, cutoff flag) on SQUARE_ROW at dilation 1, distances ds."""
+    jet = polynomial_jet(CompactSet1D.from_points([0.0]), [0.0], [1.0], 2)
+    local = _local_taylor(jet, SQUARE_ROW, 1.0, np.array(ds))
+    return list(zip(local.requested.tolist(), local.cutoff.tolist()))
+
+
 def test_requested_degree_frozen_examples():
-    assert _requested_degree(SQUARE_ROW, 1.0, 0.25) == (1, False)
-    assert _requested_degree(SQUARE_ROW, 1.0, 0.01) == (17, False)
-    assert _requested_degree(SQUARE_ROW, 1.0, 10.0) == (0, False)
+    assert square_row_degrees([0.25, 0.01, 10.0]) == [(1, False), (17, False), (0, False)]
     # beyond the stored quotients: the floor 2 * order - 1, flagged
-    assert _requested_degree(SQUARE_ROW, 1.0, 1e-9) == (63, True)
+    assert square_row_degrees([1e-9]) == [(63, True)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,10 +93,48 @@ def test_requested_degree_frozen_examples():
     st.floats(min_value=1e-2, max_value=10.0),
 )
 def test_requested_degree_monotone_in_distance(d1, d2):
-    lo, hi = sorted((d1, d2))
-    deg_lo, _ = _requested_degree(SQUARE_ROW, 1.0, lo)
-    deg_hi, _ = _requested_degree(SQUARE_ROW, 1.0, hi)
+    (deg_lo, _), (deg_hi, _) = square_row_degrees(sorted((d1, d2)))
     assert deg_lo >= deg_hi
+
+
+def test_assemble_defaults_are_the_extend_jobs(pipeline, tmp_path, monkeypatch):
+    # assemble's default cover depth is the extend job's: on the eight
+    # cluster points both glue on the same 630 intervals.  build_cover's
+    # own 48 generations reach bumps too narrow to place.
+    reg, inter = pipeline[:2]
+    points = [0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]
+    row = tuple(np.exp(inter.full_log_row(1.0)[:33]))
+    jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
+    plan = make_plan(certify(jet, inter, xi=1.0), reg)
+    ext = assemble(jet, reg, plan)
+    assert len(ext.cover.centers) == 630
+    with pytest.raises(DegenerateSupport):
+        assemble(jet, reg, plan, max_generation=48)
+
+    built = []
+
+    def captured(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "assemble", captured)
+    doc = {
+        "weight": {"family": "power", "parameters": {"exponent": 0.5}},
+        "jet": {"kind": "gevrey", "set": {"points": points}, "alpha_max": 32, "xi": 1.0},
+    }
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["extend", "--config", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert built[0].cover.centers.tobytes() == ext.cover.centers.tobytes()
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's "Library use" block, run exactly as written there.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1] == "True"
 
 
 def test_plan_validation():
@@ -344,8 +390,8 @@ def test_evaluation_is_linear_in_the_jet(pipeline):
         for r1, r2 in zip(jet1.rows, jet2.rows)
     )
     jet12 = UltraJet(e, (0.0,), rows)
-    ext2 = assemble(jet2, reg, plan, max_generation=44)
-    ext12 = assemble(jet12, reg, plan, max_generation=44)
+    ext2 = assemble(jet2, reg, plan)
+    ext12 = assemble(jet12, reg, plan)
     for x in (1e-3, -2e-3, 4e-3):
         for a in range(4):
             lhs = eval_derivative(ext12, x, a)

@@ -16,6 +16,7 @@ from ultraext.errors import (
     SupremumAtCutoff,
 )
 from ultraext.seq_calculus import (
+    QUOTIENT_TIE_SLACK,
     WeightSequence,
     associated_weight,
     counting_index,
@@ -110,12 +111,68 @@ def test_counting_index_matches_h_argmin_off_ties():
         assert counting_index(m, t) == oracle_counting(m.log_values, t)
 
 
-def test_minorant_hull_example():
-    # m = 1, 4, 4, 64, then extended log-convexly
+def hull_example() -> WeightSequence:
+    """m = 1, 4, 4, 64, then extended log-convexly: not log-convex itself."""
     quot = [math.log(4.0), 0.0, math.log(16.0)]
     while len(quot) < 20:
         quot.append(quot[-1] + 1.0)
-    m = WeightSequence.from_log_quotients(quot)
+    return WeightSequence.from_log_quotients(quot)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    row=st.sampled_from(["gevrey_20", "gevrey_64", "hull"]),
+    us=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+)
+def test_counting_index_array_is_the_scalar_call(row, us):
+    m = {
+        "gevrey_20": gevrey2(20),
+        "gevrey_64": gevrey2(),
+        # Its minorant repeats one hull slope, so ties span several quotients.
+        "hull": log_convex_minorant(hull_example()),
+    }[row]
+    lq = m.log_quotients
+    # -log t uniform from below the first stored quotient to past the last
+    # (the cutoff), plus t at each quotient's tie and an ulp to each side.
+    lo, hi = lq[0] - 2.0, lq[-1] + 2.0
+    ts = [math.exp(-(lo + u * (hi - lo))) for u in us]
+    for q in lq[::4]:
+        t = math.exp(-q - QUOTIENT_TIE_SLACK)
+        ts += [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+    ts.append(math.exp(-lq[-1] - 1.0))
+    got = counting_index(m, np.array(ts))
+    want = []
+    for t in ts:
+        try:
+            want.append(counting_index(m, t))
+        except CountingIndexAtCutoff:
+            want.append(m.order)
+    assert got.tolist() == want
+    assert want[-1] == m.order
+
+
+@pytest.mark.parametrize("t", [1.0082016495047519, 0.969198109122836])
+def test_counting_index_array_takes_libm_log(t):
+    # numpy's vectorized log rounds these one ulp off libm's on some
+    # builds; a quotient one ulp below libm's threshold tells them apart.
+    q = math.nextafter(-math.log(t) - QUOTIENT_TIE_SLACK, -math.inf)
+    m = WeightSequence.from_log_quotients([q - 2.0, q] + [q + k for k in range(1, 19)])
+    assert counting_index(m, t) == 2
+    assert counting_index(m, np.array([t, t])).tolist() == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "make_row, ts",
+    [(gevrey2, [0.5, bad, 0.25]) for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)]
+    + [(hull_example, [0.5])],  # not log-convex
+)
+def test_counting_index_array_rejects_bad_input(make_row, ts):
+    with pytest.raises(ValueError):
+        counting_index(make_row(), np.array(ts))
+
+
+def test_minorant_hull_example():
+    m = hull_example()
     assert not m.is_log_convex
     mm = log_convex_minorant(m)
     vals = mm.values()

@@ -87,6 +87,11 @@ def range_trend(values, growth_tol: float = 1.05) -> tuple[str, float]:
     return (GROWING if monotone else INCONCLUSIVE), growth
 
 
+def libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn (math.log or math.exp) per entry: numpy's own round differently on some inputs."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
 def bound_constant(numerator, denominator) -> float:
     """Smallest C with num <= C * (den + 1) on the sample, as a max ratio."""
     num = np.asarray(numerator, dtype=float)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._fitting import GROWING, INCONCLUSIVE, decade_trend, range_trend
+from ._fitting import GROWING, INCONCLUSIVE, decade_trend, libm, range_trend
 from .errors import (
     MissingRow,
     OrderOverflow,
@@ -735,17 +735,12 @@ def _groups(keys: np.ndarray):
             yield int(keys[lo]), order[lo:hi]
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """fn (math.log or math.exp) per entry: numpy's own round differently on some inputs."""
-    return np.fromiter(map(fn, values.tolist()), float, values.size)
-
-
 def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|v| > 0, math.log|v| there and -inf elsewhere), entrywise."""
     mag = np.abs(values)
     pos = mag > 0.0
     logs = np.full(mag.shape, -np.inf)
-    logs[pos] = _libm(math.log, mag[pos])
+    logs[pos] = libm(math.log, mag[pos])
     return pos, logs
 
 
@@ -753,7 +748,7 @@ def _exp_where(x: np.ndarray, live) -> np.ndarray:
     """math.exp(x) on the live entries, 0.0 elsewhere."""
     live = live & (x != -np.inf)  # math.exp(-inf) is 0.0 exactly
     out = np.zeros(x.shape)
-    out[live] = _libm(math.exp, x[live])
+    out[live] = libm(math.exp, x[live])
     return out
 
 
@@ -790,7 +785,7 @@ def verify_bounds(
     Phase 2 computes every check from the tables with elementwise array
     arithmetic in the operation order of a per-sample loop, bit for bit:
     subtraction, abs, minimum and fmax are the scalar operations, and
-    log and exp stay libm's (math.log and math.exp per entry, _libm).
+    log and exp stay libm's (math.log and math.exp per entry, libm).
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -807,7 +802,7 @@ def verify_bounds(
 
     # Per-interval decay values at the dilated center distance.
     center_d = distance_grid(f.jet.e, f.cover.centers)
-    center_lh, center_ok = _log_decay(f.degree_row, _libm(math.log, ld * center_d))
+    center_lh, center_ok = _log_decay(f.degree_row, libm(math.log, ld * center_d))
 
     # Order-only log terms, each the left part of the per-sample sum it
     # starts, so adding the sample's own term gives the same float.
@@ -834,8 +829,8 @@ def verify_bounds(
     interval_key = np.searchsorted(f.jet.base_points, f.anchors) * span + np.asarray(f.degrees)
     tx = taylor_vectors(polys, group, xs, cap)
     jet_tab = np.array(f.jet.rows)[local.anchor, :width]
-    lh_near, near_ok = _log_decay(f.degree_row, _libm(math.log, 3.0 * ld * ds))
-    lh_resid, resid_ok = _log_decay(f.residual_row, _libm(math.log, k3 * ld * ds))
+    lh_near, near_ok = _log_decay(f.degree_row, libm(math.log, 3.0 * ld * ds))
+    lh_resid, resid_ok = _log_decay(f.residual_row, libm(math.log, k3 * ld * ds))
 
     # Membership: the (sample, member) pairs in member order, and the
     # reference interval of each sample (_members' rule).
@@ -915,7 +910,7 @@ def verify_bounds(
     used = orders < np.minimum(wants, len(consis_rhs))[:, None]
     pos, logs = _log_abs(np.where(used, tx - jet_tab, 0.0))
     log_rhs = np.array(consis_rhs + [0.0] * (width - len(consis_rhs)))
-    log_rhs = log_rhs + _libm(math.log, ds)[:, None]
+    log_rhs = log_rhs + libm(math.log, ds)[:, None]
     ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), pos)
     finish("taylor_jet_consistency", ratios, ds, 0, used)
 

@@ -77,6 +77,17 @@ def _real_roots_in(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
     return out
 
 
+def _coeff_table(pieces) -> np.ndarray:
+    """The coefficient rows as one array, shorter rows zero-padded."""
+    lengths = {len(row) for row in pieces}
+    if len(lengths) == 1:
+        return np.array(pieces, dtype=float)
+    coeff = np.zeros((len(pieces), max(lengths)))
+    for j, row in enumerate(pieces):
+        coeff[j, : len(row)] = row
+    return coeff
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Compactly supported piecewise polynomial in local power basis.
@@ -100,15 +111,9 @@ class PiecewisePolynomial:
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != bp.size - 1:
             raise ValueError("need exactly one coefficient row per piece")
-        lengths = {len(row) for row in self.pieces}
-        if 0 in lengths:
+        if any(len(row) == 0 for row in self.pieces):
             raise ValueError("empty coefficient row")
-        if len(lengths) == 1:
-            coeff = np.array(self.pieces, dtype=float)
-        else:
-            coeff = np.zeros((bp.size - 1, max(lengths)))
-            for j, row in enumerate(self.pieces):
-                coeff[j, : len(row)] = row
+        coeff = _coeff_table(self.pieces)
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "_bp", bp)
@@ -282,7 +287,10 @@ class PlacedBumps(Sequence):
     breakpoints t; ``rows[i]`` are the template rows with row m divided
     by side_i**m, one tuple shared by every interval of a side.  Bump i
     is the PiecewisePolynomial of those two, built and kept when it is
-    first read.
+    first read.  It is built without PiecewisePolynomial's checks:
+    build_partition has made them on all rows at once (finite, strictly
+    increasing breakpoints; finite rows), and the template's shape fixes
+    the rest (at least two breakpoints, one nonempty row per piece).
     """
 
     def __init__(self, breakpoints: np.ndarray, rows: Sequence[tuple]) -> None:
@@ -297,8 +305,15 @@ class PlacedBumps(Sequence):
         i = range(len(self.rows))[i]  # IndexError ends iteration
         got = self._built.get(i)
         if got is None:
-            bp = tuple(self.breakpoints[i].tolist())
-            got = self._built[i] = PiecewisePolynomial(bp, self.rows[i])
+            bp, rows = self.breakpoints[i], self.rows[i]
+            got = self._built[i] = object.__new__(PiecewisePolynomial)
+            for name, value in (
+                ("breakpoints", tuple(bp.tolist())),
+                ("pieces", rows),
+                ("_bp", bp),
+                ("_coeff", _coeff_table(rows)),
+            ):
+                object.__setattr__(got, name, value)
         return got
 
 

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._fitting import libm
 from .errors import (
     CountingIndexAtCutoff,
     InfimumAtCutoff,
@@ -196,8 +197,7 @@ def counting_index(m: WeightSequence, t):
         bad = ~((ts > 0.0) & np.isfinite(ts))
         if bad.any():
             raise ValueError(f"t must be positive and finite, got {ts[bad][0]!r}")
-        log_t = np.fromiter(map(math.log, ts.ravel().tolist()), float, ts.size)
-        log_t = log_t.reshape(ts.shape)
+        log_t = libm(math.log, ts.ravel()).reshape(ts.shape)
     else:
         t = _require_positive_t(t)
         log_t = math.log(t)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, check_growth_tol, range_trend
+from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, check_growth_tol, libm, range_trend
 from .errors import InconclusiveTrend, NotInClass, OrderOverflow
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
@@ -281,83 +281,158 @@ class JetCertificate:
 def _remainder_table(jet: UltraJet):
     """Every nonzero |(R_a^k F)^(alpha)(b)| with its row data, in row order.
 
-    One numpy Horner pass per base point a covers every other b, every
-    k < alpha_max and every alpha <= k with the scalar path's operations
-    in the same order, acc = d[alpha+m] + acc * dy / (m + 1.0), so each
-    entry is bitwise equal to |remainder(jet, a, b, k, alpha)|.  Returns
-    flat arrays (k+1, log alpha!, (k+1-alpha) log|b-a|, |R|, log|R|) over
-    (a, b, k, alpha) in loop order without the exact zeros; the logs stay
-    per-element math calls.  Nothing here depends on the weight row.
+    One numpy Horner pass covers every ordered pair (a, b) of distinct
+    base points and every entry (k, alpha) = tril_indices(alpha_max)[j]
+    at once.  Entry (j, p) runs the scalar path's operations in the same
+    order, acc = d[alpha+m] + acc * dy / (m + 1.0) from acc = d[k] for m
+    from k - alpha - 1 down to 0, so it is bitwise equal to
+    |remainder(jet, a, b, k, alpha)|.  The entries are held sorted by
+    that depth, so the ones still running at step m are a leading block
+    of the preallocated buffers.  Returns flat arrays (k+1, log alpha!,
+    (k+1-alpha) log|b-a|, |R|) over (a, b, k, alpha) in loop order
+    without the exact zeros.  Nothing here depends on the weight row.
     """
-    pts, big_k = jet.base_points, jet.alpha_max
+    pts, big_k = np.array(jet.base_points), jet.alpha_max
     vals = np.array(jet.rows)
     k, alpha = np.tril_indices(big_k)
-    parts = []
+    ia, ib = np.nonzero(~np.eye(pts.size, dtype=bool))
+    dy = pts[ib] - pts[ia]
+    deepest = np.argsort(alpha - k, kind="stable")
+    depth = (k - alpha)[deepest]
+    d = vals[ia].T
+    acc = d[k[deepest]]
+    coeff, step = np.empty_like(acc), np.empty_like(acc)
     with np.errstate(over="ignore", invalid="ignore"):
-        for ia, a in enumerate(pts):
-            d, others = vals[ia], [ib for ib in range(len(pts)) if ib != ia]
-            dy = np.array([pts[ib] - a for ib in others])[:, None]
-            acc = np.tile(d[k], (len(others), 1))
-            for m in range(big_k - 2, -1, -1):
-                step = d[np.minimum(alpha + m, big_k)] + acc * dy / (m + 1.0)
-                acc = np.where(alpha + m <= k - 1, step, acc)
-            parts.append(np.abs(vals[others][:, alpha] - acc))
-    lhs = np.concatenate(parts)
-    gaps = np.array([math.log(abs(b - a)) for a in pts for b in pts if b != a])
+        for m in range(big_k - 2, -1, -1):
+            n = np.count_nonzero(depth > m)
+            np.take(d, alpha[deepest[:n]] + m, axis=0, out=coeff[:n])
+            np.multiply(acc[:n], dy, out=step[:n])
+            np.divide(step[:n], m + 1.0, out=step[:n])
+            np.add(coeff[:n], step[:n], out=acc[:n])
+        lhs = np.abs(vals[ib].T[alpha[deepest]] - acc)[np.argsort(deepest)].T
+    gaps = libm(math.log, np.abs(dy))
     keep = lhs != 0.0
     lgamma = np.array([math.lgamma(i + 1.0) for i in range(big_k)])[alpha]
     power, lgamma = (np.broadcast_to(c, lhs.shape)[keep] for c in (k + 1, lgamma))
     pgap = ((k + 1 - alpha) * gaps[:, None])[keep]
-    lhs = lhs[keep]
-    return power, lgamma, pgap, lhs, np.array([math.log(v) for v in lhs.tolist()])
+    return power, lgamma, pgap, lhs[keep]
 
 
 def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float, table=None):
-    """(power, log need, linear lhs, log rest, family) rows, fixed order.
+    """Columns (power, lhs, rest, is_value) of the constraint rows, fixed order.
 
-    Value rows, then a row per entry of the remainder table (built here
-    unless passed) with rest = log alpha! + log_div[k+1] + (k+1-alpha)
-    log|b-a| summed in that order, bitwise as from remainder() directly.
+    A row asks lhs <= C rho^power e^rest.  Value rows come first, one per
+    order alpha with a nonzero max_a |F^alpha(a)| and rest = log M_alpha;
+    then a row per entry of the remainder table (built here unless
+    passed) with rest = log alpha! + log_div[k+1] + (k+1-alpha) log|b-a|
+    summed in that order, bitwise as from remainder() directly.
     """
     log_full = matrix.full_log_row(xi)
     log_div = matrix.row_log(xi)
-    rows = []
-    for alpha in range(jet.alpha_max + 1):
-        lhs = max(abs(r[alpha]) for r in jet.rows)
-        if lhs == 0.0:
-            continue
-        rest = float(log_full[alpha])
-        rows.append((alpha, math.log(lhs) - rest, lhs, rest, "value"))
-    power, lgamma, pgap, lhs, log_lhs = _remainder_table(jet) if table is None else table
+    tops = np.abs(np.array(jet.rows)).max(axis=0)
+    orders = np.flatnonzero(tops != 0.0)
+    power, lgamma, pgap, lhs = _remainder_table(jet) if table is None else table
     rest = lgamma + log_div[power] + pgap
-    cols = (power, log_lhs - rest, lhs, rest)
-    rows.extend(zip(*(c.tolist() for c in cols), ["remainder"] * len(power)))
-    return rows
+    is_value = np.arange(orders.size + power.size) < orders.size
+    return (
+        np.concatenate([orders, power]),
+        np.concatenate([tops[orders], lhs]),
+        np.concatenate([log_full[orders], rest]),
+        is_value,
+    )
 
 
-def _rate_profile(rows, alpha_max: int) -> tuple[np.ndarray, tuple[int, int]]:
+# Width of the numpy filter in front of libm.  On one x86-64 build
+# numpy's float64 exp differed from libm's on 4.6% of 2M inputs and its
+# log on 7 of 2M, by at most an ulp each time; a relative 1e-9 is far
+# wider, so every row that can hold the exact extreme passes the filter.
+_FILTER_TOL = 1e-9
+
+
+def _settled(*arrays: np.ndarray) -> np.ndarray:
+    """Entries whose values all lie in [2^-1000, 2^1000].
+
+    There numpy's and libm's results of one float expression agree to a
+    few ulps relatively; zero, subnormal, huge, infinite and NaN values
+    do not, so those entries always go through libm.
+    """
+    ok = np.ones(arrays[0].shape, dtype=bool)
+    for v in arrays:
+        ok &= (v >= 2.0**-1000) & (v <= 2.0**1000)
+    return ok
+
+
+def _need_profile(power, lhs, rest, alpha_max: int) -> np.ndarray:
+    """Per power p, the largest need math.log(lhs) - rest over its rows.
+
+    NaN needs are passed over; a power without rows is -inf.  numpy's
+    log picks the candidates: only the rows whose numpy need lies within
+    _FILTER_TOL * (1 + |top|) of their power's numpy maximum top take
+    math.log.  The two logs of a float differ by far less than 1e-12,
+    so the row holding the exact maximum is always a candidate.
+    """
+    with np.errstate(invalid="ignore"):
+        need = np.log(lhs) - rest
+        top = np.full(alpha_max + 1, -np.inf)
+        np.fmax.at(top, power, need)
+        floor = np.where(np.isinf(top), top, top - _FILTER_TOL * (1.0 + np.abs(top)))
+        pick = np.flatnonzero(need >= floor[power])
+        prof = np.full(alpha_max + 1, -np.inf)
+        np.fmax.at(prof, power[pick], libm(math.log, lhs[pick]) - rest[pick])
+    return prof
+
+
+def _rate_profile(prof: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """Needed log rate per truncation order, with the steepest chord.
 
     rates[K] is the steepest chord slope of the per-power log needs over
     powers <= K, floored at zero so the snapped rho never drops below 1.
     """
-    prof = np.full(alpha_max + 1, -np.inf)
-    # fmax, like max(), passes over a NaN need.
-    np.fmax.at(prof, np.array([r[0] for r in rows], dtype=int), [r[1] for r in rows])
-    rates = np.zeros(alpha_max + 1)
+    need = prof.tolist()
+    rates = [0.0] * len(need)
     witness = (0, 0)
     running = 0.0
-    for top in range(1, alpha_max + 1):
-        if np.isfinite(prof[top]):
+    for top in range(1, len(need)):
+        if math.isfinite(need[top]):
             for low in range(top):
-                if not np.isfinite(prof[low]):
+                if not math.isfinite(need[low]):
                     continue
-                slope = (prof[top] - prof[low]) / (top - low)
+                slope = (need[top] - need[low]) / (top - low)
                 if slope > running:
                     running = slope
                     witness = (low, top)
         rates[top] = running
-    return rates, witness
+    return np.array(rates), witness
+
+
+def _largest_ratio(x: np.ndarray, lhs: np.ndarray) -> float:
+    """max of lhs / math.exp(x) over the rows, NaN passed over, at least 0.0.
+
+    numpy's exp picks the candidates: the rows that are not settled and
+    those within a relative 1e-9 of the largest settled numpy ratio.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.exp(x)
+        ratio = lhs / scale
+        ok = _settled(scale, ratio)
+        top = np.fmax.reduce(ratio[ok], initial=0.0)
+        pick = ~ok | (ratio >= top * (1.0 - _FILTER_TOL))
+        return float(np.fmax.reduce(lhs[pick] / libm(math.exp, x[pick]), initial=0.0))
+
+
+def _smallest_margin(c: float, x: np.ndarray, lhs: np.ndarray) -> float:
+    """min of c * math.exp(x) / lhs over the rows, NaN passed over, inf if none.
+
+    Filtered as in _largest_ratio, around the smallest settled numpy margin.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.exp(x)
+        prod = c * scale
+        margin = prod / lhs
+        ok = _settled(scale, prod, margin)
+        low = np.fmin.reduce(margin[ok], initial=np.inf)
+        pick = ~ok | (margin <= low * (1.0 + _FILTER_TOL))
+        return float(np.fmin.reduce(c * libm(math.exp, x[pick]) / lhs[pick], initial=np.inf))
 
 
 def certify(
@@ -377,6 +452,13 @@ def certify(
     stable in the truncation order; rows are tried in ascending xi and
     the first acceptance wins; the remainder table, bitwise equal to
     remainder() and independent of the row, is built once per jet.
+
+    Every log and exp behind the per-power needs, C and the two margins
+    is libm's (math.log, math.exp), as in a loop over the constraint
+    rows, so the certificate is that loop's bit for bit.  numpy's log
+    and exp only pick the rows that can decide a value: those within a
+    relative _FILTER_TOL of the numpy extreme, and those whose numpy
+    values leave [2^-1000, 2^1000] (_settled).
     Raises NotInClass with the steepest-chord witness when the rate grows
     with truncation on every row, and NotInClass naming xi when the
     fitted constant overflows double precision.
@@ -393,10 +475,10 @@ def certify(
     table = _remainder_table(jet)
     failures = []
     for x in candidates:
-        rows = _constraints(jet, matrix, x, table)
-        if not rows:
+        power, lhs, rest, is_value = _constraints(jet, matrix, x, table)
+        if not power.size:
             return JetCertificate(1.0, 1.0, x, math.inf, math.inf, BOUNDED)
-        rates, witness = _rate_profile(rows, jet.alpha_max)
+        rates, witness = _rate_profile(_need_profile(power, lhs, rest, jet.alpha_max))
         needed = float(rates[-1])
         if len(rates) >= 9:
             profile = np.exp(rates[1:] - rates.max())
@@ -412,20 +494,17 @@ def certify(
         if not accept:
             failures.append((x, trend, growth, witness, needed))
             continue
-        log_rho = math.log(snapped)
-        scales = [math.exp(rest + power * log_rho) for power, _, _, rest, _ in rows]
-        best_c = 0.0
-        margins = {"value": math.inf, "remainder": math.inf}
-        for (_, _, lhs, _, _), scale in zip(rows, scales):
-            ratio = lhs / scale
-            if ratio > best_c:
-                best_c = ratio
+        log_scale = rest + power * math.log(snapped)
+        best_c = _largest_ratio(log_scale, lhs)
         if best_c == math.inf:
             raise NotInClass(f"certificate constant overflows double precision at xi={x}")
-        for (_, _, lhs, _, family), scale in zip(rows, scales):
-            margins[family] = min(margins[family], best_c * scale / lhs)
         return JetCertificate(
-            best_c, snapped, x, margins["value"], margins["remainder"], trend
+            best_c,
+            snapped,
+            x,
+            _smallest_margin(best_c, log_scale[is_value], lhs[is_value]),
+            _smallest_margin(best_c, log_scale[~is_value], lhs[~is_value]),
+            trend,
         )
     worst = failures[-1]
     detail = (

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultraext import cli, ultrajets
 from ultraext.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -568,11 +569,29 @@ def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, monke
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import README_CONFIG
 
-    cfg = write_config(tmp_path, README_CONFIG)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _COLD_START_PROBE, cfg, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert run.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+    # Only a jet of several points reaches certify's pair table.
+    for name, doc in [("readme", README_CONFIG), ("cluster", CLUSTER_EXTEND)]:
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        run = subprocess.run(
+            [sys.executable, "-c", _COLD_START_PROBE, cfg, str(tmp_path / name)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines()[-1] == f"{EXIT_OK} []", name
+
+
+def test_cluster_certify_sends_few_remainder_entries_through_libm(tmp_path, monkeypatch):
+    # The cluster jet has 27,776 nonzero remainder entries.  certify once
+    # took math.log and math.exp of each; numpy now picks the few that
+    # can decide C, rho or a margin, and only those reach libm.
+    sent, jets = [], []
+    real_libm, real_certify = ultrajets.libm, cli.certify
+    monkeypatch.setattr(ultrajets, "libm", lambda fn, v: sent.append(v.size) or real_libm(fn, v))
+    monkeypatch.setattr(cli, "certify", lambda jet, *a, **kw: jets.append(jet) or real_certify(jet, *a, **kw))
+    cfg = write_config(tmp_path, CLUSTER_EXTEND)
+    assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    through_libm = sum(sent)
+    entries = ultrajets._remainder_table(jets[0])[0].size
+    assert entries == 27776
+    assert 0 < through_libm <= 0.01 * entries  # 56 pair gaps plus 71 entries

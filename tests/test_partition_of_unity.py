@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -790,3 +791,63 @@ def test_build_partition_materializes_no_bump_and_no_piece():
     template = build_bump(8)
     c, s = float(cover.centers[3]), float(cover.sides[3])
     assert raw(bump.breakpoints) == raw(c + s * template._bp)
+
+
+def one_interval(center, side):
+    """The one-point cover with its intervals replaced by (center, side)."""
+    cover = point_partition().cover
+    return dataclasses.replace(
+        cover, centers=np.array([center]), sides=np.array([side]), generations=np.array([1])
+    )
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        "two breakpoints",
+        "finite breakpoints",
+        "increasing breakpoints",
+        "row per piece",
+        "nonempty rows",
+        "finite rows",
+    ],
+)
+def test_placement_check_enforces_each_piecewise_condition(condition):
+    # PlacedBumps builds bumps without PiecewisePolynomial.__post_init__,
+    # so each condition it checks must hold for every placement that
+    # build_partition accepts: the data ones by the array check, the
+    # shape ones by the template.
+    rejected = {
+        "finite breakpoints": ((math.inf, 1.0), "breakpoints must be finite"),
+        "increasing breakpoints": ((1000.0, 1e-14), "breakpoints must be strictly increasing"),
+        "finite rows": ((0.0, 1e-40), "coefficients must be finite"),
+    }
+    if condition in rejected:
+        (center, side), message = rejected[condition]
+        with pytest.raises(DegenerateSupport, match=re.escape(f"center {center}, side {side}: {message}")):
+            build_partition(one_interval(center, side), 8)
+        return
+    template = build_bump(8)
+    cover = build_cover(CompactSet1D.from_points(list(CLUSTER_POINTS)), 1.0, max_generation=44)
+    bumps = build_partition(cover, 8).bumps
+    n = bumps.breakpoints.shape[1]
+    if condition == "two breakpoints":
+        assert n == len(template.breakpoints) >= 2
+    elif condition == "row per piece":
+        assert all(len(rows) == n - 1 for rows in bumps.rows)
+    else:
+        lengths = [len(row) for row in template.pieces]
+        assert min(lengths) >= 1
+        assert all([len(row) for row in rows] == lengths for rows in bumps.rows)
+
+
+@pytest.mark.parametrize("points", [(0.0,), CLUSTER_POINTS])
+def test_placed_bumps_equal_the_checked_construction(points):
+    cover = build_cover(CompactSet1D.from_points(list(points)), 1.0, max_generation=44)
+    bumps = build_partition(cover, 8).bumps
+    for i, bump in enumerate(bumps):
+        want = PiecewisePolynomial(tuple(bumps.breakpoints[i].tolist()), bumps.rows[i])
+        assert bump == want
+        assert raw(bump._bp) == raw(want._bp)
+        assert bump._coeff.shape == want._coeff.shape
+        assert raw(bump._coeff.ravel()) == raw(want._coeff.ravel())

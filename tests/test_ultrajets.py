@@ -18,6 +18,9 @@ from ultraext.ultrajets import (
     TaylorPolynomial,
     UltraJet,
     _constraints,
+    _largest_ratio,
+    _need_profile,
+    _smallest_margin,
     certify,
     polynomial_jet,
     remainder,
@@ -319,18 +322,75 @@ def ref_constraints(jet, matrix, xi):
     return rows
 
 
+def ref_need_profile(rows, alpha_max):
+    """Per power, the largest need of ref_constraints' rows, as certify took it."""
+    prof = np.full(alpha_max + 1, -np.inf)
+    for power, need, _, _, _ in rows:
+        prof[power] = max(prof[power], need)
+    return prof
+
+
+def assert_columns_are_reference(jet, matrix, xi, family=None):
+    """_constraints' columns and need profile against ref_constraints, bit for bit."""
+    power, lhs, rest, is_value = _constraints(jet, matrix, xi)
+    want = ref_constraints(jet, matrix, xi)
+    if family is not None:
+        keep = is_value == (family == "value")
+        power, lhs, rest, is_value = power[keep], lhs[keep], rest[keep], is_value[keep]
+        want = [r for r in want if r[4] == family]
+    assert power.tolist() == [r[0] for r in want]
+    assert [v.hex() for v in lhs.tolist()] == [r[2].hex() for r in want]
+    assert [v.hex() for v in rest.tolist()] == [r[3].hex() for r in want]
+    assert is_value.tolist() == [r[4] == "value" for r in want]
+    got_prof = _need_profile(power, lhs, rest, jet.alpha_max)
+    want_prof = ref_need_profile(want, jet.alpha_max)
+    assert [v.hex() for v in got_prof.tolist()] == [v.hex() for v in want_prof.tolist()]
+    return want
+
+
+# Inputs where numpy's float64 log rounded differently from libm's on one
+# x86-64 build; on another build the test below still checks values.
+LOG_SPLITS = [0.969198109122836, 0.8227465357681107, 2.1219619620691477, 5.927289139536661]
+
+
+def exp_splits(sign):
+    """x on a grid where numpy's exp exceeds (sign 1) or falls short of libm's
+    e^x by an ulp, with e^x just above a power of two."""
+    xs = np.arange(-600.0, 600.0, 0.0137)
+    gap = np.exp(xs) - np.array([math.exp(x) for x in xs.tolist()])
+    mant = np.frexp(np.exp(xs))[0]
+    return xs[(np.sign(gap) == sign) & (mant < 0.6)][:20]
+
+
+def test_libm_extremes_hold_where_numpy_rounds_the_other_way():
+    # Each case pairs a row whose numpy and libm values sit on either side
+    # of a second row's exact value, so picking the numpy extreme alone
+    # gives the wrong row; the filter must keep both.
+    x_up, x_down = exp_splits(1), exp_splits(-1)
+    if not (x_up.size and x_down.size):
+        pytest.skip("numpy's exp agrees with libm on the whole grid")
+    one_below = 1.0 - 2.0**-53
+    for x in x_up.tolist():  # numpy ratio 1 - 2^-52 < 1 - 2^-53 < libm ratio 1
+        got = _largest_ratio(np.array([x, 0.0]), np.array([math.exp(x), one_below]))
+        assert got == 1.0
+    for x in x_down.tolist():  # numpy margin 1 - 2^-52 < 1 - 2^-53 < libm margin 1
+        got = _smallest_margin(1.0, np.array([x, -(2.0**-53)]), np.array([math.exp(x), 1.0]))
+        assert got == math.exp(-(2.0**-53)) == one_below
+    for v in LOG_SPLITS:
+        exact, approx = math.log(v), float(np.log(v))
+        rest = float(np.float32(exact))  # need = log v - rest cancels to few bits
+        mid = 0.5 * ((exact - rest) + (approx - rest))
+        prof = _need_profile(np.array([1, 1]), np.array([v, 1.0]), np.array([rest, -mid]), 1)
+        assert prof.tolist() == [-math.inf, max(exact - rest, mid)]
+
+
 def test_constraints_match_remainder_reference(matrix):
     triple = CompactSet1D.from_points([0.0, 0.23, 0.7])
     jet = UltraJet.from_function(
         triple, [0.0, 0.23, 0.7], 20, lambda a, k: math.cos(3.0 * a + k) * 1.5**k
     )
     for xi in (matrix.xi_values[0], 1.0):
-        got = _constraints(jet, matrix, xi)
-        want = ref_constraints(jet, matrix, xi)
-        assert len(got) == len(want) > 3 * 2 * 20
-        for g, w in zip(got, want):
-            assert g[0] == w[0] and g[4] == w[4]
-            assert [bits(v) for v in g[1:4]] == [bits(v) for v in w[1:4]]
+        assert len(assert_columns_are_reference(jet, matrix, xi)) > 3 * 2 * 20
 
 
 @st.composite
@@ -351,26 +411,19 @@ def small_jets(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_jets(), st.sampled_from([0.25, 1.0, 8.0]))
 def test_constraint_rows_match_remainder_reference_bitwise(matrix, jet, xi):
-    got = _constraints(jet, matrix, xi)
-    want = ref_constraints(jet, matrix, xi)
-    assert [(r[0], *map(float.hex, r[1:4]), r[4]) for r in got] == [
-        (r[0], *map(float.hex, r[1:4]), r[4]) for r in want
-    ]
+    assert_columns_are_reference(jet, matrix, xi)
 
 
 def test_polynomial_jet_remainder_zeros_are_skipped(matrix):
     pts = [-1.0, 0.0, 0.5, 1.5]
     jet = polynomial_jet(CompactSet1D.from_points(pts), pts, [1.0, -2.0, 3.0, 1.0], 12)
-    got = [r for r in _constraints(jet, matrix, 1.0) if r[4] == "remainder"]
+    got = assert_columns_are_reference(jet, matrix, 1.0, family="remainder")
     assert got and all(r[0] <= 3 for r in got)  # every k >= 3 remainder is 0
-    assert got == [r for r in ref_constraints(jet, matrix, 1.0) if r[4] == "remainder"]
 
 
 def parent_rate_profile(rows, alpha_max):
     """The scalar rate profile certify used before the remainder table."""
-    prof = np.full(alpha_max + 1, -np.inf)
-    for power, need, _, _, _ in rows:
-        prof[power] = max(prof[power], need)
+    prof = ref_need_profile(rows, alpha_max)
     rates = np.zeros(alpha_max + 1)
     witness = (0, 0)
     running = 0.0
@@ -387,15 +440,16 @@ def parent_rate_profile(rows, alpha_max):
     return rates, witness
 
 
-def parent_certify(jet, matrix, rho_grid=tuple(2.0 ** (i / 4.0) for i in range(41)), growth_tol=1.05):
+def parent_certify(jet, matrix, xi=None, rho_grid=tuple(2.0 ** (i / 4.0) for i in range(41)), growth_tol=1.05):
     """certify as it was with one Taylor evaluation per remainder.
 
     ref_constraints stands in for the old _constraints: both evaluate
-    remainder() with the same operands, bit for bit.
+    remainder() with the same operands, bit for bit.  Every log and exp
+    is math's, one call per row.
     """
     grid = sorted(float(g) for g in rho_grid)
     failures = []
-    for x in matrix.xi_values:
+    for x in matrix.xi_values if xi is None else (float(xi),):
         rows = ref_constraints(jet, matrix, x)
         if not rows:
             return JetCertificate(1.0, 1.0, x, math.inf, math.inf, BOUNDED)
@@ -420,6 +474,8 @@ def parent_certify(jet, matrix, rho_grid=tuple(2.0 ** (i / 4.0) for i in range(4
             ratio = lhs / math.exp(rest + power * log_rho)
             if ratio > best_c:
                 best_c = ratio
+        if best_c == math.inf:
+            raise NotInClass(f"certificate constant overflows double precision at xi={x}")
         for power, _, lhs, rest, family in rows:
             margin = best_c * math.exp(rest + power * log_rho) / lhs
             margins[family] = min(margins[family], margin)
@@ -441,7 +497,7 @@ def outcome(fn, *args):
     """Certificate fields as hex, or the error type and message."""
     try:
         cert = fn(*args)
-    except (ValueError, NotInClass, InconclusiveTrend) as err:
+    except (ValueError, OverflowError, NotInClass, InconclusiveTrend) as err:
         return type(err).__name__, str(err)
     fields = (cert.c, cert.rho, cert.xi, cert.value_margin, cert.remainder_margin)
     return (*map(float.hex, fields), cert.rate_trend)
@@ -476,18 +532,40 @@ def test_certify_not_in_class_message_matches_the_per_remainder_certify(matrix):
     assert outcome(parent_certify, jet, matrix) == ("NotInClass", str(info.value))
 
 
+def assert_certify_is_parent(jet, matrix, xi=None):
+    """certify's outcome, with RuntimeWarning as an error, is parent_certify's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = outcome(lambda *args: certify(*args, xi=xi), jet, matrix)
+    assert got == outcome(parent_certify, jet, matrix, xi)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_jets(), st.sampled_from([None, 0.25, 1.0, 8.0]))
+def test_certify_matches_the_per_remainder_certify_on_random_jets(matrix, jet, xi):
+    assert_certify_is_parent(jet, matrix, xi)
+
+
+@pytest.mark.parametrize("points", [(0.0,), (0.0, 0.3, 0.7), (0.0, 0.23, 0.51, 0.7, 1.04)])
+@pytest.mark.parametrize("row_xi", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_certify_of_weight_row_jets_matches_the_per_remainder_certify(matrix, points, row_xi, pinned):
+    # Every base point stores the weight row itself, so each value row has
+    # lhs = e^rest up to rounding: at rho = 1 they all tie for C.
+    full = matrix.full_log_row(row_xi)
+    jet = UltraJet.from_function(
+        CompactSet1D.from_points(points), points, 24, lambda a, k: math.exp(full[k])
+    )
+    got = assert_certify_is_parent(jet, matrix, row_xi if pinned else None)
+    assert got[0] == got[3] == 1.0.hex()  # C and the value margin sit on the tie
+
+
 @pytest.mark.parametrize("points", [(0.0, 0.3, 0.7), (0.0, 40.0), (-60.0, 0.0, 90.0)])
 def test_certify_of_huge_jets_is_silent(matrix, points):
     # at |b - a| >= 40 the Horner terms overflow to inf, as in the scalar path
     jet = row_jet(matrix, 0.25, 16, points, scale=1e300 / math.exp(matrix.full_log_row(0.25)[16]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = outcome(certify, jet, matrix)
-    expected = outcome(parent_certify, jet, matrix)
-    if expected == ("ValueError", "certificate constant must be positive"):
-        # parent_certify overflows C to inf and trips the certificate's own check
-        expected = ("NotInClass", "certificate constant overflows double precision at xi=0.25")
-    assert got == expected
+    got = assert_certify_is_parent(jet, matrix)
     if max(points) - min(points) >= 40.0:
         assert got[0] == "NotInClass"
 

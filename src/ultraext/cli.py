@@ -459,6 +459,9 @@ def cmd_extend(cfg: dict):
     max_generation = _integer(run, "max_generation", MAX_GENERATION, "config.run")
     boundary_max = _integer(run, "boundary_max_index", 40, "config.run")
     seed = _integer(cfg, "seed", 0)
+    for key, count in (("samples", samples), ("csv_samples", csv_samples)):
+        if count < 1:
+            raise ConfigError(f"config.run.{key} must be at least 1, got {count}")
 
     mat = associated_matrix(w, xi_grid, k_max=k_max)
     reg = strong_regularization(mat)

@@ -320,10 +320,6 @@ class ExtensionFunction:
         if not (len(self.taylors) == len(self.degrees) == len(self.anchors) == n):
             raise ValueError("per-interval data must align with the cover")
 
-    def terms(self, x: float) -> list[int]:
-        """Indices of the intervals whose bump can be alive at x."""
-        return [int(i) for i in self.cover.members(x, expanded=True)]
-
     def __call__(self, x: float) -> float:
         return eval_derivative(self, x, 0)
 
@@ -427,10 +423,11 @@ def _difference_derivatives(
 
     On a shared center the difference is _shared_center_difference's,
     and None marks one that vanishes.  On distinct centers the values
-    are subtracted (ref_vals is the vector of t_ref at x), which is safe
-    only where the polynomials are genuinely different (anchors change
-    on shallow zones between set components, where the bump derivatives
-    stay moderate).
+    are subtracted (ref_vals is the vector of t_ref at x), so the result
+    is not exact and loses every digit where the two polynomials agree
+    up to rounding: the jet [1, 2, -3] on {0, 0.01} gives 0.0 at orders
+    3-8 where the exact glued sum reaches 5e21 (its cancelling terms
+    reach 2e38).
     """
     if t_i.center != t_ref.center:
         return [v - r for v, r in zip(t_i.derivatives(x, order), ref_vals)]
@@ -451,11 +448,12 @@ class _PhiVectors(dict):
 
 
 def _members(f: ExtensionFunction, x: float) -> tuple[list[int], int]:
-    """(f.terms(x), index of the interval holding x) from one cover lookup.
+    """(members, reference interval) of x from one cover lookup.
 
-    The reference interval is the first one containing x, or else the
-    first expanded one; its Taylor polynomial is the t_ref of
-    _glued_derivatives.
+    The members are the intervals whose bump can be alive at x, those
+    whose expanded interval holds it.  The reference interval is the
+    first one containing x, or else the first expanded one; its Taylor
+    polynomial is the t_ref of _glued_derivatives.
     """
     inside, expanded = f.cover.memberships(x)
     members = expanded.tolist()
@@ -512,10 +510,13 @@ def _glued_derivatives(
 
 
 def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
-    """Exact derivative of the glued extension, or the jet value on E.
+    """Derivative of the glued extension, or the jet value on E.
 
     Orders are capped by the fold count of the partition; outside the
     resolved band the evaluation refuses rather than extrapolating.
+    Where live bumps carry Taylor polynomials of distinct anchors, the
+    value is not exact: _difference_derivatives subtracts two separately
+    evaluated Taylor vectors there.
 
     Off the set, a call builds the whole vector 0..plan.folds at x once
     and keeps it in a one-slot store on f, so the per-order calls at one
@@ -692,15 +693,15 @@ def _finish_check(
 ) -> BoundCheck:
     """One check's verdict from its ratios and their distances (arrays or lists).
 
-    The worst ratio is Python's max over the sequence: a leading NaN is
-    the result, a later one is passed over.
+    A check without a usable sample fails: it has shown nothing.  The
+    worst ratio is Python's max over the sequence: a leading NaN is the
+    result, a later one is passed over.
     """
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
-        trivially = skipped > 0
         return BoundCheck(
-            name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, trivially,
-            notes + (("every sample was skipped",) if trivially else ("no usable samples",)),
+            name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, False,
+            notes + (("every sample was skipped",) if skipped else ("no usable samples",)),
         )
     max_ratio = float(ratios[0])
     if not math.isnan(max_ratio):

@@ -429,135 +429,3 @@ def lemma8_regularize(mu, nu, c_bound: float) -> np.ndarray:
     # pointwise bound nu~ <= nu is exact.
     out[1:] = np.minimum(n[1:], k * repaired)
     return out
-
-
-def _witness_search(fixed, search, make_log_ratio) -> tuple[bool | None, dict]:
-    """Shared quantifier loop for the goodness conditions.
-
-    For every fixed row find a searched row whose log-ratio sequence
-    (built by the caller, witnessed row second) stays bounded along the
-    range.  A missing witness means not decidable on the stored grid, so
-    the verdict is None rather than False.
-    """
-    witnesses: dict = {}
-    for f_key, f_row in fixed.items():
-        best: tuple[float, float] | None = None
-        for s_key, s_row in search.items():
-            log_ratio = make_log_ratio(f_row, s_row)
-            ratios = np.exp(log_ratio - log_ratio.max())
-            if len(ratios) >= 8:
-                verdict, _ = range_trend(ratios)
-                if verdict != BOUNDED:
-                    continue
-            c = float(np.exp(max(log_ratio.max(), 0.0)))
-            if best is None or c < best[1]:
-                best = (s_key, c)
-        if best is None:
-            witnesses[f_key] = None
-            return None, witnesses
-        witnesses[f_key] = {"eta": best[0], "constant": best[1]}
-    return True, witnesses
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Decidability-aware verdicts for the matrix growth conditions.
-
-    Each flag is True with witnesses, or None when no witness row exists
-    on the stored grid; the existential quantifier cannot be refuted from
-    finitely many rows, so False never appears here.  moderate_growth_H
-    is the fitted interleaving constant, or None when no row has its
-    doubled partner.
-    """
-
-    r_good: bool | None
-    b_good: bool | None
-    condition_d: bool | None
-    quotient_root_roumieu: bool | None
-    quotient_root_beurling: bool | None
-    moderate_growth_H: float | None
-    witnesses: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "r_good": self.r_good,
-            "b_good": self.b_good,
-            "condition_d": self.condition_d,
-            "quotient_root_roumieu": self.quotient_root_roumieu,
-            "quotient_root_beurling": self.quotient_root_beurling,
-            "moderate_growth_H": self.moderate_growth_H,
-            "witnesses": self.witnesses,
-        }
-
-
-def goodness(matrix: WeightMatrix, k_cap: int | None = None) -> GoodnessReport:
-    """Evaluate the growth conditions that make a matrix good.
-
-    r_good compares quotient-over-index sequences across rows with the
-    quantifier order of the Roumieu case, b_good with the Beurling order;
-    condition_d compares k-th roots of the divided rows; the two
-    quotient-versus-root conditions compare full quotients against k-th
-    roots of full rows.  All comparisons fit the constant as an exact
-    maximum over the stored range and demand a bounded trend.
-    """
-    cap = matrix.order if k_cap is None else min(int(k_cap), matrix.order)
-    if cap < 1:
-        raise ValueError("k_cap leaves no index to compare")
-    k = np.arange(1, cap + 1, dtype=float)
-
-    quot_ratio: dict[float, np.ndarray] = {}
-    root_divided: dict[float, np.ndarray] = {}
-    root_full: dict[float, np.ndarray] = {}
-    quot_full: dict[float, np.ndarray] = {}
-    for xi in matrix.xi_values:
-        full = matrix.full_log_row(xi)
-        divided = matrix.row_log(xi)
-        lq_full = np.diff(full)[:cap]
-        quot_full[xi] = lq_full
-        quot_ratio[xi] = lq_full - np.log(k)
-        root_divided[xi] = divided[1 : cap + 1] / k
-        root_full[xi] = full[1 : cap + 1] / k
-
-    def prefix(v: np.ndarray) -> np.ndarray:
-        return np.maximum.accumulate(v)
-
-    # Roumieu order: the witness row bounds the fixed row from above.
-    r_good, r_wit = _witness_search(
-        quot_ratio, quot_ratio, lambda f, s: prefix(f) - s
-    )
-    # Beurling order: the witness row is bounded by the fixed row.
-    b_good, b_wit = _witness_search(
-        quot_ratio, quot_ratio, lambda f, s: prefix(s) - f
-    )
-    condition_d, d_wit = _witness_search(
-        root_divided, root_divided, lambda f, s: prefix(f) - s
-    )
-    q_r, qr_wit = _witness_search(quot_full, root_full, lambda f, s: f - s)
-    q_b, qb_wit = _witness_search(root_full, quot_full, lambda f, s: s - f)
-
-    h_fit: float | None = None
-    paired = [xi for xi in matrix.xi_values if matrix.has(2.0 * xi)]
-    if paired:
-        try:
-            regular = strong_regularization(matrix, verify=False)
-            inter = interleave_matrix(regular)
-            h_fit = max(sandwich_H(regular, inter, xi, cap) for xi in paired)
-        except ValueError:
-            # rows at the analytic edge have no sequence-calculus view
-            h_fit = None
-
-    return GoodnessReport(
-        r_good=r_good,
-        b_good=b_good,
-        condition_d=condition_d,
-        quotient_root_roumieu=q_r,
-        quotient_root_beurling=q_b,
-        moderate_growth_H=h_fit,
-        witnesses={
-            "r_good": r_wit,
-            "b_good": b_wit,
-            "condition_d": d_wit,
-            "quotient_root_roumieu": qr_wit,
-            "quotient_root_beurling": qb_wit,
-        },
-    )

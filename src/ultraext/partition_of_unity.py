@@ -123,10 +123,6 @@ class PiecewisePolynomial:
     def degree(self) -> int:
         return self._coeff.shape[1] - 1
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def piece_index(self, x: float) -> int:
         """Index of the piece whose interval holds x, -1 outside the span."""
         bp = self._bp
@@ -147,42 +143,6 @@ class PiecewisePolynomial:
             out = out * dx + self._coeff[idx, m]
         out = np.where((xs >= bp[0]) & (xs <= bp[-1]), out, 0.0)
         return float(out[0]) if scalar else out
-
-    def derivative(self) -> "PiecewisePolynomial":
-        rows = []
-        for row in self.pieces:
-            if len(row) == 1:
-                rows.append((0.0,))
-            else:
-                rows.append(tuple(m * c for m, c in enumerate(row))[1:])
-        return PiecewisePolynomial(self.breakpoints, tuple(rows))
-
-    def integral(self) -> float:
-        """Integral over the support, exact per piece."""
-        total = 0.0
-        for j, row in enumerate(self.pieces):
-            w = self.breakpoints[j + 1] - self.breakpoints[j]
-            acc = 0.0
-            for m in range(len(row) - 1, -1, -1):
-                acc = acc * w + row[m] / (m + 1)
-            total += acc * w
-        return total
-
-    def sup_norm(self) -> float:
-        """Exact max of the absolute value, from per-piece critical points."""
-        from numpy.polynomial import polynomial as npoly  # no extend job needs it
-
-        best = 0.0
-        for j, row in enumerate(self.pieces):
-            w = float(self.breakpoints[j + 1] - self.breakpoints[j])
-            # Work on the unit piece so root finding sees tame coefficients.
-            scaled = np.asarray(row, dtype=float) * w ** np.arange(len(row))
-            ts = [0.0, 1.0]
-            if scaled.size > 1:
-                ts.extend(_real_roots_in(npoly.polyder(scaled), 0.0, 1.0))
-            for t in ts:
-                best = max(best, abs(_eval_local(scaled, t)))
-        return best
 
 
 def _local_coeffs(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray:
@@ -427,12 +387,6 @@ class Partition:
             j = int(idx[k])
             out[k] = _eval_local(self.piece(j)[1], float(xs[k] - bp[j]))
         return float(out[0]) if scalar else out
-
-    def value(self, i: int, x: float) -> float:
-        psi = self.bumps[i](x)
-        if psi == 0.0:
-            return 0.0
-        return psi / self.total(x)
 
     def values_matrix(self, xs) -> np.ndarray:
         """phi values, one row per bump, zero where the total vanishes."""

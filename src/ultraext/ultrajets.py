@@ -18,7 +18,7 @@ truncation order grows is a trend verdict, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,11 +164,6 @@ class UltraJet:
 
     def row(self, a: float) -> np.ndarray:
         return np.asarray(self.rows[self._index(a)])
-
-    def scaled(self, c: float) -> "UltraJet":
-        return replace(
-            self, rows=tuple(tuple(c * v for v in r) for r in self.rows)
-        )
 
     @classmethod
     def from_function(
@@ -461,7 +456,8 @@ def certify(
     values leave [2^-1000, 2^1000] (_settled).
     Raises NotInClass with the steepest-chord witness when the rate grows
     with truncation on every row, and NotInClass naming xi when the
-    fitted constant overflows double precision.
+    fitted constant, or a bound rho^power e^rest that libm evaluates,
+    overflows double precision.
     """
     check_growth_tol(growth_tol)
     if matrix.order < jet.alpha_max:
@@ -495,7 +491,15 @@ def certify(
             failures.append((x, trend, growth, witness, needed))
             continue
         log_scale = rest + power * math.log(snapped)
-        best_c = _largest_ratio(log_scale, lhs)
+        try:
+            # math.exp overflows only on unsettled rows, which go to libm
+            # here; this reads every row, so it raises before either
+            # _smallest_margin reads a subset of them.
+            best_c = _largest_ratio(log_scale, lhs)
+        except OverflowError:
+            raise NotInClass(
+                f"a bound rho^k e^rest of the certificate overflows double precision at xi={x}"
+            ) from None
         if best_c == math.inf:
             raise NotInClass(f"certificate constant overflows double precision at xi={x}")
         return JetCertificate(

@@ -554,6 +554,29 @@ def test_extend_negative_seed_is_config_error(tmp_path, capsys, where):
     assert "ConfigError: config.seed must be a nonnegative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, count", [("samples", 0), ("samples", -5), ("csv_samples", 0), ("csv_samples", -3)]
+)
+def test_extend_sample_count_below_one_is_config_error(tmp_path, capsys, key, count):
+    doc = dict(GEVREY_EXTEND, run=dict(GEVREY_EXTEND["run"], **{key: count}))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"ConfigError: config.run.{key} must be at least 1, got {count}" in err
+
+
+def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
+    # At |b - a| = 1e100 a bound rho^k e^rest passes double range.
+    doc = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": [0.0, 1e100]}))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotInClass: ") and "xi=1.0" in err
+    assert "Traceback" not in err
+
+
 _COLD_START_PROBE = """
 import sys
 from ultraext.cli import main

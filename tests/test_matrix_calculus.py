@@ -18,7 +18,6 @@ from ultraext.matrix_calculus import (
     WeightMatrix,
     associated_matrix,
     gamma_doubling_check,
-    goodness,
     interleave_matrix,
     lemma8_regularize,
     sandwich_H,
@@ -348,54 +347,6 @@ def test_lemma8_postconditions(data):
     assert np.all(mu <= c * out + 1e-9 * (1.0 + np.abs(mu).max()))
     ratios = out[1:] / k
     assert np.all(np.diff(ratios) >= -1e-15 * np.abs(ratios[:-1]))
-
-
-# -- goodness ---------------------------------------------------------------
-
-
-def test_goodness_identical_gevrey_rows():
-    lg = log_factorials(32)
-    m = WeightMatrix.from_divided_rows({1.0: lg, 2.0: lg})
-    rep = goodness(m)
-    assert rep.r_good is True
-    for wit in rep.witnesses["r_good"].values():
-        assert wit["constant"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_goodness_sqrt_matrix_all_conditions():
-    S = associated_matrix(WeightFunction.power(0.5), k_max=64)
-    rep = goodness(S)
-    assert rep.r_good is True
-    assert rep.b_good is True
-    assert rep.condition_d is True
-    assert rep.quotient_root_roumieu is True
-    assert rep.quotient_root_beurling is True
-    assert rep.moderate_growth_H is not None and rep.moderate_growth_H >= 1.0
-    d = rep.as_dict()
-    assert d["r_good"] is True and "witnesses" in d
-
-
-def test_goodness_implication_r_good_gives_condition_d():
-    for w in (WeightFunction.power(0.5), WeightFunction.power(0.3)):
-        rep = goodness(associated_matrix(w, k_max=64))
-        if rep.r_good:
-            assert rep.condition_d is True
-
-
-def test_goodness_not_decidable_single_oscillating_row():
-    # quotient-over-index oscillates with growing amplitude over a k^0.3
-    # drift; no stored row can witness the bound, and one row cannot
-    # refute the existential statement either
-    K = 64
-    k = np.arange(1, K + 1)
-    amp = 0.5 + 0.45 * k / K
-    mu_full = k * (1.0 + amp * np.sin(k)) * k**0.3
-    full = np.concatenate([[0.0], np.cumsum(np.log(mu_full))])
-    lg = np.array(log_factorials(K))
-    m = WeightMatrix.from_divided_rows({1.0: full - lg})
-    rep = goodness(m)
-    assert rep.r_good is None
-    assert rep.witnesses["r_good"][1.0] is None
 
 
 # -- the conjugate chain across weights -------------------------------------

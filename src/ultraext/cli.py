@@ -59,7 +59,7 @@ from .whitney_geometry import (
     CompactSet1D,
     build_cover,
     covered_sample_grid,
-    distance_and_nearest,
+    distances_and_nearest,
     overlap_counts,
     verify_eq14,
 )
@@ -206,24 +206,15 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _csv_text(header, rows) -> str:
-    """CSV text of the rows, byte for byte what csv.writer writes.
+    """CSV text of rows of Python floats, ints and bools, as csv.writer writes it.
 
-    No header name and no _cell holds a comma, quote or newline, so no
-    field is quoted.
+    Each cell is the value's repr (one %r per header name), which is the
+    text csv.writer writes for those types; no header name and no such
+    repr holds a comma, quote or newline, so no field is quoted.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
-    lines.append("")
-    return "\n".join(lines)
+    line = ",".join(["%r"] * len(header))
+    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows] + [""])
 
 
 def _build_set(doc: dict, where: str) -> CompactSet1D:
@@ -279,9 +270,7 @@ def cmd_classify(cfg: dict):
         omega = np.asarray(w.raw(ts), dtype=float)
         ratio = kappa / omega
     keep = np.isfinite(omega) & (omega > 0.0) & np.isfinite(kappa)
-    rows = [
-        (ts[i], omega[i], kappa[i], ratio[i]) for i in np.flatnonzero(keep)
-    ]
+    rows = list(zip(*(col[keep].tolist() for col in (ts, omega, kappa, ratio))))
 
     report = {
         "command": "classify",
@@ -514,16 +503,13 @@ def cmd_extend(cfg: dict):
     # Jittered sample trace.  The jitter rescales the distance to the
     # nearest set point, keeping every sample inside the verified band;
     # the generator is seeded from the config so reruns are identical.
-    uniforms = _uniform_stream(seed)
     xs = region_samples(ext, csv_samples)
-    sample_rows = []
-    for x in xs:
-        d, nearest = distance_and_nearest(jet.e, float(x))
-        factor = 1.0 + 0.04 * (next(uniforms) - 0.5)
-        if ext.cover.d_min_covered <= d * factor < ext.d_max:
-            x = nearest + (float(x) - nearest) * factor
-        for a in range(report.alpha_cap + 1):
-            sample_rows.append((float(x), a, eval_derivative(ext, float(x), a)))
+    d, nearest = distances_and_nearest(jet.e, xs)
+    factor = 1.0 + 0.04 * (np.fromiter(_uniform_stream(seed), float, xs.size) - 0.5)
+    moved = (ext.cover.d_min_covered <= d * factor) & (d * factor < ext.d_max)
+    xs = np.where(moved, nearest + (xs - nearest) * factor, xs)
+    derivs = eval_derivative(ext, xs, np.arange(report.alpha_cap + 1)).tolist()
+    sample_rows = [(x, a, v) for x, row in zip(xs.tolist(), derivs) for a, v in enumerate(row)]
 
     doc = report.to_json()
     doc.update(
@@ -604,7 +590,7 @@ def cmd_cover(cfg: dict):
         },
         "max_overlap": int(overlap.max()) if len(overlap) else 0,
     }
-    rows = zip(cover.centers, cover.sides, cover.generations)
+    rows = zip(cover.centers.tolist(), cover.sides.tolist(), cover.generations.tolist())
     files = {
         "cover.csv": _csv_text(("center", "side", "generation"), rows),
         "cover_summary.json": _dump_json(summary),

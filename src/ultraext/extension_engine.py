@@ -311,9 +311,6 @@ class ExtensionFunction:
     d_max: float
     degree_cutoffs: int
     degree_caps: int
-    # The last off-set point's derivative vector, keyed by the bits of x;
-    # eval_derivative keeps at most one entry here.
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.cover.centers)
@@ -389,11 +386,19 @@ def assemble(
 
 
 def _check_region(f: ExtensionFunction, d: float) -> None:
-    """Refuse a distance d(x) outside the resolved band."""
-    if d >= f.d_max:
+    """Refuse a distance d(x) outside the resolved band (a NaN too)."""
+    if not d < f.d_max:
         raise OutsideRegion(f"d(x)={d} is not below d_max={f.d_max}")
     if d < f.cover.d_min_covered:
         raise OutsideRegion(f"d(x)={d} lies below the resolved cover depth")
+
+
+def _jet_values(f: ExtensionFunction, x: float, order: int) -> list[float]:
+    """The stored jet values 0..order at a point x of the set."""
+    try:
+        return [f.jet.value(x, a) for a in range(order + 1)]
+    except ValueError:
+        raise OutsideRegion(f"x={x} lies on the set but is not a stored base point") from None
 
 
 def _shared_center_difference(
@@ -435,31 +440,6 @@ def _difference_derivatives(
     return None if diff is None else diff.derivatives(x, order)
 
 
-class _PhiVectors(dict):
-    """phi_i derivative vectors 0..order at one x, each built on first use."""
-
-    def __init__(self, partition: Partition, x: float, order: int) -> None:
-        super().__init__()
-        self.partition, self.x, self.order = partition, x, order
-
-    def __missing__(self, i: int) -> np.ndarray:
-        vec = self[i] = self.partition.derivatives(i, self.x, self.order)
-        return vec
-
-
-def _members(f: ExtensionFunction, x: float) -> tuple[list[int], int]:
-    """(members, reference interval) of x from one cover lookup.
-
-    The members are the intervals whose bump can be alive at x, those
-    whose expanded interval holds it.  The reference interval is the
-    first one containing x, or else the first expanded one; its Taylor
-    polynomial is the t_ref of _glued_derivatives.
-    """
-    inside, expanded = f.cover.memberships(x)
-    members = expanded.tolist()
-    return members, int(inside[0]) if len(inside) else members[0]
-
-
 def _deviation_derivatives(owners, diffs, phis, n: int, width: int) -> np.ndarray:
     """Derivatives 0..width-1 of (sum_i phi_i T_i) - t_ref at n points.
 
@@ -484,70 +464,158 @@ def _deviation_derivatives(owners, diffs, phis, n: int, width: int) -> np.ndarra
     return out
 
 
-def _glued_derivatives(
-    f: ExtensionFunction,
-    x: float,
-    order: int,
-    members: list[int],
-    phis: _PhiVectors,
-    t_ref: TaylorPolynomial,
-) -> np.ndarray:
-    """Derivatives 0..order of the extension at x, off the set.
+def _glued_derivatives(f: ExtensionFunction, x: float, order: int) -> list[float]:
+    """Derivatives 0..order of the extension at one point x off the set.
 
-    The sum is taken as t_ref plus the deviation from it; callers pass
-    the Taylor polynomial of the interval holding x (_members).
+    The members are the intervals whose bump can be alive at x, those
+    whose expanded interval holds it.  The sum is taken as t_ref plus
+    the deviation from it, t_ref the Taylor polynomial of the interval
+    holding x: the first one containing x, or else the first expanded one.
     """
+    inside, expanded = f.cover.memberships(x)
+    members = expanded.tolist()
+    t_ref = f.taylors[int(inside[0]) if len(inside) else members[0]]
     ref_vals = t_ref.derivatives(x, order)
-    diffs, rows = [], []
+    diffs, phis = [], []
     for i in members:
         dvals = _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
         if dvals is not None:
             diffs.append(dvals)
-            rows.append(phis[i])
-    out = _deviation_derivatives([0] * len(rows), diffs, rows, 1, order + 1)[0]
+            phis.append(f.partition.derivatives(i, x, order))
+    out = _deviation_derivatives([0] * len(phis), diffs, phis, 1, order + 1)[0]
     out += ref_vals
-    return out
+    return out.tolist()
 
 
-def eval_derivative(f: ExtensionFunction, x: float, alpha: int) -> float:
-    """Derivative of the glued extension, or the jet value on E.
+def _interval_keys(f: ExtensionFunction) -> np.ndarray:
+    """Each interval's Taylor polynomial as anchor index * (alpha_max + 1) + degree."""
+    anchors = np.searchsorted(f.jet.base_points, f.anchors)
+    return anchors * (f.jet.alpha_max + 1) + np.asarray(f.degrees)
 
-    Orders are capped by the fold count of the partition; outside the
-    resolved band the evaluation refuses rather than extrapolating.
-    Where live bumps carry Taylor polynomials of distinct anchors, the
-    value is not exact: _difference_derivatives subtracts two separately
-    evaluated Taylor vectors there.
 
-    Off the set, a call builds the whole vector 0..plan.folds at x once
-    and keeps it in a one-slot store on f, so the per-order calls at one
-    point share it and a call at another off-set point replaces it.  The
-    store is read first: a call at the stored point does not scan the set.
-    Entry alpha of that vector is bitwise the order-alpha vector's last
-    entry: the Taylor vectors, Partition.derivatives and the product rule
-    each compute entry a from entries <= a only.
+class _Glue(NamedTuple):
+    """The glued sum at n points, each taken around its polynomial t_ref."""
+
+    ref: np.ndarray  # the interval holding each point (_glued_derivatives' rule)
+    pair_k: np.ndarray  # (point, member) pairs, each point's members ascending
+    pair_i: np.ndarray
+    diffs: np.ndarray  # T_i - t_ref per pair; a row that vanishes stays zero
+    base: np.ndarray  # t_ref at each point
+    dev: np.ndarray  # sum_i phi_i (T_i - t_ref); base + dev is the glued sum
+    shared: list  # (T_i, t_ref, pair count) per distinct shared-center pair
+
+
+def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=None) -> _Glue:
+    """_glued_derivatives at every point of xs in array passes, bit for bit.
+
+    The points lie off the set, inside the band.  refs = (polys, which)
+    takes point k around polys[which[k]] (distinct polynomials) instead
+    of its holding interval's.  Members come from one
+    WhitneyCover.window_memberships (CoverOverlap where its two-interval
+    window cannot serve the cover).  Shared center and vanishing are
+    decided once per distinct (T_i, t_ref); the t_ref vectors and the
+    difference rows that do not vanish come from one Horner pass each
+    (taylor_vectors), a distinct-center row less the t_ref vector
+    (_difference_derivatives' two cases).  The phi vector of each live
+    (x, member) pair is read from the dict phis, or computed by
+    Partition.derivatives and added to it.
     """
-    if not 0 <= alpha <= f.plan.folds:
-        raise OrderOverflow(f"order {alpha} exceeds the fold count {f.plan.folds}")
-    x = float(x)
-    key = x.hex()
-    vec = f._last.get(key)
-    if vec is None:
+    n = len(xs)
+    cand, inside, expanded = f.cover.window_memberships(xs)
+    slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
+    ref = cand[np.arange(n), slot]
+    pair_k, pair_slot = np.nonzero(expanded)
+    pair_i = cand[pair_k, pair_slot]
+    interval_key = _interval_keys(f)
+    if refs is None:
+        holder = dict(zip(interval_key[ref].tolist(), ref.tolist()))
+        held = sorted(holder)
+        refs = [f.taylors[holder[k]] for k in held], np.searchsorted(held, interval_key[ref])
+    polys, which = refs
+    base = taylor_vectors(polys, which, xs, order)
+
+    diff_polys: list[TaylorPolynomial] = []
+    row_of = np.full(pair_k.size, -1)
+    apart = np.zeros(pair_k.size, dtype=bool)  # centers differ
+    shared = []
+    # One group per distinct (T_i, t_ref), its pairs in ascending order.
+    keys = interval_key[pair_i] * len(polys) + which[pair_k]
+    by_key = np.argsort(keys, kind="stable")
+    for sel in np.split(by_key, np.flatnonzero(np.diff(keys[by_key])) + 1):
+        t_i, t_ref = f.taylors[pair_i[sel[0]]], polys[which[pair_k[sel[0]]]]
+        if t_i.center != t_ref.center:
+            apart[sel] = True
+            poly = t_i
+        else:
+            shared.append((t_i, t_ref, sel.size))
+            poly = _shared_center_difference(t_i, t_ref)
+        if poly is not None:
+            row_of[sel] = len(diff_polys)
+            diff_polys.append(poly)
+    live = row_of >= 0
+    live_k, live_i = pair_k[live], pair_i[live]
+    diffs = np.zeros((pair_k.size, order + 1))
+    if diff_polys:
+        rows = taylor_vectors(diff_polys, row_of[live], xs[live_k], order)
+        rows[apart[live]] -= base[live_k[apart[live]]]
+        diffs[live] = rows
+
+    xs_list = xs.tolist()
+    vecs = []
+    for k, i in zip(live_k.tolist(), live_i.tolist()):
+        vec = phis.get((xs_list[k], i))
+        if vec is None:
+            vec = phis[xs_list[k], i] = f.partition.derivatives(i, xs_list[k], order)
+        vecs.append(vec)
+    dev = _deviation_derivatives(live_k, diffs[live], vecs, n, order + 1)
+    return _Glue(ref, pair_k, pair_i, diffs, base, dev, shared)
+
+
+def eval_derivative(f: ExtensionFunction, x, alpha):
+    """Derivatives of the glued extension, or the jet values on E.
+
+    x is a float or a 1-D array of points and alpha an order or an array
+    of orders.  The result is indexed [x][alpha], an axis dropped where
+    its argument is a scalar: a float x and an int alpha give a float.
+    Orders are capped by the fold count of the partition; outside the
+    resolved band the evaluation refuses rather than extrapolating, and
+    an array refuses if any of its points does.  Where live bumps carry
+    Taylor polynomials of distinct anchors, the value is not exact:
+    _difference_derivatives subtracts two separately evaluated Taylor
+    vectors there.
+
+    Each off-set point's vector 0..max(alpha) is built once: by
+    _glued_derivatives at a float x, by one _glue pass over an array,
+    which agree bit for bit.  Entry a of that vector is bitwise the
+    order-a vector's last entry: the Taylor vectors, Partition.derivatives
+    and the product rule each compute entry a from entries <= a only.
+    """
+    orders = np.asarray(alpha)
+    if orders.size == 0 or not ((orders >= 0) & (orders <= f.plan.folds)).all():
+        raise OrderOverflow(f"order {alpha} is not within 0..{f.plan.folds}, the fold count")
+    top = int(orders.max())
+    if np.ndim(x) == 0:
+        x = float(x)
         d, _ = distance_and_nearest(f.jet.e, x)
         if d == 0.0:
-            try:
-                return f.jet.value(x, alpha)
-            except ValueError:
-                raise OutsideRegion(
-                    f"x={x} lies on the set but is not a stored base point"
-                ) from None
-        _check_region(f, d)
-        order = f.plan.folds
-        members, ref = _members(f, x)
-        phis = _PhiVectors(f.partition, x, order)
-        vec = _glued_derivatives(f, x, order, members, phis, f.taylors[ref]).tolist()
-        f._last.clear()
-        f._last[key] = vec
-    return vec[alpha]
+            vec = _jet_values(f, x, top)
+        else:
+            _check_region(f, d)
+            vec = _glued_derivatives(f, x, top)
+        return vec[alpha] if orders.ndim == 0 else np.array(vec)[orders]
+    xs = np.asarray(x, dtype=float)
+    ds, _ = distances_and_nearest(f.jet.e, xs)
+    off = ds != 0.0
+    outside = off & ~((ds >= f.cover.d_min_covered) & (ds < f.d_max))
+    if outside.any():
+        _check_region(f, float(ds[outside][0]))
+    out = np.empty((xs.size, top + 1))
+    for k in np.flatnonzero(~off).tolist():
+        out[k] = _jet_values(f, float(xs[k]), top)
+    if off.any():
+        g = _glue(f, xs[off], top, {})
+        out[off] = g.dev + g.base
+    return out[:, orders]
 
 
 # -- bound verification -------------------------------------------------
@@ -726,16 +794,6 @@ def _finish_check(
     )
 
 
-def _groups(keys: np.ndarray):
-    """(key, ascending indices of its entries) per distinct key, keys ascending."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    bounds = np.flatnonzero(np.diff(keys)) + 1
-    for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [keys.size]):
-        if lo < hi:
-            yield int(keys[lo]), order[lo:hi]
-
-
 def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|v| > 0, math.log|v| there and -inf elsewhere), entrywise."""
     mag = np.abs(values)
@@ -772,16 +830,18 @@ def verify_bounds(
     value and settled flag.  It runs as array passes over the whole
     sample set, bitwise equal to a per-sample walk: distances and t_x by
     _local_taylor (the rule assemble applies to the interval centers),
-    and members by WhitneyCover.window_memberships, which tests only the
-    two intervals whose centers bracket a sample.  That window holds because
-    no expanded interval reaches a neighbouring center (sorted centers,
-    disjoint cells, the 9/8 expansion); it is checked once per call and
-    CoverOverlap raised if it fails.  Shared center, valuation and
-    vanishing are decided once per distinct (T_i, t_x) pair; the t_x
-    vectors and the difference rows that do not vanish come from one
-    Horner pass over all rows and orders (taylor_vectors).  Only the phi
-    vectors of those rows, and the samples glued around a t_ref other
-    than t_x (_glued_derivatives), are computed per point.
+    then one _glue pass around t_x for the t_x vectors, the difference
+    rows and dev_x.  Its members come from WhitneyCover.window_memberships,
+    which tests only the two intervals whose centers bracket a sample.
+    That window holds because no expanded interval reaches a neighbouring
+    center (sorted centers, disjoint cells, the 9/8 expansion); it is
+    checked once per call and CoverOverlap raised if it fails.  Shared
+    center, valuation and vanishing are decided once per distinct
+    (T_i, t_x) pair.  The samples whose holding interval carries a
+    polynomial other than t_x are glued once more, in a second _glue
+    pass around that t_ref, so the glued sum is eval_derivative's bit for
+    bit.  Each (sample, member) phi vector is one Partition.derivatives
+    call, shared by the two passes; it is the only per-pair work.
 
     Phase 2 computes every check from the tables with elementwise array
     arithmetic in the operation order of a per-sample loop, bit for bit:
@@ -798,8 +858,6 @@ def verify_bounds(
     k3 = plan.constants.k3
     n, width = len(xs), cap + 1
     orders = np.arange(width)
-    val_pairs = 0
-    val_ok = True
 
     # Per-interval decay values at the dilated center distance.
     center_d = distance_grid(f.jet.e, f.cover.centers)
@@ -818,80 +876,34 @@ def verify_bounds(
     near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
     growth_log = np.array(f.growth_row_log[:width])
 
-    # Phase 1, geometry: each sample's t_x by the local Taylor rule, and
-    # the t_x vectors of all samples from one Horner pass.
-    xs_list = xs.tolist()
+    # Phase 1: each sample's t_x by the local Taylor rule, then t_x, the
+    # (sample, member) difference rows against it and dev_x from one
+    # array glue around t_x.
     local = _local_taylor(f.jet, f.degree_row, ld, xs)
     ds, wants, degs = local.distance, local.requested, local.degree
-    polys, group = local.polys, local.which
-    # A Taylor polynomial's key: anchor index * (alpha_max + 1) + degree.
-    span = f.jet.alpha_max + 1
-    sample_key = local.anchor * span + degs
-    interval_key = np.searchsorted(f.jet.base_points, f.anchors) * span + np.asarray(f.degrees)
-    tx = taylor_vectors(polys, group, xs, cap)
     jet_tab = np.array(f.jet.rows)[local.anchor, :width]
     lh_near, near_ok = _log_decay(f.degree_row, libm(math.log, 3.0 * ld * ds))
     lh_resid, resid_ok = _log_decay(f.residual_row, libm(math.log, k3 * ld * ds))
+    phis: dict = {}
+    g = _glue(f, xs, cap, phis, (local.polys, local.which))
+    tx, dev, diffs, pair_k, pair_i = g.base, g.dev, g.diffs, g.pair_k, g.pair_i
+    val_pairs = sum(count for _, _, count in g.shared)
+    val_ok = all([_valuation_oks(f.jet, t_x.center, t_i, t_x) for t_i, t_x, _ in g.shared])
 
-    # Membership: the (sample, member) pairs in member order, and the
-    # reference interval of each sample (_members' rule).
-    cand, inside, expanded = f.cover.window_memberships(xs)
-    slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
-    ref = cand[np.arange(n), slot]
-    pair_k, pair_slot = np.nonzero(expanded)
-    pair_i = cand[pair_k, pair_slot]
-
-    # Pairs: shared center, valuation and vanishing are decided once per
-    # distinct (T_i, t_x).  The difference rows that do not vanish come
-    # from one Horner pass over the sparse difference, or over T_i less
-    # t_x where the centers differ (_difference_derivatives' two cases);
-    # a vanishing row stays zero.
-    diff_polys: list[TaylorPolynomial] = []
-    which = np.full(pair_k.size, -1)
-    apart = np.zeros(pair_k.size, dtype=bool)  # centers differ
-    for _, sel in _groups(interval_key[pair_i] * len(polys) + group[pair_k]):
-        t_i, t_x = f.taylors[pair_i[sel[0]]], polys[group[pair_k[sel[0]]]]
-        if t_i.center != t_x.center:
-            apart[sel] = True
-            poly = t_i
-        else:
-            val_pairs += sel.size
-            val_ok = _valuation_oks(f.jet, t_x.center, t_i, t_x) and val_ok
-            poly = _shared_center_difference(t_i, t_x)
-        if poly is not None:
-            which[sel] = len(diff_polys)
-            diff_polys.append(poly)
-    live = which >= 0
-    live_k, live_i = pair_k[live], pair_i[live]
-    diffs = np.zeros((pair_k.size, width))
-    if diff_polys:
-        rows = taylor_vectors(diff_polys, which[live], xs[live_k], cap)
-        rows[apart[live]] -= tx[live_k[apart[live]]]
-        diffs[live] = rows
-    phis = [
-        f.partition.derivatives(i, xs_list[k], cap)
-        for k, i in zip(live_k.tolist(), live_i.tolist())
-    ]
-    dev = _deviation_derivatives(live_k, diffs[live], phis, n, width)
-
-    # Where t_ref is t_x the glued sum is t_x plus dev_x; the other
-    # samples are glued around t_ref, reusing their phi vectors.
+    # Where the holding interval's polynomial is t_x the glued sum is t_x
+    # plus dev_x; the other samples are glued again around their t_ref,
+    # reusing the phi vectors already built.
     glued = dev + tx
-    other = interval_key[ref] != sample_key
-    known: dict[int, dict] = {}
-    for k, i, vec in zip(live_k.tolist(), live_i.tolist(), phis):
-        if other[k]:
-            known.setdefault(k, {})[i] = vec
-    for k in np.flatnonzero(other).tolist():
-        phi_k = _PhiVectors(f.partition, xs_list[k], cap)
-        phi_k.update(known.get(k, {}))
-        members = cand[k][expanded[k]].tolist()
-        glued[k] = _glued_derivatives(f, xs_list[k], cap, members, phi_k, f.taylors[ref[k]])
+    sample_key = local.anchor * (f.jet.alpha_max + 1) + degs
+    other = _interval_keys(f)[g.ref] != sample_key
+    if other.any():
+        h = _glue(f, xs[other], cap, phis)
+        glued[other] = h.dev + h.base
     # The residual estimate presumes the local degrees actually reach
     # what the distance asks for; once the stored jet order caps them
     # the sum decays polynomially, not at the profile rate.
-    interval_capped = np.asarray(f.degrees) < np.asarray(f.requested)
-    capped = (degs < wants) | (expanded & interval_capped[cand]).any(axis=1)
+    capped = degs < wants
+    capped[pair_k[(np.asarray(f.degrees) < np.asarray(f.requested))[pair_i]]] = True
 
     # Phase 2: the checks, column-wise over the tables.  A check reads
     # the entries marked in `used`; its tables are dropped once its
@@ -1060,7 +1072,8 @@ def boundary_limits(
         raise OrderOverflow(
             f"alpha_cap {alpha_cap} exceeds folds or the stored jet order"
         )
-    jet_row = [f.jet.value(a, al) for al in range(alpha_cap + 1)]
+    orders = np.arange(alpha_cap + 1)
+    jet_row = [f.jet.value(a, al) for al in orders.tolist()]
     scale = f.plan.constants.k3 * f.plan.dilation
 
     j0 = 0
@@ -1092,9 +1105,8 @@ def boundary_limits(
         if not settled:
             floor_index, floor_reason = j, "decay scale unresolved at the stored order"
             break
-        errs = tuple(
-            abs(eval_derivative(f, x, al) - jet_row[al]) for al in range(alpha_cap + 1)
-        )
+        vals = eval_derivative(f, x, orders).tolist()
+        errs = tuple(abs(v - r) for v, r in zip(vals, jet_row))
         steps.append(BoundaryStep(j, x, d, math.exp(lh), errs))
     if not steps:
         raise PrecisionFloor(

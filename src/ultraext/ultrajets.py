@@ -55,15 +55,6 @@ class TaylorPolynomial:
         if not all(math.isfinite(c) for c in self.derivs):
             raise ValueError("derivative values must be finite")
 
-    @property
-    def degree(self) -> int:
-        return len(self.derivs) - 1
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        """Monomial coefficients in powers of (y - center)."""
-        return tuple(d / math.factorial(m) for m, d in enumerate(self.derivs))
-
     def __call__(self, y: float) -> float:
         derivs = self.derivs
         dy = float(y) - self.center

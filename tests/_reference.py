@@ -5,6 +5,7 @@ public data of a pipeline object, so the objects themselves carry only
 what a job uses.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -72,3 +73,13 @@ def scaled(jet, c: float):
 def terms(f, x: float) -> list[int]:
     """Indices of the intervals whose bump can be alive at x."""
     return [int(i) for i in f.cover.members(x, expanded=True)]
+
+
+def taylor_degree(poly) -> int:
+    """Degree of a TaylorPolynomial: one less than its stored derivative count."""
+    return len(poly.derivs) - 1
+
+
+def taylor_coeffs(poly) -> tuple[float, ...]:
+    """Monomial coefficients of a TaylorPolynomial in powers of (y - center)."""
+    return tuple(d / math.factorial(m) for m, d in enumerate(poly.derivs))

@@ -9,10 +9,10 @@ only a test runs belongs in the tests (see _reference.py).
 
 Name matching cannot see a dead member when another definition or a
 local variable shares its name: one of the seven ``to_json`` methods
-could lose its caller unseen, and UltraJet.row, TaylorPolynomial.degree
-and TaylorPolynomial.coeffs pass with no caller in src/ or bench/,
-because locals named ``row``, ``degree`` and ``coeffs`` count as
-references.  Dunder methods are left out, since Python calls them.
+could lose its caller unseen, and a method named like a local (``row``,
+``degree``) would pass on the local alone.  UltraJet.row is such a name
+and does have callers (extension_engine._valuation_oks and
+bench/checks.py).  Dunder methods are left out, since Python calls them.
 """
 
 import ast

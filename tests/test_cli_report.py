@@ -20,7 +20,6 @@ from ultraext.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
-    _cell,
     _csv_text,
     _uniform_stream,
     main,
@@ -490,46 +489,57 @@ def test_extend_bad_jet_kind_is_config_error(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
-def test_extend_fires_every_traced_layer(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["extend_readme", "extend_cluster", "audit_dense"])
+def test_extend_fires_every_traced_layer(tmp_path, monkeypatch, workload):
     # The benchmark's tracer wraps named module bindings of each layer; a
-    # refactor that moves one must fail here, not only in a traced run.
+    # refactor that moves one, or leaves its span silent in some job
+    # (TaylorPolynomial.__call__ runs only in the boundary descent's
+    # per-step glue), must fail here, not only in a traced run.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import tracing
-    from workloads import README_CONFIG
+    from workloads import WORKLOADS
 
-    cfg = write_config(tmp_path, README_CONFIG)
+    cfg = write_config(tmp_path, WORKLOADS[workload][0])
     with tracing.traced(tracing.Recorder()) as rec:
         code = main(["extend", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     tracing.check_fired(rec)
     # The bump and partition spans time one template and one partition
-    # per assembly, so each fires once per build_partition.
+    # per assembly, so each fires once per build_partition.  The sample
+    # trace is one eval_derivative call outside every other span.
     calls = rec.times()[3]
     assert calls["partition_of_unity.build_partition"] == 1
     assert calls["partition_of_unity.build_bump"] == 1
     assert calls["partition_of_unity.Partition.from_bumps"] == 1
+    top_level = [name for name, _, _, parent in rec.spans if parent < 0]
+    assert top_level.count("extension_engine.eval_derivative") == 1
 
 
 def test_csv_text_matches_csv_writer():
-    # The products' CSV is joined by hand; csv.writer with the same cells
-    # is the reference, on every kind of value a product row holds, in
-    # columns of one type (float, numpy float64, int, bool) and mixed ones.
-    f64 = np.float64
+    # The products' CSV is joined by hand from each cell's repr; csv.writer
+    # is the reference, on every kind of value a product row holds (the
+    # jobs build their rows with tolist, so Python float, int and bool),
+    # in columns of one type and mixed ones.
     rows = [
-        (math.nan, 0, f64(math.nan), True, -math.inf, np.int64(-3)),
-        (math.inf, -3, f64(-0.0), False, 0, np.int64(0)),
-        (5e-324, 2**70, f64(5e-324), True, f64(1.0 / 3.0), True),
-        (-0.0, 7, f64(-math.inf), False, np.int64(9), 0.1),
-        (-1.5e300, 1, f64(1e-300), True, False, 2),
+        (math.nan, 0, True, -math.inf, -3),
+        (math.inf, -3, False, 0, 0),
+        (5e-324, 2**70, True, 1.0 / 3.0, True),
+        (-0.0, 7, False, 9, 0.1),
+        (-1.5e300, 1, True, False, 2),
     ]
-    header = ("x", "alpha", "derivative", "flag", "mixed", "more")
+    header = ("x", "alpha", "flag", "mixed", "more")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(rows)
     assert _csv_text(header, rows) == buf.getvalue()
-    assert _csv_text(header, []) == "x,alpha,derivative,flag,mixed,more\n"
+    assert _csv_text(header, []) == "x,alpha,flag,mixed,more\n"
+    # The rows a job builds: numpy columns through tolist.
+    col = np.array([0.1, -0.0, 5e-324, 1e300])
+    rows = list(zip(col.tolist(), np.arange(4).tolist(), (col > 0.0).tolist()))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("x", "a", "b")] + rows)
+    assert _csv_text(("x", "a", "b"), rows) == buf.getvalue()
 
 
 # 2**128 + 5 has five 32-bit words, one more than the seeding pool.

@@ -1,11 +1,13 @@
 """One derivative vector per evaluation point, checked bitwise.
 
-eval_derivative keeps the last off-set point's vector 0..folds and serves
-every order there from it; verify_bounds fills per-sample tables and runs
-every check column-wise.  Both are compared with scalar code: the first
-with a fresh per-order evaluation by the per-member product rule, the
-second with a copy of the per-sample audit.  The local Taylor rule that
-assembly and the audit share is compared with its scalar form.
+eval_derivative builds each off-set point's vector once per call, by
+the scalar glue at a float and by one array pass over an array of
+points; verify_bounds fills per-sample tables and runs every check
+column-wise.  Both are compared with scalar code: the first with a fresh
+per-order evaluation by the per-member product rule, and its array form
+with the float call, the second with a copy of the per-sample audit.  The
+local Taylor rule that assembly and the audit share is compared with its
+scalar form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from ultraext.extension_engine import (
     _local_taylor,
     _log_abs,
     _log_decay,
-    _PhiVectors,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -39,6 +40,7 @@ from ultraext.extension_engine import (
     verify_bounds,
 )
 from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
+from ultraext.partition_of_unity import Partition
 from ultraext.seq_calculus import QUOTIENT_TIE_SLACK, counting_index
 from ultraext.ultrajets import (
     TaylorPolynomial,
@@ -93,6 +95,18 @@ def _deviation_derivatives(diffs, phis, order):
                 acc += math.comb(a, b) * p[a - b] * dvals[b]
             out[a] += acc
     return out
+
+
+class PhiVectors(dict):
+    """phi_i derivative vectors 0..order at one x, each built on first use."""
+
+    def __init__(self, partition, x, order):
+        super().__init__()
+        self.partition, self.x, self.order = partition, x, order
+
+    def __missing__(self, i):
+        vec = self[i] = self.partition.derivatives(i, self.x, self.order)
+        return vec
 
 
 def _glued_derivatives(f, x, order, members, phis, t_ref):
@@ -160,7 +174,7 @@ def parent_reference_index(f, x):
 
 def fresh_derivative(f, x, alpha):
     """The order-alpha vector's last entry, built from nothing stored."""
-    phis = _PhiVectors(f.partition, x, alpha)
+    phis = PhiVectors(f.partition, x, alpha)
     t_ref = f.taylors[parent_reference_index(f, x)]
     return float(_glued_derivatives(f, x, alpha, terms(f, x), phis, t_ref)[alpha])
 
@@ -207,47 +221,139 @@ def test_eval_derivative_builds_only_the_bumps_of_its_piece():
 
 
 def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
-    f = dataclasses.replace(extensions["two_points"])  # an empty store
-    built = []
-    scanned = []
-    glue = extension_engine._glued_derivatives
-    nearest = extension_engine.distance_and_nearest
+    # Nothing is stored on the extension.  A float x with an order vector
+    # is one scalar glue and one scan of the set; a call per order builds
+    # its own vector; an array of points is one array pass that builds
+    # each (point, member) phi vector once and no scalar glue.
+    f = extensions["two_points"]
+    built, passes, phis, scanned = [], [], [], []
+    scalar, glue = extension_engine._glued_derivatives, extension_engine._glue
+    derivatives, nearest = Partition.derivatives, extension_engine.distance_and_nearest
 
-    def counted(f, x, *rest):
+    def counted(f, x, order):
         built.append(x)
-        return glue(f, x, *rest)
+        return scalar(f, x, order)
+
+    def counted_pass(f, xs, *rest, **kwargs):
+        passes.append(xs.tolist())
+        return glue(f, xs, *rest, **kwargs)
+
+    def counted_phi(self, i, x, order):
+        phis.append((x, i))
+        return derivatives(self, i, x, order)
 
     def counted_scan(e, x):
         scanned.append(x)
         return nearest(e, x)
 
     monkeypatch.setattr(extension_engine, "_glued_derivatives", counted)
+    monkeypatch.setattr(extension_engine, "_glue", counted_pass)
     monkeypatch.setattr(extension_engine, "distance_and_nearest", counted_scan)
-    xs = region_samples(f, 40).tolist()
-    x1, x2, top = xs[3], xs[-3], f.plan.folds
-    for a in range(top + 1):
-        eval_derivative(f, x1, a)
-    # The set is scanned once, for the call that built the vector.
-    assert scanned == [x1]
-    eval_derivative(f, 0.23, 2)  # on the set: no vector built, none dropped
-    for a in (top, 0, 4, 4):
-        eval_derivative(f, x1, a)
-    assert built == [x1]
-    assert scanned == [x1, 0.23]
-    eval_derivative(f, x2, 0)
-    eval_derivative(f, x1, 1)
-    assert built == [x1, x2, x1]
-    assert scanned == [x1, 0.23, x2, x1]
+    monkeypatch.setattr(Partition, "derivatives", counted_phi)
+    xs = region_samples(f, 40)
+    x1, top = xs[3].item(), f.plan.folds
+    orders = np.arange(top + 1)
+    vec = eval_derivative(f, x1, orders)
+    assert built == scanned == [x1] and passes == []
+    per_order = [eval_derivative(f, x1, a) for a in orders.tolist()]
+    assert built == scanned == [x1] * (top + 2)
+    assert [type(v) for v in per_order] == [float] * (top + 1)
+    assert [v.hex() for v in vec.tolist()] == [v.hex() for v in per_order]
+    assert eval_derivative(f, 0.23, [2, 0]).tolist() == [f.jet.value(0.23, a) for a in (2, 0)]
 
-    # Order and region checks still run at and right after a stored point.
+    del built[:], scanned[:], phis[:]
+    points = np.append(xs, 0.23)  # one point on the set
+    table = eval_derivative(f, points, orders)
+    assert table.shape == (points.size, top + 1)
+    assert built == scanned == [] and passes == [xs.tolist()]
+    assert len(phis) == len(set(phis)) and {x for x, _ in phis} <= set(xs.tolist())
+    assert [v.hex() for v in table[3].tolist()] == [v.hex() for v in vec.tolist()]
+    assert table[-1].tolist() == [f.jet.value(0.23, a) for a in orders.tolist()]
+    assert eval_derivative(f, points, 5).tolist() == table[:, 5].tolist()
+
+    # Order and region checks run on every form of the call.
     for a in (top + 1, -1):
+        for x, alpha in ((x1, a), (x1, [0, a]), (points, a), (points, [a, 0])):
+            with pytest.raises(OrderOverflow):
+                eval_derivative(f, x, alpha)
+    for x in (x1, points):
         with pytest.raises(OrderOverflow):
-            eval_derivative(f, x1, a)
-    for x in (0.23 + 2.0 * f.d_max, 0.5 * f.cover.d_min_covered):
+            eval_derivative(f, x, [])
+    for x in (0.23 + 2.0 * f.d_max, 0.5 * f.cover.d_min_covered, math.nan):
         with pytest.raises(OutsideRegion):
             eval_derivative(f, x, 0)
-    assert eval_derivative(f, x1, 5).hex() == fresh_derivative(f, x1, 5).hex()
-    assert built == [x1, x2, x1]
+        with pytest.raises(OutsideRegion):
+            eval_derivative(f, np.append(points, x), orders)
+
+
+# The extensions of the three benchmark workloads with the ladder of
+# their sample traces (extend_readme and audit_dense share the one-point
+# extension), and the polynomial jet whose bumps meet two anchors.
+TRACES = {"one_point": 400, "cluster": 40, "polynomial": 2000}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TRACES)),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.98, 1.02)), min_size=1, max_size=30),
+    onset=st.lists(st.integers(0, 10**6), max_size=3),
+    orders=st.integers(0, 8) | st.lists(st.integers(0, 8), min_size=1, max_size=9),
+    bad=st.sampled_from([None, "far", "deep"]),
+)
+def test_array_eval_derivative_is_the_scalar_call_bitwise(extensions, name, picks, onset, orders, bad):
+    # Trace points jittered as the CLI jitters them, base points on the
+    # set in between; every entry against the float call by float.hex.
+    f = extensions[name]
+    ladder = region_samples(f, TRACES[name]).tolist()
+    xs = []
+    for p, factor in picks:
+        x = ladder[p % len(ladder)]
+        d, nearest = distance_and_nearest(f.jet.e, x)
+        if f.cover.d_min_covered <= d * factor < f.d_max:
+            x = nearest + (x - nearest) * factor
+        xs.append(x)
+    for p in onset:
+        xs.insert(p % (len(xs) + 1), f.jet.base_points[p % len(f.jet.base_points)])
+    if bad is not None:
+        # One point out of the band: past d_max, or below the cover depth.
+        a = f.jet.base_points[-1]
+        x = a + (2.0 * f.d_max if bad == "far" else 0.5 * f.cover.d_min_covered)
+        with pytest.raises(OutsideRegion):
+            eval_derivative(f, x, orders)
+        with pytest.raises(OutsideRegion):
+            eval_derivative(f, np.array(xs[:1] + [x] + xs[1:]), orders)
+    got = eval_derivative(f, np.array(xs), orders)
+    alphas = [orders] if isinstance(orders, int) else orders
+    assert got.shape == (len(xs),) + (() if isinstance(orders, int) else (len(orders),))
+    got = got.reshape(len(xs), len(alphas))
+    for k, x in enumerate(xs):
+        want = [eval_derivative(f, x, a).hex() for a in alphas]
+        assert [v.hex() for v in got[k].tolist()] == want, (x, alphas)
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_array_eval_derivative_is_the_scalar_call_on_the_whole_ladder(extensions, name, monkeypatch):
+    # Every ladder point, since the choice of reference polynomial moves
+    # the bits of few of them (3 of the 400 one-point points).  The
+    # polynomial ladder holds points whose live bumps carry two anchors,
+    # where the array pass subtracts t_ref vectors from T_i rows and the
+    # float call runs the distinct-center difference.
+    f = extensions[name]
+    xs = region_samples(f, TRACES[name])
+    orders = np.arange(f.plan.folds + 1)
+    apart = []
+    difference = extension_engine._difference_derivatives
+
+    def counted(t_i, t_ref, *rest):
+        apart.append(t_i.center != t_ref.center)
+        return difference(t_i, t_ref, *rest)
+
+    monkeypatch.setattr(extension_engine, "_difference_derivatives", counted)
+    got = eval_derivative(f, xs, orders)
+    assert apart == []  # the array pass runs no scalar difference
+    for k, x in enumerate(xs.tolist()):
+        assert got[k].tobytes() == eval_derivative(f, x, orders).tobytes(), x
+    assert any(apart) == (name == "polynomial")
 
 
 def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
@@ -300,7 +406,7 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         t_x = taylor_poly(f.jet, anchor, deg)
         # Every vector below is evaluated once per sample and shared.
         members = terms(f, x)
-        phis = _PhiVectors(f.partition, x, cap)
+        phis = PhiVectors(f.partition, x, cap)
         tx_vals = t_x.derivatives(x, cap)
         diffs_x = {
             i: _difference_derivatives(f.taylors[i], t_x, tx_vals, x, cap)

@@ -17,7 +17,6 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,13 +56,23 @@ THRESHOLD_GLUE = 8.0
 _LOG_TINY = math.log(5e-324)
 _LOG_EPS = math.log(2.0**-53)
 
+# Relative width of the audit's numpy filter in front of libm.  A ratio
+# is e^x, x the log ratio log|v| - rhs capped at 700 or less a shift.
+# numpy's log and exp are within an ulp or two of libm's; with
+# |log|v|| <= 745 and |log ratio| < 2^12 (a larger one always goes to
+# libm) numpy's x is within 1.3e-12 of libm's, so its ratio within
+# 1.5e-12 relatively, and any width above twice that keeps every entry
+# that can hold a libm maximum.  The width stays near that bound: the
+# ratios of a deep distance bin can lie closer than 1e-9 (hundreds of
+# them do in the README audit at 2000 samples), and each would go to libm.
+_AUDIT_TOL = 1e-11
+
 # Cover depth for assemble and the extend job.  build_cover's own 48
 # reaches sides where placed bumps degenerate (DegenerateSupport).
 MAX_GENERATION = 44
 
 
-@dataclass(frozen=True)
-class PlanConstants:
+class PlanConstants(NamedTuple):
     """Derived constants carried by a plan.
 
     c0, c1, c2 are the threshold multiples; h is the fitted doubling
@@ -88,7 +97,6 @@ class PlanConstants:
         return out
 
 
-@dataclass(frozen=True)
 class ExtensionPlan:
     """Dilation, fold count and row index chosen for one extension run.
 
@@ -97,31 +105,44 @@ class ExtensionPlan:
     control and must be requested by name.
     """
 
-    dilation: float
-    folds: int
-    xi: float
-    rho: float
-    jet_bound: float
-    constants: PlanConstants = field(default_factory=PlanConstants)
-    theory_degree: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dilation) and self.dilation > 0.0):
-            raise PlanInvalid(f"dilation must be positive, got {self.dilation}")
-        if not (isinstance(self.folds, int) and self.folds >= 1):
-            raise PlanInvalid(f"fold count must be a positive integer, got {self.folds}")
-        if not (self.xi > 0.0 and math.isfinite(self.xi)):
+    def __init__(
+        self,
+        dilation: float,
+        folds: int,
+        xi: float,
+        rho: float,
+        jet_bound: float,
+        constants: PlanConstants = PlanConstants(),
+        theory_degree: int = 0,
+    ) -> None:
+        if not (math.isfinite(dilation) and dilation > 0.0):
+            raise PlanInvalid(f"dilation must be positive, got {dilation}")
+        if not (isinstance(folds, int) and folds >= 1):
+            raise PlanInvalid(f"fold count must be a positive integer, got {folds}")
+        if not (xi > 0.0 and math.isfinite(xi)):
             raise PlanInvalid("row index xi must be positive and finite")
-        if not (self.rho >= 1.0 and math.isfinite(self.rho)):
+        if not (rho >= 1.0 and math.isfinite(rho)):
             raise PlanInvalid("certificate radius rho must be >= 1")
-        if not (self.jet_bound > 0.0 and math.isfinite(self.jet_bound)):
+        if not (jet_bound > 0.0 and math.isfinite(jet_bound)):
             raise PlanInvalid("certificate bound must be positive and finite")
-        c = self.constants
+        c = constants
         if not 1.0 <= c.h < math.inf:
             raise PlanInvalid(f"doubling constant h must be finite and >= 1, got {c.h}")
         bad = [k for k in ("c0", "c1", "c2", "k1", "k2", "k3") if not 0.0 < getattr(c, k) < math.inf]
         if bad or not (c.m1 is None or math.isfinite(c.m1)):
             raise PlanInvalid(f"plan constants must be positive and finite: {bad or ['m1']}")
+        self.dilation = dilation
+        self.folds = folds
+        self.xi = xi
+        self.rho = rho
+        self.jet_bound = jet_bound
+        self.constants = constants
+        self.theory_degree = theory_degree
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtensionPlan):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     @property
     def meets_threshold(self) -> bool:
@@ -155,7 +176,7 @@ class ExtensionPlan:
                 f"plan keys missing: {sorted(missing)}, unknown: {sorted(unknown)}"
             )
         given = doc.get("constants", {})
-        unknown = set(given) - {f.name for f in fields(PlanConstants)}
+        unknown = set(given) - set(PlanConstants._fields)
         if unknown:
             raise PlanInvalid(f"unknown plan constants: {sorted(unknown)}")
         return cls(
@@ -288,8 +309,7 @@ def _local_taylor(jet: UltraJet, row: WeightSequence, dilation: float, xs) -> _L
     return _LocalTaylor(ds, requested, gamma == row.order, anchor, degree, which, polys)
 
 
-@dataclass(frozen=True)
-class ExtensionFunction:
+class ExtensionFunction(NamedTuple):
     """The glued extension and everything needed to evaluate and audit it.
 
     Valid arguments are the stored base points of the jet together with
@@ -311,11 +331,6 @@ class ExtensionFunction:
     d_max: float
     degree_cutoffs: int
     degree_caps: int
-
-    def __post_init__(self) -> None:
-        n = len(self.cover.centers)
-        if not (len(self.taylors) == len(self.degrees) == len(self.anchors) == n):
-            raise ValueError("per-interval data must align with the cover")
 
     def __call__(self, x: float) -> float:
         return eval_derivative(self, x, 0)
@@ -621,8 +636,7 @@ def eval_derivative(f: ExtensionFunction, x, alpha):
 # -- bound verification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Outcome of one displayed-bound check over the sample."""
 
     name: str
@@ -653,8 +667,7 @@ class BoundCheck:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     checks: tuple[BoundCheck, ...]
     sample_count: int
     alpha_cap: int
@@ -710,12 +723,15 @@ def region_samples(f: ExtensionFunction, n: int) -> np.ndarray:
     return xs[(d >= f.cover.d_min_covered) & (d < f.d_max)]
 
 
+def _half_decades(ds) -> np.ndarray:
+    """The half-decade of 1/d holding each distance d: floor(2 log10(1/d))."""
+    return np.floor(np.log10(1.0 / np.asarray(ds, dtype=float)) * 2.0).astype(int)
+
+
 def _ratio_bins(ds: Sequence[float], ratios: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Worst ratio per half-decade of 1/d, abscissae increasing toward d -> 0."""
-    inv = 1.0 / np.asarray(ds, dtype=float)
     r = np.asarray(ratios, dtype=float)
-    logs = np.log10(inv)
-    idx = np.floor(logs * 2.0).astype(int)
+    idx = _half_decades(ds)
     order = np.argsort(idx, kind="stable")
     keys, starts = np.unique(idx[order], return_index=True)
     abscissae = 10.0 ** ((keys + 0.5) / 2.0)
@@ -795,20 +811,73 @@ def _finish_check(
 
 
 def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|v| > 0, math.log|v| there and -inf elsewhere), entrywise."""
+    """(|v|, numpy's log|v|), -inf at zeros: within an ulp or so of math.log."""
     mag = np.abs(values)
-    pos = mag > 0.0
-    logs = np.full(mag.shape, -np.inf)
-    logs[pos] = libm(math.log, mag[pos])
-    return pos, logs
+    with np.errstate(divide="ignore"):
+        return mag, np.log(mag)
 
 
-def _exp_where(x: np.ndarray, live) -> np.ndarray:
-    """math.exp(x) on the live entries, 0.0 elsewhere."""
-    live = live & (x != -np.inf)  # math.exp(-inf) is 0.0 exactly
-    out = np.zeros(x.shape)
-    out[live] = libm(math.exp, x[live])
+def _deciding(ratios: np.ndarray, bins: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Live entries of a numpy ratio table that can be a column or bin maximum.
+
+    ratios holds numpy's values of a table whose true entries are libm's,
+    each within half _AUDIT_TOL relative of its libm value where that is
+    not tiny; bins[r] is row r's distance bin (_half_decades).  An entry
+    is picked when it lies within a relative _AUDIT_TOL of its column's
+    or its bin's numpy maximum, so every entry that can be the libm
+    maximum is, and every other one stays below it.  A maximum under
+    2^-1000 (subnormal values, where numpy's relative error is unbounded)
+    or NaN picks every live entry of its group.
+    """
+    def floor(top):
+        return np.where(top >= 2.0**-1000, top * (1.0 - _AUDIT_TOL), -np.inf)
+
+    keys = bins - bins.min(initial=0)
+    bin_top = np.zeros(keys.max(initial=0) + 1)
+    np.fmax.at(bin_top, keys, np.fmax.reduce(ratios, axis=1, initial=0.0))
+    col_top = np.fmax.reduce(ratios, axis=0, initial=0.0)
+    return live & ((ratios >= floor(col_top)) | (ratios >= floor(bin_top)[keys][:, None]))
+
+
+def _bound_ratios(mag, logs, log_rhs, live, bins, exponent) -> np.ndarray:
+    """math.exp(exponent(math.log(mag) - log_rhs, column)) where live and mag > 0, else 0.0.
+
+    exponent maps an array of log ratios and their column indices to the
+    exponents, entry by entry.  logs is numpy's log of mag (_log_abs).
+    numpy's log and exp fill the table; the entries _deciding picks, and
+    only those, take math.log and math.exp, so every column and bin
+    maximum is the per-entry libm value.
+    """
+    live = live & (mag > 0.0)
+    cols = np.broadcast_to(np.arange(mag.shape[1]), mag.shape)
+    raw = logs - log_rhs
+    out = np.where(live, np.exp(exponent(raw, cols)), 0.0)
+    # Past 2^12 an ulp of the log ratio can exceed what _AUDIT_TOL allows.
+    pick = _deciding(out, bins, live) | (live & ~(np.abs(raw) < 2.0**12))
+    raw = libm(math.log, mag[pick]) - np.broadcast_to(log_rhs, mag.shape)[pick]
+    out[pick] = libm(math.exp, exponent(raw, cols[pick]))
     return out
+
+
+def _capped(raw, cols) -> np.ndarray:
+    """The exponent of a bound check's ratio: the log ratio, at most 700."""
+    return np.minimum(raw, 700.0)
+
+
+def _log_envelope(mag, logs, log_rhs) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, env): raw = math.log(mag) - log_rhs where mag > 0, else -inf, and its column maxima.
+
+    numpy's logs fill raw; the entries within _AUDIT_TOL * (1 + |top|) of
+    their column's numpy maximum top take math.log, so env is the
+    per-entry libm envelope and no other entry of raw exceeds it.  The
+    other entries of raw stay numpy's.
+    """
+    raw = np.where(mag > 0.0, logs - log_rhs, -np.inf)
+    top = np.fmax.reduce(raw, axis=0, initial=-np.inf)
+    with np.errstate(invalid="ignore"):
+        pick = (mag > 0.0) & (raw >= top - _AUDIT_TOL * (1.0 + np.abs(top)))
+    raw[pick] = libm(math.log, mag[pick]) - np.broadcast_to(log_rhs, raw.shape)[pick]
+    return raw, np.fmax.reduce(raw, axis=0, initial=-np.inf)
 
 
 def verify_bounds(
@@ -845,8 +914,12 @@ def verify_bounds(
 
     Phase 2 computes every check from the tables with elementwise array
     arithmetic in the operation order of a per-sample loop, bit for bit:
-    subtraction, abs, minimum and fmax are the scalar operations, and
-    log and exp stay libm's (math.log and math.exp per entry, libm).
+    subtraction, abs, minimum and fmax are the scalar operations.  Only
+    the column and distance-bin maxima of a check's ratio table, and the
+    column maxima of a terminal check's log envelope, reach the report;
+    numpy's log and exp fill the tables, and the entries that can decide
+    one of those maxima take libm's (math.log and math.exp), so every
+    reported figure is the per-entry libm computation's.
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -909,6 +982,7 @@ def verify_bounds(
     # the entries marked in `used`; its tables are dropped once its
     # verdict is in.
     checks: list[BoundCheck] = []
+    ds_bins = _half_decades(ds)
 
     def finish(name, ratios, row_ds, skipped, used=True, **kwargs) -> None:
         used = np.broadcast_to(used, ratios.shape)
@@ -917,24 +991,26 @@ def verify_bounds(
         ds_used = np.broadcast_to(row_ds[:, None], used.shape)[used]
         checks.append(_finish_check(name, ratios[used], ds_used, per_alpha, skipped, **kwargs))
 
-    pos, logs = _log_abs(tx)
-    finish("taylor_value_bound", _exp_where(np.minimum(logs - taylor_rhs, 700.0), pos), ds, 0)
+    mag, logs = _log_abs(tx)
+    ratios = _bound_ratios(mag, logs, taylor_rhs, True, ds_bins, _capped)
+    finish("taylor_value_bound", ratios, ds, 0)
 
     used = orders < np.minimum(wants, len(consis_rhs))[:, None]
-    pos, logs = _log_abs(np.where(used, tx - jet_tab, 0.0))
+    mag, logs = _log_abs(np.where(used, tx - jet_tab, 0.0))
     log_rhs = np.array(consis_rhs + [0.0] * (width - len(consis_rhs)))
     log_rhs = log_rhs + libm(math.log, ds)[:, None]
-    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), pos)
+    ratios = _bound_ratios(mag, logs, log_rhs, True, ds_bins, _capped)
     finish("taylor_jet_consistency", ratios, ds, 0, used)
 
-    _, logs = _log_abs(diffs)
+    mag, logs = _log_abs(diffs)
     i_ok, x_ok = center_ok[pair_i][:, None], near_ok[pair_k][:, None]
     skipped_pairs = width * int(np.count_nonzero(~i_ok) + np.count_nonzero(~x_ok))
     log_rhs = far_rhs + center_lh[pair_i][:, None]
-    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), i_ok)
+    bins = _half_decades(center_d)[pair_i]
+    ratios = _bound_ratios(mag, logs, log_rhs, i_ok, bins, _capped)
     finish("pair_difference_interval", ratios, center_d[pair_i], skipped_pairs, i_ok)
     log_rhs = near_rhs + lh_near[pair_k][:, None]
-    ratios = _exp_where(np.minimum(logs - log_rhs, 700.0), x_ok)
+    ratios = _bound_ratios(mag, logs, log_rhs, x_ok, ds_bins[pair_k], _capped)
     finish("pair_difference_point", ratios, ds[pair_k], 0, x_ok)
 
     # Fit one growth base per terminal estimate, in log space.  The base
@@ -957,20 +1033,26 @@ def verify_bounds(
             for a1, a2 in zip(kept, kept[1:])
         ]
 
-    def terminal(name, raw, skipped, used=True) -> float:
-        env = np.fmax.reduce(raw, axis=0, initial=-np.inf).tolist()
+    def terminal(name, values, log_rhs, skipped, used=True) -> float:
+        # The envelope fixes the base, so it is made libm's first; then
+        # each normalized ratio is math.exp(raw - (a + 1) * log_base).
+        mag, logs = _log_abs(values)
+        raw, env = _log_envelope(mag, logs, log_rhs)
+        env = env.tolist()
         log_base = fit_log_base(env)
-        ratios = _exp_where(raw - (orders + 1) * log_base, raw > -np.inf)
+        shift = (orders + 1) * log_base
+        ratios = _bound_ratios(
+            mag, logs, log_rhs, raw > -np.inf, ds_bins, lambda x, cols: x - shift[cols]
+        )
         fitted = math.exp(min(log_base, 700.0))
         finish(name, ratios, ds, skipped, used, fitted=fitted, alpha_profile=slope_profile(env))
         return fitted
 
     rows = (resid_ok & ~capped)[:, None]
-    pos, logs = _log_abs(np.where(rows, dev, 0.0))
-    raw = np.where(pos, logs - (growth_log + lh_resid[:, None]), -np.inf)
-    m1 = terminal("residual_decay", raw, width * int(np.count_nonzero(~rows)), rows)
-    pos, logs = _log_abs(glued)
-    m = terminal("global_derivative_growth", np.where(pos, logs - growth_log, -np.inf), 0)
+    log_rhs = growth_log + lh_resid[:, None]
+    skipped = width * int(np.count_nonzero(~rows))
+    m1 = terminal("residual_decay", np.where(rows, dev, 0.0), log_rhs, skipped, rows)
+    m = terminal("global_derivative_growth", glued, growth_log, 0)
     return BoundReport(
         checks=tuple(checks),
         sample_count=n,
@@ -1015,8 +1097,7 @@ def _valuation_oks(
 # -- boundary limits ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryStep:
+class BoundaryStep(NamedTuple):
     index: int
     x: float
     distance: float
@@ -1024,8 +1105,7 @@ class BoundaryStep:
     errors: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Dyadic approach of the extension derivatives to the jet values.
 
     fitted[a] is the smallest constant with e_j <= fitted * (d_j + decay_j)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,6 @@ def _as_xi(x: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
     """Ordered family of weight sequences indexed by xi, stored divided.
 
@@ -67,16 +65,9 @@ class WeightMatrix:
     slopes) are kept and returned bit-identical.
     """
 
-    xi_values: tuple[float, ...]
-    log_rows: tuple[tuple[float, ...], ...]
-    kfac_root_bound: float = field(init=False, compare=False)
-    kfac_root_stable: bool = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        xis = tuple(_as_xi(x) for x in self.xi_values)
-        object.__setattr__(self, "xi_values", xis)
-        rows = tuple(tuple(float(v) for v in r) for r in self.log_rows)
-        object.__setattr__(self, "log_rows", rows)
+    def __init__(self, xi_values, log_rows) -> None:
+        xis = tuple(_as_xi(x) for x in xi_values)
+        rows = tuple(tuple(float(v) for v in r) for r in log_rows)
         if len(xis) != len(set(xis)):
             raise ValueError("duplicate xi values")
         if list(xis) != sorted(xis):
@@ -99,10 +90,10 @@ class WeightMatrix:
             if prev is not None and np.any(lv < prev - ORDER_SLACK * (1.0 + np.abs(prev))):
                 raise ValueError(f"row order violated below xi={xi}: rows must grow with xi")
             prev = lv
-        object.__setattr__(self, "_seq_cache", {})
-        bound, stable = self._kfac_diagnostic()
-        object.__setattr__(self, "kfac_root_bound", bound)
-        object.__setattr__(self, "kfac_root_stable", stable)
+        self.xi_values = xis
+        self.log_rows = rows
+        self._seq_cache: dict[int, WeightSequence] = {}
+        self.kfac_root_bound, self.kfac_root_stable = self._kfac_diagnostic()
 
     def _kfac_diagnostic(self) -> tuple[float, bool]:
         # (k!/M_k)^(1/k) = exp(-log m_k / k) on the divided row.  The full
@@ -220,8 +211,7 @@ def associated_matrix(
     return WeightMatrix.from_divided_rows(rows)
 
 
-@dataclass(frozen=True)
-class SandwichFit:
+class SandwichFit(NamedTuple):
     """Constants verifying that regularization loses at most an index step.
 
     With s the divided input rows and sbar their log-convex minorants, the

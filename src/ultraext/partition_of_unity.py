@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +88,6 @@ def _coeff_table(pieces) -> np.ndarray:
     return coeff
 
 
-@dataclass(frozen=True)
 class PiecewisePolynomial:
     """Compactly supported piecewise polynomial in local power basis.
 
@@ -98,26 +97,27 @@ class PiecewisePolynomial:
     the last piece so closed supports evaluate cleanly.
     """
 
-    breakpoints: tuple[float, ...]
-    pieces: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
+    def __init__(self, breakpoints: tuple[float, ...], pieces: tuple[tuple[float, ...], ...]):
+        bp = np.asarray(breakpoints, dtype=float)
         if bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != bp.size - 1:
+        if len(pieces) != bp.size - 1:
             raise ValueError("need exactly one coefficient row per piece")
-        if any(len(row) == 0 for row in self.pieces):
+        if any(len(row) == 0 for row in pieces):
             raise ValueError("empty coefficient row")
-        coeff = _coeff_table(self.pieces)
+        coeff = _coeff_table(pieces)
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "_bp", bp)
-        object.__setattr__(self, "_coeff", coeff)
+        self.breakpoints, self.pieces, self._bp, self._coeff = breakpoints, pieces, bp, coeff
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiecewisePolynomial):
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
 
     @property
     def degree(self) -> int:
@@ -267,13 +267,8 @@ class PlacedBumps(Sequence):
         if got is None:
             bp, rows = self.breakpoints[i], self.rows[i]
             got = self._built[i] = object.__new__(PiecewisePolynomial)
-            for name, value in (
-                ("breakpoints", tuple(bp.tolist())),
-                ("pieces", rows),
-                ("_bp", bp),
-                ("_coeff", _coeff_table(rows)),
-            ):
-                object.__setattr__(got, name, value)
+            got.breakpoints, got.pieces = tuple(bp.tolist()), rows
+            got._bp, got._coeff = bp, _coeff_table(rows)
         return got
 
 
@@ -310,7 +305,6 @@ def _live_bumps(
     return tuple(sets[np.cumsum(new) - 1].tolist())
 
 
-@dataclass(frozen=True, eq=False)
 class Partition:
     """Normalized bump family phi_i = psi_i / sum_j psi_j.
 
@@ -323,12 +317,20 @@ class Partition:
     reads.
     """
 
-    folds: int
-    bumps: PlacedBumps
-    cover: WhitneyCover
-    breakpoints: np.ndarray
-    piece_active: tuple[tuple[int, ...], ...]
-    _pieces: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(
+        self,
+        folds: int,
+        bumps: PlacedBumps,
+        cover: WhitneyCover,
+        breakpoints: np.ndarray,
+        piece_active: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.folds = folds
+        self.bumps = bumps
+        self.cover = cover
+        self.breakpoints = breakpoints
+        self.piece_active = piece_active
+        self._pieces: dict = {}
 
     @classmethod
     def from_bumps(cls, bumps: PlacedBumps, folds: int, cover: WhitneyCover) -> "Partition":
@@ -403,6 +405,8 @@ class Partition:
 
         Derivatives are taken piecewise (right-continuous at breakpoints)
         through the reciprocal and product rules on exact coefficients.
+        Both rules run on Python floats, the same IEEE doubles as numpy
+        scalars, so the values are the same bits.
         """
         if not 0 <= order <= self.folds:
             raise ValueError("order must lie between 0 and the fold count")
@@ -418,23 +422,20 @@ class Partition:
             # The quotient is identically one on a single-bump piece.
             out[0] = 1.0
             return out
-        dx = x - bp[j]
+        dx = float(x - bp[j])
         cfs, tot = self.piece(j)
-        psi_d = _derivative_values(cfs[actives.index(i)], dx, order)
-        tot_d = _derivative_values(tot, dx, order)
+        psi_d = _derivative_values(cfs[actives.index(i)], dx, order).tolist()
+        tot_d = _derivative_values(tot, dx, order).tolist()
         if tot_d[0] == 0.0:
             return out
-        recip = np.zeros(order + 1)
-        recip[0] = 1.0 / tot_d[0]
+        recip = [1.0 / tot_d[0]]
         for m in range(1, order + 1):
             acc = 0.0
             for r in range(1, m + 1):
                 acc += math.comb(m, r) * tot_d[r] * recip[m - r]
-            recip[m] = -recip[0] * acc
+            recip.append(-recip[0] * acc)
         for b in range(order + 1):
-            out[b] = sum(
-                math.comb(b, r) * psi_d[r] * recip[b - r] for r in range(b + 1)
-            )
+            out[b] = sum(math.comb(b, r) * psi_d[r] * recip[b - r] for r in range(b + 1))
         return out
 
     def sup_norm(self, i: int, order: int) -> float:
@@ -620,8 +621,7 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
     return partition
 
 
-@dataclass(frozen=True)
-class DerivativeBoundReport:
+class DerivativeBoundReport(NamedTuple):
     """Fitted envelope constants and the exact sup-norm side table.
 
     The verified bound reads, at every sampled x and order beta,

@@ -29,7 +29,6 @@ by ulps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +43,6 @@ from .errors import (
 MIN_ORDER = 16  # smallest admissible K; shorter sequences say nothing asymptotic
 
 
-@dataclass(frozen=True)
 class WeightSequence:
     """Positive sequence m_0..m_K stored as log m_k with a quotient view.
 
@@ -53,13 +51,8 @@ class WeightSequence:
     for sequences built from values they are plain differences.
     """
 
-    log_values: tuple[float, ...]
-    log_quotients: tuple[float, ...]
-    is_log_convex: bool = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        lv = self.log_values
-        lq = self.log_quotients
+    def __init__(self, log_values: tuple[float, ...], log_quotients: tuple[float, ...]) -> None:
+        lv, lq = log_values, log_quotients
         if len(lv) < MIN_ORDER + 1:
             raise ValueError(f"need at least {MIN_ORDER + 1} entries, got {len(lv)}")
         if len(lq) != len(lv) - 1:
@@ -74,10 +67,11 @@ class WeightSequence:
         # escape proxy: m_K^(1/K) > m_{K/2}^(2/K), i.e. the stored roots still climb
         if not lv[K] > 2.0 * lv[K // 2]:
             raise ValueError("k-th roots do not escape on the stored range")
-        convex = all(lq[i] <= lq[i + 1] for i in range(len(lq) - 1))
-        object.__setattr__(self, "is_log_convex", convex)
-        object.__setattr__(self, "_lv", np.asarray(lv, dtype=float))
-        object.__setattr__(self, "_lq", np.asarray(lq, dtype=float))
+        self.log_values = lv
+        self.log_quotients = lq
+        self.is_log_convex = all(lq[i] <= lq[i + 1] for i in range(len(lq) - 1))
+        self._lv = np.asarray(lv, dtype=float)
+        self._lq = np.asarray(lq, dtype=float)
 
     # -- constructors ---------------------------------------------------
 

@@ -18,7 +18,6 @@ truncation order grows is a trend verdict, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ from .whitney_geometry import CompactSet1D, distance_grid
 RHO_GRID = tuple(2.0 ** (i / 4.0) for i in range(41))
 
 
-@dataclass(frozen=True)
 class TaylorPolynomial:
     """Polynomial recorded by its derivative values at the center.
 
@@ -46,14 +44,20 @@ class TaylorPolynomial:
     form, bit for bit.
     """
 
-    center: float
-    derivs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.derivs) == 0:
+    def __init__(self, center: float, derivs: tuple[float, ...]) -> None:
+        if len(derivs) == 0:
             raise ValueError("need at least one derivative value")
-        if not all(math.isfinite(c) for c in self.derivs):
+        if not all(math.isfinite(c) for c in derivs):
             raise ValueError("derivative values must be finite")
+        self.center, self.derivs = center, derivs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TaylorPolynomial):
+            return NotImplemented
+        return self.center == other.center and self.derivs == other.derivs
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.derivs))
 
     def __call__(self, y: float) -> float:
         derivs = self.derivs
@@ -68,8 +72,7 @@ class TaylorPolynomial:
             raise ValueError("derivative order must be nonnegative")
         # A tail of a validated row is valid: skip the per-entry checks.
         shifted = object.__new__(TaylorPolynomial)
-        object.__setattr__(shifted, "center", self.center)
-        object.__setattr__(shifted, "derivs", self.derivs[alpha:] or (0.0,))
+        shifted.center, shifted.derivs = self.center, self.derivs[alpha:] or (0.0,)
         return shifted
 
     def derivatives(self, y: float, order: int) -> list[float]:
@@ -105,7 +108,6 @@ def taylor_vectors(
     return acc
 
 
-@dataclass(frozen=True)
 class UltraJet:
     """Prescribed derivatives F^alpha(a) at finitely many points of E.
 
@@ -114,17 +116,13 @@ class UltraJet:
     and must lie in the set.
     """
 
-    e: CompactSet1D
-    base_points: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(float(a) for a in self.base_points)
+    def __init__(self, e: CompactSet1D, base_points, rows) -> None:
+        pts = tuple(float(a) for a in base_points)
         if len(pts) == 0:
             raise ValueError("jet needs at least one base point")
         if list(pts) != sorted(set(pts)):
             raise ValueError("base points must be strictly increasing")
-        rows = tuple(tuple(float(v) for v in r) for r in self.rows)
+        rows = tuple(tuple(float(v) for v in r) for r in rows)
         if len(rows) != len(pts):
             raise ValueError("need exactly one value row per base point")
         if len({len(r) for r in rows}) != 1 or len(rows[0]) == 0:
@@ -132,11 +130,20 @@ class UltraJet:
         for r in rows:
             if not all(math.isfinite(v) for v in r):
                 raise ValueError("jet values must be finite")
-        d = distance_grid(self.e, np.asarray(pts))
-        if np.any(d != 0.0):
+        if np.any(distance_grid(e, np.asarray(pts)) != 0.0):
             raise ValueError("every base point must lie in the set")
-        object.__setattr__(self, "base_points", pts)
-        object.__setattr__(self, "rows", rows)
+        self.e, self.base_points, self.rows = e, pts, rows
+
+    def _key(self) -> tuple:
+        return self.e.components, self.base_points, self.rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UltraJet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def alpha_max(self) -> int:
@@ -240,7 +247,6 @@ def remainder(jet: UltraJet, a: float, b: float, k: int, alpha: int) -> float:
     return jet.value(b, alpha) - predicted
 
 
-@dataclass(frozen=True)
 class JetCertificate:
     """Fitted growth certificate for one weight-matrix row.
 
@@ -250,18 +256,22 @@ class JetCertificate:
     behind the acceptance.
     """
 
-    c: float
-    rho: float
-    xi: float
-    value_margin: float
-    remainder_margin: float
-    rate_trend: str
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
+    def __init__(
+        self,
+        c: float,
+        rho: float,
+        xi: float,
+        value_margin: float,
+        remainder_margin: float,
+        rate_trend: str,
+    ) -> None:
+        if not (math.isfinite(c) and c > 0.0):
             raise ValueError("certificate constant must be positive")
-        if not self.rho >= 1.0:
+        if not rho >= 1.0:
             raise ValueError("certificate growth rate must be at least 1")
+        self.c, self.rho, self.xi = c, rho, xi
+        self.value_margin, self.remainder_margin = value_margin, remainder_margin
+        self.rate_trend = rate_trend
 
 
 def _remainder_table(jet: UltraJet):

@@ -12,8 +12,7 @@ what the tail of the kappa quadrature visits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -377,8 +376,7 @@ def geometric_grid(t_min: float = 1.0, t_max: float = 1e8, per_decade: int = 10)
     return np.geomspace(t_min, t_max, int(round(per_decade * decades)) + 1)
 
 
-@dataclass
-class WeightClassification:
+class WeightClassification(NamedTuple):
     """Grid-decided asymptotic flags with fitted constants and witnesses.
 
     A None flag means the test was skipped (recorded in witnesses), not
@@ -389,8 +387,8 @@ class WeightClassification:
     little_o_of_t: bool
     strong: bool | None
     concave_equivalent: bool | None
-    constants: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
+    constants: dict
+    witnesses: dict
 
     def as_dict(self) -> dict:
         return {
@@ -490,11 +488,10 @@ def classify(
     )
 
 
-@dataclass
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equivalent: bool
     constant: float | None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
 def equivalent(w1: WeightFunction, w2: WeightFunction, t_grid=None, growth_tol: float = 1.05) -> EquivalenceResult:

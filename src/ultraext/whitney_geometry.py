@@ -12,8 +12,7 @@ proportionality of distances on expanded intervals holds with margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,15 +25,11 @@ SIDE_WINDOW_LO = 1.0
 SIDE_WINDOW_HI = 2.5
 
 
-@dataclass(frozen=True)
 class CompactSet1D:
     """Finite union of disjoint closed intervals, points allowed."""
 
-    components: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple((float(a), float(b)) for a, b in self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components) -> None:
+        comps = tuple((float(a), float(b)) for a, b in components)
         if not comps:
             raise ValueError("compact set needs at least one component")
         for a, b in comps:
@@ -45,6 +40,7 @@ class CompactSet1D:
         for (_, b0), (a1, _) in zip(comps, comps[1:]):
             if not b0 < a1:
                 raise ValueError("components must be sorted and disjoint")
+        self.components = comps
 
     @classmethod
     def from_points(cls, points: Iterable[float]) -> CompactSet1D:
@@ -64,8 +60,13 @@ class CompactSet1D:
 
 
 def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
-    """Distance to the set and a nearest point, ties toward smaller coordinate."""
+    """Distance to the set and a nearest point, ties toward smaller coordinate.
+
+    A NaN x gives (nan, nan), as in distances_and_nearest.
+    """
     x = float(x)
+    if math.isnan(x):
+        return math.nan, math.nan
     best_d = math.inf
     best_p = math.nan
     for a, b in e.components:
@@ -118,7 +119,6 @@ def distance_grid(e: CompactSet1D, xs) -> np.ndarray:
     return distances_and_nearest(e, xs)[0]
 
 
-@dataclass(frozen=True)
 class ExtensionConstants:
     """Cover and partition constants as realized by this construction.
 
@@ -127,21 +127,15 @@ class ExtensionConstants:
     A_1 * side <= d(center) < A_2 * side.
     """
 
-    r_0: float
-    B_1: float
-    b_1: float
-    A_1: float
-    A_2: float
-
-    def __post_init__(self) -> None:
-        for name in ("r_0", "B_1", "b_1", "A_1", "A_2"):
-            if getattr(self, name) <= 0.0:
+    def __init__(self, r_0: float, B_1: float, b_1: float, A_1: float, A_2: float) -> None:
+        for name, value in (("r_0", r_0), ("B_1", B_1), ("b_1", b_1), ("A_1", A_1), ("A_2", A_2)):
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.A_1 > self.A_2:
+        if A_1 > A_2:
             raise ValueError("need A_1 <= A_2")
+        self.r_0, self.B_1, self.b_1, self.A_1, self.A_2 = r_0, B_1, b_1, A_1, A_2
 
 
-@dataclass(frozen=True)
 class WhitneyCover:
     """Dyadic interval cover of {0 < d(x, E) < r_cov}.
 
@@ -152,14 +146,25 @@ class WhitneyCover:
     next to E left by the generation cap and are not claimed.
     """
 
-    e: CompactSet1D
-    r_cov: float
-    centers: np.ndarray
-    sides: np.ndarray
-    generations: np.ndarray
-    expansion: float
-    d_min_covered: float
-    constants: ExtensionConstants
+    def __init__(
+        self,
+        e: CompactSet1D,
+        r_cov: float,
+        centers: np.ndarray,
+        sides: np.ndarray,
+        generations: np.ndarray,
+        expansion: float,
+        d_min_covered: float,
+        constants: ExtensionConstants,
+    ) -> None:
+        self.e = e
+        self.r_cov = r_cov
+        self.centers = centers
+        self.sides = sides
+        self.generations = generations
+        self.expansion = expansion
+        self.d_min_covered = d_min_covered
+        self.constants = constants
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -291,8 +296,7 @@ def build_cover(
     )
 
 
-@dataclass(frozen=True)
-class Eq14Report:
+class Eq14Report(NamedTuple):
     """Outcome of the distance-proportionality check on expanded intervals."""
 
     ok: bool

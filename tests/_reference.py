@@ -5,13 +5,31 @@ public data of a pipeline object, so the objects themselves carry only
 what a job uses.
 """
 
+import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ultraext.partition_of_unity import PiecewisePolynomial, _eval_local, _real_roots_in
+from ultraext.partition_of_unity import (
+    PiecewisePolynomial,
+    _derivative_values,
+    _eval_local,
+    _real_roots_in,
+)
+
+
+def rebuilt(obj, **changes):
+    """obj built again through its class's constructor, some arguments changed.
+
+    Every constructor argument is read back from the attribute of its
+    name, so the rebuilt object passes the constructor's checks afresh.
+    """
+    names = inspect.signature(type(obj)).parameters
+    unknown = changes.keys() - names.keys()
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no argument {sorted(unknown)}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
 
 
 def support(poly: PiecewisePolynomial) -> tuple[float, float]:
@@ -65,9 +83,40 @@ def partition_value(part, i: int, x: float) -> float:
     return psi / part.total(x)
 
 
+def numpy_phi_derivatives(part, i: int, x: float, order: int) -> np.ndarray:
+    """Partition.derivatives with its reciprocal and product rules on numpy scalars."""
+    out = np.zeros(order + 1)
+    bp = part.breakpoints
+    if x < bp[0] or x > bp[-1]:
+        return out
+    j = min(int(np.searchsorted(bp, x, side="right")) - 1, bp.size - 2)
+    actives = part.piece_active[j]
+    if i not in actives:
+        return out
+    if len(actives) == 1:
+        out[0] = 1.0
+        return out
+    dx = x - bp[j]
+    cfs, tot = part.piece(j)
+    psi_d = _derivative_values(cfs[actives.index(i)], dx, order)
+    tot_d = _derivative_values(tot, dx, order)
+    if tot_d[0] == 0.0:
+        return out
+    recip = np.zeros(order + 1)
+    recip[0] = 1.0 / tot_d[0]
+    for m in range(1, order + 1):
+        acc = 0.0
+        for r in range(1, m + 1):
+            acc += math.comb(m, r) * tot_d[r] * recip[m - r]
+        recip[m] = -recip[0] * acc
+    for b in range(order + 1):
+        out[b] = sum(math.comb(b, r) * psi_d[r] * recip[b - r] for r in range(b + 1))
+    return out
+
+
 def scaled(jet, c: float):
     """The jet with every stored value multiplied by c."""
-    return replace(jet, rows=tuple(tuple(c * v for v in r) for r in jet.rows))
+    return rebuilt(jet, rows=tuple(tuple(c * v for v in r) for r in jet.rows))
 
 
 def terms(f, x: float) -> list[int]:

@@ -8,7 +8,6 @@ at the assertion sites.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -59,7 +58,7 @@ from ultraext.whitney_geometry import (
     overlap_counts,
     verify_eq14,
 )
-from _reference import derivative, partition_value, sup_norm
+from _reference import derivative, partition_value, rebuilt, sup_norm
 
 
 def verdict(number: int, label: str, detail: str = "") -> None:
@@ -225,7 +224,7 @@ def test_criterion_07_cover_geometry():
     # an aggressive expansion must break the proportionality check; the
     # builder refuses it outright, so it is forced onto a built cover
     good = build_cover(CompactSet1D.from_points([0.0]), 1.0)
-    bad = dataclasses.replace(good, expansion=3.0)
+    bad = rebuilt(good, expansion=3.0)
     rep = verify_eq14(bad, covered_sample_grid(bad, 10_000))
     assert not rep.ok and rep.violations
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultraext import cli, ultrajets
+from ultraext import cli, extension_engine, ultrajets
 from ultraext.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -591,14 +591,16 @@ _COLD_START_PROBE = """
 import sys
 from ultraext.cli import main
 code = main(["extend", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(code, [m for m in ("numpy.ma", "numpy.random", "numpy.polynomial") if m in sys.modules])
+unwanted = ("numpy.ma", "numpy.random", "numpy.polynomial", "dataclasses")
+print(code, [m for m in unwanted if m in sys.modules])
 """
 
 
 def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, monkeypatch):
     # Each of these imports costs an extend job milliseconds and MB of
-    # RSS at every start; none is needed.  A fresh interpreter, since the
-    # test session itself has them loaded.
+    # RSS at every start; none is needed (dataclasses also generates the
+    # code of every decorated class at import).  A fresh interpreter,
+    # since the test session itself has them loaded.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import README_CONFIG
 
@@ -628,3 +630,29 @@ def test_cluster_certify_sends_few_remainder_entries_through_libm(tmp_path, monk
     entries = ultrajets._remainder_table(jets[0])[0].size
     assert entries == 27776
     assert 0 < through_libm <= 0.01 * entries  # 56 pair gaps plus 71 entries
+
+
+def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch):
+    # On the audit_dense config the per-entry audit took math.log and
+    # math.exp of 109,952 entries of its ratio tables, besides four
+    # per-sample logs (86 interval and 3 x 2000 sample entries), which
+    # stay.  numpy now fills the tables; only the entries that can decide
+    # a column or distance-bin maximum reach libm.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import CONFIGS
+
+    sent = {}
+    real_libm = extension_engine.libm
+
+    def counted(fn, values):
+        caller = sys._getframe(1).f_code.co_name
+        sent[caller] = sent.get(caller, 0) + values.size
+        return real_libm(fn, values)
+
+    monkeypatch.setattr(extension_engine, "libm", counted)
+    cfg = write_config(tmp_path, CONFIGS["audit_dense"])
+    assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert sent.pop("verify_bounds") == 86 + 3 * 2000
+    through_libm = sum(sent.values())
+    assert set(sent) == {"_bound_ratios", "_log_envelope"}
+    assert 0 < through_libm <= 0.01 * 109_952  # 920 entries

@@ -12,7 +12,6 @@ scalar form.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -26,12 +25,14 @@ from ultraext import extension_engine
 from ultraext.errors import CountingIndexAtCutoff, CoverOverlap, OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
+    _bound_ratios,
+    _capped,
     _difference_derivatives,
-    _exp_where,
     _finish_check,
     _local_taylor,
     _log_abs,
     _log_decay,
+    _log_envelope,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -57,7 +58,7 @@ from ultraext.whitney_geometry import (
     distance_grid,
     distances_and_nearest,
 )
-from _reference import terms
+from _reference import numpy_phi_derivatives, rebuilt, terms
 
 
 # The scalar local Taylor rule, the oracle of _local_taylor: the anchor
@@ -703,16 +704,82 @@ def test_finish_check_without_a_usable_sample_fails(skipped, note):
 def test_audit_log_and_exp_are_libm_per_entry():
     # numpy's vectorized log and exp round differently from libm on some
     # inputs (the first three of each list did on one x86-64 build); the
-    # audit's figures are libm's.
+    # audit's figures are libm's.  Each value sits in a column of its own,
+    # so each is its column's maximum and must be libm's.
     vals = [1.0082016495047519, 0.969198109122836, -0.48041963949836897, 0.0, math.nan, 7e-300]
-    pos, logs = _log_abs(np.array(vals))
+    mag, logs = _log_abs(np.array([vals]))
+    _, env = _log_envelope(mag, logs, 0.0)
     want = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in vals]
-    assert pos.tolist() == [abs(v) > 0.0 for v in vals]
-    assert [v.hex() for v in logs.tolist()] == [v.hex() for v in want]
+    assert [v.hex() for v in env.tolist()] == [v.hex() for v in want]
     xs = [531.0938228084433, 335.7787464585925, 494.17133009082085, -math.inf, -745.5, 1.0]
-    live = np.array([True] * 5 + [False])
-    got = _exp_where(np.array(xs), live).tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in [math.exp(x) for x in xs[:5]] + [0.0]]
+    live = np.array([[True] * 5 + [False]])
+    ones = np.ones((1, len(xs)))
+    got = _bound_ratios(ones, np.log(ones), -np.array([xs]), live, np.array([0]), _capped)
+    want = [math.exp(x) for x in xs[:5]] + [0.0]
+    assert [v.hex() for v in got[0].tolist()] == [v.hex() for v in want]
+
+
+def test_audit_maxima_hold_where_numpy_rounds_the_other_way():
+    # numpy's log of v is an ulp below libm's, so the libm ratio a of an
+    # entry (v, rest) lies two ulps above its numpy value; a second entry
+    # of exact value mid sits between them.  Picking numpy's maximum alone
+    # gives mid; the filter must keep both, in a column and in a bin.
+    v = 5.927289139536661
+    rest = math.log(v) + 3e-9
+    a = math.exp(math.log(v) - rest)
+    low = math.exp(float(np.log(v)) - rest)
+    mid = math.nextafter(low, a)
+    if not (low < mid < a and float(np.exp(math.log(mid))) == math.exp(math.log(mid)) == mid):
+        pytest.skip("numpy's log or exp rounds as libm's here")
+    mag = np.array([[v], [1.0]])
+    rhs = np.array([[rest], [-math.log(mid)]])
+    got = _bound_ratios(mag, np.log(mag), rhs, True, np.array([0, 0]), _capped)
+    assert got.max() == a
+    # Columns led by a third row in another bin: only the bin decides.
+    mag, logs = _log_abs(np.array([[v, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+    rhs = np.array([[rest, 0.0], [0.0, -math.log(mid)], [0.0, 0.0]])
+    got = _bound_ratios(mag, logs, rhs, True, np.array([3, 3, 4]), _capped)
+    assert got[0, 0] == a and got[1, 1] == mid
+    # The log envelope: numpy's need of (v, rest) falls below a second
+    # entry's exact need mid, libm's lies above it.
+    rest = float(np.float32(math.log(v)))
+    mid = 0.5 * ((math.log(v) - rest) + (float(np.log(v)) - rest))
+    mag = np.array([[v], [1.0]])
+    _, env = _log_envelope(mag, np.log(mag), np.array([[rest], [-mid]]))
+    assert float(np.log(v)) - rest < mid < math.log(v) - rest
+    assert env.tolist() == [math.log(v) - rest]
+
+
+def test_audit_sends_huge_log_ratios_to_libm(monkeypatch):
+    # Past |log|v| - rhs| = 2^12 an ulp of the log ratio could exceed the
+    # filter's width, so such an entry goes to libm whatever its value.
+    sent = []
+    real = extension_engine.libm
+    monkeypatch.setattr(
+        extension_engine, "libm", lambda fn, v: sent.append(v.tolist()) or real(fn, v)
+    )
+    mag, logs = _log_abs(np.array([[2.0], [3.0], [5.0]]))
+    rhs = np.array([[5000.0], [0.0], [math.log(5.0) + 40.0]])
+    got = _bound_ratios(mag, logs, rhs, True, np.array([0, 0, 0]), _capped)
+    assert got[1, 0] == math.exp(math.log(3.0))
+    assert sent == [[2.0, 3.0], [math.log(2.0) - 5000.0, math.log(3.0)]]
+
+
+@pytest.mark.parametrize(
+    "name, samples",
+    # The partitions of the README job, the cluster job and audit_dense.
+    [("one_point", 240), ("cluster", 240), ("one_point", 2000)],
+)
+def test_phi_derivatives_on_python_floats_are_the_numpy_scalar_rules(extensions, name, samples):
+    f = extensions[name]
+    mixed = 0
+    for x in region_samples(f, samples).tolist():
+        for i in f.cover.memberships(x)[1].tolist():
+            got = f.partition.derivatives(i, x, f.plan.folds)
+            want = numpy_phi_derivatives(f.partition, i, x, f.plan.folds)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            mixed += 0.0 < got[0] < 1.0
+    assert mixed > 0  # pairs that run the reciprocal and product rules
 
 
 def test_audit_heap_peak_stays_below_the_per_sample_lists(extensions):
@@ -789,10 +856,22 @@ def test_pair_classification_runs_once_per_distinct_pair(extensions, monkeypatch
     )
 
 
+def test_nan_point_is_outside_the_region_on_both_paths(extensions):
+    # NaN has no distance to the set: the scalar and array distances are
+    # NaN alike, and both evaluation paths refuse it by its distance.
+    f = extensions["one_point"]
+    d, p = distance_and_nearest(f.jet.e, math.nan)
+    ds, ps = distances_and_nearest(f.jet.e, np.array([math.nan]))
+    assert math.isnan(d) and math.isnan(p) and np.isnan(ds).all() and np.isnan(ps).all()
+    for x in (math.nan, np.array([0.003, math.nan])):
+        with pytest.raises(OutsideRegion, match="d\\(x\\)=nan is not below d_max"):
+            eval_derivative(f, x, 0)
+
+
 def test_window_lookup_refuses_a_cover_it_cannot_serve(extensions):
     # At expansion 1.9 an expanded interval reaches its neighbour's
     # center, so the two-interval window could miss members.
-    cover = dataclasses.replace(extensions["one_point"].cover, expansion=1.9)
+    cover = rebuilt(extensions["one_point"].cover, expansion=1.9)
     with pytest.raises(CoverOverlap):
         cover.window_memberships(np.array([0.1]))
 

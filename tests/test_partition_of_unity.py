@@ -1,6 +1,5 @@
 """Bump splines, the normalized family, and the derivative envelope fit."""
 
-import dataclasses
 import functools
 import math
 import re
@@ -35,7 +34,7 @@ from ultraext.whitney_geometry import (
     covered_sample_grid,
     distance_grid,
 )
-from _reference import derivative, integral, partition_value, sup_norm, support
+from _reference import derivative, integral, partition_value, rebuilt, sup_norm, support
 
 EPS = np.finfo(float).eps
 
@@ -227,7 +226,7 @@ def test_dropping_a_cell_breaks_coverage():
     cover = point_partition().cover
     drop = int(np.argsort(np.abs(cover.centers))[len(cover.centers) // 2])
     keep = [k for k in range(len(cover.centers)) if k != drop]
-    broken = dataclasses.replace(
+    broken = rebuilt(
         cover,
         centers=tuple(cover.centers[k] for k in keep),
         sides=tuple(cover.sides[k] for k in keep),
@@ -765,7 +764,7 @@ def test_every_dropped_band_cell_raises_uncovered_point():
     raised = passed = 0
     for drop in range(len(cover)):
         keep = np.arange(len(cover)) != drop
-        broken = dataclasses.replace(
+        broken = rebuilt(
             cover,
             centers=cover.centers[keep],
             sides=cover.sides[keep],
@@ -797,7 +796,7 @@ def test_build_partition_materializes_no_bump_and_no_piece():
 def one_interval(center, side):
     """The one-point cover with its intervals replaced by (center, side)."""
     cover = point_partition().cover
-    return dataclasses.replace(
+    return rebuilt(
         cover, centers=np.array([center]), sides=np.array([side]), generations=np.array([1])
     )
 

@@ -16,6 +16,9 @@ INCONCLUSIVE = "inconclusive"
 # Relative slack under which a dip still counts as monotone nondecreasing.
 _MONOTONE_SLACK = 1e-9
 
+# Largest growth factor across a trend window that still counts as bounded.
+_GROWTH_TOL = 1.05
+
 
 def check_growth_tol(growth_tol: float) -> None:
     """Reject a growth tolerance under which no trend verdict means anything."""
@@ -26,7 +29,7 @@ def check_growth_tol(growth_tol: float) -> None:
 def decade_trend(
     abscissae,
     values,
-    growth_tol: float = 1.05,
+    growth_tol: float = _GROWTH_TOL,
     decades: float = 2.0,
 ) -> tuple[str, float]:
     """Classify the tail of positive values sampled on a geometric grid.
@@ -64,14 +67,14 @@ def decade_trend(
     return (GROWING if monotone else INCONCLUSIVE), growth
 
 
-def range_trend(values, growth_tol: float = 1.05) -> tuple[str, float]:
+def range_trend(values) -> tuple[str, float]:
     """Quarter-based trend of a positive sequence over its index range.
 
     Compares the maximum over the last quarter against the previous
     quarter; the same three-way verdict as decade_trend, for sequences
-    indexed by order k rather than by a geometric abscissa.
+    indexed by order k rather than by a geometric abscissa, with the
+    fixed tolerance _GROWTH_TOL.
     """
-    check_growth_tol(growth_tol)
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 8:
         raise ValueError("need a 1-d sequence of length >= 8 for a trend verdict")
@@ -80,7 +83,7 @@ def range_trend(values, growth_tol: float = 1.05) -> tuple[str, float]:
     q4 = v[3 * n // 4 :]
     floor = np.finfo(float).tiny
     growth = float(max(q4.max(), floor) / max(q3.max(), floor))
-    if growth <= growth_tol:
+    if growth <= _GROWTH_TOL:
         return BOUNDED, growth
     tail = v[n // 2 :]
     monotone = bool(np.all(np.diff(tail) >= -_MONOTONE_SLACK * (1.0 + np.abs(tail).max())))

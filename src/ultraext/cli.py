@@ -153,10 +153,12 @@ def _number(cfg: dict, key: str, default, where: str = "config"):
     return float(value)
 
 
-def _integer(cfg: dict, key: str, default, where: str = "config") -> int:
+def _integer(cfg: dict, key: str, default, where: str = "config", low: int | None = None) -> int:
     value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer")
+    if low is not None and value < low:
+        raise ConfigError(f"{where}.{key} must be at least {low}, got {value}")
     return value
 
 
@@ -441,16 +443,13 @@ def cmd_extend(cfg: dict):
     k_max = _integer(cfg, "k", 64)
     xi_grid = _xi_list(cfg)
     run = _object(cfg, "run")
-    samples = _integer(run, "samples", 240, "config.run")
-    csv_samples = _integer(run, "csv_samples", 40, "config.run")
-    alpha_cap = _integer(run, "alpha_cap", 8, "config.run")
+    samples = _integer(run, "samples", 240, "config.run", low=1)
+    csv_samples = _integer(run, "csv_samples", 40, "config.run", low=1)
+    alpha_cap = _integer(run, "alpha_cap", 8, "config.run", low=0)
     r_cov = _number(run, "r_cov", 1.0, "config.run")
-    max_generation = _integer(run, "max_generation", MAX_GENERATION, "config.run")
-    boundary_max = _integer(run, "boundary_max_index", 40, "config.run")
+    max_generation = _integer(run, "max_generation", MAX_GENERATION, "config.run", low=0)
+    boundary_max = _integer(run, "boundary_max_index", 40, "config.run", low=0)
     seed = _integer(cfg, "seed", 0)
-    for key, count in (("samples", samples), ("csv_samples", csv_samples)):
-        if count < 1:
-            raise ConfigError(f"config.run.{key} must be at least 1, got {count}")
 
     mat = associated_matrix(w, xi_grid, k_max=k_max)
     reg = strong_regularization(mat)
@@ -565,8 +564,8 @@ def cmd_cover(cfg: dict):
     ccfg = _object(cfg, "cover")
     r_cov = _number(ccfg, "r_cov", 1.0, "config.cover")
     expansion = _number(ccfg, "expansion", EXPANSION, "config.cover")
-    max_generation = _integer(ccfg, "max_generation", 48, "config.cover")
-    check_points = _integer(ccfg, "check_points", 4096, "config.cover")
+    max_generation = _integer(ccfg, "max_generation", 48, "config.cover", low=0)
+    check_points = _integer(ccfg, "check_points", 4096, "config.cover", low=1)
 
     cover = build_cover(e, r_cov, expansion=expansion, max_generation=max_generation)
     xs = covered_sample_grid(cover, check_points)

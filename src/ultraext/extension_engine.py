@@ -92,9 +92,7 @@ class PlanConstants(NamedTuple):
     m1: float | None = None
 
     def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in ("c0", "c1", "c2", "h", "k1", "k2", "k3")}
-        out["m1"] = self.m1
-        return out
+        return self._asdict()
 
 
 class ExtensionPlan:
@@ -652,19 +650,7 @@ class BoundCheck(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "fitted_constant": self.fitted_constant,
-            "max_ratio": self.max_ratio,
-            "alpha_trend": self.alpha_trend,
-            "alpha_growth": self.alpha_growth,
-            "distance_trend": self.distance_trend,
-            "distance_growth": self.distance_growth,
-            "samples_used": self.samples_used,
-            "skipped": self.skipped,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**self._asdict(), "notes": list(self.notes)}
 
 
 class BoundReport(NamedTuple):
@@ -692,15 +678,8 @@ class BoundReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
+            **self._asdict(),
             "checks": [c.to_json() for c in self.checks],
-            "sample_count": self.sample_count,
-            "alpha_cap": self.alpha_cap,
-            "fitted_m": self.fitted_m,
-            "fitted_m1": self.fitted_m1,
-            "degree_cap_hits": self.degree_cap_hits,
-            "degree_cutoff_hits": self.degree_cutoff_hits,
-            "valuation_pairs": self.valuation_pairs,
-            "valuation_ok": self.valuation_ok,
             "all_passed": self.all_passed,
             "plan": self.plan.to_json(),
             "notes": list(self.notes),

@@ -35,12 +35,6 @@ DEFAULT_XI = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 # below this size are treated as rounding noise.
 ORDER_SLACK = 1e-9
 
-# Trend tolerance for the soft factorial-domination diagnostic.  Looser
-# than the fitting default because k-th roots drift on short ranges, yet
-# tight enough to flag the sqrt(k!) deficit, which grows by the factor
-# (4/3)^(1/2) per quarter window independently of the range.
-_KFAC_GROWTH_TOL = 1.1
-
 
 def _as_xi(x: float) -> float:
     v = float(x)
@@ -55,7 +49,7 @@ class WeightMatrix:
     ``log_rows[i]`` holds log m_k for ``xi_values[i]`` with the factorial
     removed; the factorial-included row is the divided row times k!.
     Construction enforces the row order (larger xi means a pointwise
-    larger row) and records a soft diagnostic for factorial domination.
+    larger row).
 
     Rows are plain value arrays so that borderline families (a constant
     divided row is the factorial itself) remain representable.  Where an
@@ -93,27 +87,6 @@ class WeightMatrix:
         self.xi_values = xis
         self.log_rows = rows
         self._seq_cache: dict[int, WeightSequence] = {}
-        self.kfac_root_bound, self.kfac_root_stable = self._kfac_diagnostic()
-
-    def _kfac_diagnostic(self) -> tuple[float, bool]:
-        # (k!/M_k)^(1/k) = exp(-log m_k / k) on the divided row.  The full
-        # sequences should dominate k! up to a geometric factor, so these
-        # roots must not grow along the range.  Short ranges cannot settle
-        # this sharply; the verdict is recorded, not enforced.
-        worst = 0.0
-        stable = True
-        for row in self.log_rows:
-            lv = np.asarray(row)
-            k = np.arange(len(lv), dtype=float)
-            roots = -lv[1:] / k[1:]
-            worst = max(worst, float(np.exp(roots.max())))
-            if len(roots) >= 8:
-                verdict, _ = range_trend(
-                    np.exp(roots - roots.max()), growth_tol=_KFAC_GROWTH_TOL
-                )
-                if verdict != BOUNDED:
-                    stable = False
-        return worst, stable
 
     @property
     def order(self) -> int:

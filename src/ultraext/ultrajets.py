@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, check_growth_tol, libm, range_trend
+from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, libm, range_trend
 from .errors import InconclusiveTrend, NotInClass, OrderOverflow
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
@@ -250,27 +250,16 @@ def remainder(jet: UltraJet, a: float, b: float, k: int, alpha: int) -> float:
 class JetCertificate:
     """Fitted growth certificate for one weight-matrix row.
 
-    value_margin and remainder_margin are the smallest right/left ratios
-    of the two bound families under the fitted constants (at least one of
-    them touches 1); rate_trend records the truncation-stability verdict
-    behind the acceptance.
+    c and rho place the jet under the row xi; rate_trend records the
+    truncation-stability verdict behind the acceptance.
     """
 
-    def __init__(
-        self,
-        c: float,
-        rho: float,
-        xi: float,
-        value_margin: float,
-        remainder_margin: float,
-        rate_trend: str,
-    ) -> None:
+    def __init__(self, c: float, rho: float, xi: float, rate_trend: str) -> None:
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("certificate constant must be positive")
         if not rho >= 1.0:
             raise ValueError("certificate growth rate must be at least 1")
         self.c, self.rho, self.xi = c, rho, xi
-        self.value_margin, self.remainder_margin = value_margin, remainder_margin
         self.rate_trend = rate_trend
 
 
@@ -416,75 +405,51 @@ def _largest_ratio(x: np.ndarray, lhs: np.ndarray) -> float:
         return float(np.fmax.reduce(lhs[pick] / libm(math.exp, x[pick]), initial=0.0))
 
 
-def _smallest_margin(c: float, x: np.ndarray, lhs: np.ndarray) -> float:
-    """min of c * math.exp(x) / lhs over the rows, NaN passed over, inf if none.
-
-    Filtered as in _largest_ratio, around the smallest settled numpy margin.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = np.exp(x)
-        prod = c * scale
-        margin = prod / lhs
-        ok = _settled(scale, prod, margin)
-        low = np.fmin.reduce(margin[ok], initial=np.inf)
-        pick = ~ok | (margin <= low * (1.0 + _FILTER_TOL))
-        return float(np.fmin.reduce(c * libm(math.exp, x[pick]) / lhs[pick], initial=np.inf))
-
-
 def certify(
-    jet: UltraJet,
-    matrix: WeightMatrix,
-    *,
-    xi: float | None = None,
-    rho_grid: Sequence[float] = RHO_GRID,
-    growth_tol: float = 1.05,
+    jet: UltraJet, matrix: WeightMatrix, *, xi: float | None = None
 ) -> JetCertificate:
     """Fit (C, rho) for the smallest stored row that accepts the jet.
 
-    rho is snapped up to the geometric grid from the steepest chord of
-    the per-order log needs (scaling the jet cancels in every chord, so
-    rho is scaling-invariant); C is the exact maximum of the linear
+    rho is snapped up to RHO_GRID from the steepest chord of the
+    per-order log needs (scaling the jet cancels in every chord, so rho
+    is scaling-invariant); C is the exact maximum of the linear
     constraint ratios at that rho.  A row accepts when the needed rate is
     stable in the truncation order; rows are tried in ascending xi and
     the first acceptance wins; the remainder table, bitwise equal to
     remainder() and independent of the row, is built once per jet.
 
-    Every log and exp behind the per-power needs, C and the two margins
-    is libm's (math.log, math.exp), as in a loop over the constraint
-    rows, so the certificate is that loop's bit for bit.  numpy's log
-    and exp only pick the rows that can decide a value: those within a
-    relative _FILTER_TOL of the numpy extreme, and those whose numpy
-    values leave [2^-1000, 2^1000] (_settled).
+    Every log and exp behind the per-power needs and C is libm's
+    (math.log, math.exp), as in a loop over the constraint rows, so the
+    certificate is that loop's bit for bit.  numpy's log and exp only
+    pick the rows that can decide a value: those within a relative
+    _FILTER_TOL of the numpy extreme, and those whose numpy values leave
+    [2^-1000, 2^1000] (_settled).
     Raises NotInClass with the steepest-chord witness when the rate grows
     with truncation on every row, and NotInClass naming xi when the
     fitted constant, or a bound rho^power e^rest that libm evaluates,
     overflows double precision.
     """
-    check_growth_tol(growth_tol)
     if matrix.order < jet.alpha_max:
         raise OrderOverflow(
             f"matrix rows stop at order {matrix.order}, jet needs {jet.alpha_max}"
         )
     candidates = matrix.xi_values if xi is None else (float(xi),)
-    grid = sorted(float(g) for g in rho_grid)
-    if not grid or grid[0] != 1.0 or not np.isfinite(grid).all():
-        raise ValueError("rho grid must be finite and start at 1")
     table = _remainder_table(jet)
     failures = []
     for x in candidates:
-        power, lhs, rest, is_value = _constraints(jet, matrix, x, table)
+        power, lhs, rest, _ = _constraints(jet, matrix, x, table)
         if not power.size:
-            return JetCertificate(1.0, 1.0, x, math.inf, math.inf, BOUNDED)
+            return JetCertificate(1.0, 1.0, x, BOUNDED)
         rates, witness = _rate_profile(_need_profile(power, lhs, rest, jet.alpha_max))
         needed = float(rates[-1])
         if len(rates) >= 9:
             profile = np.exp(rates[1:] - rates.max())
-            trend, growth = range_trend(profile, growth_tol=growth_tol)
+            trend, growth = range_trend(profile)
         else:
             # Too short a range to judge stability; accept and say so.
             trend, growth = INCONCLUSIVE, 1.0
         accept = trend == BOUNDED or len(rates) < 9
-        snapped = next((g for g in grid if math.log(g) >= needed - 1e-12), None)
+        snapped = next((g for g in RHO_GRID if math.log(g) >= needed - 1e-12), None)
         if snapped is None:
             accept = False
             trend = GROWING
@@ -493,9 +458,8 @@ def certify(
             continue
         log_scale = rest + power * math.log(snapped)
         try:
-            # math.exp overflows only on unsettled rows, which go to libm
-            # here; this reads every row, so it raises before either
-            # _smallest_margin reads a subset of them.
+            # math.exp overflows only on unsettled rows, and every one
+            # of those goes to libm here.
             best_c = _largest_ratio(log_scale, lhs)
         except OverflowError:
             raise NotInClass(
@@ -503,14 +467,7 @@ def certify(
             ) from None
         if best_c == math.inf:
             raise NotInClass(f"certificate constant overflows double precision at xi={x}")
-        return JetCertificate(
-            best_c,
-            snapped,
-            x,
-            _smallest_margin(best_c, log_scale[is_value], lhs[is_value]),
-            _smallest_margin(best_c, log_scale[~is_value], lhs[~is_value]),
-            trend,
-        )
+        return JetCertificate(best_c, snapped, x, trend)
     worst = failures[-1]
     detail = (
         f"needed growth rate e^{worst[4]:.3f} per order keeps rising with the "

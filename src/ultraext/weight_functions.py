@@ -392,10 +392,7 @@ class WeightClassification(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "nonquasianalytic": self.nonquasianalytic,
-            "little_o_of_t": self.little_o_of_t,
-            "strong": self.strong,
-            "concave_equivalent": self.concave_equivalent,
+            **self._asdict(),
             "constants": dict(self.constants),
             "witnesses": {k: list(v) if isinstance(v, np.ndarray) else v for k, v in self.witnesses.items()},
         }

@@ -312,6 +312,8 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
     Every sample is tested against every expanded interval containing it.
     Points landing on E inside some expanded interval (possible only for
     adversarial expansions) are reported as violations with ratio inf.
+    A check that tested no (sample, interval) pair fails: it has shown
+    nothing.
     """
     xs = np.asarray(sample_points, dtype=float)
     d_x = distance_grid(cover.e, xs)
@@ -333,7 +335,7 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
             if not 0.5 <= ratio <= 3.0:
                 violations.append((float(x), int(i), float(ratio)))
     return Eq14Report(
-        ok=not violations,
+        ok=checked > 0 and not violations,
         worst_lower=worst_lo,
         worst_upper=worst_hi,
         checked=checked,

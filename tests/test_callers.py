@@ -13,6 +13,12 @@ could lose its caller unseen, and a method named like a local (``row``,
 ``degree``) would pass on the local alone.  UltraJet.row is such a name
 and does have callers (extension_engine._valuation_oks and
 bench/checks.py).  Dunder methods are left out, since Python calls them.
+
+The same holds for data: every attribute a src/ class assigns on self
+is read somewhere in src/ or bench/, as an attribute load or a string
+constant (a getattr key).  Reads match by name alone, as calls do, so an
+attribute sharing its name with one read elsewhere passes.  NamedTuple
+fields are not assigned on self; _asdict serializes them.
 """
 
 import ast
@@ -53,16 +59,19 @@ def _definitions(tree: ast.AST, prefix: str = ""):
             yield from _definitions(node, prefix)
 
 
+def _trees() -> tuple[list[ast.AST], list[ast.AST]]:
+    """Parsed src/ultraext/*.py, and parsed bench/*.py."""
+    def parse(paths):
+        return [ast.parse(p.read_text(), filename=str(p)) for p in sorted(paths)]
+
+    return parse((ROOT / "src" / "ultraext").glob("*.py")), parse((ROOT / "bench").glob("*.py"))
+
+
 def uncalled() -> set[str]:
     """Qualified names of src/ definitions referenced only inside themselves."""
-    src = sorted((ROOT / "src" / "ultraext").glob("*.py"))
-    refs = Counter()
-    defs = []
-    for path in src + sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        refs += _references(tree)
-        if path in src:
-            defs.extend(_definitions(tree))
+    src, bench = _trees()
+    refs = sum((_references(tree) for tree in src + bench), Counter())
+    defs = [d for tree in src for d in _definitions(tree)]
     return {
         qualname
         for qualname, node in defs
@@ -71,8 +80,33 @@ def uncalled() -> set[str]:
     }
 
 
+def unread() -> set[str]:
+    """Class.attribute of every self attribute that src/ and bench/ never read."""
+    src, bench = _trees()
+    reads = set()
+    for node in (n for tree in src + bench for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return {
+        f"{cls.name}.{node.attr}"
+        for cls in (c for tree in src for c in ast.walk(tree) if isinstance(c, ast.ClassDef))
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr not in reads
+    }
+
+
 def test_every_src_definition_has_a_caller():
     dead = uncalled()
     assert dead - ALLOWED.keys() == set(), "no caller in src/ or bench/"
     # An allowlisted name that gained a caller, or is gone, leaves the list.
     assert ALLOWED.keys() - dead == set(), "allowlisted but called or removed"
+
+
+def test_every_self_attribute_is_read():
+    assert unread() == set(), "assigned on self, never read in src/ or bench/"

@@ -576,6 +576,39 @@ def test_extend_sample_count_below_one_is_config_error(tmp_path, capsys, key, co
     assert f"ConfigError: config.run.{key} must be at least 1, got {count}" in err
 
 
+COVER_DUMP = {"set": {"intervals": [[-1.0, 0.0]], "points": [1.0]}, "cover": {}}
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("extend", "run", "alpha_cap", -1),
+        ("extend", "run", "boundary_max_index", -1),
+        ("extend", "run", "max_generation", -2),
+        ("cover-dump", "cover", "max_generation", -1),
+        ("cover-dump", "cover", "check_points", 0),
+        ("cover-dump", "cover", "check_points", -5),
+    ],
+)
+def test_count_below_its_floor_is_config_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, section, key, value
+):
+    # Each value is rejected by name before any matrix or cover is built.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "associated_matrix", no_work)
+    monkeypatch.setattr(cli, "build_cover", no_work)
+    base = GEVREY_EXTEND if command == "extend" else COVER_DUMP
+    doc = dict(base, **{section: dict(base[section], **{key: value})})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    floor = 1 if key == "check_points" else 0
+    err = capsys.readouterr().err
+    assert f"ConfigError: config.{section}.{key} must be at least {floor}, got {value}" in err
+
+
 def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
     # At |b - a| = 1e100 a bound rho^k e^rest passes double range.
     doc = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": [0.0, 1e100]}))
@@ -619,7 +652,7 @@ def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, monke
 def test_cluster_certify_sends_few_remainder_entries_through_libm(tmp_path, monkeypatch):
     # The cluster jet has 27,776 nonzero remainder entries.  certify once
     # took math.log and math.exp of each; numpy now picks the few that
-    # can decide C, rho or a margin, and only those reach libm.
+    # can decide C or rho, and only those reach libm.
     sent, jets = [], []
     real_libm, real_certify = ultrajets.libm, cli.certify
     monkeypatch.setattr(ultrajets, "libm", lambda fn, v: sent.append(v.size) or real_libm(fn, v))

@@ -137,6 +137,19 @@ def gevrey_extension(points, folds=8, weight=None, e=None):
     return assemble(jet, reg, plan)
 
 
+def weight_row_extension(points, xi):
+    """The extend job on a jet whose every row is the README weight's row at xi.
+
+    Each base point stores the same row of the associated matrix, and
+    certify picks its own row for the plan.
+    """
+    mat = associated_matrix(WeightFunction.power(0.5), k_max=64)
+    reg = strong_regularization(mat)
+    row = tuple(math.exp(v) for v in mat.full_log_row(xi)[:33].tolist())
+    jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
+    return assemble(jet, reg, make_plan(certify(jet, interleave_matrix(reg)), reg))
+
+
 def polynomial_extension(points, coeffs):
     """The extend job with a polynomial jet (README weight, certify's own row)."""
     reg = strong_regularization(associated_matrix(WeightFunction.power(0.5), k_max=64))
@@ -163,6 +176,7 @@ def extensions():
         # Two points close enough that some (sample, member) pairs join
         # Taylor polynomials of distinct anchors.
         "polynomial": polynomial_extension([0.0, 0.01], [1.0, 2.0, -3.0]),
+        "weight_row": weight_row_extension([0.0, 0.3, 0.7], 1.0),
     }
 
 
@@ -588,6 +602,9 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         pytest.param("one_point", 8, 2000, id="one_point-8-2000"),
         # Some (sample, member) pairs join polynomials of distinct anchors.
         pytest.param("polynomial", 8, 2000, id="polynomial-8-2000"),
+        # Every base point stores the weight row; the plan is on the row
+        # certify picks (xi 1/4), not on a pinned one.
+        pytest.param("weight_row", 8, 2000, id="weight_row-8-2000"),
     ],
 )
 def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap, samples):

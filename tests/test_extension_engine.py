@@ -254,7 +254,7 @@ def test_make_plan_constants(pipeline):
 
 def test_make_plan_needs_both_rows(pipeline):
     reg = pipeline[0]
-    cert = JetCertificate(1.0, 1.0, 4.0, 1.0, 1.0, "bounded")
+    cert = JetCertificate(1.0, 1.0, 4.0, "bounded")
     with pytest.raises(MissingRow):
         make_plan(cert, reg)
 

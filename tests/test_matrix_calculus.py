@@ -76,17 +76,6 @@ def test_missing_row_raises():
         interleave_matrix(m, [2.0])  # needs the row at 4.0
 
 
-def test_factorial_domination_diagnostic():
-    sq = associated_matrix(WeightFunction.power(0.5), k_max=64)
-    assert sq.kfac_root_stable
-    assert sq.kfac_root_bound >= 1.0
-    # divided row (k!)^(-1/2) means the full row is sqrt(k!), whose
-    # factorial deficit grows like sqrt(k); the diagnostic must flag it
-    half = [-0.5 * v for v in log_factorials(64)]
-    weak = WeightMatrix.from_divided_rows({1.0: half})
-    assert not weak.kfac_root_stable
-
-
 def test_json_round_trip():
     m = gevrey_matrix()
     doc = m.to_json()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend, range_trend
+from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend
 from ultraext.errors import BracketFailure, DivergentTail, InconclusiveTrend
 from ultraext.weight_functions import (
     WeightFunction,
@@ -360,8 +360,6 @@ def test_trend_helpers_reject_bad_growth_tolerance(growth_tol):
     t = np.geomspace(1.0, 1e8, 81)
     with pytest.raises(ValueError, match="growth tolerance"):
         decade_trend(t, np.log(t), growth_tol=growth_tol)
-    with pytest.raises(ValueError, match="growth tolerance"):
-        range_trend(np.arange(1.0, 17.0), growth_tol=growth_tol)
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,14 @@ def test_eq14_and_overlap_on_dense_samples():
         assert min(len(cov.members(x)) for x in xs) >= 1
 
 
+@pytest.mark.parametrize("xs", [[], [100.0]])
+def test_eq14_without_a_checked_sample_fails(xs):
+    # No sample, or none on an expanded interval, shows nothing.
+    rep = verify_eq14(build_cover(POINT, 1.0), xs)
+    assert rep.checked == 0 and not rep.violations
+    assert not rep.ok
+
+
 def test_eq14_negative_control_expansion_3():
     cov = build_cover(POINT, 1.0)
     bad = rebuilt(cov, expansion=3.0)

@@ -16,11 +16,15 @@ job never imports numpy.random.
 
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.
+
+`main` leaves the interpreter as it found it, so tests and library
+callers may run it in-process; `console_main` is the process entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -208,15 +212,33 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text of rows of Python floats, ints and bools, as csv.writer writes it.
+def _csv_line(row) -> str:
+    """One CSV line of Python floats, ints and bools, as csv.writer writes it.
 
-    Each cell is the value's repr (one %r per header name), which is the
-    text csv.writer writes for those types; no header name and no such
-    repr holds a comma, quote or newline, so no field is quoted.
+    Each cell is the value's repr, which is the text csv.writer writes for
+    those types; no such repr holds a comma, quote or newline, so no field
+    is quoted.
     """
-    line = ",".join(["%r"] * len(header))
-    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows] + [""])
+    return ",".join(map(repr, row))
+
+
+def _trace_lines(xs: np.ndarray, derivs: np.ndarray) -> list[str]:
+    """The _csv_line of each (xs[i], alpha, derivs[i, alpha]).
+
+    Each x heads one line per order alpha, so it is rendered once per
+    point rather than once per line.
+    """
+    heads = [f",{a}," for a in range(derivs.shape[1])]
+    lines = []
+    for x, row in zip(xs.tolist(), derivs.tolist()):
+        rx = repr(x)
+        lines += [rx + head + repr(v) for head, v in zip(heads, row)]
+    return lines
+
+
+def _csv_text(header, lines) -> str:
+    """CSV text: the header line, then the given lines, each newline-terminated."""
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def _build_set(doc: dict, where: str) -> CompactSet1D:
@@ -272,7 +294,8 @@ def cmd_classify(cfg: dict):
         omega = np.asarray(w.raw(ts), dtype=float)
         ratio = kappa / omega
     keep = np.isfinite(omega) & (omega > 0.0) & np.isfinite(kappa)
-    rows = list(zip(*(col[keep].tolist() for col in (ts, omega, kappa, ratio))))
+    cols = (col[keep].tolist() for col in (ts, omega, kappa, ratio))
+    rows = [_csv_line(row) for row in zip(*cols)]
 
     report = {
         "command": "classify",
@@ -507,8 +530,7 @@ def cmd_extend(cfg: dict):
     factor = 1.0 + 0.04 * (np.fromiter(_uniform_stream(seed), float, xs.size) - 0.5)
     moved = (ext.cover.d_min_covered <= d * factor) & (d * factor < ext.d_max)
     xs = np.where(moved, nearest + (xs - nearest) * factor, xs)
-    derivs = eval_derivative(ext, xs, np.arange(report.alpha_cap + 1)).tolist()
-    sample_rows = [(x, a, v) for x, row in zip(xs.tolist(), derivs) for a, v in enumerate(row)]
+    derivs = eval_derivative(ext, xs, np.arange(report.alpha_cap + 1))
 
     doc = report.to_json()
     doc.update(
@@ -528,12 +550,14 @@ def cmd_extend(cfg: dict):
     )
 
     boundary_rows = [
-        (s.index, s.x, s.distance, s.decay) + s.errors for s in bnd.steps
+        _csv_line((s.index, s.x, s.distance, s.decay) + s.errors) for s in bnd.steps
     ]
     err_names = tuple(f"e{a}" for a in range(bnd.alpha_cap + 1))
     files = {
         "bound_report.json": _dump_json(doc),
-        "extension_samples.csv": _csv_text(("x", "alpha", "derivative"), sample_rows),
+        "extension_samples.csv": _csv_text(
+            ("x", "alpha", "derivative"), _trace_lines(xs, derivs)
+        ),
         "boundary_limits.csv": _csv_text(
             ("index", "x", "distance", "decay") + err_names, boundary_rows
         ),
@@ -591,7 +615,7 @@ def cmd_cover(cfg: dict):
     }
     rows = zip(cover.centers.tolist(), cover.sides.tolist(), cover.generations.tolist())
     files = {
-        "cover.csv": _csv_text(("center", "side", "generation"), rows),
+        "cover.csv": _csv_text(("center", "side", "generation"), map(_csv_line, rows)),
         "cover_summary.json": _dump_json(summary),
     }
     code = EXIT_OK if eq14.ok else EXIT_INCONCLUSIVE
@@ -701,5 +725,18 @@ def main(argv=None) -> int:
     return code
 
 
+def console_main() -> int:
+    """main() on sys.argv, then gc.freeze() before the interpreter exits.
+
+    Once main has returned, every product is written, closed and renamed
+    into place.  The freeze spares shutdown the final cyclic collections
+    over module objects that the OS reclaims with the process anyway;
+    atexit handlers and the flush of stdout and stderr still run.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

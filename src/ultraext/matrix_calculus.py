@@ -26,7 +26,7 @@ from .errors import (
     SandwichUnverifiable,
 )
 from ._fitting import BOUNDED, range_trend
-from .seq_calculus import MIN_ORDER, WeightSequence, counting_index, log_convex_minorant
+from .seq_calculus import MIN_ORDER, WeightSequence, log_convex_minorant
 from .weight_functions import WeightFunction, young_conjugate_grid
 
 DEFAULT_XI = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -293,28 +293,6 @@ def interleave_matrix(
         lq = np.asarray(src.log_quotients)
         rows[xi] = WeightSequence.from_log_quotients(np.repeat(lq, 2))
     return WeightMatrix.from_divided_rows(rows)
-
-
-def gamma_doubling_check(
-    regular: WeightMatrix,
-    interleaved: WeightMatrix,
-    xi: float,
-    t_values: Iterable[float],
-) -> tuple[bool, float | None]:
-    """Exact counting-index doubling between a row and its interleaving.
-
-    Checks 2 * Gamma_{sbar^(2xi)}(t) == Gamma_{v^xi}(t) as integers at
-    every grid point.  Returns (True, None) on success, else (False, t)
-    for the first violating t.  Cutoff errors from the counting index
-    propagate.
-    """
-    src = regular.row_sequence(2.0 * _as_xi(xi))
-    v = interleaved.row_sequence(xi)
-    for t in t_values:
-        t = float(t)
-        if 2 * counting_index(src, t) != counting_index(v, t):
-            return False, t
-    return True, None
 
 
 def sandwich_H(

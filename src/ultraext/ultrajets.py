@@ -304,7 +304,7 @@ def _remainder_table(jet: UltraJet):
 
 
 def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float, table=None):
-    """Columns (power, lhs, rest, is_value) of the constraint rows, fixed order.
+    """Columns (power, lhs, rest) of the constraint rows, fixed order.
 
     A row asks lhs <= C rho^power e^rest.  Value rows come first, one per
     order alpha with a nonzero max_a |F^alpha(a)| and rest = log M_alpha;
@@ -318,12 +318,10 @@ def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float, table=None):
     orders = np.flatnonzero(tops != 0.0)
     power, lgamma, pgap, lhs = _remainder_table(jet) if table is None else table
     rest = lgamma + log_div[power] + pgap
-    is_value = np.arange(orders.size + power.size) < orders.size
     return (
         np.concatenate([orders, power]),
         np.concatenate([tops[orders], lhs]),
         np.concatenate([log_full[orders], rest]),
-        is_value,
     )
 
 
@@ -437,7 +435,7 @@ def certify(
     table = _remainder_table(jet)
     failures = []
     for x in candidates:
-        power, lhs, rest, _ = _constraints(jet, matrix, x, table)
+        power, lhs, rest = _constraints(jet, matrix, x, table)
         if not power.size:
             return JetCertificate(1.0, 1.0, x, BOUNDED)
         rates, witness = _rate_profile(_need_profile(power, lhs, rest, jet.alpha_max))

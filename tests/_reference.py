@@ -17,6 +17,7 @@ from ultraext.partition_of_unity import (
     _eval_local,
     _real_roots_in,
 )
+from ultraext.seq_calculus import counting_index
 
 
 def rebuilt(obj, **changes):
@@ -132,3 +133,20 @@ def taylor_degree(poly) -> int:
 def taylor_coeffs(poly) -> tuple[float, ...]:
     """Monomial coefficients of a TaylorPolynomial in powers of (y - center)."""
     return tuple(d / math.factorial(m) for m, d in enumerate(poly.derivs))
+
+
+def gamma_doubling_check(regular, interleaved, xi: float, t_values) -> tuple[bool, float | None]:
+    """Exact counting-index doubling between a row and its interleaving.
+
+    Checks 2 * Gamma_{sbar^(2xi)}(t) == Gamma_{v^xi}(t) as integers at
+    every grid point.  Returns (True, None) on success, else (False, t)
+    for the first violating t.  Cutoff errors from the counting index
+    propagate.
+    """
+    src = regular.row_sequence(2.0 * xi)
+    v = interleaved.row_sequence(xi)
+    for t in t_values:
+        t = float(t)
+        if 2 * counting_index(src, t) != counting_index(v, t):
+            return False, t
+    return True, None

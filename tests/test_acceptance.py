@@ -27,7 +27,6 @@ from ultraext.extension_engine import (
 from ultraext.errors import PlanInvalid
 from ultraext.matrix_calculus import (
     associated_matrix,
-    gamma_doubling_check,
     interleave_matrix,
     lemma8_regularize,
     sandwich_H,
@@ -58,7 +57,7 @@ from ultraext.whitney_geometry import (
     overlap_counts,
     verify_eq14,
 )
-from _reference import derivative, partition_value, rebuilt, sup_norm
+from _reference import derivative, gamma_doubling_check, partition_value, rebuilt, sup_norm
 
 
 def verdict(number: int, label: str, detail: str = "") -> None:

@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Definitions kept without a caller in src/ or bench/, one reason each.
 ALLOWED = {
-    "gamma_doubling_check": "acceptance criterion 04 runs it",
     "remainder": "the scalar reference _remainder_table is tested against bit for bit",
     "CompactSet1D.from_points": "public constructor of an exported class",
     "CompactSet1D.from_intervals": "public constructor of an exported class",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,9 @@ from ultraext.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    _csv_line,
     _csv_text,
+    _trace_lines,
     _uniform_stream,
     main,
 )
@@ -532,14 +535,24 @@ def test_csv_text_matches_csv_writer():
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    assert _csv_text(header, rows) == buf.getvalue()
+    assert _csv_text(header, map(_csv_line, rows)) == buf.getvalue()
     assert _csv_text(header, []) == "x,alpha,flag,mixed,more\n"
     # The rows a job builds: numpy columns through tolist.
     col = np.array([0.1, -0.0, 5e-324, 1e300])
     rows = list(zip(col.tolist(), np.arange(4).tolist(), (col > 0.0).tolist()))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([("x", "a", "b")] + rows)
-    assert _csv_text(("x", "a", "b"), rows) == buf.getvalue()
+    assert _csv_text(("x", "a", "b"), map(_csv_line, rows)) == buf.getvalue()
+    # The sample trace: each x with every order alpha and its value.
+    xs = np.array([0.1, -0.0, 5e-324, -1.5e300])
+    derivs = np.array(
+        [[math.nan, -0.0, 1.0 / 3.0], [math.inf, -math.inf, 0.0], [1e-300, 2.0, -7.5], [3.0, -0.1, 1e300]]
+    )
+    rows = [(x, a, v) for x, row in zip(xs.tolist(), derivs.tolist()) for a, v in enumerate(row)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("x", "alpha", "derivative")] + rows)
+    assert _csv_text(("x", "alpha", "derivative"), _trace_lines(xs, derivs)) == buf.getvalue()
+    assert _trace_lines(xs[:0], derivs[:0]) == []
 
 
 # 2**128 + 5 has five 32-bit words, one more than the seeding pool.
@@ -620,33 +633,99 @@ def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-_COLD_START_PROBE = """
-import sys
-from ultraext.cli import main
-code = main(["extend", "--config", sys.argv[1], "--out", sys.argv[2]])
+# The command line as `python -m ultraext.cli` runs it, in a fresh
+# interpreter (the test session has every module loaded).  An atexit hook
+# reports, once the entry point has returned, which of these modules were
+# loaded and whether the collector was frozen.
+_ENTRY_PROBE = """
+import atexit, gc, json, runpy, sys
 unwanted = ("numpy.ma", "numpy.random", "numpy.polynomial", "dataclasses")
-print(code, [m for m in unwanted if m in sys.modules])
+atexit.register(lambda: print(json.dumps({
+    "loaded": [m for m in unwanted if m in sys.modules],
+    "frozen": gc.get_freeze_count() > 0,
+})))
+runpy.run_module("ultraext.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, monkeypatch):
-    # Each of these imports costs an extend job milliseconds and MB of
-    # RSS at every start; none is needed (dataclasses also generates the
-    # code of every decorated class at import).  A fresh interpreter,
-    # since the test session itself has them loaded.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from workloads import README_CONFIG
-
+def run_entry(*args):
+    """The process and its exit report, for the command line on args."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE, *args], env=env, capture_output=True, text=True
+    )
+    return proc, json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def readme_config(monkeypatch):
+    """The README extend config, as the benchmark's workloads hold it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import README_CONFIG
+    return README_CONFIG
+
+
+def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, readme_config):
+    # Each of these imports costs an extend job milliseconds and MB of
+    # RSS at every start; none is needed (dataclasses also generates the
+    # code of every decorated class at import).
     # Only a jet of several points reaches certify's pair table.
-    for name, doc in [("readme", README_CONFIG), ("cluster", CLUSTER_EXTEND)]:
+    for name, doc in [("readme", readme_config), ("cluster", CLUSTER_EXTEND)]:
         cfg = write_config(tmp_path, doc, f"{name}.json")
-        run = subprocess.run(
-            [sys.executable, "-c", _COLD_START_PROBE, cfg, str(tmp_path / name)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert run.stdout.splitlines()[-1] == f"{EXIT_OK} []", name
+        proc, report = run_entry("extend", "--config", cfg, "--out", str(tmp_path / name))
+        assert (proc.returncode, report["loaded"]) == (EXIT_OK, []), name
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        ({}, EXIT_OK),
+        # ROADMAP item 1: residual_decay fails at exponent 0.9.
+        ({"weight": {"family": "power", "parameters": {"exponent": 0.9}}}, EXIT_INCONCLUSIVE),
+        ({"bogus": 1}, EXIT_ERROR),
+    ],
+    ids=["ok", "inconclusive", "config_error"],
+)
+def test_entry_point_freezes_after_main_returns_its_code(tmp_path, capsys, readme_config, edit, code):
+    # The process freezes the collector once main has written the
+    # products, so shutdown does not walk the heap; main's exit code,
+    # output and products pass through unchanged.
+    cfg = write_config(tmp_path, dict(readme_config, **edit))
+    entry, inproc = tmp_path / "entry", tmp_path / "main"
+    proc, report = run_entry("extend", "--config", cfg, "--out", str(entry))
+    assert (proc.returncode, report["frozen"]) == (code, True)
+    assert main(["extend", "--config", cfg, "--out", str(inproc)]) == code
+    out, err = capsys.readouterr()
+    stdout = "".join(proc.stdout.splitlines(keepends=True)[:-1])  # less the exit report
+    assert stdout.replace(str(entry), str(inproc)) == out
+    assert proc.stderr == err
+    names = sorted(p.name for p in inproc.glob("*"))
+    assert sorted(p.name for p in entry.glob("*")) == names
+    for name in names:
+        assert (entry / name).read_bytes() == (inproc / name).read_bytes(), name
+
+
+def test_entry_point_usage_error_exits_before_the_freeze():
+    proc, report = run_entry("extend")
+    assert proc.returncode == 2
+    assert "the following arguments are required: --config" in proc.stderr
+    assert report["frozen"] is False
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path, readme_config):
+    before = gc.get_freeze_count()
+    cfg = write_config(tmp_path, readme_config)
+    assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_command_is_the_entry_point():
+    # The installed `ultraext` and `python -m ultraext.cli` take one path.
+    # A plain text read, since tomllib is 3.11+.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["ultraext", "=", '"ultraext.cli:console_main"']
 
 
 def test_cluster_certify_sends_few_remainder_entries_through_libm(tmp_path, monkeypatch):

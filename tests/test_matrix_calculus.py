@@ -17,7 +17,6 @@ from ultraext.matrix_calculus import (
     DEFAULT_XI,
     WeightMatrix,
     associated_matrix,
-    gamma_doubling_check,
     interleave_matrix,
     lemma8_regularize,
     sandwich_H,
@@ -27,6 +26,7 @@ from ultraext.matrix_calculus import (
 )
 from ultraext.seq_calculus import counting_index
 from ultraext.weight_functions import WeightFunction
+from _reference import gamma_doubling_check
 
 
 def log_factorials(k_max: int) -> list[float]:

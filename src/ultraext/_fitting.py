@@ -3,9 +3,17 @@
 Whether a sampled ratio stays bounded can only be decided up to a trend
 heuristic; every caller turns the third verdict into an explicit
 InconclusiveTrend error rather than guessing.
+
+A maximum that certify or the audit reports is libm's (math.log,
+math.exp) bit for bit while numpy fills its table, by one rule: libm
+recomputes the entries within LIBM_TOL below their group's numpy maximum
+and the caller's forced ones, whose numpy values do not bound libm's.
+libm_picks applies it to a table; libm_log_maxima is its log-space form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,6 +101,75 @@ def range_trend(values) -> tuple[str, float]:
 def libm(fn, values: np.ndarray) -> np.ndarray:
     """fn (math.log or math.exp) per entry: numpy's own round differently on some inputs."""
     return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+# Relative width of the band below a group's numpy maximum that libm
+# recomputes.  numpy's float64 log and exp are within an ulp or two of
+# libm's (on one x86-64 build its exp differed on 4.6% of 2M inputs and
+# its log on 7, by an ulp each time).  So a need log v - rhs moves by
+# under 2e-13 + 2 ulps of itself; a ratio e^x with |x| < 2^12 from
+# numpy's log and exp by 1.5e-12 relatively (x by 1.3e-12); a quotient
+# v / e^x of values in [2^-1000, 2^1000] by a few ulps.  Any width above
+# twice those keeps every entry that can hold a libm maximum; entries
+# outside those ranges are forced.  The width stays near that bound: the
+# ratios of a deep distance bin in the audit can lie closer than 1e-9
+# (hundreds do in the README audit at 2000 samples).
+LIBM_TOL = 1e-11
+
+
+def _group_max(table: np.ndarray, key, size: int) -> np.ndarray:
+    """Largest entry of each group g < size (entry e in group key[e]), NaN passed over, or -inf.
+
+    The axes along which key is constant are reduced first, so only what
+    is left goes through the slower np.fmax.at.
+    """
+    key = np.asarray(key)
+    key = key.reshape((1,) * (table.ndim - key.ndim) + key.shape)
+    axes = tuple(a for a, n in enumerate(key.shape) if n == 1)
+    part = np.fmax.reduce(table, axis=axes, keepdims=True, initial=-np.inf)
+    top = np.full(size, -np.inf)
+    np.fmax.at(top, np.broadcast_to(key, part.shape).ravel(), part.ravel())
+    return top
+
+
+def libm_picks(table: np.ndarray, keys, forced=False, *, logs: bool = False) -> np.ndarray:
+    """Entries of a numpy-filled table whose libm values can decide a group maximum.
+
+    Each of keys (nonnegative integers broadcast against table) groups
+    the entries.  An entry is picked when forced, or when its numpy value
+    lies at or above its group's floor under the numpy maximum top:
+    top - LIBM_TOL * (1 + |top|) in a table of logs (an infinite top is
+    its own floor), top * (1 - LIBM_TOL) in a table of nonnegative ratios
+    (-inf when top < 2^-1000, where numpy's relative error is unbounded).
+    Forced entries set no group's top; a NaN entry is picked only forced.
+    """
+    held = np.where(forced, np.nan, table)
+    pick = np.array(np.broadcast_to(forced, table.shape))
+    with np.errstate(invalid="ignore"):
+        for key in keys:
+            key = np.asarray(key)
+            top = _group_max(held, key, int(key.max(initial=0)) + 1)
+            if logs:
+                floor = np.where(np.isinf(top), top, top - LIBM_TOL * (1.0 + np.abs(top)))
+            else:
+                floor = np.where(top >= 2.0**-1000, top * (1.0 - LIBM_TOL), -np.inf)
+            pick |= held >= floor[key]
+    return pick
+
+
+def libm_log_maxima(mag, rhs, key, size: int, logs=None) -> tuple[np.ndarray, np.ndarray]:
+    """(need, top): need = math.log(mag) - rhs, taking log 0 as -inf, and its group maxima.
+
+    Groups are as in _group_max.  numpy's log of mag (logs, if given)
+    fills need, and the entries libm_picks names get math.log, so top is
+    the per-entry libm maximum; the other entries stay numpy's.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = (np.log(mag) if logs is None else logs) - rhs
+        pick = (mag > 0.0) & libm_picks(need, (key,), logs=True)
+        need[pick] = libm(math.log, mag[pick]) - np.broadcast_to(rhs, need.shape)[pick]
+    # A group's maximum is a picked entry, or -inf when it has none.
+    return need, _group_max(need[pick], np.broadcast_to(key, need.shape)[pick], size)
 
 
 def bound_constant(numerator, denominator) -> float:

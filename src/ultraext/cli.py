@@ -330,7 +330,7 @@ def cmd_matrix(cfg: dict):
     xi_grid = _xi_list(cfg)
 
     mat = associated_matrix(w, xi_grid, k_max=k_max)
-    reg = strong_regularization(mat)
+    reg = strong_regularization(mat, verify=False)
     fit = sandwich_fit(mat, reg)
     inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
     inter = interleave_matrix(reg, inter_xi) if inter_xi else None

@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._fitting import GROWING, INCONCLUSIVE, decade_trend, libm, range_trend
+from ._fitting import GROWING, INCONCLUSIVE, decade_trend, range_trend
+from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import (
     MissingRow,
     OrderOverflow,
@@ -55,17 +56,6 @@ THRESHOLD_GLUE = 8.0
 # exact zero in float arithmetic whether or not the row is long enough.
 _LOG_TINY = math.log(5e-324)
 _LOG_EPS = math.log(2.0**-53)
-
-# Relative width of the audit's numpy filter in front of libm.  A ratio
-# is e^x, x the log ratio log|v| - rhs capped at 700 or less a shift.
-# numpy's log and exp are within an ulp or two of libm's; with
-# |log|v|| <= 745 and |log ratio| < 2^12 (a larger one always goes to
-# libm) numpy's x is within 1.3e-12 of libm's, so its ratio within
-# 1.5e-12 relatively, and any width above twice that keeps every entry
-# that can hold a libm maximum.  The width stays near that bound: the
-# ratios of a deep distance bin can lie closer than 1e-9 (hundreds of
-# them do in the README audit at 2000 samples), and each would go to libm.
-_AUDIT_TOL = 1e-11
 
 # Cover depth for assemble and the extend job.  build_cover's own 48
 # reaches sides where placed bumps degenerate (DegenerateSupport).
@@ -796,43 +786,23 @@ def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return mag, np.log(mag)
 
 
-def _deciding(ratios: np.ndarray, bins: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Live entries of a numpy ratio table that can be a column or bin maximum.
-
-    ratios holds numpy's values of a table whose true entries are libm's,
-    each within half _AUDIT_TOL relative of its libm value where that is
-    not tiny; bins[r] is row r's distance bin (_half_decades).  An entry
-    is picked when it lies within a relative _AUDIT_TOL of its column's
-    or its bin's numpy maximum, so every entry that can be the libm
-    maximum is, and every other one stays below it.  A maximum under
-    2^-1000 (subnormal values, where numpy's relative error is unbounded)
-    or NaN picks every live entry of its group.
-    """
-    def floor(top):
-        return np.where(top >= 2.0**-1000, top * (1.0 - _AUDIT_TOL), -np.inf)
-
-    keys = bins - bins.min(initial=0)
-    bin_top = np.zeros(keys.max(initial=0) + 1)
-    np.fmax.at(bin_top, keys, np.fmax.reduce(ratios, axis=1, initial=0.0))
-    col_top = np.fmax.reduce(ratios, axis=0, initial=0.0)
-    return live & ((ratios >= floor(col_top)) | (ratios >= floor(bin_top)[keys][:, None]))
-
-
 def _bound_ratios(mag, logs, log_rhs, live, bins, exponent) -> np.ndarray:
     """math.exp(exponent(math.log(mag) - log_rhs, column)) where live and mag > 0, else 0.0.
 
     exponent maps an array of log ratios and their column indices to the
-    exponents, entry by entry.  logs is numpy's log of mag (_log_abs).
-    numpy's log and exp fill the table; the entries _deciding picks, and
-    only those, take math.log and math.exp, so every column and bin
-    maximum is the per-entry libm value.
+    exponents, entry by entry.  logs is numpy's log of mag (_log_abs) and
+    bins[r] row r's distance bin (_half_decades).  numpy's log and exp
+    fill the table; math.log and math.exp take the entries libm_picks
+    names for the column and bin maxima, with those forced whose log
+    ratio lies past 2^12, where an ulp of it exceeds what LIBM_TOL allows.
     """
     live = live & (mag > 0.0)
-    cols = np.broadcast_to(np.arange(mag.shape[1]), mag.shape)
+    order = np.arange(mag.shape[1])
+    cols = np.broadcast_to(order, mag.shape)
     raw = logs - log_rhs
     out = np.where(live, np.exp(exponent(raw, cols)), 0.0)
-    # Past 2^12 an ulp of the log ratio can exceed what _AUDIT_TOL allows.
-    pick = _deciding(out, bins, live) | (live & ~(np.abs(raw) < 2.0**12))
+    keys = (order, (bins - bins.min(initial=0))[:, None])
+    pick = live & libm_picks(out, keys, live & ~(np.abs(raw) < 2.0**12))
     raw = libm(math.log, mag[pick]) - np.broadcast_to(log_rhs, mag.shape)[pick]
     out[pick] = libm(math.exp, exponent(raw, cols[pick]))
     return out
@@ -841,22 +811,6 @@ def _bound_ratios(mag, logs, log_rhs, live, bins, exponent) -> np.ndarray:
 def _capped(raw, cols) -> np.ndarray:
     """The exponent of a bound check's ratio: the log ratio, at most 700."""
     return np.minimum(raw, 700.0)
-
-
-def _log_envelope(mag, logs, log_rhs) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, env): raw = math.log(mag) - log_rhs where mag > 0, else -inf, and its column maxima.
-
-    numpy's logs fill raw; the entries within _AUDIT_TOL * (1 + |top|) of
-    their column's numpy maximum top take math.log, so env is the
-    per-entry libm envelope and no other entry of raw exceeds it.  The
-    other entries of raw stay numpy's.
-    """
-    raw = np.where(mag > 0.0, logs - log_rhs, -np.inf)
-    top = np.fmax.reduce(raw, axis=0, initial=-np.inf)
-    with np.errstate(invalid="ignore"):
-        pick = (mag > 0.0) & (raw >= top - _AUDIT_TOL * (1.0 + np.abs(top)))
-    raw[pick] = libm(math.log, mag[pick]) - np.broadcast_to(log_rhs, raw.shape)[pick]
-    return raw, np.fmax.reduce(raw, axis=0, initial=-np.inf)
 
 
 def verify_bounds(
@@ -897,8 +851,9 @@ def verify_bounds(
     the column and distance-bin maxima of a check's ratio table, and the
     column maxima of a terminal check's log envelope, reach the report;
     numpy's log and exp fill the tables, and the entries that can decide
-    one of those maxima take libm's (math.log and math.exp), so every
-    reported figure is the per-entry libm computation's.
+    one of those maxima take libm's (math.log and math.exp) by the rule
+    of _fitting.libm_picks, so every reported figure is the per-entry
+    libm computation's.
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -1016,7 +971,7 @@ def verify_bounds(
         # The envelope fixes the base, so it is made libm's first; then
         # each normalized ratio is math.exp(raw - (a + 1) * log_base).
         mag, logs = _log_abs(values)
-        raw, env = _log_envelope(mag, logs, log_rhs)
+        raw, env = libm_log_maxima(mag, log_rhs, orders, width, logs)
         env = env.tolist()
         log_base = fit_log_base(env)
         shift = (orders + 1) * log_base

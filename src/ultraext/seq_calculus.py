@@ -29,7 +29,6 @@ by ulps.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -210,7 +209,7 @@ def counting_index(m: WeightSequence, t):
 # -- log-convex minorant ------------------------------------------------
 
 
-def _lower_hull_indices(points: list[Fraction]) -> list[int]:
+def _lower_hull_indices(points: list[int]) -> list[int]:
     """Vertex indices of the lower convex hull of (k, points[k]), exact.
 
     Monotone chain over unit-spaced abscissae; collinear middle points are
@@ -236,18 +235,24 @@ def log_convex_minorant(m: WeightSequence) -> WeightSequence:
     idempotent.  The result's quotient view repeats each hull-segment slope
     bit-identically; its values equal the input at hull vertices and are
     clamped to never exceed the input in between.
+
+    The hull runs exactly on integers, the log values over their common
+    power-of-two denominator; slopes and interpolants are int / int true
+    divisions, which Python rounds correctly, as Fraction.__float__ does.
     """
     if m.is_log_convex:
         return m
-    exact = [Fraction(v) for v in m.log_values]
+    ratios = [v.as_integer_ratio() for v in m.log_values]
+    scale = max(d for _, d in ratios)
+    exact = [n * (scale // d) for n, d in ratios]
     hull = _lower_hull_indices(exact)
     out_values = list(m.log_values)
     out_quotients = [0.0] * m.order
     for a, b in zip(hull[:-1], hull[1:]):
-        slope_exact = (exact[b] - exact[a]) / (b - a)
-        slope = float(slope_exact)
+        rise, run = exact[b] - exact[a], (b - a) * scale
+        slope = rise / run
         for k in range(a + 1, b):
-            interp = float(exact[a] + slope_exact * (k - a))
+            interp = (exact[a] * (b - a) + rise * (k - a)) / run
             out_values[k] = min(m.log_values[k], interp)
         out_values[b] = m.log_values[b]
         for k in range(a, b):

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, libm, range_trend
+from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
+from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import InconclusiveTrend, NotInClass, OrderOverflow
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
@@ -325,46 +326,6 @@ def _constraints(jet: UltraJet, matrix: WeightMatrix, xi: float, table=None):
     )
 
 
-# Width of the numpy filter in front of libm.  On one x86-64 build
-# numpy's float64 exp differed from libm's on 4.6% of 2M inputs and its
-# log on 7 of 2M, by at most an ulp each time; a relative 1e-9 is far
-# wider, so every row that can hold the exact extreme passes the filter.
-_FILTER_TOL = 1e-9
-
-
-def _settled(*arrays: np.ndarray) -> np.ndarray:
-    """Entries whose values all lie in [2^-1000, 2^1000].
-
-    There numpy's and libm's results of one float expression agree to a
-    few ulps relatively; zero, subnormal, huge, infinite and NaN values
-    do not, so those entries always go through libm.
-    """
-    ok = np.ones(arrays[0].shape, dtype=bool)
-    for v in arrays:
-        ok &= (v >= 2.0**-1000) & (v <= 2.0**1000)
-    return ok
-
-
-def _need_profile(power, lhs, rest, alpha_max: int) -> np.ndarray:
-    """Per power p, the largest need math.log(lhs) - rest over its rows.
-
-    NaN needs are passed over; a power without rows is -inf.  numpy's
-    log picks the candidates: only the rows whose numpy need lies within
-    _FILTER_TOL * (1 + |top|) of their power's numpy maximum top take
-    math.log.  The two logs of a float differ by far less than 1e-12,
-    so the row holding the exact maximum is always a candidate.
-    """
-    with np.errstate(invalid="ignore"):
-        need = np.log(lhs) - rest
-        top = np.full(alpha_max + 1, -np.inf)
-        np.fmax.at(top, power, need)
-        floor = np.where(np.isinf(top), top, top - _FILTER_TOL * (1.0 + np.abs(top)))
-        pick = np.flatnonzero(need >= floor[power])
-        prof = np.full(alpha_max + 1, -np.inf)
-        np.fmax.at(prof, power[pick], libm(math.log, lhs[pick]) - rest[pick])
-    return prof
-
-
 def _rate_profile(prof: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """Needed log rate per truncation order, with the steepest chord.
 
@@ -391,15 +352,16 @@ def _rate_profile(prof: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
 def _largest_ratio(x: np.ndarray, lhs: np.ndarray) -> float:
     """max of lhs / math.exp(x) over the rows, NaN passed over, at least 0.0.
 
-    numpy's exp picks the candidates: the rows that are not settled and
-    those within a relative 1e-9 of the largest settled numpy ratio.
+    numpy's exp fills the ratios; math.exp takes the rows libm_picks
+    names, with those forced whose numpy scale or ratio leaves
+    [2^-1000, 2^1000], where numpy's value does not bound libm's.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = np.exp(x)
         ratio = lhs / scale
-        ok = _settled(scale, ratio)
-        top = np.fmax.reduce(ratio[ok], initial=0.0)
-        pick = ~ok | (ratio >= top * (1.0 - _FILTER_TOL))
+        bounded = (scale >= 2.0**-1000) & (scale <= 2.0**1000)
+        bounded &= (ratio >= 2.0**-1000) & (ratio <= 2.0**1000)
+        pick = libm_picks(ratio, (0,), ~bounded)
         return float(np.fmax.reduce(lhs[pick] / libm(math.exp, x[pick]), initial=0.0))
 
 
@@ -418,10 +380,8 @@ def certify(
 
     Every log and exp behind the per-power needs and C is libm's
     (math.log, math.exp), as in a loop over the constraint rows, so the
-    certificate is that loop's bit for bit.  numpy's log and exp only
-    pick the rows that can decide a value: those within a relative
-    _FILTER_TOL of the numpy extreme, and those whose numpy values leave
-    [2^-1000, 2^1000] (_settled).
+    certificate is that loop's bit for bit; numpy's log and exp only
+    pick the rows that can decide a value (libm_log_maxima, libm_picks).
     Raises NotInClass with the steepest-chord witness when the rate grows
     with truncation on every row, and NotInClass naming xi when the
     fitted constant, or a bound rho^power e^rest that libm evaluates,
@@ -438,7 +398,7 @@ def certify(
         power, lhs, rest = _constraints(jet, matrix, x, table)
         if not power.size:
             return JetCertificate(1.0, 1.0, x, BOUNDED)
-        rates, witness = _rate_profile(_need_profile(power, lhs, rest, jet.alpha_max))
+        rates, witness = _rate_profile(libm_log_maxima(lhs, rest, power, jet.alpha_max + 1)[1])
         needed = float(rates[-1])
         if len(rates) >= 9:
             profile = np.exp(rates[1:] - rates.max())
@@ -456,8 +416,8 @@ def certify(
             continue
         log_scale = rest + power * math.log(snapped)
         try:
-            # math.exp overflows only on unsettled rows, and every one
-            # of those goes to libm here.
+            # math.exp overflows only on rows whose numpy scale leaves
+            # [2^-1000, 2^1000], and every one of those is forced to libm.
             best_c = _largest_ratio(log_scale, lhs)
         except OverflowError:
             raise NotInClass(

@@ -7,6 +7,7 @@ what a job uses.
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -17,7 +18,7 @@ from ultraext.partition_of_unity import (
     _eval_local,
     _real_roots_in,
 )
-from ultraext.seq_calculus import counting_index
+from ultraext.seq_calculus import WeightSequence, _lower_hull_indices, counting_index
 
 
 def rebuilt(obj, **changes):
@@ -150,3 +151,24 @@ def gamma_doubling_check(regular, interleaved, xi: float, t_values) -> tuple[boo
         if 2 * counting_index(src, t) != counting_index(v, t):
             return False, t
     return True, None
+
+
+def fraction_minorant(m: WeightSequence) -> WeightSequence:
+    """log_convex_minorant on Fraction arithmetic: the hull of the exact log values.
+
+    Each slope and interpolant is an exact rational rounded once to a
+    float, the values the integer hull of seq_calculus must reproduce.
+    """
+    if m.is_log_convex:
+        return m
+    exact = [Fraction(v) for v in m.log_values]
+    hull = _lower_hull_indices(exact)
+    out_values = list(m.log_values)
+    out_quotients = [0.0] * m.order
+    for a, b in zip(hull[:-1], hull[1:]):
+        slope_exact = (exact[b] - exact[a]) / (b - a)
+        for k in range(a + 1, b):
+            out_values[k] = min(m.log_values[k], float(exact[a] + slope_exact * (k - a)))
+        for k in range(a, b):
+            out_quotients[k] = float(slope_exact)
+    return WeightSequence(tuple(out_values), tuple(out_quotients))

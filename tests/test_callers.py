@@ -2,10 +2,11 @@
 
 The check parses src/ultraext/*.py and bench/*.py with ast and collects
 references: a name, an attribute, or a string constant equal to the
-identifier (as in __all__, so an export in __init__ counts, and as in
-the benchmark tracer's layer table).  A definition is dead when its name
-has no reference outside its own body.  Tests do not count: code that
-only a test runs belongs in the tests (see _reference.py).
+identifier (as in the benchmark tracer's layer table).  A definition is
+dead when its name has no reference outside its own body.  Tests do not
+count: code that only a test runs belongs in the tests (see
+_reference.py).  Nor does src/ultraext/__init__.py: an export names a
+definition without running it.
 
 Name matching cannot see a dead member when another definition or a
 local variable shares its name: one of the seven ``to_json`` methods
@@ -33,6 +34,12 @@ ALLOWED = {
     "CompactSet1D.from_points": "public constructor of an exported class",
     "CompactSet1D.from_intervals": "public constructor of an exported class",
     "WeightSequence.factorial_power": "public constructor of an exported class",
+    "lemma8_regularize": "waits for the caller of ROADMAP item 4 (the sequence form)",
+    "h_function": "the paper's definition of h, which the acceptance criteria run",
+    "associated_weight": "the paper's definition of omega_M, which the acceptance criteria run",
+    "kappa_transform": "the one-point form of kappa_transform_grid, the paper's kappa at a t",
+    "young_conjugate": "the one-point form of young_conjugate_grid, the paper's conjugate at a y",
+    "check_derivative_bound": "an audit of the partition's derivative bound no command runs yet",
 }
 
 
@@ -63,7 +70,8 @@ def _trees() -> tuple[list[ast.AST], list[ast.AST]]:
     def parse(paths):
         return [ast.parse(p.read_text(), filename=str(p)) for p in sorted(paths)]
 
-    return parse((ROOT / "src" / "ultraext").glob("*.py")), parse((ROOT / "bench").glob("*.py"))
+    modules = (p for p in (ROOT / "src" / "ultraext").glob("*.py") if p.name != "__init__.py")
+    return parse(modules), parse((ROOT / "bench").glob("*.py"))
 
 
 def uncalled() -> set[str]:

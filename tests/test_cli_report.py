@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultraext import cli, extension_engine, ultrajets
+from ultraext import _fitting, cli, extension_engine, ultrajets
 from ultraext.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -639,7 +639,7 @@ def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
 # loaded and whether the collector was frozen.
 _ENTRY_PROBE = """
 import atexit, gc, json, runpy, sys
-unwanted = ("numpy.ma", "numpy.random", "numpy.polynomial", "dataclasses")
+unwanted = ("numpy.ma", "numpy.random", "numpy.polynomial", "dataclasses", "fractions", "decimal")
 atexit.register(lambda: print(json.dumps({
     "loaded": [m for m in unwanted if m in sys.modules],
     "frozen": gc.get_freeze_count() > 0,
@@ -669,7 +669,8 @@ def readme_config(monkeypatch):
 def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, readme_config):
     # Each of these imports costs an extend job milliseconds and MB of
     # RSS at every start; none is needed (dataclasses also generates the
-    # code of every decorated class at import).
+    # code of every decorated class at import, and fractions brings in
+    # decimal, where integers make the minorant's hull exact).
     # Only a jet of several points reaches certify's pair table.
     for name, doc in [("readme", readme_config), ("cluster", CLUSTER_EXTEND)]:
         cfg = write_config(tmp_path, doc, f"{name}.json")
@@ -728,20 +729,40 @@ def test_installed_command_is_the_entry_point():
     assert scripts.split() == ["ultraext", "=", '"ultraext.cli:console_main"']
 
 
+def count_libm(monkeypatch) -> dict:
+    """Entries sent to libm by the next job, keyed "call site<its caller"."""
+    sent = {}
+    real_libm = _fitting.libm
+
+    def counted(fn, values):
+        site = sys._getframe(1)
+        key = f"{site.f_code.co_name}<{site.f_back.f_code.co_name}"
+        sent[key] = sent.get(key, 0) + values.size
+        return real_libm(fn, values)
+
+    for module in (_fitting, ultrajets, extension_engine):
+        monkeypatch.setattr(module, "libm", counted)
+    return sent
+
+
+CERTIFY_SITES = {"_remainder_table<certify", "libm_log_maxima<certify", "_largest_ratio<certify"}
+
+
 def test_cluster_certify_sends_few_remainder_entries_through_libm(tmp_path, monkeypatch):
     # The cluster jet has 27,776 nonzero remainder entries.  certify once
     # took math.log and math.exp of each; numpy now picks the few that
     # can decide C or rho, and only those reach libm.
-    sent, jets = [], []
-    real_libm, real_certify = ultrajets.libm, cli.certify
-    monkeypatch.setattr(ultrajets, "libm", lambda fn, v: sent.append(v.size) or real_libm(fn, v))
+    jets = []
+    real_certify = cli.certify
+    sent = count_libm(monkeypatch)
     monkeypatch.setattr(cli, "certify", lambda jet, *a, **kw: jets.append(jet) or real_certify(jet, *a, **kw))
     cfg = write_config(tmp_path, CLUSTER_EXTEND)
     assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    through_libm = sum(sent)
+    assert CERTIFY_SITES <= set(sent)
+    through_libm = sum(sent[site] for site in CERTIFY_SITES)
     entries = ultrajets._remainder_table(jets[0])[0].size
     assert entries == 27776
-    assert 0 < through_libm <= 0.01 * entries  # 56 pair gaps plus 71 entries
+    assert 0 < through_libm <= 0.01 * entries  # 56 pair gaps plus 66 entries
 
 
 def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch):
@@ -753,18 +774,14 @@ def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import CONFIGS
 
-    sent = {}
-    real_libm = extension_engine.libm
-
-    def counted(fn, values):
-        caller = sys._getframe(1).f_code.co_name
-        sent[caller] = sent.get(caller, 0) + values.size
-        return real_libm(fn, values)
-
-    monkeypatch.setattr(extension_engine, "libm", counted)
+    sent = count_libm(monkeypatch)
     cfg = write_config(tmp_path, CONFIGS["audit_dense"])
     assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert sent.pop("verify_bounds") == 86 + 3 * 2000
+    assert sent.pop("verify_bounds<cmd_extend") == 86 + 3 * 2000
+    for site in CERTIFY_SITES:
+        sent.pop(site)
     through_libm = sum(sent.values())
-    assert set(sent) == {"_bound_ratios", "_log_envelope"}
+    assert set(sent) == {
+        "_bound_ratios<verify_bounds", "_bound_ratios<terminal", "libm_log_maxima<terminal"
+    }
     assert 0 < through_libm <= 0.01 * 109_952  # 920 entries

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext import extension_engine
+from ultraext._fitting import libm_log_maxima
 from ultraext.errors import CountingIndexAtCutoff, CoverOverlap, OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
@@ -32,7 +33,6 @@ from ultraext.extension_engine import (
     _local_taylor,
     _log_abs,
     _log_decay,
-    _log_envelope,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -725,7 +725,7 @@ def test_audit_log_and_exp_are_libm_per_entry():
     # so each is its column's maximum and must be libm's.
     vals = [1.0082016495047519, 0.969198109122836, -0.48041963949836897, 0.0, math.nan, 7e-300]
     mag, logs = _log_abs(np.array([vals]))
-    _, env = _log_envelope(mag, logs, 0.0)
+    _, env = libm_log_maxima(mag, 0.0, np.arange(len(vals)), len(vals), logs)
     want = [math.log(abs(v)) if abs(v) > 0.0 else -math.inf for v in vals]
     assert [v.hex() for v in env.tolist()] == [v.hex() for v in want]
     xs = [531.0938228084433, 335.7787464585925, 494.17133009082085, -math.inf, -745.5, 1.0]
@@ -762,7 +762,7 @@ def test_audit_maxima_hold_where_numpy_rounds_the_other_way():
     rest = float(np.float32(math.log(v)))
     mid = 0.5 * ((math.log(v) - rest) + (float(np.log(v)) - rest))
     mag = np.array([[v], [1.0]])
-    _, env = _log_envelope(mag, np.log(mag), np.array([[rest], [-mid]]))
+    _, env = libm_log_maxima(mag, np.array([[rest], [-mid]]), np.arange(1), 1, np.log(mag))
     assert float(np.log(v)) - rest < mid < math.log(v) - rest
     assert env.tolist() == [math.log(v) - rest]
 

@@ -24,6 +24,7 @@ from ultraext.seq_calculus import (
     log_convex_minorant,
     log_h_function,
 )
+from _reference import fraction_minorant
 
 K = 64
 
@@ -297,6 +298,25 @@ def test_minorant_matches_sup_formula_oracle(draws):
     for k in range(1, m.order // 2 + 1):
         want = oracle_minorant_log(m.log_values, k)
         assert mm.log_values[k] == pytest.approx(want, abs=1e-8)
+
+
+@st.composite
+def hull_sequences(draw):
+    """Sequences whose log values mix quarter integers (ties, collinear runs) and any floats."""
+    k_max = draw(st.integers(16, 40))
+    quarters = st.integers(-12, 12).map(lambda n: n / 4.0)
+    anywhere = st.floats(-1e300, 1e300, allow_nan=False)
+    lv = [0.0] + draw(st.lists(st.one_of(quarters, anywhere), min_size=k_max, max_size=k_max))
+    lv[-1] = max(lv[-1], math.nextafter(2.0 * lv[k_max // 2], math.inf))  # the roots escape
+    return WeightSequence.from_log_values(lv)
+
+
+@given(hull_sequences())
+@settings(max_examples=300, deadline=None)
+def test_minorant_on_integers_matches_the_fraction_hull(m):
+    got, want = log_convex_minorant(m), fraction_minorant(m)
+    assert [v.hex() for v in got.log_values] == [v.hex() for v in want.log_values]
+    assert [q.hex() for q in got.log_quotients] == [q.hex() for q in want.log_quotients]
 
 
 def test_minorant_of_convex_is_identity():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
+from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, libm_log_maxima, range_trend
 from ultraext.errors import InconclusiveTrend, NotInClass, OrderOverflow
 from ultraext.matrix_calculus import associated_matrix
 from ultraext.ultrajets import (
@@ -19,7 +19,6 @@ from ultraext.ultrajets import (
     UltraJet,
     _constraints,
     _largest_ratio,
-    _need_profile,
     certify,
     polynomial_jet,
     remainder,
@@ -337,7 +336,7 @@ def assert_columns_are_reference(jet, matrix, xi, family=None):
     assert power.tolist() == [r[0] for r in want]
     assert [v.hex() for v in lhs.tolist()] == [r[2].hex() for r in want]
     assert [v.hex() for v in rest.tolist()] == [r[3].hex() for r in want]
-    got_prof = _need_profile(power, lhs, rest, jet.alpha_max)
+    got_prof = libm_log_maxima(lhs, rest, power, jet.alpha_max + 1)[1]
     want_prof = ref_need_profile(want, jet.alpha_max)
     assert [v.hex() for v in got_prof.tolist()] == [v.hex() for v in want_prof.tolist()]
     return want
@@ -372,7 +371,7 @@ def test_libm_extremes_hold_where_numpy_rounds_the_other_way():
         exact, approx = math.log(v), float(np.log(v))
         rest = float(np.float32(exact))  # need = log v - rest cancels to few bits
         mid = 0.5 * ((exact - rest) + (approx - rest))
-        prof = _need_profile(np.array([1, 1]), np.array([v, 1.0]), np.array([rest, -mid]), 1)
+        prof = libm_log_maxima(np.array([v, 1.0]), np.array([rest, -mid]), np.array([1, 1]), 2)[1]
         assert prof.tolist() == [-math.inf, max(exact - rest, mid)]
 
 

@@ -28,7 +28,7 @@ from .matrix_calculus import (
     sandwich_H,
     strong_regularization,
 )
-from .partition_of_unity import Partition, build_partition, check_derivative_bound
+from .partition_of_unity import Partition, build_partition
 from .seq_calculus import (
     WeightSequence,
     associated_weight,
@@ -37,13 +37,7 @@ from .seq_calculus import (
     log_convex_minorant,
 )
 from .ultrajets import TaylorPolynomial, UltraJet, certify, polynomial_jet
-from .weight_functions import (
-    WeightFunction,
-    classify,
-    equivalent,
-    kappa_transform,
-    young_conjugate,
-)
+from .weight_functions import WeightFunction, classify, equivalent
 from .whitney_geometry import CompactSet1D, WhitneyCover, build_cover, verify_eq14
 
 __version__ = "0.1.0"
@@ -65,14 +59,12 @@ __all__ = [
     "build_cover",
     "build_partition",
     "certify",
-    "check_derivative_bound",
     "classify",
     "counting_index",
     "equivalent",
     "eval_derivative",
     "h_function",
     "interleave_matrix",
-    "kappa_transform",
     "lemma8_regularize",
     "log_convex_minorant",
     "make_plan",
@@ -81,5 +73,4 @@ __all__ = [
     "strong_regularization",
     "verify_bounds",
     "verify_eq14",
-    "young_conjugate",
 ]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InconclusiveTrend, UltraextError
+from .errors import ConfigError, InconclusiveTrend, UltraextError, json_number
 from .extension_engine import (
     MAX_GENERATION,
     ExtensionPlan,
@@ -151,10 +151,7 @@ def _check_keys(doc: dict, schema: dict, where: str) -> None:
 
 
 def _number(cfg: dict, key: str, default, where: str = "config"):
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+    return json_number(cfg.get(key, default), f"{where}.{key}")
 
 
 def _integer(cfg: dict, key: str, default, where: str = "config", low: int | None = None) -> int:
@@ -176,7 +173,7 @@ def _object(cfg: dict, key: str, where: str = "config") -> dict:
 def _require_weight(cfg: dict):
     if "weight" not in cfg:
         raise ConfigError("config needs a 'weight' object")
-    return weight_from_json(_object(cfg, "weight"))
+    return weight_from_json(_object(cfg, "weight"), "config.weight")
 
 
 def _xi_list(cfg: dict) -> tuple[float, ...]:

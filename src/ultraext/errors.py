@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON readers' value checks.
 
 Every error that encodes a mathematical verdict (truncation unsoundness, a
 divergent integral, an undecidable trend) gets its own class so callers can
@@ -92,5 +92,24 @@ class PrecisionFloor(UltraextError):
     """Dyadic boundary approach starts below the resolvable precision floor."""
 
 
-class ConfigError(UltraextError):
-    """Malformed or unknown job-configuration content."""
+class ConfigError(UltraextError, ValueError):
+    """Malformed or unknown job-configuration content.
+
+    Also a ValueError: it reports a value the reader cannot take.
+    """
+
+
+def json_number(value, where: str, error: type[Exception] = ConfigError) -> float:
+    """value as a float if it is a JSON number; a bool or a string raises error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_integer(value, where: str, error: type[Exception] = ConfigError) -> int:
+    """value as an int if it is an integral JSON number (2 and 2.0 alike)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{where} must be an integer, got {value!r}")
+    return value

@@ -29,6 +29,8 @@ from .errors import (
     OutsideRegion,
     PlanInvalid,
     PrecisionFloor,
+    json_integer,
+    json_number,
 )
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
 from .partition_of_unity import Partition, build_partition
@@ -167,34 +169,24 @@ class ExtensionPlan:
         unknown = set(given) - set(PlanConstants._fields)
         if unknown:
             raise PlanInvalid(f"unknown plan constants: {sorted(unknown)}")
+
+        def number(key: str, value) -> float:
+            return json_number(value, f"plan value {key}", PlanInvalid)
+
+        def integer(key: str, value) -> int:
+            return json_integer(value, f"plan value {key}", PlanInvalid)
+
         return cls(
-            dilation=_plan_number(doc["dilation"], "dilation"),
-            folds=_plan_integer(doc["folds"], "folds"),
-            xi=_plan_number(doc["xi"], "xi"),
-            rho=_plan_number(doc["rho"], "rho"),
-            jet_bound=_plan_number(doc["jet_bound"], "jet_bound"),
+            dilation=number("dilation", doc["dilation"]),
+            folds=integer("folds", doc["folds"]),
+            xi=number("xi", doc["xi"]),
+            rho=number("rho", doc["rho"]),
+            jet_bound=number("jet_bound", doc["jet_bound"]),
             constants=PlanConstants(
-                **{
-                    k: None if k == "m1" and v is None else _plan_number(v, k)
-                    for k, v in given.items()
-                }
+                **{k: None if k == "m1" and v is None else number(k, v) for k, v in given.items()}
             ),
-            theory_degree=_plan_integer(doc.get("theory_degree", 0), "theory_degree"),
+            theory_degree=integer("theory_degree", doc.get("theory_degree", 0)),
         )
-
-
-def _plan_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PlanInvalid(f"plan value {name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _plan_integer(value, name: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PlanInvalid(f"plan value {name} must be an integer, got {value!r}")
-    return value
 
 
 def make_plan(

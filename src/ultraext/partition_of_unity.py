@@ -23,23 +23,17 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
-from ._fitting import BOUNDED, INCONCLUSIVE, range_trend
 from .errors import DegenerateSupport, UncoveredPoint
-from .seq_calculus import WeightSequence, log_h_function
-from .whitney_geometry import WhitneyCover, covered_sample_grid, distance_grid, sorted_unique
+from .whitney_geometry import WhitneyCover, distance_grid, sorted_unique
 
 # Bump margins are this fraction of the interval side.  Supports then
 # reach exactly to the expanded intervals of a 9/8 cover, which is the
 # smallest expansion the margin rule tolerates.
 MARGIN_FRACTION = 1.0 / 16.0
 _MIN_EXPANSION = 1.0 + 2.0 * MARGIN_FRACTION
-
-# Candidate envelope parameters B of check_derivative_bound, smallest first.
-ENVELOPE_B_GRID = (1.0, 2.0, 4.0, 8.0)
 
 
 def _eval_local(coeffs: Sequence[float], t: float) -> float:
@@ -619,126 +613,3 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
             f"template floor {floor} over {live_max} live bumps leaves no positive bound"
         )
     return partition
-
-
-class DerivativeBoundReport(NamedTuple):
-    """Fitted envelope constants and the exact sup-norm side table.
-
-    The verified bound reads, at every sampled x and order beta,
-
-        |phi_i^(beta)(x)| <= fitted_m * geometric_rate**beta
-                             * full_row(beta) * envelope(x).
-
-    per_beta_m holds the raw per-order fit before the geometric factor
-    is removed; m_trend judges the normalized profile.  The geometric
-    freedom stands in for the non-effective choice of dominating weight
-    family behind the envelope bound.
-    """
-
-    fold_count: int
-    beta_max: int
-    envelope_b: float
-    fitted_m: float
-    geometric_rate: float
-    per_beta_m: tuple[float, ...]
-    normalized_m: tuple[float, ...]
-    m_trend: str
-    clamped_envelopes: int
-    sample_count: int
-    sup_norms: tuple[tuple[float, ...], ...]
-
-
-def check_derivative_bound(
-    partition: Partition,
-    weight_row: WeightSequence,
-    beta_max: int,
-    *,
-    sample_points=None,
-    sample_count: int = 256,
-) -> DerivativeBoundReport:
-    """Fit the constants closing the derivative envelope bound.
-
-    At each sampled x the left side is the largest |phi_i^(beta)(x)| over
-    the bumps alive there; the envelope on the right side is
-    (e / h_row(b1*p*d(x) / (9*A2*B)))^(A1*B/p), evaluated through the
-    log-domain h-function.  The per-order fit is reduced by its best
-    geometric factor before the trend test, since the dominating weight
-    family behind the bound is only determined up to such a rescale, and
-    B is taken as the smallest member of ENVELOPE_B_GRID whose normalized
-    profile is bounded in the order.  Exact sup norms of every phi
-    derivative ride along as a side table.
-    """
-    cover = partition.cover
-    folds = partition.folds
-    if not 0 <= beta_max <= folds:
-        raise ValueError("beta_max must lie between 0 and the fold count")
-    if weight_row.order < beta_max:
-        raise ValueError("weight row shorter than beta_max")
-    if sample_points is None:
-        xs = covered_sample_grid(cover, sample_count)
-    else:
-        xs = np.atleast_1d(np.asarray(sample_points, dtype=float))
-    distances = distance_grid(cover.e, xs)
-    if np.any(distances <= 0.0):
-        raise ValueError("sample points must keep positive distance from the set")
-
-    lhs = np.zeros((xs.size, beta_max + 1))
-    for col, x in enumerate(xs):
-        for i in cover.members(float(x), expanded=True):
-            vals = np.abs(partition.derivatives(int(i), float(x), beta_max))
-            lhs[col] = np.maximum(lhs[col], vals)
-    log_w = np.array(
-        [math.lgamma(b + 1.0) + weight_row.log_values[b] for b in range(beta_max + 1)]
-    )
-    with np.errstate(divide="ignore"):
-        log_lhs = np.log(lhs)
-
-    cst = cover.constants
-    orders = np.arange(beta_max + 1, dtype=float)
-    chosen = None
-    for b_par in ENVELOPE_B_GRID:
-        log_env = np.empty(xs.size)
-        clamped = 0
-        for col in range(xs.size):
-            arg = cst.b_1 * folds * distances[col] / (9.0 * cst.A_2 * b_par)
-            log_h, argmin = log_h_function(weight_row, math.log(arg))
-            if argmin == weight_row.order:
-                clamped += 1
-            log_env[col] = (cst.A_1 * b_par / folds) * (1.0 - log_h)
-        per_beta = (log_lhs - log_w[None, :] - log_env[:, None]).max(axis=0)
-        # Remove the best geometric factor; the dominating weight family
-        # in the target bound is only fixed up to such a rescale.
-        finite = np.isfinite(per_beta)
-        if finite.sum() >= 2:
-            slope = float(np.polyfit(orders[finite], per_beta[finite], 1)[0])
-        else:
-            slope = 0.0
-        log_rate = max(slope, 0.0)
-        normalized = per_beta - log_rate * orders
-        if np.count_nonzero(np.isfinite(normalized)) >= 8:
-            trend, _ = range_trend(np.exp(normalized - np.max(normalized[finite])))
-        else:
-            trend = INCONCLUSIVE
-        result = (float(b_par), per_beta, normalized, log_rate, trend, clamped)
-        if trend == BOUNDED:
-            chosen = result
-            break
-        chosen = result
-    envelope_b, per_beta_log, normalized_log, log_rate, m_trend, clamped = chosen
-    sup_norms = tuple(
-        tuple(partition.sup_norm(i, b) for b in range(beta_max + 1))
-        for i in range(len(partition.bumps))
-    )
-    return DerivativeBoundReport(
-        fold_count=folds,
-        beta_max=int(beta_max),
-        envelope_b=envelope_b,
-        fitted_m=float(np.exp(np.max(normalized_log))),
-        geometric_rate=float(np.exp(log_rate)),
-        per_beta_m=tuple(float(np.exp(v)) for v in per_beta_log),
-        normalized_m=tuple(float(np.exp(v)) for v in normalized_log),
-        m_trend=m_trend,
-        clamped_envelopes=int(clamped),
-        sample_count=int(xs.size),
-        sup_norms=sup_norms,
-    )

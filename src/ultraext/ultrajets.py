@@ -24,7 +24,8 @@ import numpy as np
 
 from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
 from ._fitting import libm, libm_log_maxima, libm_picks
-from .errors import InconclusiveTrend, NotInClass, OrderOverflow
+from .errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
+from .errors import json_integer, json_number
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
 
@@ -192,19 +193,47 @@ class UltraJet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "UltraJet":
-        e = CompactSet1D(tuple((float(a), float(b)) for a, b in doc["e"]))
-        alpha_max = int(doc["alpha_max"])
+        """Jet from its JSON form, read as strictly as a plan file.
+
+        The keys are exactly e, alpha_max and values.  e lists [a, b]
+        pairs of numbers, alpha_max is an integral number, and every
+        values entry is [point, order, value] with an integral order and
+        numbers otherwise.  Booleans and strings are rejected, and so is
+        a second entry for one (point, order) pair; every point needs
+        every order up to alpha_max.  ConfigError names the bad entry.
+        """
+        if not isinstance(doc, dict):
+            raise ConfigError("a jet must be a JSON object")
+        keys = {"e", "alpha_max", "values"}
+        missing, unknown = keys - set(doc), set(doc) - keys
+        if missing or unknown:
+            raise ConfigError(f"jet keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
+
+        def lists(name: str, size: int) -> list:
+            value = doc[name]
+            shaped = isinstance(value, list) and all(isinstance(v, list) for v in value)
+            if not (shaped and all(len(v) == size for v in value)):
+                raise ConfigError(f"jet {name} must be a list of {size}-entry lists")
+            return value
+
+        comps = [tuple(json_number(v, "jet e endpoint") for v in pair) for pair in lists("e", 2)]
+        alpha_max = json_integer(doc["alpha_max"], "jet alpha_max")
         table: dict[float, dict[int, float]] = {}
-        for a, alpha, v in doc["values"]:
-            table.setdefault(float(a), {})[int(alpha)] = float(v)
+        for a, alpha, v in lists("values", 3):
+            a = json_number(a, "jet value point")
+            alpha = json_integer(alpha, f"jet value order at {a!r}")
+            row = table.setdefault(a, {})
+            if alpha in row:
+                raise ConfigError(f"jet values repeat order {alpha} at point {a!r}")
+            row[alpha] = json_number(v, f"jet value at ({a!r}, {alpha})")
         pts = sorted(table)
         rows = []
         for a in pts:
             row = table[a]
             if sorted(row) != list(range(alpha_max + 1)):
-                raise ValueError(f"base point {a} is missing orders up to {alpha_max}")
+                raise ConfigError(f"base point {a} needs exactly the orders 0 to {alpha_max}")
             rows.append(tuple(row[alpha] for alpha in range(alpha_max + 1)))
-        return cls(e, tuple(pts), tuple(rows))
+        return cls(CompactSet1D(tuple(comps)), tuple(pts), tuple(rows))
 
 
 def polynomial_jet(

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, bound_constant, check_growth_tol, decade_trend
-from .errors import BracketFailure, DivergentTail, InconclusiveTrend
+from .errors import BracketFailure, ConfigError, DivergentTail, InconclusiveTrend, json_number
 
 # log of the value of t/(log t)^2 at its stationary point t = e^2; the
 # family is held constant below that point so the log-composition stays
@@ -279,19 +279,13 @@ def _log_kappa_grid(
     return np.reshape(shift + np.log(partial + tail), shape)
 
 
-def kappa_transform(w: WeightFunction, t: float, rtol: float = 1e-8) -> float:
-    """kappa(t), the average of w along dilations; always >= w_raw(t).
+def kappa_transform_grid(w: WeightFunction, t_values, rtol: float = 1e-8) -> np.ndarray:
+    """kappa(t) at each t, the average of w along dilations; always >= w_raw(t).
 
     Computed on the raw branch, so closed forms like kappa = t^a/(1-a)
-    for w = t^a hold without normalization offsets.
+    for w = t^a hold without normalization offsets.  Each entry is
+    bitwise the result of a call with that t alone.
     """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError("kappa transform requires t > 0")
-    return float(np.exp(_log_kappa_grid(w.log_raw, np.array([math.log(t)]), rtol=rtol)[0]))
-
-
-def kappa_transform_grid(w: WeightFunction, t_values, rtol: float = 1e-8) -> np.ndarray:
     ts = np.asarray(t_values, dtype=float)
     if np.any(ts <= 0.0):
         raise ValueError("kappa transform requires t > 0")
@@ -360,10 +354,6 @@ def young_conjugate_grid(w: WeightFunction, y_values) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     val = np.maximum(0.0, mid * ys - w.phi(mid))
     return np.reshape(val, shape)
-
-
-def young_conjugate(w: WeightFunction, y: float) -> float:
-    return float(young_conjugate_grid(w, np.array([float(y)]))[0])
 
 
 # -- classification -----------------------------------------------------
@@ -530,20 +520,64 @@ def weight_to_json(w: WeightFunction) -> dict:
     return {"family": w.family, "parameters": params, "normalization": w.offset}
 
 
-def weight_from_json(doc: dict) -> WeightFunction:
+# Each family's JSON parameters, with whether each one is required.  A
+# family is built by the WeightFunction constructor of its name, with
+# the parameters as keyword arguments.
+_JSON_PARAMETERS = {
+    "power": {"exponent": True, "scale": False},
+    "linear": {},
+    "log_power": {"power": True},
+    "linear_over_log_squared": {},
+    "tabulated": {"log_t_knots": True, "log_w_knots": True},
+    "kappa_of": {"inner": True, "rtol": False},
+}
+
+
+def weight_from_json(doc: dict, where: str = "weight") -> WeightFunction:
+    """Weight from its JSON form, read strictly; ConfigError names the bad key.
+
+    The keys are family, parameters and normalization.  A family takes
+    the parameters _JSON_PARAMETERS lists and needs its required ones.
+    Values are JSON numbers (knots are lists of them), never booleans or
+    strings, and kappa_of's inner weight is read by the same rules.
+    normalization may be left out; if given, it must equal the built
+    weight's offset, the value weight_to_json writes.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(doc) - {"family", "parameters", "normalization"})
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}")
     family = doc.get("family")
-    params = dict(doc.get("parameters", {}))
-    if family == "power":
-        return WeightFunction.power(params["exponent"], params.get("scale", 1.0))
-    if family == "linear":
-        return WeightFunction.linear()
-    if family == "log_power":
-        return WeightFunction.log_power(params["power"])
-    if family == "linear_over_log_squared":
-        return WeightFunction.linear_over_log_squared()
-    if family == "tabulated":
-        return WeightFunction.tabulated(params["log_t_knots"], params["log_w_knots"])
-    if family == "kappa_of":
-        inner = weight_from_json(params["inner"])
-        return WeightFunction.kappa_of(inner, params.get("rtol", 1e-8))
-    raise ValueError(f"unknown weight family: {family!r}")
+    if family not in _JSON_PARAMETERS:
+        raise ConfigError(f"{where}.family: unknown weight family {family!r}")
+    params = doc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}.parameters must be an object")
+    spec = _JSON_PARAMETERS[family]
+    unknown = sorted(set(params) - set(spec))
+    missing = [k for k, required in spec.items() if required and k not in params]
+    if unknown or missing:
+        raise ConfigError(
+            f"{where}.parameters of a {family} weight: unknown {unknown}, missing {missing}"
+        )
+    args = {}
+    for key, value in params.items():
+        at = f"{where}.parameters.{key}"
+        if key == "inner":
+            args[key] = weight_from_json(value, at)
+        elif key.endswith("_knots"):
+            if not isinstance(value, list):
+                raise ConfigError(f"{at} must be a list of numbers")
+            args[key] = [json_number(v, f"{at} entry") for v in value]
+        else:
+            args[key] = json_number(value, at)
+    w = getattr(WeightFunction, family)(**args)
+    if "normalization" in doc:
+        norm = json_number(doc["normalization"], f"{where}.normalization")
+        if norm != w.offset:
+            raise ConfigError(
+                f"{where}.normalization is {norm!r}, but the weight's raw value at"
+                f" t = 1 is {w.offset!r}"
+            )
+    return w

@@ -11,6 +11,7 @@ proportionality of distances on expanded intervals holds with margin.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,7 +27,11 @@ SIDE_WINDOW_HI = 2.5
 
 
 class CompactSet1D:
-    """Finite union of disjoint closed intervals, points allowed."""
+    """Finite union of disjoint closed intervals, points allowed.
+
+    starts and ends list the component endpoints; both are increasing,
+    since the components are sorted and disjoint.
+    """
 
     def __init__(self, components) -> None:
         comps = tuple((float(a), float(b)) for a, b in components)
@@ -41,6 +46,8 @@ class CompactSet1D:
             if not b0 < a1:
                 raise ValueError("components must be sorted and disjoint")
         self.components = comps
+        self.starts = tuple(a for a, _ in comps)
+        self.ends = tuple(b for _, b in comps)
 
     @classmethod
     def from_points(cls, points: Iterable[float]) -> CompactSet1D:
@@ -56,7 +63,24 @@ class CompactSet1D:
         return self.components[0][0], self.components[-1][1]
 
     def __contains__(self, x: float) -> bool:
-        return any(a <= x <= b for a, b in self.components)
+        return self.meets(x, x)
+
+    def meets(self, left: float, right: float) -> bool:
+        """Whether [left, right] meets the set.
+
+        Only the last component starting at or before right can: the
+        ends increase, so it reaches furthest.  Comparisons only, so exact.
+        """
+        i = bisect.bisect_right(self.starts, right) - 1
+        return i >= 0 and left <= self.ends[i]
+
+    def encloses(self, left: float, right: float) -> bool:
+        """Whether one component contains [left, right].
+
+        Only the last component starting at or before left can, as in meets.
+        """
+        i = bisect.bisect_right(self.starts, left) - 1
+        return i >= 0 and right <= self.ends[i]
 
 
 def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
@@ -251,12 +275,10 @@ def build_cover(
     while stack:
         left, side, gen = stack.pop()
         right = left + side
-        if any(a <= left and right <= b for a, b in e.components):
+        if e.encloses(left, right):
             continue  # interior cells carry no region points
         # min distance over a cell disjoint from E sits at an endpoint
-        if not (left in e or right in e) and not any(
-            left <= a <= right for a, _ in e.components
-        ):
+        if not e.meets(left, right):
             if min(distance_and_nearest(e, left)[0], distance_and_nearest(e, right)[0]) >= r_cov:
                 continue
         center = left + 0.5 * side

@@ -1,7 +1,8 @@
 """Every function, method and class in src/ has a caller in src/ or bench/.
 
 The check parses src/ultraext/*.py and bench/*.py with ast and collects
-references: a name, an attribute, or a string constant equal to the
+references: a name that is read (not one that is assigned, such as a
+NamedTuple field), an attribute, or a string constant equal to the
 identifier (as in the benchmark tracer's layer table).  A definition is
 dead when its name has no reference outside its own body.  Tests do not
 count: code that only a test runs belongs in the tests (see
@@ -11,9 +12,12 @@ definition without running it.
 Name matching cannot see a dead member when another definition or a
 local variable shares its name: one of the seven ``to_json`` methods
 could lose its caller unseen, and a method named like a local (``row``,
-``degree``) would pass on the local alone.  UltraJet.row is such a name
-and does have callers (extension_engine._valuation_oks and
-bench/checks.py).  Dunder methods are left out, since Python calls them.
+``degree``) would pass on the local alone.  Two such members have only
+test callers today: WeightMatrix.from_json passes on UltraJet's and
+ExtensionPlan's ``from_json``, and UltraJet.to_json on the other
+``to_json`` methods.  UltraJet.row does have callers
+(extension_engine._valuation_oks and bench/checks.py).  Dunder methods
+are left out, since Python calls them.
 
 The same holds for data: every attribute a src/ class assigns on self
 is read somewhere in src/ or bench/, as an attribute load or a string
@@ -37,16 +41,15 @@ ALLOWED = {
     "lemma8_regularize": "waits for the caller of ROADMAP item 4 (the sequence form)",
     "h_function": "the paper's definition of h, which the acceptance criteria run",
     "associated_weight": "the paper's definition of omega_M, which the acceptance criteria run",
-    "kappa_transform": "the one-point form of kappa_transform_grid, the paper's kappa at a t",
-    "young_conjugate": "the one-point form of young_conjugate_grid, the paper's conjugate at a y",
-    "check_derivative_bound": "an audit of the partition's derivative bound no command runs yet",
+    "Partition.sup_norm": "the exact sup of phi_i^(b), which ROADMAP item 9's exact C_b builds on",
+    "equivalent": "ROADMAP item 3 reuses its fitted ratio constant and trend",
 }
 
 
 def _references(tree: ast.AST) -> Counter:
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1

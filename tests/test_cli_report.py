@@ -492,6 +492,57 @@ def test_extend_bad_jet_kind_is_config_error(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        # Both used to be ignored: the run passed with scale 1 and
+        # normalization 1 recorded in the report.
+        (
+            {"family": "power", "parameters": {"exponent": 0.5, "scael": 3.0}},
+            "config.weight.parameters of a power weight: unknown ['scael']",
+        ),
+        (
+            {**SQRT_WEIGHT, "normalization": 123.0},
+            "config.weight.normalization is 123.0",
+        ),
+        # This one used to end in a bare TypeError.
+        (
+            {"family": "power", "parameters": {"exponent": "0.5"}},
+            "config.weight.parameters.exponent must be a number, got '0.5'",
+        ),
+    ],
+)
+def test_extend_bad_weight_block_is_config_error(tmp_path, capsys, weight, message):
+    cfg = write_config(tmp_path, dict(GEVREY_EXTEND, weight=weight))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert f"error: ConfigError: {message}" in capsys.readouterr().err
+
+
+def test_extend_report_weight_block_reads_back(extend_run, tmp_path):
+    # weight_to_json's block, normalization included, is a valid config weight.
+    _, out = extend_run
+    weight = read_json(out / "bound_report.json")["weight"]
+    assert weight["normalization"] == 1.0
+    cfg = write_config(tmp_path, dict(GEVREY_EXTEND, weight=weight))
+    again = tmp_path / "again"
+    assert main(["extend", "--config", cfg, "--out", str(again)]) == EXIT_OK
+    assert (again / "bound_report.json").read_bytes() == (out / "bound_report.json").read_bytes()
+
+
+def test_extend_duplicate_jet_file_entry_is_config_error(tmp_path, capsys):
+    values = [[0.0, 0, 0.0], [0.0, 1, 1.0], [0.0, 1, 2.0]]
+    doc = {"e": [[0.0, 0.0]], "alpha_max": 1, "values": values}
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, dict(GEVREY_EXTEND, jet={"kind": "file", "path": str(jet_path)}))
+    out = tmp_path / "out"
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert "error: ConfigError: jet values repeat order 1 at point 0.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workload", ["extend_readme", "extend_cluster", "audit_dense"])
 def test_extend_fires_every_traced_layer(tmp_path, monkeypatch, workload):
     # The benchmark's tracer wraps named module bindings of each layer; a

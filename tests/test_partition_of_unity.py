@@ -1,4 +1,4 @@
-"""Bump splines, the normalized family, and the derivative envelope fit."""
+"""Bump splines, the normalized family, and its exact derivative extrema."""
 
 import functools
 import math
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraext import partition_of_unity as pou
-from ultraext._fitting import BOUNDED
 from ultraext.errors import DegenerateSupport, UncoveredPoint
 from ultraext.partition_of_unity import (
     MARGIN_FRACTION,
@@ -24,10 +23,8 @@ from ultraext.partition_of_unity import (
     _taylor_shift,
     build_bump,
     build_partition,
-    check_derivative_bound,
     template_plateau,
 )
-from ultraext.seq_calculus import WeightSequence
 from ultraext.whitney_geometry import (
     CompactSet1D,
     build_cover,
@@ -305,39 +302,6 @@ def test_sup_norm_dominates_dense_grid():
         grid = max(abs(part.derivatives(i, float(x), order)[order]) for x in xs)
         assert grid <= exact * (1.0 + 1e-9)
         assert exact <= grid * 1.05
-
-
-def test_derivative_bound_report():
-    cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=6)
-    part = build_partition(cover, 8)
-    row = WeightSequence.factorial_power(1.0, 256)
-    report = check_derivative_bound(part, row, 8)
-    assert report.fold_count == 8 and report.beta_max == 8
-    assert report.envelope_b == 1.0
-    assert report.m_trend == BOUNDED
-    assert report.clamped_envelopes == 0
-    assert report.geometric_rate >= 1.0
-    assert len(report.per_beta_m) == 9 and len(report.normalized_m) == 9
-    # order zero needs no geometric help: phi values stay below one
-    assert report.per_beta_m[0] <= 1.0
-    assert report.fitted_m == pytest.approx(max(report.normalized_m), rel=1e-12)
-    assert report.sample_count == 256
-    assert len(report.sup_norms) == len(part)
-    for row_sup in report.sup_norms:
-        assert row_sup[0] <= 1.0 + 1e-12
-
-
-def test_derivative_bound_errors():
-    part = point_partition()
-    row = WeightSequence.factorial_power(1.0, 64)
-    with pytest.raises(ValueError):
-        check_derivative_bound(part, row, 9)
-    short = WeightSequence.factorial_power(1.0, 16)
-    tall = Partition.from_bumps(part.bumps, 17, cover=part.cover)
-    with pytest.raises(ValueError):
-        check_derivative_bound(tall, short, 17)
-    with pytest.raises(ValueError):
-        check_derivative_bound(part, row, 4, sample_points=[0.25, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

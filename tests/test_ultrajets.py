@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, libm_log_maxima, range_trend
-from ultraext.errors import InconclusiveTrend, NotInClass, OrderOverflow
+from ultraext.errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
 from ultraext.matrix_calculus import associated_matrix
 from ultraext.ultrajets import (
     JetCertificate,
@@ -573,3 +573,38 @@ def test_jet_json_round_trip():
     doc["values"] = doc["values"][:-1]
     with pytest.raises(ValueError):
         UltraJet.from_json(doc)
+
+
+JET_DOC = {"e": [[0.0, 0.0]], "alpha_max": 1, "values": [[0.0, 0, 1.0], [0.0, 1, 2.0]]}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # alpha_max 1.7 used to be truncated to 1.
+        ({"alpha_max": 1.7}, "alpha_max"),
+        ({"alpha_max": True}, "alpha_max"),
+        # A second entry for (0.0, 1) used to overwrite the first.
+        ({"values": [[0.0, 0, 1.0], [0.0, 1, 2.0], [0.0, 1, 5.0]]}, "repeat order 1"),
+        ({"values": [[0.0, 0, True], [0.0, 1, 2.0]]}, "value"),
+        ({"values": [[0.0, 0, "1.5"], [0.0, 1, 2.0]]}, "value"),
+        ({"values": [["0", 0, 1.0], [0.0, 1, 2.0]]}, "point"),
+        ({"values": [[0.0, 0.5, 1.0], [0.0, 1, 2.0]]}, "order"),
+        ({"values": [[0.0, 0, 1.0], [0.0, 1]]}, "3-entry lists"),
+        ({"values": [[0.0, 0, 1.0]]}, "orders 0 to 1"),
+        ({"e": [[0.0, "0"]]}, "endpoint"),
+        ({"e": [[0.0]]}, "2-entry lists"),
+        ({"e": "0"}, "e must be a list"),
+        ({"comment": "ignored before"}, r"unknown: \['comment'\]"),
+    ],
+)
+def test_jet_json_is_read_strictly(edit, match):
+    with pytest.raises(ConfigError, match=match):
+        UltraJet.from_json({**JET_DOC, **edit})
+
+
+def test_jet_json_takes_integral_floats_as_counts():
+    doc = {**JET_DOC, "alpha_max": 1.0, "values": [[0.0, 0.0, 1.0], [0.0, 1, 2]]}
+    assert UltraJet.from_json(doc) == UltraJet.from_json(JET_DOC)
+    with pytest.raises(ConfigError, match=r"missing: \['values'\]"):
+        UltraJet.from_json({"e": [[0.0, 0.0]], "alpha_max": 1})

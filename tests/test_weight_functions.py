@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend
-from ultraext.errors import BracketFailure, DivergentTail, InconclusiveTrend
+from ultraext.errors import BracketFailure, ConfigError, DivergentTail, InconclusiveTrend
 from ultraext.weight_functions import (
     WeightFunction,
     classify,
     equivalent,
     geometric_grid,
-    kappa_transform,
     kappa_transform_grid,
     weight_from_json,
     weight_to_json,
-    young_conjugate,
     young_conjugate_grid,
 )
 
@@ -37,9 +36,9 @@ def conjugate_closed_form(y, exponent, scale=1.0):
 
 def test_conjugate_frozen_values_sqrt():
     w = WeightFunction.power(0.5)
-    assert young_conjugate(w, 1.0) == pytest.approx(2 * math.log(2) - 1, rel=1e-9)
-    assert young_conjugate(w, 2.0) == pytest.approx(4 * math.log(4) - 3, rel=1e-9)
-    assert young_conjugate(w, 0.0) == 0.0
+    assert young_conjugate_grid(w, [1.0])[0] == pytest.approx(2 * math.log(2) - 1, rel=1e-9)
+    assert young_conjugate_grid(w, [2.0])[0] == pytest.approx(4 * math.log(4) - 3, rel=1e-9)
+    assert young_conjugate_grid(w, [0.0])[0] == 0.0
 
 
 @pytest.mark.parametrize("exponent,scale", [(0.5, 1.0), (0.3, 2.0), (0.8, 0.5)])
@@ -64,17 +63,17 @@ def test_conjugate_vanishes_below_slope_threshold():
     # for scale*exponent = 1.5 the objective peaks at x = 0 until y reaches
     # 1.5; below that only rounding dust of the exp evaluation survives
     w = WeightFunction.power(0.5, scale=3.0)
-    assert young_conjugate(w, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert young_conjugate(w, 1.4999) == pytest.approx(0.0, abs=1e-12)
-    assert young_conjugate(w, 2.0) > 0.01
+    assert young_conjugate_grid(w, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
+    assert young_conjugate_grid(w, [1.4999])[0] == pytest.approx(0.0, abs=1e-12)
+    assert young_conjugate_grid(w, [2.0])[0] > 0.01
 
 
 def test_bracket_failure_for_linear_phi():
     # phi(x) = x for max(0, log t): the conjugate is infinite for y > 1
     w = WeightFunction.log_power(1.0)
     with pytest.raises(BracketFailure):
-        young_conjugate(w, 2.0)
-    assert young_conjugate(w, 0.5) == 0.0
+        young_conjugate_grid(w, [2.0])
+    assert young_conjugate_grid(w, [0.5])[0] == 0.0
 
 
 # The conjugate solver before it was batched: one call per y row, obj
@@ -149,7 +148,7 @@ def test_batched_conjugate_names_the_first_failing_y(xis):
 
 def test_kappa_power_closed_form():
     w = WeightFunction.power(0.5)
-    assert kappa_transform(w, 4.0) == pytest.approx(4.0, rel=1e-8)
+    assert kappa_transform_grid(w, [4.0])[0] == pytest.approx(4.0, rel=1e-8)
     for a in (0.2, 0.8):
         wa = WeightFunction.power(a)
         ts = np.geomspace(1.0, 1e6, 16)
@@ -169,7 +168,7 @@ def test_kappa_log_squared_family():
     w = WeightFunction.linear_over_log_squared()
     for x in (10.0, 16.0):
         t = math.exp(x)
-        assert kappa_transform(w, t) == pytest.approx(t / x, rel=1e-6)
+        assert kappa_transform_grid(w, [t])[0] == pytest.approx(t / x, rel=1e-6)
 
 
 def test_kappa_dominates_weight_and_is_concave():
@@ -191,7 +190,7 @@ def test_kappa_dominates_weight_and_is_concave():
 def test_divergent_tail_for_linear_weight():
     w = WeightFunction.linear()
     with pytest.raises(DivergentTail):
-        kappa_transform(w, 1.0)
+        kappa_transform_grid(w, [1.0])
     with pytest.raises(DivergentTail):
         WeightFunction.kappa_of(w)
 
@@ -201,7 +200,7 @@ def test_kappa_grid_matches_scalar_calls():
     ts = np.geomspace(0.5, 1e4, 9)
     grid_vals = kappa_transform_grid(w, ts)
     for t, v in zip(ts, grid_vals):
-        assert kappa_transform(w, float(t)) == pytest.approx(v, rel=1e-12)
+        assert kappa_transform_grid(w, [t])[0] == pytest.approx(v, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +218,7 @@ def test_kappa_grid_entries_are_bitwise_the_scalar_calls(w):
     # (or are still converging in it): each is the one-point result.
     ts = np.geomspace(1e-2, 1e9, 130)
     grid_vals = kappa_transform_grid(w, ts).tolist()
-    assert [v.hex() for v in grid_vals] == [kappa_transform(w, float(t)).hex() for t in ts]
+    assert [v.hex() for v in grid_vals] == [kappa_transform_grid(w, [t])[0].hex() for t in ts]
 
 
 
@@ -235,7 +234,7 @@ def test_kappa_of_a_weight_vanishing_on_the_first_panels_matches_mpmath(t):
     with mpmath.workdps(30):
         start = -mpmath.log(t)
         want = mpmath.quad(lambda v: (v - start) ** 2 * mpmath.exp(-v), [start, mpmath.inf])
-    got = kappa_transform(WeightFunction.log_power(2.0), t)
+    got = kappa_transform_grid(WeightFunction.log_power(2.0), [t])[0]
     assert got == pytest.approx(float(want), rel=1e-5)
 
 
@@ -429,6 +428,59 @@ def test_json_round_trip_all_families():
         assert np.allclose(again.raw(ts), w.raw(ts), rtol=1e-12)
     with pytest.raises(ValueError):
         weight_from_json({"family": "mystery"})
+
+
+SQRT_DOC = {"family": "power", "parameters": {"exponent": 0.5}}
+
+
+def tabulated_doc(log_t_knots, log_w_knots):
+    params = {"log_t_knots": log_t_knots, "log_w_knots": log_w_knots}
+    return {"family": "tabulated", "parameters": params}
+
+
+def kappa_doc(inner):
+    return {"family": "kappa_of", "parameters": {"inner": inner}}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        # A misspelled optional parameter used to be dropped silently.
+        ({"family": "power", "parameters": {"exponent": 0.5, "scael": 3.0}}, "scael"),
+        ({"family": "power", "parameters": {"scale": 3.0}}, "exponent"),
+        ({"family": "linear", "parameters": {"power": 2.0}}, "power"),
+        ({"family": "log_power", "parameters": {}}, "power"),
+        ({"family": "power", "parameters": {"exponent": "0.5"}}, "exponent"),
+        ({"family": "power", "parameters": {"exponent": 0.5, "scale": True}}, "scale"),
+        ({"family": "log_power", "parameters": {"power": None}}, "power"),
+        (tabulated_doc([0.0, "1"], [0.0, 1.0]), "log_t_knots"),
+        (tabulated_doc("01", [0.0, 1.0]), "log_t_knots"),
+        (kappa_doc({"family": "power", "parameters": {"exponant": 0.5}}), "exponant"),
+        (kappa_doc({"family": "power"}), "inner.parameters"),
+        ({"family": "kappa_of", "parameters": {"inner": SQRT_DOC, "rtol": "1e-8"}}, "rtol"),
+        ({**SQRT_DOC, "normalisation": 1.0}, "normalisation"),
+        ({**SQRT_DOC, "parameters": [0.5]}, "parameters"),
+        ({"parameters": {"exponent": 0.5}}, "family"),
+        # The raw value of sqrt(t) at t = 1 is 1.0, not 123.
+        ({**SQRT_DOC, "normalization": 123.0}, "normalization"),
+        ({**SQRT_DOC, "normalization": "1.0"}, "normalization"),
+        (kappa_doc({**SQRT_DOC, "normalization": 0.0}), "inner.normalization"),
+    ],
+)
+def test_weight_json_is_read_strictly(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        weight_from_json(doc)
+
+
+def test_weight_json_normalization_must_be_the_offset():
+    w = weight_from_json({**SQRT_DOC, "normalization": 1.0})
+    assert w.offset == 1.0
+    kappa = WeightFunction.kappa_of(WeightFunction.power(0.5))
+    doc = json.loads(json.dumps(weight_to_json(kappa)))
+    assert weight_from_json(doc).offset == kappa.offset
+    doc["normalization"] = math.nextafter(kappa.offset, 0.0)
+    with pytest.raises(ConfigError, match="normalization"):
+        weight_from_json(doc)
 
 
 def test_geometric_grid_shape():

@@ -259,3 +259,19 @@ def test_distances_and_nearest_is_the_scalar_rule(components, xs):
     for x, d, p in zip(xs, ds.tolist(), ps.tolist()):
         want_d, want_p = distance_and_nearest(e, x)
         assert (d.hex(), p.hex()) == (want_d.hex(), want_p.hex()), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_set_lookups_are_the_component_scans(data):
+    # Endpoints on a coarse grid, so cells share endpoints with components.
+    grid = st.integers(-8, 8).map(lambda v: v / 4.0)
+    ends = sorted(data.draw(st.lists(grid, min_size=2, max_size=8, unique=True)))
+    pairs = list(zip(ends[::2], ends[1::2])) or [(ends[0], ends[0])]
+    comps = [(a, a) if data.draw(st.booleans()) else (a, b) for a, b in pairs]
+    e = CompactSet1D(comps)
+    left, right = sorted(data.draw(st.tuples(grid, grid)))
+    assert e.encloses(left, right) == any(a <= left and right <= b for a, b in comps)
+    assert e.meets(left, right) == any(a <= right and left <= b for a, b in comps)
+    for x in (left, right, math.nan):
+        assert (x in e) == any(a <= x <= b for a, b in comps)

@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InconclusiveTrend, UltraextError, json_number
+from .errors import ConfigError, InconclusiveTrend, UltraextError
+from .errors import json_integer, json_number, json_numbers, json_object, json_rows
 from .extension_engine import (
     MAX_GENERATION,
     ExtensionPlan,
@@ -72,17 +73,17 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
-_WEIGHT_KEYS = {"family": None, "parameters": None, "normalization": None}
 _SET_KEYS = {"points": None, "intervals": None}
 
 # Allowed keys per command, nested where the value is itself an object.
-# Anything else in the config is rejected up front.
+# Anything else in the config is rejected up front; weight_from_json
+# checks the keys of the weight object.
 _SCHEMA = {
     "classify": {
         "command": None,
         "out": None,
         "seed": None,
-        "weight": _WEIGHT_KEYS,
+        "weight": None,
         "grid": {"t_min": None, "t_max": None, "per_decade": None},
         "tolerances": {"growth_tol": None, "little_o_eps": None, "rtol": None},
     },
@@ -90,7 +91,7 @@ _SCHEMA = {
         "command": None,
         "out": None,
         "seed": None,
-        "weight": _WEIGHT_KEYS,
+        "weight": None,
         "k": None,
         "xi": None,
     },
@@ -98,7 +99,7 @@ _SCHEMA = {
         "command": None,
         "out": None,
         "seed": None,
-        "weight": _WEIGHT_KEYS,
+        "weight": None,
         "k": None,
         "xi": None,
         "jet": {
@@ -137,17 +138,10 @@ _SCHEMA = {
 
 
 def _check_keys(doc: dict, schema: dict, where: str) -> None:
-    for key, value in doc.items():
-        if key not in schema:
-            raise ConfigError(
-                f"unknown key {key!r} in {where}; allowed: {sorted(schema)}"
-            )
-        sub = schema[key]
-        if sub is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}.{key} must be an object")
-        _check_keys(value, sub, f"{where}.{key}")
+    json_object(doc, where, optional=schema)
+    for key, sub in schema.items():
+        if sub is not None and key in doc:
+            _check_keys(doc[key], sub, f"{where}.{key}")
 
 
 def _number(cfg: dict, key: str, default, where: str = "config"):
@@ -155,58 +149,36 @@ def _number(cfg: dict, key: str, default, where: str = "config"):
 
 
 def _integer(cfg: dict, key: str, default, where: str = "config", low: int | None = None) -> int:
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
+    value = json_integer(cfg.get(key, default), f"{where}.{key}")
     if low is not None and value < low:
         raise ConfigError(f"{where}.{key} must be at least {low}, got {value}")
-    return value
-
-
-def _object(cfg: dict, key: str, where: str = "config") -> dict:
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key} must be an object")
     return value
 
 
 def _require_weight(cfg: dict):
     if "weight" not in cfg:
         raise ConfigError("config needs a 'weight' object")
-    return weight_from_json(_object(cfg, "weight"), "config.weight")
+    return weight_from_json(cfg["weight"], "config.weight")
 
 
 def _xi_list(cfg: dict) -> tuple[float, ...]:
-    raw = cfg.get("xi", list(DEFAULT_XI))
-    if not isinstance(raw, (list, tuple)) or not raw:
+    xi = json_numbers(cfg.get("xi", list(DEFAULT_XI)), "config.xi")
+    if not xi:
         raise ConfigError("config.xi must be a nonempty list of numbers")
-    out = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("config.xi must be a nonempty list of numbers")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(xi)
 
 
-def _jsonify(obj):
-    """Recursively strip numpy types so json.dumps accepts the document."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _read_file(cfg: dict, where: str):
+    """The JSON document at cfg["path"], a file path string."""
+    path = cfg.get("path")
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}.path must be a file path string")
+    return json.loads(Path(path).read_text())
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
+    """A product's JSON text; every value in doc is a plain Python one."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_line(row) -> str:
@@ -239,13 +211,9 @@ def _csv_text(header, lines) -> str:
 
 
 def _build_set(doc: dict, where: str) -> CompactSet1D:
-    points = doc.get("points", [])
-    intervals = doc.get("intervals", [])
-    comps = [(float(p), float(p)) for p in points]
-    for pair in intervals:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"{where}.intervals entries must be [a, b] pairs")
-        comps.append((float(pair[0]), float(pair[1])))
+    comps = [(p, p) for p in json_numbers(doc.get("points", []), f"{where}.points")]
+    pairs = json_rows(doc.get("intervals", []), f"{where}.intervals", 2)
+    comps += [tuple(json_numbers(pair, f"{where}.intervals")) for pair in pairs]
     if not comps:
         raise ConfigError(f"{where} needs 'points' or 'intervals'")
     comps.sort()
@@ -267,11 +235,11 @@ def _base_points(e: CompactSet1D) -> tuple[float, ...]:
 def cmd_classify(cfg: dict):
     """Asymptotic classification of a weight plus the transform trace."""
     w = _require_weight(cfg)
-    grid = _object(cfg, "grid")
+    grid = cfg.get("grid", {})
     t_min = _number(grid, "t_min", 1.0, "config.grid")
     t_max = _number(grid, "t_max", 1e8, "config.grid")
     per_decade = _integer(grid, "per_decade", 10, "config.grid")
-    tol = _object(cfg, "tolerances")
+    tol = cfg.get("tolerances", {})
     growth_tol = _number(tol, "growth_tol", 1.05, "config.tolerances")
     little_o_eps = _number(tol, "little_o_eps", 0.05, "config.tolerances")
     rtol = _number(tol, "rtol", 1e-8, "config.tolerances")
@@ -356,26 +324,23 @@ def cmd_matrix(cfg: dict):
 
 
 def _build_jet(cfg: dict, inter):
-    jcfg = _object(cfg, "jet")
+    jcfg = cfg.get("jet", {})
     kind = jcfg.get("kind")
     if kind == "file":
-        path = jcfg.get("path")
-        if not isinstance(path, str):
-            raise ConfigError("config.jet.path must be a file path string")
-        return UltraJet.from_json(json.loads(Path(path).read_text()))
+        return UltraJet.from_json(_read_file(jcfg, "config.jet"))
 
     if "set" not in jcfg:
         raise ConfigError("config.jet needs a 'set' object unless kind is 'file'")
-    e = _build_set(_object(jcfg, "set", "config.jet"), "config.jet.set")
+    e = _build_set(jcfg["set"], "config.jet.set")
     points = _base_points(e)
     alpha_max = _integer(jcfg, "alpha_max", 32, "config.jet")
     if kind == "zero":
         return UltraJet(e, points, ((0.0,) * (alpha_max + 1),) * len(points))
     if kind == "polynomial":
-        coeffs = jcfg.get("coefficients")
-        if not isinstance(coeffs, (list, tuple)) or not coeffs:
+        coeffs = json_numbers(jcfg.get("coefficients"), "config.jet.coefficients")
+        if not coeffs:
             raise ConfigError("config.jet.coefficients must be a nonempty list")
-        return polynomial_jet(e, points, [float(c) for c in coeffs], alpha_max)
+        return polynomial_jet(e, points, coeffs, alpha_max)
     if kind == "gevrey":
         xi = _number(jcfg, "xi", 1.0, "config.jet")
         scale = _number(jcfg, "scale", 1.0, "config.jet")
@@ -462,7 +427,7 @@ def cmd_extend(cfg: dict):
     w = _require_weight(cfg)
     k_max = _integer(cfg, "k", 64)
     xi_grid = _xi_list(cfg)
-    run = _object(cfg, "run")
+    run = cfg.get("run", {})
     samples = _integer(run, "samples", 240, "config.run", low=1)
     csv_samples = _integer(run, "csv_samples", 40, "config.run", low=1)
     alpha_cap = _integer(run, "alpha_cap", 8, "config.run", low=0)
@@ -479,15 +444,15 @@ def cmd_extend(cfg: dict):
     inter = interleave_matrix(reg, inter_xi)
 
     jet = _build_jet(cfg, inter)
-    jcfg = _object(cfg, "jet")
-    cert_xi = jcfg.get("xi")
+    jcfg = cfg.get("jet", {})
+    cert_xi = _number(jcfg, "xi", None, "config.jet") if "xi" in jcfg else None
     cert = certify(jet, inter, xi=cert_xi)
 
-    pcfg = _object(cfg, "plan")
+    pcfg = cfg.get("plan", {})
     if "path" in pcfg:
         if "dilation" in pcfg or "folds" in pcfg:
             raise ConfigError("config.plan.path excludes inline plan parameters")
-        plan = ExtensionPlan.from_json(json.loads(Path(pcfg["path"]).read_text()))
+        plan = ExtensionPlan.from_json(_read_file(pcfg, "config.plan"))
     else:
         dilation = pcfg.get("dilation")
         if dilation is not None:
@@ -512,12 +477,8 @@ def cmd_extend(cfg: dict):
     default_base = next(
         (p for p in jet.base_points if p in right_ends), jet.base_points[0]
     )
-    boundary_a = run.get("boundary_base", default_base)
-    if isinstance(boundary_a, bool) or not isinstance(boundary_a, (int, float)):
-        raise ConfigError("config.run.boundary_base must be a number")
-    bnd = boundary_limits(
-        ext, report.alpha_cap, float(boundary_a), max_index=boundary_max
-    )
+    boundary_a = _number(run, "boundary_base", default_base, "config.run")
+    bnd = boundary_limits(ext, report.alpha_cap, boundary_a, max_index=boundary_max)
 
     # Jittered sample trace.  The jitter rescales the distance to the
     # nearest set point, keeping every sample inside the verified band;
@@ -581,8 +542,8 @@ def cmd_extend(cfg: dict):
 def cmd_cover(cfg: dict):
     if "set" not in cfg:
         raise ConfigError("config needs a 'set' object")
-    e = _build_set(_object(cfg, "set"), "config.set")
-    ccfg = _object(cfg, "cover")
+    e = _build_set(cfg["set"], "config.set")
+    ccfg = cfg.get("cover", {})
     r_cov = _number(ccfg, "r_cov", 1.0, "config.cover")
     expansion = _number(ccfg, "expansion", EXPANSION, "config.cover")
     max_generation = _integer(ccfg, "max_generation", 48, "config.cover", low=0)

@@ -113,3 +113,30 @@ def json_integer(value, where: str, error: type[Exception] = ConfigError) -> int
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def json_numbers(value, where: str) -> list[float]:
+    """value as a list of floats if it is a JSON list of numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return [json_number(v, f"{where} entry") for v in value]
+
+
+def json_rows(value, where: str, size: int) -> list:
+    """value if it is a JSON list of size-entry lists."""
+    if not (isinstance(value, list) and all(isinstance(v, list) and len(v) == size for v in value)):
+        raise ConfigError(f"{where} must be a list of {size}-entry lists")
+    return value
+
+
+def json_object(
+    value, where: str, required=(), optional=(), error: type[Exception] = ConfigError
+) -> dict:
+    """value if it is a JSON object with every required key and no key beyond optional."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be an object")
+    missing = sorted(set(required) - set(value))
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if missing or unknown:
+        raise error(f"{where} keys missing: {missing}, unknown: {unknown}")
+    return value

@@ -31,13 +31,16 @@ from .errors import (
     PrecisionFloor,
     json_integer,
     json_number,
+    json_object,
 )
 from .matrix_calculus import WeightMatrix, interleave_matrix, sandwich_H
 from .partition_of_unity import Partition, build_partition
 from .seq_calculus import WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly, taylor_vectors
 from .whitney_geometry import (
+    EXPANDED_CLEARANCE,
     EXPANSION,
+    SIDE_WINDOW_HI,
     WhitneyCover,
     build_cover,
     distance_and_nearest,
@@ -158,17 +161,10 @@ class ExtensionPlan:
         ``theory_degree`` must be integral numbers and every other value
         a number (``m1`` may be null); booleans and strings are rejected.
         """
-        required = {"dilation", "folds", "xi", "rho", "jet_bound"}
-        missing = required - set(doc)
-        unknown = set(doc) - required - {"constants", "theory_degree"}
-        if missing or unknown:
-            raise PlanInvalid(
-                f"plan keys missing: {sorted(missing)}, unknown: {sorted(unknown)}"
-            )
+        required = ("dilation", "folds", "xi", "rho", "jet_bound")
+        json_object(doc, "plan", required, ("constants", "theory_degree"), PlanInvalid)
         given = doc.get("constants", {})
-        unknown = set(given) - set(PlanConstants._fields)
-        if unknown:
-            raise PlanInvalid(f"unknown plan constants: {sorted(unknown)}")
+        json_object(given, "plan.constants", (), PlanConstants._fields, PlanInvalid)
 
         def number(key: str, value) -> float:
             return json_number(value, f"plan value {key}", PlanInvalid)
@@ -211,9 +207,9 @@ def make_plan(
         raise MissingRow(f"plan needs rows at 2*xi={2 * xi} and 4*xi={4 * xi}")
     inter = interleave_matrix(regular, [2.0 * xi])
     h = sandwich_H(regular, inter, 2.0 * xi, regular.order)
-    # Degree rate of the smoothness budget at envelope base 1: margin and
-    # window constants of the cover enter through A_2 = 2.5 and b_1 = 7/16.
-    k1 = 27.0 * 2.5 * h / (7.0 / 16.0)
+    # Degree rate of the smoothness budget at envelope base 1: the cover's
+    # window and margin constants enter as its A_2 and b_1.
+    k1 = 27.0 * SIDE_WINDOW_HI * h / EXPANDED_CLEARANCE
     if dilation is None:
         dilation = 16.0 * rho
     theory = math.ceil(k1 * float(dilation))

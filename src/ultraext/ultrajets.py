@@ -25,7 +25,7 @@ import numpy as np
 from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
 from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
-from .errors import json_integer, json_number
+from .errors import json_integer, json_number, json_object, json_rows
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
 
@@ -202,24 +202,12 @@ class UltraJet:
         a second entry for one (point, order) pair; every point needs
         every order up to alpha_max.  ConfigError names the bad entry.
         """
-        if not isinstance(doc, dict):
-            raise ConfigError("a jet must be a JSON object")
-        keys = {"e", "alpha_max", "values"}
-        missing, unknown = keys - set(doc), set(doc) - keys
-        if missing or unknown:
-            raise ConfigError(f"jet keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
-
-        def lists(name: str, size: int) -> list:
-            value = doc[name]
-            shaped = isinstance(value, list) and all(isinstance(v, list) for v in value)
-            if not (shaped and all(len(v) == size for v in value)):
-                raise ConfigError(f"jet {name} must be a list of {size}-entry lists")
-            return value
-
-        comps = [tuple(json_number(v, "jet e endpoint") for v in pair) for pair in lists("e", 2)]
+        json_object(doc, "jet", ("e", "alpha_max", "values"))
+        pairs = json_rows(doc["e"], "jet e", 2)
+        comps = [tuple(json_number(v, "jet e endpoint") for v in pair) for pair in pairs]
         alpha_max = json_integer(doc["alpha_max"], "jet alpha_max")
         table: dict[float, dict[int, float]] = {}
-        for a, alpha, v in lists("values", 3):
+        for a, alpha, v in json_rows(doc["values"], "jet values", 3):
             a = json_number(a, "jet value point")
             alpha = json_integer(alpha, f"jet value order at {a!r}")
             row = table.setdefault(a, {})

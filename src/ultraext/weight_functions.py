@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, bound_constant, check_growth_tol, decade_trend
-from .errors import BracketFailure, ConfigError, DivergentTail, InconclusiveTrend, json_number
+from .errors import BracketFailure, ConfigError, DivergentTail, InconclusiveTrend
+from .errors import json_number, json_numbers, json_object
 
 # log of the value of t/(log t)^2 at its stationary point t = e^2; the
 # family is held constant below that point so the log-composition stays
@@ -287,8 +288,8 @@ def kappa_transform_grid(w: WeightFunction, t_values, rtol: float = 1e-8) -> np.
     bitwise the result of a call with that t alone.
     """
     ts = np.asarray(t_values, dtype=float)
-    if np.any(ts <= 0.0):
-        raise ValueError("kappa transform requires t > 0")
+    if np.any(ts <= 0.0) or not np.all(np.isfinite(ts)):
+        raise ValueError("kappa transform requires finite t > 0")
     return np.exp(_log_kappa_grid(w.log_raw, np.log(ts), rtol=rtol))
 
 
@@ -543,13 +544,9 @@ def weight_from_json(doc: dict, where: str = "weight") -> WeightFunction:
     normalization may be left out; if given, it must equal the built
     weight's offset, the value weight_to_json writes.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(doc) - {"family", "parameters", "normalization"})
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where}")
-    family = doc.get("family")
-    if family not in _JSON_PARAMETERS:
+    json_object(doc, where, ("family",), ("parameters", "normalization"))
+    family = doc["family"]
+    if not isinstance(family, str) or family not in _JSON_PARAMETERS:
         raise ConfigError(f"{where}.family: unknown weight family {family!r}")
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
@@ -567,9 +564,7 @@ def weight_from_json(doc: dict, where: str = "weight") -> WeightFunction:
         if key == "inner":
             args[key] = weight_from_json(value, at)
         elif key.endswith("_knots"):
-            if not isinstance(value, list):
-                raise ConfigError(f"{at} must be a list of numbers")
-            args[key] = [json_number(v, f"{at} entry") for v in value]
+            args[key] = json_numbers(value, at)
         else:
             args[key] = json_number(value, at)
     w = getattr(WeightFunction, family)(**args)

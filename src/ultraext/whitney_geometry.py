@@ -25,6 +25,10 @@ EXPANSION = 9.0 / 8.0
 SIDE_WINDOW_LO = 1.0
 SIDE_WINDOW_HI = 2.5
 
+# Distance from E of an expanded interval, in sides: the center sits at
+# least one side out and the default expansion reaches 9/16 of a side.
+EXPANDED_CLEARANCE = 7.0 / 16.0
+
 
 class CompactSet1D:
     """Finite union of disjoint closed intervals, points allowed.
@@ -302,7 +306,7 @@ def build_cover(
     constants = ExtensionConstants(
         r_0=r_cov,
         B_1=25.0 / 16.0,
-        b_1=7.0 / 16.0,
+        b_1=EXPANDED_CLEARANCE,
         A_1=SIDE_WINDOW_LO,
         A_2=SIDE_WINDOW_HI,
     )

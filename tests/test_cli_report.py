@@ -673,6 +673,64 @@ def test_count_below_its_floor_is_config_error_before_any_work(
     assert f"ConfigError: config.{section}.{key} must be at least {floor}, got {value}" in err
 
 
+def products(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, base, section, key, value",
+    [
+        ("extend", GEVREY_EXTEND, "run", "samples", 240),
+        ("cover-dump", COVER_DUMP, "cover", "check_points", 4096),
+        ("classify", {"weight": SQRT_WEIGHT}, "grid", "per_decade", 10),
+    ],
+)
+def test_integral_float_count_gives_the_integer_products(tmp_path, command, base, section, key, value):
+    # Plan and jet files took 8.0 for 8; a config count used to reject it.
+    outs = []
+    for form in (value, float(value)):
+        doc = dict(base, **{section: dict(base.get(section, {}), **{key: form})})
+        outs.append(tmp_path / f"out-{form!r}")
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(outs[-1])]) == EXIT_OK
+    assert products(outs[0]) == products(outs[1])
+
+
+POLYNOMIAL_JET = {"kind": "polynomial", "set": {"points": [0.0]}, "coefficients": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("extend", dict(GEVREY_EXTEND, jet=dict(GEVREY_EXTEND["jet"], set={"points": ["0.0"]})),
+         "config.jet.set.points entry"),
+        ("extend", dict(GEVREY_EXTEND, jet=dict(GEVREY_EXTEND["jet"], set={"points": [True]})),
+         "config.jet.set.points entry"),
+        ("extend", dict(GEVREY_EXTEND, jet=dict(GEVREY_EXTEND["jet"], set={"points": 0.0})),
+         "config.jet.set.points"),
+        ("extend", dict(GEVREY_EXTEND, jet=dict(GEVREY_EXTEND["jet"], set={"intervals": [["-1", 0.0]]})),
+         "config.jet.set.intervals entry"),
+        ("extend", dict(GEVREY_EXTEND, jet=dict(POLYNOMIAL_JET, coefficients=["1", "2"])),
+         "config.jet.coefficients entry"),
+        ("extend", dict(GEVREY_EXTEND, jet=dict(POLYNOMIAL_JET, coefficients=[1.0, False])),
+         "config.jet.coefficients entry"),
+        ("extend", dict(GEVREY_EXTEND, plan={"path": 5}), "config.plan.path"),
+        ("cover-dump", dict(COVER_DUMP, set={"points": [False]}), "config.set.points entry"),
+        ("cover-dump", dict(COVER_DUMP, set={"points": 1.0}), "config.set.points"),
+        ("cover-dump", dict(COVER_DUMP, set={"intervals": [[-1.0, "0"]]}), "config.set.intervals entry"),
+        ("cover-dump", dict(COVER_DUMP, set={"intervals": [[-1.0, True]]}), "config.set.intervals entry"),
+        ("cover-dump", dict(COVER_DUMP, set={"intervals": [-1.0, 0.0]}), "config.set.intervals"),
+    ],
+)
+def test_non_number_in_a_set_jet_or_plan_is_config_error(tmp_path, capsys, command, doc, key):
+    # Strings and booleans used to pass through float() and run to exit 0;
+    # a scalar list and a numeric plan path ended in bare TypeErrors.
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert f"error: ConfigError: {key} must be " in capsys.readouterr().err
+
+
 def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
     # At |b - a| = 1e100 a bound rho^k e^rest passes double range.
     doc = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": [0.0, 1e100]}))
@@ -707,6 +765,23 @@ def run_entry(*args):
         [sys.executable, "-c", _ENTRY_PROBE, *args], env=env, capture_output=True, text=True
     )
     return proc, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_readme_tables_list_every_config_key():
+    # The table under each command's README section lists exactly the keys
+    # its config may hold, nested ones as dotted paths.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def paths(schema, prefix=""):
+        for key, sub in schema.items():
+            yield prefix + key
+            if sub is not None:
+                yield from paths(sub, prefix + key + ".")
+
+    for command, schema in cli._SCHEMA.items():
+        section = text.split(f"\n### {command}\n", 1)[1].split("\n#", 1)[0]
+        listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert sorted(listed) == sorted(paths(schema)), command
 
 
 @pytest.fixture

@@ -35,7 +35,12 @@ from ultraext.matrix_calculus import (
 from ultraext.seq_calculus import WeightSequence
 from ultraext.ultrajets import JetCertificate, UltraJet, certify, polynomial_jet
 from ultraext.weight_functions import WeightFunction
-from ultraext.whitney_geometry import CompactSet1D, distance_and_nearest
+from ultraext.whitney_geometry import (
+    EXPANDED_CLEARANCE,
+    SIDE_WINDOW_HI,
+    CompactSet1D,
+    distance_and_nearest,
+)
 from _reference import terms
 
 
@@ -245,11 +250,21 @@ def test_make_plan_constants(pipeline):
     reg, _, _, cert, plan, _ = pipeline
     h = plan.constants.h
     assert h >= 1.0
-    assert plan.constants.k1 == pytest.approx(27.0 * 2.5 * h / (7.0 / 16.0))
+    assert plan.constants.k1 == 27.0 * SIDE_WINDOW_HI * h / EXPANDED_CLEARANCE
     assert plan.constants.k3 == pytest.approx(3.0 * h)
     assert plan.dilation == pytest.approx(16.0 * cert.rho)
     assert plan.theory_degree == math.ceil(plan.constants.k1 * plan.dilation)
     assert plan.meets_threshold
+
+
+def test_make_plan_k1_takes_the_cover_constants(pipeline):
+    # k1 reads A_2 and b_1 from the names the cover is built with, and is
+    # bitwise the rate the plan used when both were spelled as literals.
+    _, _, _, _, plan, ext = pipeline
+    cover = ext.cover.constants
+    assert (cover.A_2, cover.b_1) == (SIDE_WINDOW_HI, EXPANDED_CLEARANCE) == (2.5, 7.0 / 16.0)
+    h = plan.constants.h
+    assert plan.constants.k1 == 27.0 * cover.A_2 * h / cover.b_1 == 27.0 * 2.5 * h / (7.0 / 16.0)
 
 
 def test_make_plan_needs_both_rows(pipeline):

@@ -195,6 +195,15 @@ def test_divergent_tail_for_linear_weight():
         WeightFunction.kappa_of(w)
 
 
+@pytest.mark.parametrize("ts", [[math.nan, 4.0], [math.inf], [4.0, -math.inf], [0.0]])
+def test_kappa_grid_rejects_non_finite_or_non_positive_t(ts):
+    # A NaN or infinite t used to run the quadrature and end in
+    # DivergentTail, a verdict on the weight rather than on the argument.
+    with pytest.raises(ValueError, match="finite t > 0") as err:
+        kappa_transform_grid(WeightFunction.power(0.5), ts)
+    assert not isinstance(err.value, DivergentTail)
+
+
 def test_kappa_grid_matches_scalar_calls():
     w = WeightFunction.power(0.7)
     ts = np.geomspace(0.5, 1e4, 9)
@@ -461,6 +470,8 @@ def kappa_doc(inner):
         ({**SQRT_DOC, "normalisation": 1.0}, "normalisation"),
         ({**SQRT_DOC, "parameters": [0.5]}, "parameters"),
         ({"parameters": {"exponent": 0.5}}, "family"),
+        # An unhashable family used to end in a bare TypeError.
+        ({"family": ["power"], "parameters": {"exponent": 0.5}}, "family"),
         # The raw value of sqrt(t) at t = 1 is 1.0, not 123.
         ({**SQRT_DOC, "normalization": 123.0}, "normalization"),
         ({**SQRT_DOC, "normalization": "1.0"}, "normalization"),

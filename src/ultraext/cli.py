@@ -9,6 +9,13 @@ has succeeded, so a failed write leaves the old products untouched.  The
 replacements are one os.replace per file: a failure between two of them
 can leave a mix of new and old products.
 
+_SCHEMA, the one table of config keys, gives each key's reader (which
+holds the key's floor) and default.  _load_config reads the config
+through it with the flags applied, so config, weight, sets, jet file and
+plan file are all checked before any work; a wrong kind or a broken
+floor is a ConfigError naming the dotted key.  Only a gevrey jet's checks
+against the interleaved matrix wait for the matrix.
+
 The seed (config "seed" or --seed) is a nonnegative integer; `extend`
 draws its sample-trace jitter from numpy's default generator stream
 (PCG64 as seeded by numpy.random.default_rng), reproduced in-repo so the
@@ -28,12 +35,14 @@ import gc
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InconclusiveTrend, UltraextError
-from .errors import json_integer, json_number, json_numbers, json_object, json_rows
+from .errors import json_components, json_integer, json_number, json_numbers, json_object, json_rows
 from .extension_engine import (
     MAX_GENERATION,
     ExtensionPlan,
@@ -73,107 +82,180 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
-_SET_KEYS = {"points": None, "intervals": None}
-
-# Allowed keys per command, nested where the value is itself an object.
-# Anything else in the config is rejected up front; weight_from_json
-# checks the keys of the weight object.
-_SCHEMA = {
-    "classify": {
-        "command": None,
-        "out": None,
-        "seed": None,
-        "weight": None,
-        "grid": {"t_min": None, "t_max": None, "per_decade": None},
-        "tolerances": {"growth_tol": None, "little_o_eps": None, "rtol": None},
-    },
-    "matrix": {
-        "command": None,
-        "out": None,
-        "seed": None,
-        "weight": None,
-        "k": None,
-        "xi": None,
-    },
-    "extend": {
-        "command": None,
-        "out": None,
-        "seed": None,
-        "weight": None,
-        "k": None,
-        "xi": None,
-        "jet": {
-            "kind": None,
-            "path": None,
-            "set": _SET_KEYS,
-            "alpha_max": None,
-            "xi": None,
-            "scale": None,
-            "coefficients": None,
-        },
-        "plan": {"path": None, "dilation": None, "folds": None},
-        "run": {
-            "samples": None,
-            "csv_samples": None,
-            "alpha_cap": None,
-            "r_cov": None,
-            "max_generation": None,
-            "boundary_base": None,
-            "boundary_max_index": None,
-        },
-    },
-    "cover-dump": {
-        "command": None,
-        "out": None,
-        "seed": None,
-        "set": _SET_KEYS,
-        "cover": {
-            "r_cov": None,
-            "expansion": None,
-            "max_generation": None,
-            "check_points": None,
-        },
-    },
-}
+# The default of a key the config must give.
+_REQUIRED = object()
 
 
-def _check_keys(doc: dict, schema: dict, where: str) -> None:
-    json_object(doc, where, optional=schema)
-    for key, sub in schema.items():
-        if sub is not None and key in doc:
-            _check_keys(doc[key], sub, f"{where}.{key}")
+class _Number(NamedTuple):
+    """Reader of a config number; with count=True, of an integral one.
+
+    The value must be at least `least`, greater than `above` and less
+    than `below`, where given: the key's README Floor, which NaN breaks.
+    `words` states the floor in the error instead.
+    """
+
+    count: bool = False
+    least: float | None = None
+    above: float | None = None
+    below: float | None = None
+    words: str | None = None
+
+    def __call__(self, value, where: str):
+        x = (json_integer if self.count else json_number)(value, where)
+        if self.least is not None and not x >= self.least:
+            broken = f"at least {self.least:g}"
+        elif self.above is not None and not x > self.above:
+            broken = f"greater than {self.above:g}"
+        elif self.below is not None and not x < self.below:
+            broken = f"less than {self.below:g}"
+        else:
+            return x
+        raise ConfigError(f"{where} must be {self.words or broken}, got {x}")
 
 
-def _number(cfg: dict, key: str, default, where: str = "config"):
-    return json_number(cfg.get(key, default), f"{where}.{key}")
+class _Object(NamedTuple):
+    """Reader of a config object: each key's (reader, default), then build.
+
+    A key left out takes its default, read like a given value; a None
+    default stays None (the value depends on other keys or on the run)
+    and a _REQUIRED key must be given.  build(values, doc, where), where
+    given, makes the object's value and checks rules between keys.
+    """
+
+    keys: dict
+    build: Callable | None = None
+
+    def __call__(self, doc, where: str):
+        json_object(doc, where, optional=self.keys)
+        values = {}
+        for key, (read, default) in self.keys.items():
+            at = f"{where}.{key}"
+            if key in doc:
+                values[key] = read(doc[key], at)
+            elif default is _REQUIRED:
+                raise ConfigError(f"{at} is required")
+            else:
+                values[key] = None if default is None else read(default, at)
+        return values if self.build is None else self.build(values, doc, where)
 
 
-def _integer(cfg: dict, key: str, default, where: str = "config", low: int | None = None) -> int:
-    value = json_integer(cfg.get(key, default), f"{where}.{key}")
-    if low is not None and value < low:
-        raise ConfigError(f"{where}.{key} must be at least {low}, got {value}")
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
     return value
 
 
-def _require_weight(cfg: dict):
-    if "weight" not in cfg:
-        raise ConfigError("config needs a 'weight' object")
-    return weight_from_json(cfg["weight"], "config.weight")
+def _pairs(value, where: str) -> list[list[float]]:
+    return [json_numbers(pair, where) for pair in json_rows(value, where, 2)]
 
 
-def _xi_list(cfg: dict) -> tuple[float, ...]:
-    xi = json_numbers(cfg.get("xi", list(DEFAULT_XI)), "config.xi")
-    if not xi:
-        raise ConfigError("config.xi must be a nonempty list of numbers")
-    return tuple(xi)
+def _file_of(parse):
+    """Reader of a file path string: parse of the JSON document in the file."""
+
+    def read(value, where: str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a file path string")
+        return parse(json.loads(Path(value).read_text()))
+
+    return read
 
 
-def _read_file(cfg: dict, where: str):
-    """The JSON document at cfg["path"], a file path string."""
-    path = cfg.get("path")
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}.path must be a file path string")
-    return json.loads(Path(path).read_text())
+def _build_set(values: dict, doc: dict, where: str) -> CompactSet1D:
+    entries = [(f"{where}.points", (p, p)) for p in values["points"]]
+    entries += [(f"{where}.intervals", pair) for pair in values["intervals"]]
+    if not entries:
+        raise ConfigError(f"{where} needs 'points' or 'intervals'")
+    return CompactSet1D(json_components(entries))
+
+
+def _check_jet(values: dict, doc: dict, where: str) -> dict:
+    """The jet block, once its kind is known and it holds what the kind needs."""
+    kind = values["kind"]
+    if kind not in ("file", "zero", "polynomial", "gevrey"):
+        raise ConfigError(f"{where}.kind must be one of file, zero, polynomial, gevrey; got {kind!r}")
+    if kind == "file" and values["path"] is None:
+        raise ConfigError(f"{where}.path is required for kind 'file'")
+    if kind != "file" and values["set"] is None:
+        raise ConfigError(f"{where} needs a 'set' object unless kind is 'file'")
+    if kind == "polynomial" and values["coefficients"] is None:
+        raise ConfigError(f"{where}.coefficients is required for kind 'polynomial'")
+    return values
+
+
+def _check_plan(values: dict, doc: dict, where: str) -> dict:
+    if "path" in doc and ("dilation" in doc or "folds" in doc):
+        raise ConfigError(f"{where}.path excludes inline plan parameters")
+    return values
+
+
+_SET = _Object({"points": (json_numbers, []), "intervals": (_pairs, [])}, _build_set)
+_COMMON = {
+    "command": (_text, None),
+    "out": (_text, _REQUIRED),
+    "seed": (_Number(count=True, least=0, words="a nonnegative integer"), 0),
+}
+_MATRIX = {
+    "weight": (weight_from_json, _REQUIRED),
+    "k": (_Number(count=True, least=16), 64),
+    "xi": (partial(json_numbers, nonempty=True), list(DEFAULT_XI)),
+}
+
+# Each command's config keys, nested where the value is an object: the
+# README's Key, Default and Floor columns, which a test compares.
+_SCHEMA = {
+    "classify": _Object({
+        **_COMMON,
+        "weight": (weight_from_json, _REQUIRED),
+        "grid": (_Object({
+            "t_min": (_Number(above=0), 1.0),
+            "t_max": (_Number(), 1e8),
+            "per_decade": (_Number(count=True), 10),
+        }), {}),
+        "tolerances": (_Object({
+            "growth_tol": (_Number(least=1), 1.05),
+            "little_o_eps": (_Number(above=0), 0.05),
+            "rtol": (_Number(above=0, below=1), 1e-8),
+        }), {}),
+    }),
+    "matrix": _Object({**_COMMON, **_MATRIX}),
+    "extend": _Object({
+        **_COMMON,
+        **_MATRIX,
+        "jet": (_Object({
+            "kind": (_text, _REQUIRED),
+            "path": (_file_of(UltraJet.from_json), None),
+            "set": (_SET, None),
+            "alpha_max": (_Number(count=True, least=0), 32),
+            "xi": (_Number(), None),
+            "scale": (_Number(), 1.0),
+            "coefficients": (partial(json_numbers, nonempty=True), None),
+        }, _check_jet), _REQUIRED),
+        "plan": (_Object({
+            "path": (_file_of(ExtensionPlan.from_json), None),
+            "dilation": (_Number(above=0), None),
+            "folds": (_Number(count=True, least=1), 8),
+        }, _check_plan), {}),
+        "run": (_Object({
+            "samples": (_Number(count=True, least=1), 240),
+            "csv_samples": (_Number(count=True, least=1), 40),
+            "alpha_cap": (_Number(count=True, least=0), 8),
+            "r_cov": (_Number(above=0), 1.0),
+            "max_generation": (_Number(count=True, least=0), MAX_GENERATION),
+            "boundary_base": (_Number(), None),
+            "boundary_max_index": (_Number(count=True, least=0), 40),
+        }), {}),
+    }),
+    "cover-dump": _Object({
+        **_COMMON,
+        "set": (_SET, _REQUIRED),
+        "cover": (_Object({
+            "r_cov": (_Number(above=0), 1.0),
+            "expansion": (_Number(above=1, below=2), EXPANSION),
+            "max_generation": (_Number(count=True, least=0), 48),
+            "check_points": (_Number(count=True, least=1), 4096),
+        }), {}),
+    }),
+}
 
 
 def _dump_json(doc: dict) -> str:
@@ -210,51 +292,22 @@ def _csv_text(header, lines) -> str:
     return "\n".join([",".join(header), *lines, ""])
 
 
-def _build_set(doc: dict, where: str) -> CompactSet1D:
-    comps = [(p, p) for p in json_numbers(doc.get("points", []), f"{where}.points")]
-    pairs = json_rows(doc.get("intervals", []), f"{where}.intervals", 2)
-    comps += [tuple(json_numbers(pair, f"{where}.intervals")) for pair in pairs]
-    if not comps:
-        raise ConfigError(f"{where} needs 'points' or 'intervals'")
-    comps.sort()
-    return CompactSet1D(tuple(comps))
-
-
-def _base_points(e: CompactSet1D) -> tuple[float, ...]:
-    pts: list[float] = []
-    for a, b in e.components:
-        for p in (a, b):
-            if not pts or pts[-1] != p:
-                pts.append(p)
-    return tuple(pts)
-
-
 # -- commands -----------------------------------------------------------
 
 
 def cmd_classify(cfg: dict):
     """Asymptotic classification of a weight plus the transform trace."""
-    w = _require_weight(cfg)
-    grid = cfg.get("grid", {})
-    t_min = _number(grid, "t_min", 1.0, "config.grid")
-    t_max = _number(grid, "t_max", 1e8, "config.grid")
-    per_decade = _integer(grid, "per_decade", 10, "config.grid")
-    tol = cfg.get("tolerances", {})
-    growth_tol = _number(tol, "growth_tol", 1.05, "config.tolerances")
-    little_o_eps = _number(tol, "little_o_eps", 0.05, "config.tolerances")
-    rtol = _number(tol, "rtol", 1e-8, "config.tolerances")
+    w, grid, tol = cfg["weight"], cfg["grid"], cfg["tolerances"]
 
-    ts = geometric_grid(t_min, t_max, per_decade)
+    ts = geometric_grid(grid["t_min"], grid["t_max"], grid["per_decade"])
     code = EXIT_OK
     try:
-        result = classify(
-            w, ts, growth_tol=growth_tol, little_o_eps=little_o_eps, rtol=rtol
-        ).as_dict()
+        result = classify(w, ts, **tol).as_dict()
     except InconclusiveTrend as err:
         result = {"inconclusive": str(err)}
         code = EXIT_INCONCLUSIVE
 
-    kappa = kappa_transform_grid(w, ts, rtol=rtol)
+    kappa = kappa_transform_grid(w, ts, rtol=tol["rtol"])
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = np.asarray(w.raw(ts), dtype=float)
         ratio = kappa / omega
@@ -265,12 +318,8 @@ def cmd_classify(cfg: dict):
     report = {
         "command": "classify",
         "weight": weight_to_json(w),
-        "grid": {"t_min": t_min, "t_max": t_max, "per_decade": per_decade},
-        "tolerances": {
-            "growth_tol": growth_tol,
-            "little_o_eps": little_o_eps,
-            "rtol": rtol,
-        },
+        "grid": grid,
+        "tolerances": tol,
         "classification": result,
         "csv_rows": len(rows),
     }
@@ -290,9 +339,7 @@ def cmd_classify(cfg: dict):
 
 def cmd_matrix(cfg: dict):
     """Associated, regularized, and interleaved matrices as one JSON file."""
-    w = _require_weight(cfg)
-    k_max = _integer(cfg, "k", 64)
-    xi_grid = _xi_list(cfg)
+    w, k_max, xi_grid = cfg["weight"], cfg["k"], cfg["xi"]
 
     mat = associated_matrix(w, xi_grid, k_max=k_max)
     reg = strong_regularization(mat, verify=False)
@@ -304,7 +351,7 @@ def cmd_matrix(cfg: dict):
         "command": "matrix",
         "weight": weight_to_json(w),
         "k_max": k_max,
-        "xi": list(xi_grid),
+        "xi": xi_grid,
         "associated": mat.to_json(),
         "regularized": reg.to_json(),
         "interleaved": inter.to_json() if inter is not None else None,
@@ -323,39 +370,29 @@ def cmd_matrix(cfg: dict):
     return files, EXIT_OK, [line]
 
 
-def _build_jet(cfg: dict, inter):
-    jcfg = cfg.get("jet", {})
-    kind = jcfg.get("kind")
+def _build_jet(jcfg: dict, inter) -> UltraJet:
+    """The jet of the config's jet block; a gevrey jet takes rows of inter."""
+    kind = jcfg["kind"]
     if kind == "file":
-        return UltraJet.from_json(_read_file(jcfg, "config.jet"))
-
-    if "set" not in jcfg:
-        raise ConfigError("config.jet needs a 'set' object unless kind is 'file'")
-    e = _build_set(jcfg["set"], "config.jet.set")
-    points = _base_points(e)
-    alpha_max = _integer(jcfg, "alpha_max", 32, "config.jet")
+        return jcfg["path"]
+    e, alpha_max = jcfg["set"], jcfg["alpha_max"]
+    points = tuple(sorted(set(e.starts + e.ends)))  # every endpoint, once
     if kind == "zero":
         return UltraJet(e, points, ((0.0,) * (alpha_max + 1),) * len(points))
     if kind == "polynomial":
-        coeffs = json_numbers(jcfg.get("coefficients"), "config.jet.coefficients")
-        if not coeffs:
-            raise ConfigError("config.jet.coefficients must be a nonempty list")
-        return polynomial_jet(e, points, coeffs, alpha_max)
-    if kind == "gevrey":
-        xi = _number(jcfg, "xi", 1.0, "config.jet")
-        scale = _number(jcfg, "scale", 1.0, "config.jet")
-        if not inter.has(xi):
-            raise ConfigError(f"interleaved matrix has no row at xi={xi:g}")
-        if alpha_max > inter.order:
-            raise ConfigError(
-                f"jet order {alpha_max} exceeds matrix order {inter.order}; raise k"
-            )
-        full = inter.full_log_row(xi)[: alpha_max + 1]
-        row = tuple(scale * float(v) for v in np.exp(full))
-        return UltraJet(e, points, (row,) * len(points))
-    raise ConfigError(
-        f"config.jet.kind must be one of file, zero, polynomial, gevrey; got {kind!r}"
-    )
+        return polynomial_jet(e, points, jcfg["coefficients"], alpha_max)
+    # gevrey: without jet.xi the jet is the row at 1.0, while the
+    # certificate, which reads jet.xi too, tries every row.
+    xi = 1.0 if jcfg["xi"] is None else jcfg["xi"]
+    if not inter.has(xi):
+        raise ConfigError(f"config.jet.xi: the interleaved matrix has no row at xi={xi:g}")
+    if alpha_max > inter.order:
+        raise ConfigError(
+            f"config.jet.alpha_max {alpha_max} exceeds the matrix order {inter.order}; raise k"
+        )
+    full = inter.full_log_row(xi)[: alpha_max + 1]
+    row = tuple(jcfg["scale"] * float(v) for v in np.exp(full))
+    return UltraJet(e, points, (row,) * len(points))
 
 
 _MASK32 = (1 << 32) - 1
@@ -424,52 +461,25 @@ def _uniform_stream(seed: int):
 
 def cmd_extend(cfg: dict):
     """Full pipeline: certificate, plan, assembly, audit, boundary trace."""
-    w = _require_weight(cfg)
-    k_max = _integer(cfg, "k", 64)
-    xi_grid = _xi_list(cfg)
-    run = cfg.get("run", {})
-    samples = _integer(run, "samples", 240, "config.run", low=1)
-    csv_samples = _integer(run, "csv_samples", 40, "config.run", low=1)
-    alpha_cap = _integer(run, "alpha_cap", 8, "config.run", low=0)
-    r_cov = _number(run, "r_cov", 1.0, "config.run")
-    max_generation = _integer(run, "max_generation", MAX_GENERATION, "config.run", low=0)
-    boundary_max = _integer(run, "boundary_max_index", 40, "config.run", low=0)
-    seed = _integer(cfg, "seed", 0)
+    w, jcfg, pcfg, run, seed = (cfg[key] for key in ("weight", "jet", "plan", "run", "seed"))
 
-    mat = associated_matrix(w, xi_grid, k_max=k_max)
+    mat = associated_matrix(w, cfg["xi"], k_max=cfg["k"])
     reg = strong_regularization(mat)
     inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
     if not inter_xi:
         raise ConfigError("no xi in the grid has a stored doubled row")
     inter = interleave_matrix(reg, inter_xi)
 
-    jet = _build_jet(cfg, inter)
-    jcfg = cfg.get("jet", {})
-    cert_xi = _number(jcfg, "xi", None, "config.jet") if "xi" in jcfg else None
-    cert = certify(jet, inter, xi=cert_xi)
-
-    pcfg = cfg.get("plan", {})
-    if "path" in pcfg:
-        if "dilation" in pcfg or "folds" in pcfg:
-            raise ConfigError("config.plan.path excludes inline plan parameters")
-        plan = ExtensionPlan.from_json(_read_file(pcfg, "config.plan"))
-    else:
-        dilation = pcfg.get("dilation")
-        if dilation is not None:
-            dilation = _number(pcfg, "dilation", None, "config.plan")
-        folds = _integer(pcfg, "folds", 8, "config.plan")
-        plan = make_plan(cert, reg, dilation=dilation, folds=folds)
+    jet = _build_jet(jcfg, inter)
+    cert = certify(jet, inter, xi=jcfg["xi"])
+    plan = pcfg["path"]
+    if plan is None:
+        plan = make_plan(cert, reg, dilation=pcfg["dilation"], folds=pcfg["folds"])
 
     negative_control = not plan.meets_threshold
-    ext = assemble(
-        jet,
-        reg,
-        plan,
-        r_cov=r_cov,
-        max_generation=max_generation,
-        allow_degenerate=negative_control,
-    )
-    report = verify_bounds(ext, samples=samples, alpha_cap=alpha_cap)
+    ext = assemble(jet, reg, plan, r_cov=run["r_cov"], max_generation=run["max_generation"],
+                   allow_degenerate=negative_control)
+    report = verify_bounds(ext, samples=run["samples"], alpha_cap=run["alpha_cap"])
 
     # The descent runs along a + 2^-j, so the default base is the first
     # base point with nothing of the set just to its right.
@@ -477,13 +487,13 @@ def cmd_extend(cfg: dict):
     default_base = next(
         (p for p in jet.base_points if p in right_ends), jet.base_points[0]
     )
-    boundary_a = _number(run, "boundary_base", default_base, "config.run")
-    bnd = boundary_limits(ext, report.alpha_cap, boundary_a, max_index=boundary_max)
+    boundary_a = default_base if run["boundary_base"] is None else run["boundary_base"]
+    bnd = boundary_limits(ext, report.alpha_cap, boundary_a, max_index=run["boundary_max_index"])
 
     # Jittered sample trace.  The jitter rescales the distance to the
     # nearest set point, keeping every sample inside the verified band;
     # the generator is seeded from the config so reruns are identical.
-    xs = region_samples(ext, csv_samples)
+    xs = region_samples(ext, run["csv_samples"])
     d, nearest = distances_and_nearest(jet.e, xs)
     factor = 1.0 + 0.04 * (np.fromiter(_uniform_stream(seed), float, xs.size) - 0.5)
     moved = (ext.cover.d_min_covered <= d * factor) & (d * factor < ext.d_max)
@@ -540,17 +550,12 @@ def cmd_extend(cfg: dict):
 
 
 def cmd_cover(cfg: dict):
-    if "set" not in cfg:
-        raise ConfigError("config needs a 'set' object")
-    e = _build_set(cfg["set"], "config.set")
-    ccfg = cfg.get("cover", {})
-    r_cov = _number(ccfg, "r_cov", 1.0, "config.cover")
-    expansion = _number(ccfg, "expansion", EXPANSION, "config.cover")
-    max_generation = _integer(ccfg, "max_generation", 48, "config.cover", low=0)
-    check_points = _integer(ccfg, "check_points", 4096, "config.cover", low=1)
+    """A proportional cover of the set, its intervals and its checks."""
+    e, ccfg = cfg["set"], cfg["cover"]
+    r_cov, expansion, max_generation = ccfg["r_cov"], ccfg["expansion"], ccfg["max_generation"]
 
     cover = build_cover(e, r_cov, expansion=expansion, max_generation=max_generation)
-    xs = covered_sample_grid(cover, check_points)
+    xs = covered_sample_grid(cover, ccfg["check_points"])
     eq14 = verify_eq14(cover, xs)
     overlap = overlap_counts(cover, xs)
 
@@ -584,15 +589,13 @@ def cmd_cover(cfg: dict):
     return files, code, [line]
 
 
+# Each command's job and its help line.
 _COMMANDS = {
-    "classify": cmd_classify,
-    "matrix": cmd_matrix,
-    "extend": cmd_extend,
-    "cover-dump": cmd_cover,
+    "classify": (cmd_classify, "classify a weight function and trace its transform"),
+    "matrix": (cmd_matrix, "materialize associated and regularized weight matrices"),
+    "extend": (cmd_extend, "build an extension, audit its bounds, trace the boundary"),
+    "cover-dump": (cmd_cover, "build a proportional cover and dump it as CSV"),
 }
-
-# Flags that only make sense for commands taking a matrix grid.
-_GRID_FLAG_COMMANDS = {"matrix", "extend"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -601,13 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="weight sequence calculus and constructive extension jobs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "classify": "classify a weight function and trace its transform",
-        "matrix": "materialize associated and regularized weight matrices",
-        "extend": "build an extension, audit its bounds, trace the boundary",
-        "cover-dump": "build a proportional cover and dump it as CSV",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the job config JSON")
         p.add_argument("--out", default=None, help="output directory override")
@@ -618,6 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
+    """The config with the flags applied, read through _SCHEMA: every value typed, every default filled."""
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -625,40 +623,27 @@ def _load_config(args) -> dict:
         raise ConfigError(
             f"config names command {doc['command']!r}, invoked as {args.command!r}"
         )
-    _check_keys(doc, _SCHEMA[args.command], "config")
-    cfg = dict(doc)
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    for flag, value in (("k", args.k), ("xi", args.xi)):
+    doc = dict(doc)
+    for flag, value in (("out", args.out), ("seed", args.seed), ("k", args.k), ("xi", args.xi)):
         if value is None:
             continue
-        if args.command not in _GRID_FLAG_COMMANDS:
+        if flag not in _SCHEMA[args.command].keys:
             raise ConfigError(f"--{flag} does not apply to {args.command}")
         if flag == "xi":
             try:
-                cfg["xi"] = [float(p) for p in value.split(",")]
+                value = [float(p) for p in value.split(",")]
             except ValueError:
                 raise ConfigError(f"could not parse --xi value {value!r}")
-        else:
-            cfg["k"] = value
-    if "out" not in cfg or not isinstance(cfg["out"], str):
-        raise ConfigError("give an output directory via config 'out' or --out")
-    if "seed" in cfg and _integer(cfg, "seed", 0) < 0:
-        raise ConfigError("config.seed must be a nonnegative integer")
-    return cfg
+        doc[flag] = value
+    return _SCHEMA[args.command](doc, "config")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        files, code, lines = _COMMANDS[args.command](cfg)
-    except UltraextError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, KeyError, TypeError) as err:
+        files, code, lines = _COMMANDS[args.command][0](cfg)
+    except (UltraextError, OSError, ValueError, KeyError, TypeError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_ERROR
 

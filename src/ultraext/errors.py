@@ -7,6 +7,8 @@ branch on meaning rather than on message text.
 
 from __future__ import annotations
 
+import math
+
 
 class UltraextError(Exception):
     """Base class for all package-specific errors."""
@@ -115,10 +117,10 @@ def json_integer(value, where: str, error: type[Exception] = ConfigError) -> int
     return value
 
 
-def json_numbers(value, where: str) -> list[float]:
-    """value as a list of floats if it is a JSON list of numbers."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of numbers")
+def json_numbers(value, where: str, nonempty: bool = False) -> list[float]:
+    """value as a list of floats if it is a JSON list of numbers, nonempty if asked."""
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{where} must be a {'nonempty ' if nonempty else ''}list of numbers")
     return [json_number(v, f"{where} entry") for v in value]
 
 
@@ -127,6 +129,24 @@ def json_rows(value, where: str, size: int) -> list:
     if not (isinstance(value, list) and all(isinstance(v, list) and len(v) == size for v in value)):
         raise ConfigError(f"{where} must be a list of {size}-entry lists")
     return value
+
+
+def json_components(entries) -> tuple:
+    """The (a, b) components of (where, [a, b]) entries, sorted.
+
+    A component that is not finite, inverted or meets another (closed
+    components must be disjoint) raises ConfigError naming its where.
+    """
+    comps = sorted((a, b, where) for where, (a, b) in entries)
+    for a, b, where in comps:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"{where} entry [{a!r}, {b!r}] is not finite")
+        if a > b:
+            raise ConfigError(f"{where} entry [{a!r}, {b!r}] is inverted")
+    for (a0, b0, w0), (a1, b1, w1) in zip(comps, comps[1:]):
+        if not b0 < a1:
+            raise ConfigError(f"{w1} entry [{a1!r}, {b1!r}] meets {w0} entry [{a0!r}, {b0!r}]")
+    return tuple((a, b) for a, b, _ in comps)
 
 
 def json_object(

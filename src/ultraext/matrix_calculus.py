@@ -150,16 +150,6 @@ class WeightMatrix:
             "rows": [self.full_log_row(x).tolist() for x in self.xi_values],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> WeightMatrix:
-        xis = [float(x) for x in doc["xi_values"]]
-        rows = {}
-        for x, full in zip(xis, doc["rows"]):
-            full = np.asarray(full, dtype=float)
-            lg = np.array([math.lgamma(i + 1.0) for i in range(len(full))])
-            rows[x] = full - lg
-        return cls.from_divided_rows(rows)
-
 
 def associated_matrix(
     w: WeightFunction, xi_grid: Iterable[float] = DEFAULT_XI, k_max: int = 64

@@ -25,7 +25,7 @@ import numpy as np
 from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
 from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
-from .errors import json_integer, json_number, json_object, json_rows
+from .errors import json_components, json_integer, json_number, json_object, json_rows
 from .matrix_calculus import WeightMatrix
 from .whitney_geometry import CompactSet1D, distance_grid
 
@@ -200,11 +200,13 @@ class UltraJet:
         values entry is [point, order, value] with an integral order and
         numbers otherwise.  Booleans and strings are rejected, and so is
         a second entry for one (point, order) pair; every point needs
-        every order up to alpha_max.  ConfigError names the bad entry.
+        every order up to alpha_max.  The components of e are sorted, and
+        one that is not finite, inverted or meets another is rejected.
+        ConfigError names the bad entry.
         """
         json_object(doc, "jet", ("e", "alpha_max", "values"))
         pairs = json_rows(doc["e"], "jet e", 2)
-        comps = [tuple(json_number(v, "jet e endpoint") for v in pair) for pair in pairs]
+        comps = [("jet e", [json_number(v, "jet e endpoint") for v in pair]) for pair in pairs]
         alpha_max = json_integer(doc["alpha_max"], "jet alpha_max")
         table: dict[float, dict[int, float]] = {}
         for a, alpha, v in json_rows(doc["values"], "jet values", 3):
@@ -221,7 +223,7 @@ class UltraJet:
             if sorted(row) != list(range(alpha_max + 1)):
                 raise ConfigError(f"base point {a} needs exactly the orders 0 to {alpha_max}")
             rows.append(tuple(row[alpha] for alpha in range(alpha_max + 1)))
-        return cls(CompactSet1D(tuple(comps)), tuple(pts), tuple(rows))
+        return cls(CompactSet1D(json_components(comps)), tuple(pts), tuple(rows))
 
 
 def polynomial_jet(

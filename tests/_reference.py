@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ultraext.matrix_calculus import WeightMatrix
 from ultraext.partition_of_unity import (
     PiecewisePolynomial,
     _derivative_values,
@@ -32,6 +33,15 @@ def rebuilt(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} takes no argument {sorted(unknown)}")
     return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
+
+
+def matrix_from_json(doc: dict) -> WeightMatrix:
+    """The matrix of a WeightMatrix.to_json document: each full row less log k!."""
+    rows = {}
+    for x, full in zip(doc["xi_values"], doc["rows"]):
+        lg = np.array([math.lgamma(i + 1.0) for i in range(len(full))])
+        rows[float(x)] = np.asarray(full, dtype=float) - lg
+    return WeightMatrix.from_divided_rows(rows)
 
 
 def support(poly: PiecewisePolynomial) -> tuple[float, float]:

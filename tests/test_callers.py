@@ -12,10 +12,9 @@ definition without running it.
 Name matching cannot see a dead member when another definition or a
 local variable shares its name: one of the seven ``to_json`` methods
 could lose its caller unseen, and a method named like a local (``row``,
-``degree``) would pass on the local alone.  Two such members have only
-test callers today: WeightMatrix.from_json passes on UltraJet's and
-ExtensionPlan's ``from_json``, and UltraJet.to_json on the other
-``to_json`` methods.  UltraJet.row does have callers
+``degree``) would pass on the local alone.  One such member has only
+test callers today: UltraJet.to_json passes on the other ``to_json``
+methods.  UltraJet.row does have callers
 (extension_engine._valuation_oks and bench/checks.py).  Dunder methods
 are left out, since Python calls them.
 

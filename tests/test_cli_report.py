@@ -27,6 +27,7 @@ from ultraext.cli import (
     _uniform_stream,
     main,
 )
+from _reference import matrix_from_json
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -118,12 +119,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     [{"growth_tol": math.nan}, {"growth_tol": 0.5}, {"little_o_eps": math.nan}, {"little_o_eps": -1}],
 )
 def test_classify_bad_tolerance_is_an_error(tmp_path, capsys, tolerances):
+    # Once a bare ValueError from deep in classify; now the config reader's
+    # error, naming the key.
     cfg = write_config(
         tmp_path, {"weight": SQRT_WEIGHT, "tolerances": tolerances, "out": str(tmp_path / "out")}
     )
     assert main(["classify", "--config", cfg]) == EXIT_ERROR
     assert not (tmp_path / "out").exists()
-    assert "error: ValueError" in capsys.readouterr().err
+    [key] = tolerances
+    assert f"error: ConfigError: config.tolerances.{key} must be " in capsys.readouterr().err
 
 
 def test_command_mismatch_rejected(tmp_path):
@@ -147,9 +151,7 @@ def test_matrix_dump_round_trips(tmp_path):
     doc = read_json(out / "matrix.json")
     assert doc["k_max"] == 48
     assert doc["sandwich"]["upper_constant"] >= 1.0
-    from ultraext.matrix_calculus import WeightMatrix
-
-    reg = WeightMatrix.from_json(doc["regularized"])
+    reg = matrix_from_json(doc["regularized"])
     assert reg.order >= 48
     for xi in (0.25, 1.0, 8.0):
         assert reg.has(xi)
@@ -165,9 +167,7 @@ def test_matrix_xi_flag_overrides(tmp_path):
     assert code == EXIT_OK
     doc = read_json(out / "matrix.json")
     assert doc["xi"] == [0.5, 1.0, 2.0]
-    from ultraext.matrix_calculus import WeightMatrix
-
-    mat = WeightMatrix.from_json(doc["associated"])
+    mat = matrix_from_json(doc["associated"])
     assert sorted(mat.xi_values) == [0.5, 1.0, 2.0]
 
 
@@ -478,20 +478,6 @@ def test_extend_jet_file_round_trip(tmp_path):
     assert all(v == pytest.approx(1.0, rel=1e-9) for v in first_order)
 
 
-def test_extend_bad_jet_kind_is_config_error(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "weight": SQRT_WEIGHT,
-            "jet": {"kind": "mystery", "set": {"points": [0.0]}},
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
-    assert not out.exists()
-    assert "mystery" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "weight, message",
     [
@@ -643,34 +629,117 @@ def test_extend_sample_count_below_one_is_config_error(tmp_path, capsys, key, co
 COVER_DUMP = {"set": {"intervals": [[-1.0, 0.0]], "points": [1.0]}, "cover": {}}
 
 
+def with_key(doc, key, value):
+    """A deep copy of doc with the dotted key set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = key.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    return doc
+
+
+def plan_file_with(tmp_path, **extra):
+    plan = {"dilation": 16, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 1.0, **extra}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return str(path)
+
+
+CLASSIFY = {"weight": SQRT_WEIGHT}
+
+
+# (command, dotted key, value, error) of values checked before any work.
+BEFORE_WORK = [
+    ("extend", "run.alpha_cap", -1, "ConfigError: config.run.alpha_cap must be at least 0, got -1"),
+    ("extend", "run.boundary_max_index", -1,
+     "ConfigError: config.run.boundary_max_index must be at least 0, got -1"),
+    ("extend", "run.max_generation", -2, "ConfigError: config.run.max_generation must be at least 0, got -2"),
+    ("cover-dump", "cover.max_generation", -1,
+     "ConfigError: config.cover.max_generation must be at least 0, got -1"),
+    ("cover-dump", "cover.check_points", 0, "ConfigError: config.cover.check_points must be at least 1, got 0"),
+    ("cover-dump", "cover.check_points", -5, "ConfigError: config.cover.check_points must be at least 1, got -5"),
+    # Every other constant floor of the README tables.
+    ("extend", "k", 8, "ConfigError: config.k must be at least 16, got 8"),
+    ("matrix", "k", 8, "ConfigError: config.k must be at least 16, got 8"),
+    ("extend", "jet.alpha_max", -1, "ConfigError: config.jet.alpha_max must be at least 0, got -1"),
+    ("extend", "run.r_cov", 0, "ConfigError: config.run.r_cov must be greater than 0, got 0.0"),
+    ("extend", "run.r_cov", -1, "ConfigError: config.run.r_cov must be greater than 0, got -1.0"),
+    ("cover-dump", "cover.r_cov", 0, "ConfigError: config.cover.r_cov must be greater than 0, got 0.0"),
+    ("cover-dump", "cover.expansion", 1.0, "ConfigError: config.cover.expansion must be greater than 1, got 1.0"),
+    ("cover-dump", "cover.expansion", 2.5, "ConfigError: config.cover.expansion must be less than 2, got 2.5"),
+    ("extend", "plan.dilation", 0, "ConfigError: config.plan.dilation must be greater than 0, got 0.0"),
+    ("extend", "plan.folds", 0, "ConfigError: config.plan.folds must be at least 1, got 0"),
+    ("classify", "grid.t_min", 0, "ConfigError: config.grid.t_min must be greater than 0, got 0.0"),
+    ("classify", "tolerances.growth_tol", 0.5,
+     "ConfigError: config.tolerances.growth_tol must be at least 1, got 0.5"),
+    ("classify", "tolerances.growth_tol", math.nan,
+     "ConfigError: config.tolerances.growth_tol must be at least 1, got nan"),
+    ("classify", "tolerances.little_o_eps", -1,
+     "ConfigError: config.tolerances.little_o_eps must be greater than 0, got -1.0"),
+    ("classify", "tolerances.rtol", 1.5, "ConfigError: config.tolerances.rtol must be less than 1, got 1.5"),
+    # Malformed jet and plan values, sets included.
+    ("extend", "jet.kind", "mystery",
+     "ConfigError: config.jet.kind must be one of file, zero, polynomial, gevrey; got 'mystery'"),
+    ("extend", "jet.xi", "1.0", "ConfigError: config.jet.xi must be a number, got '1.0'"),
+    ("extend", "plan.path", 5, "ConfigError: config.plan.path must be a file path string"),
+    ("extend", "plan.path", lambda tmp: plan_file_with(tmp, bogus=1),
+     "PlanInvalid: plan keys missing: [], unknown: ['bogus']"),
+    ("extend", "jet.set", {"intervals": [[0.5, 2.0], [0.0, 1.0]]},
+     "ConfigError: config.jet.set.intervals entry [0.5, 2.0] meets config.jet.set.intervals entry [0.0, 1.0]"),
+    ("cover-dump", "set.intervals", [[-1.0, 0.0], [-0.5, 0.5]],
+     "ConfigError: config.set.intervals entry [-0.5, 0.5] meets config.set.intervals entry [-1.0, 0.0]"),
+    ("cover-dump", "set.intervals", [[0.0, -1.0]], "ConfigError: config.set.intervals entry [0.0, -1.0] is inverted"),
+    ("cover-dump", "set.points", [1.0, math.inf], "ConfigError: config.set.points entry [inf, inf] is not finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, section, key, value",
-    [
-        ("extend", "run", "alpha_cap", -1),
-        ("extend", "run", "boundary_max_index", -1),
-        ("extend", "run", "max_generation", -2),
-        ("cover-dump", "cover", "max_generation", -1),
-        ("cover-dump", "cover", "check_points", 0),
-        ("cover-dump", "cover", "check_points", -5),
+    "command, key, value, error",
+    BEFORE_WORK,
+    ids=[
+        f"{command}-{key.replace('.', '-')}-{value if isinstance(value, (int, float, str)) else index}"
+        for index, (command, key, value, _) in enumerate(BEFORE_WORK)
     ],
 )
 def test_count_below_its_floor_is_config_error_before_any_work(
-    tmp_path, capsys, monkeypatch, command, section, key, value
+    tmp_path, capsys, monkeypatch, command, key, value, error
 ):
-    # Each value is rejected by name before any matrix or cover is built.
+    # Each value is rejected by name before any matrix, cover or
+    # classification grid is built.
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
     monkeypatch.setattr(cli, "associated_matrix", no_work)
     monkeypatch.setattr(cli, "build_cover", no_work)
-    base = GEVREY_EXTEND if command == "extend" else COVER_DUMP
-    doc = dict(base, **{section: dict(base[section], **{key: value})})
+    monkeypatch.setattr(cli, "geometric_grid", no_work)
+    base = {"extend": GEVREY_EXTEND, "matrix": CLASSIFY, "classify": CLASSIFY, "cover-dump": COVER_DUMP}[command]
+    doc = with_key(base, key, value(tmp_path) if callable(value) else value)
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
     assert not out.exists()
-    floor = 1 if key == "check_points" else 0
-    err = capsys.readouterr().err
-    assert f"ConfigError: config.{section}.{key} must be at least {floor}, got {value}" in err
+    assert f"error: {error}\n" in capsys.readouterr().err
+
+
+def test_jet_file_components_are_sorted(tmp_path):
+    # A jet file whose e lists its components out of order gives the
+    # products of the sorted file; it once ended in a bare ValueError.
+    from ultraext.ultrajets import polynomial_jet
+    from ultraext.whitney_geometry import CompactSet1D
+
+    jet = polynomial_jet(CompactSet1D.from_points([0.0, 1.0]), (0.0, 1.0), (1.0, -2.0, 0.5), 32)
+    doc = jet.to_json()
+    outs, codes = [], []
+    for name, e in (("sorted", doc["e"]), ("unsorted", doc["e"][::-1])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, e=e)))
+        cfg = dict(GEVREY_EXTEND, jet={"kind": "file", "path": str(path)})
+        outs.append(tmp_path / name)
+        codes.append(main(["extend", "--config", write_config(tmp_path, cfg), "--out", str(outs[-1])]))
+    assert doc["e"] == [[0.0, 0.0], [1.0, 1.0]]
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert products(outs[0]) == products(outs[1])
 
 
 def products(out):
@@ -767,21 +836,60 @@ def run_entry(*args):
     return proc, json.loads(proc.stdout.splitlines()[-1])
 
 
+def readme_rows(command):
+    """(key, default cell, floor cell) of each row of a command's README key table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n### {command}\n", 1)[1].split("\n#", 1)[0]
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.split("|")[1:-1]]
+            yield cells[0].strip("`"), cells[2], cells[3]
+
+
+def constant(cell):
+    """The JSON value a README cell states, or None where it states a rule."""
+    try:
+        return json.loads(cell.strip("`"))
+    except ValueError:
+        return None
+
+
+def floor_cell(read):
+    """A reader's floor as the README's Floor column writes it."""
+    if not isinstance(read, cli._Number):
+        return "—"
+    parts = [
+        f"{prefix}{bound:g}"
+        for prefix, bound in (("", read.least), ("> ", read.above), ("< ", read.below))
+        if bound is not None
+    ]
+    return ", ".join(parts) or "—"
+
+
 def test_readme_tables_list_every_config_key():
     # The table under each command's README section lists exactly the keys
-    # its config may hold, nested ones as dotted paths.
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-
-    def paths(schema, prefix=""):
-        for key, sub in schema.items():
-            yield prefix + key
-            if sub is not None:
-                yield from paths(sub, prefix + key + ".")
+    # its config may hold, nested ones as dotted paths, and each Default
+    # and Floor cell that states a constant is the one cli._SCHEMA reads.
+    def leaves(obj, prefix=""):
+        for key, (read, default) in obj.keys.items():
+            yield prefix + key, (read, default)
+            if isinstance(read, cli._Object):
+                yield from leaves(read, prefix + key + ".")
 
     for command, schema in cli._SCHEMA.items():
-        section = text.split(f"\n### {command}\n", 1)[1].split("\n#", 1)[0]
-        listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
-        assert sorted(listed) == sorted(paths(schema)), command
+        table = dict(leaves(schema))
+        rows = list(readme_rows(command))
+        assert sorted(key for key, _, _ in rows) == sorted(table), command
+        for key, default_cell, floor in rows:
+            read, default = table[key]
+            if default_cell == "required":
+                assert default is cli._REQUIRED, key
+            elif constant(default_cell) is not None:
+                assert constant(default_cell) == default, key
+            else:  # a rule, such as "16 · rho": the table leaves it to the command
+                assert default is None or default is cli._REQUIRED, key
+            if "`" not in floor:  # not a rule, such as "1e6 · `t_min`"
+                assert floor_cell(read) == floor, key
 
 
 @pytest.fixture
@@ -802,6 +910,29 @@ def test_extend_job_imports_no_masked_random_or_polynomial_numpy(tmp_path, readm
         cfg = write_config(tmp_path, doc, f"{name}.json")
         proc, report = run_entry("extend", "--config", cfg, "--out", str(tmp_path / name))
         assert (proc.returncode, report["loaded"]) == (EXIT_OK, []), name
+
+
+def test_extend_with_every_default_written_out_gives_the_same_products(tmp_path, readme_config):
+    # The README extend config, and the same config with every constant
+    # Default of the README table written out: a read site with a default
+    # of its own, other than the table's, shows here.
+    explicit = json.loads(json.dumps(readme_config))
+    written = []
+    for key, default, _ in readme_rows("extend"):
+        if constant(default) is not None:
+            *parents, leaf = key.split(".")
+            node = explicit
+            for name in parents:
+                node = node.setdefault(name, {})
+            if leaf not in node:
+                node[leaf] = constant(default)
+                written.append(key)
+    assert len(written) >= 8, written
+    outs = [tmp_path / "plain", tmp_path / "explicit"]
+    for doc, out in zip((readme_config, explicit), outs):
+        cfg = write_config(tmp_path, doc)
+        assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert products(outs[0]) == products(outs[1])
 
 
 @pytest.mark.parametrize(

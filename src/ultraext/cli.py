@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -182,6 +183,18 @@ def _check_jet(values: dict, doc: dict, where: str) -> dict:
     return values
 
 
+def _check_grid(values: dict, doc: dict, where: str) -> dict:
+    """The classify grid, once it spans six decades (t_max / t_min finite) in 13 points or more."""
+    t_min, t_max = values["t_min"], values["t_max"]
+    decades = math.log10(t_max / t_min) if t_max > t_min else -math.inf
+    if not 6.0 - 1e-9 <= decades < math.inf:
+        raise ConfigError(f"{where}.t_max / t_min must be finite and at least 1e6, got {t_max / t_min:g}")
+    points = int(round(values["per_decade"] * decades)) + 1  # geometric_grid's count
+    if points < 13:
+        raise ConfigError(f"{where}.per_decade must give 13 grid points or more, got {points}")
+    return values
+
+
 def _check_plan(values: dict, doc: dict, where: str) -> dict:
     if "path" in doc and ("dilation" in doc or "folds" in doc):
         raise ConfigError(f"{where}.path excludes inline plan parameters")
@@ -210,7 +223,7 @@ _SCHEMA = {
             "t_min": (_Number(above=0), 1.0),
             "t_max": (_Number(), 1e8),
             "per_decade": (_Number(count=True), 10),
-        }), {}),
+        }, _check_grid), {}),
         "tolerances": (_Object({
             "growth_tol": (_Number(least=1), 1.05),
             "little_o_eps": (_Number(above=0), 0.05),
@@ -376,7 +389,7 @@ def _build_jet(jcfg: dict, inter) -> UltraJet:
     if kind == "file":
         return jcfg["path"]
     e, alpha_max = jcfg["set"], jcfg["alpha_max"]
-    points = tuple(sorted(set(e.starts + e.ends)))  # every endpoint, once
+    points = tuple(sorted(set(e.starts.tolist() + e.ends.tolist())))  # every endpoint, once
     if kind == "zero":
         return UltraJet(e, points, ((0.0,) * (alpha_max + 1),) * len(points))
     if kind == "polynomial":

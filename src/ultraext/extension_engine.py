@@ -43,7 +43,6 @@ from .whitney_geometry import (
     SIDE_WINDOW_HI,
     WhitneyCover,
     build_cover,
-    distance_and_nearest,
     distance_grid,
     distances_and_nearest,
     sorted_unique,
@@ -587,7 +586,7 @@ def eval_derivative(f: ExtensionFunction, x, alpha):
     top = int(orders.max())
     if np.ndim(x) == 0:
         x = float(x)
-        d, _ = distance_and_nearest(f.jet.e, x)
+        d = distances_and_nearest(f.jet.e, [x])[0].item()
         if d == 0.0:
             vec = _jet_values(f, x, top)
         else:
@@ -1087,10 +1086,10 @@ def boundary_limits(
     steps: list[BoundaryStep] = []
     floor_index: int | None = None
     floor_reason: str | None = None
-    for j in range(j0, max_index + 1):
-        step = 2.0**-j
-        x = a + step
-        d, _ = distance_and_nearest(f.jet.e, x)
+    # The stop rules read distances and decay only: one lookup serves every step.
+    xs = [a + 2.0**-j for j in range(j0, max_index + 1)]
+    ds = distance_grid(f.jet.e, xs).tolist()
+    for j, x, d in zip(range(j0, max_index + 1), xs, ds):
         if d == 0.0:
             floor_index, floor_reason = j, "step landed inside the set"
             break

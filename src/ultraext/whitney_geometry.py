@@ -2,16 +2,19 @@
 
 The cover tiles a punctured neighborhood {0 < d(x, E) < r_cov} with dyadic
 intervals whose side is comparable to their distance from E.  Intervals
-come from a top-down descent: a dyadic cell is kept when its side does not
-exceed the distance of its center and its parent failed that test, which
-pins the realized window to side <= d(center) < 2.5 * side.  The expanded
-intervals (factor 9/8) then stay clear of E by 7/16 of a side, and the
-proportionality of distances on expanded intervals holds with margin.
+come from a top-down descent, one generation of dyadic cells at a time: a
+cell is kept when its side does not exceed the distance of its center and
+its parent failed that test, which pins the realized window to
+side <= d(center) < 2.5 * side.  The expanded intervals (factor 9/8) then
+stay clear of E by 7/16 of a side, and the proportionality of distances
+on expanded intervals holds with margin.
+
+Every distance comes from one lookup rule, distances_and_nearest, which
+bisects the sorted components instead of scanning them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,8 +36,8 @@ EXPANDED_CLEARANCE = 7.0 / 16.0
 class CompactSet1D:
     """Finite union of disjoint closed intervals, points allowed.
 
-    starts and ends list the component endpoints; both are increasing,
-    since the components are sorted and disjoint.
+    The arrays starts and ends list the component endpoints; both are
+    increasing, since the components are sorted and disjoint.
     """
 
     def __init__(self, components) -> None:
@@ -50,8 +53,8 @@ class CompactSet1D:
             if not b0 < a1:
                 raise ValueError("components must be sorted and disjoint")
         self.components = comps
-        self.starts = tuple(a for a, _ in comps)
-        self.ends = tuple(b for _, b in comps)
+        self.starts = np.array([a for a, _ in comps])
+        self.ends = np.array([b for _, b in comps])
 
     @classmethod
     def from_points(cls, points: Iterable[float]) -> CompactSet1D:
@@ -66,64 +69,48 @@ class CompactSet1D:
     def span(self) -> tuple[float, float]:
         return self.components[0][0], self.components[-1][1]
 
-    def __contains__(self, x: float) -> bool:
-        return self.meets(x, x)
-
-    def meets(self, left: float, right: float) -> bool:
-        """Whether [left, right] meets the set.
-
-        Only the last component starting at or before right can: the
-        ends increase, so it reaches furthest.  Comparisons only, so exact.
-        """
-        i = bisect.bisect_right(self.starts, right) - 1
-        return i >= 0 and left <= self.ends[i]
-
-    def encloses(self, left: float, right: float) -> bool:
-        """Whether one component contains [left, right].
-
-        Only the last component starting at or before left can, as in meets.
-        """
-        i = bisect.bisect_right(self.starts, left) - 1
-        return i >= 0 and right <= self.ends[i]
-
-
-def distance_and_nearest(e: CompactSet1D, x: float) -> tuple[float, float]:
-    """Distance to the set and a nearest point, ties toward smaller coordinate.
-
-    A NaN x gives (nan, nan), as in distances_and_nearest.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return math.nan, math.nan
-    best_d = math.inf
-    best_p = math.nan
-    for a, b in e.components:
-        if x < a:
-            d, p = a - x, a
-        elif x > b:
-            d, p = x - b, b
-        else:
-            d, p = 0.0, x
-        if d < best_d:
-            best_d, best_p = d, p
-    return best_d, best_p
-
 
 def distances_and_nearest(e: CompactSet1D, xs) -> tuple[np.ndarray, np.ndarray]:
-    """distance_and_nearest at every entry of xs, bit for bit (NaN gives NaN).
+    """Distance to the set and a nearest point at every entry of xs.
 
-    The components are visited in order and a later one replaces the
-    nearest point only at a strictly smaller distance, as in the scalar
-    loop, so ties go to the smaller coordinate.
+    The rule is a scan of the components in order in which a component
+    takes over the nearest point only at a strictly smaller distance, so
+    ties go to the smaller coordinate; NaN gives (nan, nan) and +-inf
+    gives (inf, nan).  Only two components can hold the smallest
+    distance: the last one starting at or before x and the next one.
+    Bisection finds them, and each is measured with the scan's own
+    subtractions and comparisons (np.clip with array bounds may return a
+    bound's signed zero where the scan returns x), so both outputs are
+    the scan's bit for bit.  A component further left can still tie
+    after rounding (on {0, 1e-300} at 0.1 the scan keeps 0.0): fl(x - b)
+    does not increase with b, so a second bisection finds the first tied
+    end.
     """
     xs = np.asarray(xs, dtype=float)
+    starts, ends = e.starts, e.ends
+    i = np.searchsorted(starts, xs, side="right")
+    left = np.maximum(i - 1, 0)
+    # With one component the two candidates coincide and nothing ties.
+    one = len(starts) == 1
     best_d = np.full(xs.shape, np.inf)
     best_p = np.full(xs.shape, np.nan)
-    for a, b in e.components:
+    for k in (left,) if one else (left, np.minimum(i, len(starts) - 1)):
+        a, b = starts[k], ends[k]
         d = np.maximum(a - xs, xs - b)
         np.maximum(d, 0.0, out=d)
-        np.copyto(best_p, np.clip(xs, a, b), where=d < best_d)
+        np.copyto(best_p, np.where(xs < a, a, np.where(xs > b, b, xs)), where=d < best_d)
         np.minimum(best_d, d, out=best_d)
+    if one:
+        return best_d, best_p
+    tied = (left > 0) & (best_d < np.inf) & (xs - ends[left - 1] <= best_d)
+    if tied.any():
+        x, d = xs[tied], best_d[tied]
+        lo, hi = np.zeros_like(left[tied]), left[tied] - 1
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            ok = x - ends[mid] <= d
+            lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+        best_p[tied] = ends[lo]
     return best_d, best_p
 
 
@@ -272,37 +259,40 @@ def build_cover(
     root_side = 2.0 ** math.ceil(math.log2(width))
     root_lo = lo - r_cov
 
-    centers: list[float] = []
-    sides: list[float] = []
-    gens: list[int] = []
-    stack = [(root_lo, root_side, 0)]
-    while stack:
-        left, side, gen = stack.pop()
-        right = left + side
-        if e.encloses(left, right):
-            continue  # interior cells carry no region points
-        # min distance over a cell disjoint from E sits at an endpoint
-        if not e.meets(left, right):
-            if min(distance_and_nearest(e, left)[0], distance_and_nearest(e, right)[0]) >= r_cov:
-                continue
-        center = left + 0.5 * side
-        d_center, _ = distance_and_nearest(e, center)
-        if side <= d_center:
-            centers.append(center)
-            sides.append(side)
-            gens.append(gen)
-        elif gen < max_generation:
-            stack.append((left, 0.5 * side, gen + 1))
-            stack.append((left + 0.5 * side, 0.5 * side, gen + 1))
-    if not centers:
+    # Each generation's cells share one side, so a generation is one
+    # array pass: drop the cells one component encloses and those that
+    # miss E by r_cov or more (from a cell disjoint from E the nearest
+    # point is seen from an endpoint), keep those with side <= d(center)
+    # and split the rest.  The set tests count by bisection: a component
+    # holds [l, r] when fewer ends lie below r than starts at or below l,
+    # and one meets it when fewer ends lie below l than starts at or below r.
+    lefts, side = np.array([root_lo]), root_side
+    kept: list[tuple[np.ndarray, float, int]] = []
+    for gen in range(max_generation + 1):
+        rights = lefts + side
+        centers = lefts + 0.5 * side
+        xs = np.concatenate((lefts, rights, centers))
+        d_left, d_right, d_center = distance_grid(e, xs).reshape(3, -1)
+        enclosed = np.searchsorted(e.ends, rights) < np.searchsorted(e.starts, lefts, side="right")
+        meets = np.searchsorted(e.ends, lefts) < np.searchsorted(e.starts, rights, side="right")
+        live = ~enclosed & (meets | (np.minimum(d_left, d_right) < r_cov))
+        keep = live & (side <= d_center)
+        kept.append((centers[keep], side, gen))
+        split = live & ~keep
+        count = np.count_nonzero(split)
+        if gen == max_generation or not count:
+            break
+        children = np.empty(2 * count)
+        children[0::2], children[1::2] = lefts[split], centers[split]
+        lefts, side = children, 0.5 * side
+    centers = np.concatenate([c for c, _, _ in kept])
+    if not centers.size:
         raise EmptyCover(
             f"no admissible interval for r_cov={r_cov} within {max_generation} generations"
         )
     order = np.argsort(centers)
-    centers_a = np.asarray(centers)[order]
-    sides_a = np.asarray(sides)[order]
-    gens_a = np.asarray(gens)[order]
-    side_floor = root_side * 2.0 ** (-max_generation)
+    sides = np.concatenate([np.full(c.size, s) for c, s, _ in kept])
+    gens = np.concatenate([np.full(c.size, g) for c, _, g in kept])
     constants = ExtensionConstants(
         r_0=r_cov,
         B_1=25.0 / 16.0,
@@ -310,16 +300,9 @@ def build_cover(
         A_1=SIDE_WINDOW_LO,
         A_2=SIDE_WINDOW_HI,
     )
-    return WhitneyCover(
-        e=e,
-        r_cov=r_cov,
-        centers=centers_a,
-        sides=sides_a,
-        generations=gens_a,
-        expansion=expansion,
-        d_min_covered=3.0 * side_floor,
-        constants=constants,
-    )
+    side_floor = root_side * 2.0 ** (-max_generation)
+    return WhitneyCover(e, r_cov, centers[order], sides[order], gens[order], expansion,
+                        d_min_covered=3.0 * side_floor, constants=constants)
 
 
 class Eq14Report(NamedTuple):

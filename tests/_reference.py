@@ -182,3 +182,59 @@ def fraction_minorant(m: WeightSequence) -> WeightSequence:
         for k in range(a, b):
             out_quotients[k] = float(slope_exact)
     return WeightSequence(tuple(out_values), tuple(out_quotients))
+
+
+def distance_and_nearest(e, x: float) -> tuple[float, float]:
+    """Distance to the set and a nearest point, by a scan of every component.
+
+    A component takes over the nearest point only at a strictly smaller
+    distance, so ties go to the smaller coordinate; a NaN x gives
+    (nan, nan).  The oracle of whitney_geometry.distances_and_nearest.
+    """
+    x = float(x)
+    if math.isnan(x):
+        return math.nan, math.nan
+    best_d = math.inf
+    best_p = math.nan
+    for a, b in e.components:
+        if x < a:
+            d, p = a - x, a
+        elif x > b:
+            d, p = x - b, b
+        else:
+            d, p = 0.0, x
+        if d < best_d:
+            best_d, best_p = d, p
+    return best_d, best_p
+
+
+def stack_cover(e, r_cov: float, max_generation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, sides, generations) of build_cover, by a descent one cell at a time.
+
+    Pops a dyadic cell, drops it if one component encloses it or it
+    misses E by r_cov or more, keeps it if side <= d(center) and else
+    splits it; the set tests scan every component.  The oracle of the
+    level-by-level descent.
+    """
+    lo, hi = e.span
+    root_side = 2.0 ** math.ceil(math.log2((hi - lo) + 2.0 * r_cov))
+    centers, sides, gens = [], [], []
+    stack = [(lo - r_cov, root_side, 0)]
+    while stack:
+        left, side, gen = stack.pop()
+        right = left + side
+        if any(a <= left and right <= b for a, b in e.components):
+            continue
+        if not any(a <= right and left <= b for a, b in e.components):
+            if min(distance_and_nearest(e, left)[0], distance_and_nearest(e, right)[0]) >= r_cov:
+                continue
+        center = left + 0.5 * side
+        if side <= distance_and_nearest(e, center)[0]:
+            centers.append(center)
+            sides.append(side)
+            gens.append(gen)
+        elif gen < max_generation:
+            stack.append((left, 0.5 * side, gen + 1))
+            stack.append((left + 0.5 * side, 0.5 * side, gen + 1))
+    order = np.argsort(centers)
+    return np.asarray(centers)[order], np.asarray(sides)[order], np.asarray(gens)[order]

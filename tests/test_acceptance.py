@@ -53,11 +53,17 @@ from ultraext.whitney_geometry import (
     CompactSet1D,
     build_cover,
     covered_sample_grid,
-    distance_and_nearest,
     overlap_counts,
     verify_eq14,
 )
-from _reference import derivative, gamma_doubling_check, partition_value, rebuilt, sup_norm
+from _reference import (
+    derivative,
+    distance_and_nearest,
+    gamma_doubling_check,
+    partition_value,
+    rebuilt,
+    sup_norm,
+)
 
 
 def verdict(number: int, label: str, detail: str = "") -> None:

@@ -234,6 +234,23 @@ def test_extend_sample_trace_layout(extend_run):
         assert math.isfinite(float(x)) and math.isfinite(float(v))
 
 
+def test_csv_samples_take_rungs_on_each_side_of_each_component(tmp_path, readme_config):
+    # run.csv_samples n gives max(n // (2 * components), 8) rungs on each
+    # side of each component, and the trace keeps those inside the band:
+    # the default 40 gives 40 points on {0} but 8 * 2 * 8 = 128 on the
+    # eight cluster points, each point one line per order 0..8.
+    from workloads import CLUSTER_POINTS
+
+    lines = []
+    for points in ([0.0], list(CLUSTER_POINTS)):
+        cfg = json.loads(json.dumps(readme_config))
+        cfg["jet"]["set"] = {"points": points}
+        out = tmp_path / f"p{len(points)}"
+        assert main(["extend", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        lines.append((out / "extension_samples.csv").read_text().count("\n"))
+    assert lines == [1 + 9 * 40, 1 + 9 * 128]
+
+
 def test_extend_boundary_trace_layout(extend_run):
     _, out = extend_run
     header, rows = read_csv(out / "boundary_limits.csv")
@@ -679,6 +696,14 @@ BEFORE_WORK = [
     ("classify", "tolerances.little_o_eps", -1,
      "ConfigError: config.tolerances.little_o_eps must be greater than 0, got -1.0"),
     ("classify", "tolerances.rtol", 1.5, "ConfigError: config.tolerances.rtol must be less than 1, got 1.5"),
+    # Floors between grid keys: classify needs six decades and 13 points.
+    ("classify", "grid.t_max", 1e5, "ConfigError: config.grid.t_max / t_min must be finite and at least 1e6, got 100000"),
+    ("classify", "grid.t_max", 0.5, "ConfigError: config.grid.t_max / t_min must be finite and at least 1e6, got 0.5"),
+    # An overflowing ratio leaves geometric_grid no point count.
+    ("classify", "grid", {"t_min": 1e-300, "t_max": 1e300},
+     "ConfigError: config.grid.t_max / t_min must be finite and at least 1e6, got inf"),
+    ("classify", "grid.per_decade", 1, "ConfigError: config.grid.per_decade must give 13 grid points or more, got 9"),
+    ("classify", "grid.per_decade", 0, "ConfigError: config.grid.per_decade must give 13 grid points or more, got 1"),
     # Malformed jet and plan values, sets included.
     ("extend", "jet.kind", "mystery",
      "ConfigError: config.jet.kind must be one of file, zero, polynomial, gevrey; got 'mystery'"),

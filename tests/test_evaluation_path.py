@@ -54,11 +54,10 @@ from ultraext.ultrajets import (
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import (
     CompactSet1D,
-    distance_and_nearest,
     distance_grid,
     distances_and_nearest,
 )
-from _reference import numpy_phi_derivatives, rebuilt, terms
+from _reference import distance_and_nearest, numpy_phi_derivatives, rebuilt, terms
 
 
 # The scalar local Taylor rule, the oracle of _local_taylor: the anchor
@@ -237,13 +236,14 @@ def test_eval_derivative_builds_only_the_bumps_of_its_piece():
 
 def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
     # Nothing is stored on the extension.  A float x with an order vector
-    # is one scalar glue and one scan of the set; a call per order builds
-    # its own vector; an array of points is one array pass that builds
-    # each (point, member) phi vector once and no scalar glue.
+    # is one scalar glue and one one-point distance lookup; a call per
+    # order builds its own vector; an array of points is one lookup and
+    # one array pass that builds each (point, member) phi vector once and
+    # no scalar glue.
     f = extensions["two_points"]
     built, passes, phis, scanned = [], [], [], []
     scalar, glue = extension_engine._glued_derivatives, extension_engine._glue
-    derivatives, nearest = Partition.derivatives, extension_engine.distance_and_nearest
+    derivatives, nearest = Partition.derivatives, extension_engine.distances_and_nearest
 
     def counted(f, x, order):
         built.append(x)
@@ -257,21 +257,21 @@ def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
         phis.append((x, i))
         return derivatives(self, i, x, order)
 
-    def counted_scan(e, x):
-        scanned.append(x)
-        return nearest(e, x)
+    def counted_scan(e, xs):
+        scanned.append(np.asarray(xs).tolist())
+        return nearest(e, xs)
 
     monkeypatch.setattr(extension_engine, "_glued_derivatives", counted)
     monkeypatch.setattr(extension_engine, "_glue", counted_pass)
-    monkeypatch.setattr(extension_engine, "distance_and_nearest", counted_scan)
+    monkeypatch.setattr(extension_engine, "distances_and_nearest", counted_scan)
     monkeypatch.setattr(Partition, "derivatives", counted_phi)
     xs = region_samples(f, 40)
     x1, top = xs[3].item(), f.plan.folds
     orders = np.arange(top + 1)
     vec = eval_derivative(f, x1, orders)
-    assert built == scanned == [x1] and passes == []
+    assert built == [x1] and scanned == [[x1]] and passes == []
     per_order = [eval_derivative(f, x1, a) for a in orders.tolist()]
-    assert built == scanned == [x1] * (top + 2)
+    assert built == [x1] * (top + 2) and scanned == [[x1]] * (top + 2)
     assert [type(v) for v in per_order] == [float] * (top + 1)
     assert [v.hex() for v in vec.tolist()] == [v.hex() for v in per_order]
     assert eval_derivative(f, 0.23, [2, 0]).tolist() == [f.jet.value(0.23, a) for a in (2, 0)]
@@ -280,7 +280,7 @@ def test_eval_derivative_builds_one_vector_per_point(extensions, monkeypatch):
     points = np.append(xs, 0.23)  # one point on the set
     table = eval_derivative(f, points, orders)
     assert table.shape == (points.size, top + 1)
-    assert built == scanned == [] and passes == [xs.tolist()]
+    assert built == [] and scanned == [points.tolist()] and passes == [xs.tolist()]
     assert len(phis) == len(set(phis)) and {x for x, _ in phis} <= set(xs.tolist())
     assert [v.hex() for v in table[3].tolist()] == [v.hex() for v in vec.tolist()]
     assert table[-1].tolist() == [f.jet.value(0.23, a) for a in orders.tolist()]

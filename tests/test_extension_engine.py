@@ -39,9 +39,8 @@ from ultraext.whitney_geometry import (
     EXPANDED_CLEARANCE,
     SIDE_WINDOW_HI,
     CompactSet1D,
-    distance_and_nearest,
 )
-from _reference import terms
+from _reference import distance_and_nearest, terms
 
 
 def fd_deriv(fun, x, order, step, levels=3):

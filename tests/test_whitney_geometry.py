@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultraext import whitney_geometry
 from ultraext.cli import main as cli_main
 from ultraext.errors import EmptyCover
 from ultraext.whitney_geometry import (
@@ -17,14 +18,13 @@ from ultraext.whitney_geometry import (
     ExtensionConstants,
     build_cover,
     covered_sample_grid,
-    distance_and_nearest,
     distance_grid,
     distances_and_nearest,
     overlap_counts,
     sorted_unique,
     verify_eq14,
 )
-from _reference import rebuilt
+from _reference import distance_and_nearest, rebuilt, stack_cover
 
 POINT = CompactSet1D.from_points([0.0])
 MIXED = CompactSet1D.from_intervals([(-1.0, 0.0), (1.0, 1.0)])
@@ -39,29 +39,24 @@ def test_compact_set_validation():
         CompactSet1D(((0.0, 1.0), (0.5, 2.0)))
     with pytest.raises(ValueError):
         CompactSet1D(((0.0, math.inf),))
-    assert 0.5 in MIXED.components[0] or (-0.5 in MIXED)
+    assert distance_grid(MIXED, [-0.5, 0.5]).tolist() == [0.0, 0.5]
     assert MIXED.span == (-1.0, 1.0)
 
 
 def test_distance_examples():
-    d, p = distance_and_nearest(MIXED, 0.25)
-    assert (d, p) == (0.25, 0.0)
-    d, p = distance_and_nearest(MIXED, 0.7)
-    assert d == pytest.approx(0.3, abs=1e-15) and p == 1.0
-    d, p = distance_and_nearest(MIXED, -0.5)
-    assert (d, p) == (0.0, -0.5)
-    # tie between 0 and 1 resolves toward the smaller coordinate
-    d, p = distance_and_nearest(MIXED, 0.5)
-    assert (d, p) == (0.5, 0.0)
+    ds, ps = distances_and_nearest(MIXED, [0.25, 0.7, -0.5, 0.5])
+    assert ds[0] == 0.25 and ds[1] == pytest.approx(0.3, abs=1e-15) and ds[2:].tolist() == [0.0, 0.5]
+    # the tie between 0 and 1 at 0.5 resolves toward the smaller coordinate
+    assert ps.tolist() == [0.0, 1.0, -0.5, 0.0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-5.0, 5.0))
 def test_distance_nearest_consistency(x):
-    d, p = distance_and_nearest(MIXED, x)
-    assert abs(x - p) == d
-    assert p in MIXED
-    assert distance_grid(MIXED, [x])[0] == d
+    ds, ps = distances_and_nearest(MIXED, [x])
+    assert abs(x - ps[0]) == ds[0]
+    assert distance_grid(MIXED, ps).tolist() == [0.0]
+    assert distance_grid(MIXED, [x])[0] == ds[0]
 
 
 def test_cover_contains_the_expected_interval():
@@ -251,6 +246,12 @@ def test_sorted_unique_keeps_the_first_of_signed_zeros():
         # 0.1 - 1e-300 rounds to 0.1: a rounding tie with the farther
         # component, which the scalar loop settles toward 0.0.
         (((0.0, 0.0), (1e-300, 1e-300)), [0.1, -0.1, 5e-301, 2e-300]),
+        # Many components closer together than the rounding of x - b: all
+        # tie from afar and the scan keeps the first.  From 1e6, -5 stays
+        # strictly farther than the cluster at 1; from 1e300 it ties too.
+        (tuple((k * 1e-300, k * 1e-300) for k in range(100)), [0.1, 7.0, -3.0, 5e-299, 2.05e-299, 1e300]),
+        (((-5.0, -5.0),) + tuple((1.0 + k * 2.0**-52,) * 2 for k in range(300)),
+         [1e6, 1e300, 0.5, -2.0, -1e300, 1.0 + 7.5 * 2.0**-52, 3.0]),
     ],
 )
 def test_distances_and_nearest_is_the_scalar_rule(components, xs):
@@ -261,17 +262,93 @@ def test_distances_and_nearest_is_the_scalar_rule(components, xs):
         assert (d.hex(), p.hex()) == (want_d.hex(), want_p.hex()), x
 
 
-@settings(max_examples=200, deadline=None)
+# Endpoints from a coarse grid, signed zeros, tiny and huge values and
+# clusters below the rounding of far-away distances.
+_ENDPOINTS = st.one_of(
+    st.integers(-8, 8).map(lambda v: v / 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 2e-300, 1.0 + 2.0**-52, 1e300, -1e300]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def _sets(draw):
+    ends = sorted(draw(st.lists(_ENDPOINTS, min_size=1, max_size=12, unique=True)))
+    comps, k = [], 0
+    while k < len(ends):
+        if k + 1 < len(ends) and draw(st.booleans()):
+            comps.append((ends[k], ends[k + 1]))
+            k += 2
+        else:
+            comps.append((ends[k], ends[k]))
+            k += 1
+    return CompactSet1D(comps)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_set_lookups_are_the_component_scans(data):
-    # Endpoints on a coarse grid, so cells share endpoints with components.
+def test_distances_and_nearest_is_the_scan(data):
+    e = data.draw(_sets())
+    ends = e.starts.tolist() + e.ends.tolist()
+    near = [math.nextafter(v, s) for v in ends for s in (-math.inf, math.inf)]
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1e6]
+    xs = data.draw(st.lists(st.one_of(st.sampled_from(ends + near + special), _ENDPOINTS), min_size=1, max_size=20))
+    ds, ps = distances_and_nearest(e, np.array(xs))
+    want = [distance_and_nearest(e, x) for x in xs]
+    assert [(d.hex(), p.hex()) for d, p in zip(ds.tolist(), ps.tolist())] == [(d.hex(), p.hex()) for d, p in want]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cover_is_the_stack_descent(data):
+    # Grid endpoints make cells share endpoints with components, where
+    # the enclose and meet tests decide.
     grid = st.integers(-8, 8).map(lambda v: v / 4.0)
-    ends = sorted(data.draw(st.lists(grid, min_size=2, max_size=8, unique=True)))
-    pairs = list(zip(ends[::2], ends[1::2])) or [(ends[0], ends[0])]
-    comps = [(a, a) if data.draw(st.booleans()) else (a, b) for a, b in pairs]
+    ends = sorted(data.draw(st.lists(st.one_of(grid, st.floats(-2.0, 2.0)), min_size=1, max_size=8, unique=True)))
+    comps = [(a, b if data.draw(st.booleans()) else a) for a, b in zip(ends[::2], ends[1::2] + ends[-1:])]
     e = CompactSet1D(comps)
-    left, right = sorted(data.draw(st.tuples(grid, grid)))
-    assert e.encloses(left, right) == any(a <= left and right <= b for a, b in comps)
-    assert e.meets(left, right) == any(a <= right and left <= b for a, b in comps)
-    for x in (left, right, math.nan):
-        assert (x in e) == any(a <= x <= b for a, b in comps)
+    r_cov = data.draw(st.sampled_from([0.1, 0.3, 1.0, 2.5]))
+    max_generation = data.draw(st.integers(0, 30))
+    expansion = data.draw(st.sampled_from([9.0 / 8.0, 1.9]))
+    want = stack_cover(e, r_cov, max_generation)
+    if not want[0].size:
+        with pytest.raises(EmptyCover):
+            build_cover(e, r_cov, expansion, max_generation)
+        return
+    cov = build_cover(e, r_cov, expansion, max_generation)
+    got = (cov.centers, cov.sides, cov.generations)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+
+
+@pytest.mark.parametrize("points", [[0.0], [8.0], [1000.0], [0.0, 1e-300]])
+def test_cover_is_the_stack_descent_at_the_precision_floor(points):
+    # Past the rounding of x + side, cells and their halves coincide.
+    e = CompactSet1D.from_points(points)
+    for max_generation in (48, 70):
+        cov = build_cover(e, 1.0, max_generation=max_generation)
+        want = stack_cover(e, 1.0, max_generation)
+        assert [a.tobytes() for a in (cov.centers, cov.sides, cov.generations)] == [a.tobytes() for a in want]
+
+
+def test_cover_makes_one_lookup_per_generation(monkeypatch):
+    # One distance lookup per generation: the stand-in for a cover that
+    # grew as (cells x components) when each cell scanned every component.
+    calls = []
+    lookup = whitney_geometry.distances_and_nearest
+
+    def counted(e, xs):
+        calls.append(len(xs))
+        return lookup(e, xs)
+
+    monkeypatch.setattr(whitney_geometry, "distances_and_nearest", counted)
+    gaps = np.diff([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
+    points = np.concatenate(([0.0], np.cumsum(np.resize(gaps, 63))))
+    for e in (POINT, MIXED, CompactSet1D.from_points(points)):
+        for max_generation in (0, 12, 48):
+            del calls[:]
+            try:
+                build_cover(e, 1.0, max_generation=max_generation)
+            except EmptyCover:
+                pass
+            assert 1 <= len(calls) <= max_generation + 1

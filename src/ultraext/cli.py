@@ -75,7 +75,6 @@ from .whitney_geometry import (
     build_cover,
     covered_sample_grid,
     distances_and_nearest,
-    overlap_counts,
     verify_eq14,
 )
 
@@ -570,7 +569,6 @@ def cmd_cover(cfg: dict):
     cover = build_cover(e, r_cov, expansion=expansion, max_generation=max_generation)
     xs = covered_sample_grid(cover, ccfg["check_points"])
     eq14 = verify_eq14(cover, xs)
-    overlap = overlap_counts(cover, xs)
 
     summary = {
         "command": "cover-dump",
@@ -587,7 +585,7 @@ def cmd_cover(cfg: dict):
             "checked": eq14.checked,
             "violations": len(eq14.violations),
         },
-        "max_overlap": int(overlap.max()) if len(overlap) else 0,
+        "max_overlap": eq14.max_overlap,
     }
     rows = zip(cover.centers.tolist(), cover.sides.tolist(), cover.generations.tolist())
     files = {

@@ -684,21 +684,8 @@ def _half_decades(ds) -> np.ndarray:
     return np.floor(np.log10(1.0 / np.asarray(ds, dtype=float)) * 2.0).astype(int)
 
 
-def _ratio_bins(ds: Sequence[float], ratios: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Worst ratio per half-decade of 1/d, abscissae increasing toward d -> 0."""
-    r = np.asarray(ratios, dtype=float)
-    idx = _half_decades(ds)
-    order = np.argsort(idx, kind="stable")
-    keys, starts = np.unique(idx[order], return_index=True)
-    abscissae = 10.0 ** ((keys + 0.5) / 2.0)
-    maxima = np.maximum.reduceat(r[order], starts)
-    return abscissae, maxima
-
-
-def _distance_trend(ds: Sequence[float], ratios: Sequence[float]) -> tuple[str, float]:
-    if len(ds) < 4:
-        return INCONCLUSIVE, 1.0
-    abscissae, maxima = _ratio_bins(ds, ratios)
+def _bin_trend(abscissae: np.ndarray, maxima: np.ndarray) -> tuple[str, float]:
+    """decade_trend of the distance-bin maxima, inconclusive on too few bins."""
     if len(abscissae) < 4 or abscissae[-1] / abscissae[0] < 100.0:
         return INCONCLUSIVE, 1.0
     span = math.log10(abscissae[-1] / abscissae[0])
@@ -721,54 +708,10 @@ def _alpha_trend(profile: Sequence[float]) -> tuple[str, float]:
     return range_trend(vals)
 
 
-def _finish_check(
-    name: str,
-    ratios: Sequence[float],
-    ds: Sequence[float],
-    per_alpha: dict[int, float],
-    skipped: int,
-    fitted: float | None = None,
-    notes: tuple[str, ...] = (),
-    alpha_profile: Sequence[float] | None = None,
-) -> BoundCheck:
-    """One check's verdict from its ratios and their distances (arrays or lists).
-
-    A check without a usable sample fails: it has shown nothing.  The
-    worst ratio is Python's max over the sequence: a leading NaN is the
-    result, a later one is passed over.
-    """
-    ratios = np.asarray(ratios, dtype=float)
-    if ratios.size == 0:
-        return BoundCheck(
-            name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, False,
-            notes + (("every sample was skipped",) if skipped else ("no usable samples",)),
-        )
-    max_ratio = float(ratios[0])
-    if not math.isnan(max_ratio):
-        max_ratio = float(np.fmax.reduce(ratios))
-    if alpha_profile is None:
-        alpha_profile = [per_alpha[a] for a in sorted(per_alpha)]
-    at, ag = _alpha_trend(alpha_profile)
-    dt, dg = _distance_trend(ds, ratios)
-    passed = math.isfinite(max_ratio) and at != GROWING and dt != GROWING
-    return BoundCheck(
-        name=name,
-        fitted_constant=float(fitted) if fitted is not None else max_ratio,
-        max_ratio=max_ratio,
-        alpha_trend=at,
-        alpha_growth=float(ag),
-        distance_trend=dt,
-        distance_growth=float(dg),
-        samples_used=ratios.size,
-        skipped=skipped,
-        passed=passed,
-        notes=notes,
-    )
-
-
-def _log_abs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|v|, numpy's log|v|), -inf at zeros: within an ulp or so of math.log."""
+def _log_abs(values: np.ndarray, used=True) -> tuple[np.ndarray, np.ndarray]:
+    """(|v|, numpy's log|v|), zeros outside the mask used: log within an ulp or so of math.log."""
     mag = np.abs(values)
+    np.copyto(mag, 0.0, where=np.logical_not(used))
     with np.errstate(divide="ignore"):
         return mag, np.log(mag)
 
@@ -798,6 +741,80 @@ def _bound_ratios(mag, logs, log_rhs, live, bins, exponent) -> np.ndarray:
 def _capped(raw, cols) -> np.ndarray:
     """The exponent of a bound check's ratio: the log ratio, at most 700."""
     return np.minimum(raw, 700.0)
+
+
+def _ratio_check(name, values, log_rhs, row_ds, skipped, used=True, terminal=False):
+    """One check's verdict from its (rows x orders) table of values v, row r at distance row_ds[r].
+
+    An entry's ratio is |v| / e^log_rhs (log_rhs broadcast against the
+    table), its exponent capped at 700, and 0.0 where v is zero or the
+    entry is outside used.  A terminal check first fits one growth base,
+    the worst (a + 1)-th root of the per-order log envelope (made libm's
+    first), so the companion constant is at most one over the sample and
+    every normalized ratio e^(log ratio - (a + 1) log base) is bounded by
+    one; it returns (BoundCheck, base), any other check the BoundCheck.
+
+    The verdict is the per-entry one, read from per-row values: as the
+    unused ratios are 0.0, a row's maximum is its used entries' maximum.
+    The worst ratio is Python's max over the used entries in row order (a
+    leading NaN is the result, a later one is passed over).  A check
+    without a usable sample fails: it has shown nothing.
+    """
+    used = np.broadcast_to(used, values.shape)
+    mag, logs = _log_abs(values, used)
+    exponent, live, profile, fitted = _capped, True, None, None
+    if terminal:
+        orders = np.arange(mag.shape[1])
+        raw, env = libm_log_maxima(mag, log_rhs, orders, orders.size, logs)
+        env = env.tolist()
+        kept = [a for a, v in enumerate(env) if v > -math.inf]
+        log_base = max([0.0] + [env[a] / (a + 1) for a in kept])
+        # Consecutive chord slopes of the log envelope.  A uniform base
+        # exists exactly when these stabilize rather than keep growing,
+        # so the order verdict is taken on this profile.  The normalized
+        # per-order maxima rise toward one at the binding order by
+        # construction and carry no verdict of their own.
+        profile = [
+            math.exp(min((env[a2] - env[a1]) / (a2 - a1), 700.0))
+            for a1, a2 in zip(kept, kept[1:])
+        ]
+        shift = (orders + 1) * log_base
+        exponent, live = (lambda x, cols: x - shift[cols]), raw > -np.inf
+        fitted = math.exp(min(log_base, 700.0))
+    bins = _half_decades(row_ds)
+    ratios = _bound_ratios(mag, logs, log_rhs, live, bins, exponent)
+    count = int(np.count_nonzero(used))
+    if count == 0:
+        check = BoundCheck(
+            name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, False,
+            ("every sample was skipped",) if skipped else ("no usable samples",),
+        )
+    else:
+        maxima = np.fmax.reduce(ratios, axis=0, initial=0.0)
+        rows = used.any(axis=1)
+        first = int(rows.argmax())
+        max_ratio = float(ratios[first, used[first].argmax()])
+        if not math.isnan(max_ratio):
+            max_ratio = float(maxima.max())
+        at, ag = _alpha_trend(maxima[used.any(axis=0)] if profile is None else profile)
+        # Fewer than four used entries leave fewer than four bins.
+        keys, group = np.unique(bins[rows], return_inverse=True)
+        top = np.full(keys.size, -np.inf)
+        np.maximum.at(top, group, np.max(ratios, axis=1)[rows])
+        dt, dg = _bin_trend(10.0 ** ((keys + 0.5) / 2.0), top)
+        check = BoundCheck(
+            name=name,
+            fitted_constant=max_ratio if fitted is None else fitted,
+            max_ratio=max_ratio,
+            alpha_trend=at,
+            alpha_growth=float(ag),
+            distance_trend=dt,
+            distance_growth=float(dg),
+            samples_used=count,
+            skipped=skipped,
+            passed=math.isfinite(max_ratio) and at != GROWING and dt != GROWING,
+        )
+    return (check, fitted) if terminal else check
 
 
 def verify_bounds(
@@ -832,15 +849,15 @@ def verify_bounds(
     bit.  Each (sample, member) phi vector is one Partition.derivatives
     call, shared by the two passes; it is the only per-pair work.
 
-    Phase 2 computes every check from the tables with elementwise array
-    arithmetic in the operation order of a per-sample loop, bit for bit:
-    subtraction, abs, minimum and fmax are the scalar operations.  Only
-    the column and distance-bin maxima of a check's ratio table, and the
-    column maxima of a terminal check's log envelope, reach the report;
-    numpy's log and exp fill the tables, and the entries that can decide
-    one of those maxima take libm's (math.log and math.exp) by the rule
-    of _fitting.libm_picks, so every reported figure is the per-entry
-    libm computation's.
+    Phase 2 runs one _ratio_check per estimate over its table, with
+    elementwise array arithmetic in the operation order of a per-sample
+    loop, bit for bit: subtraction, abs, minimum and fmax are the scalar
+    operations.  Only the column and distance-bin maxima of a check's
+    ratio table, and the column maxima of a terminal check's log
+    envelope, reach the report; numpy's log and exp fill the tables, and
+    the entries that can decide one of those maxima take libm's
+    (math.log and math.exp) by the rule of _fitting.libm_picks, so every
+    reported figure is the per-entry libm computation's.
     """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
@@ -861,10 +878,11 @@ def verify_bounds(
     # starts, so adding the sample's own term gives the same float.
     log_2ld = math.log(2.0 * ld)
     taylor_rhs = np.array([(a + 1) * log_2ld + f.value_row_log[a] for a in range(width)])
-    consis_rhs = [
+    n_consis = min(width, len(f.value_row_log) - 1)
+    consis_rhs = np.array([
         (a + 1) * log_2ld + math.lgamma(a + 1) + f.value_row_log[a + 1] - math.lgamma(a + 2)
-        for a in range(min(width, len(f.value_row_log) - 1))
-    ]
+        for a in range(n_consis)
+    ] + [0.0] * (width - n_consis))
     log_rows = [math.lgamma(b + 1) + f.degree_row.log_values[b] for b in range(width)]
     far_rhs = np.array([(b + 1) * math.log(ld) + r for b, r in enumerate(log_rows)])
     near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
@@ -899,83 +917,33 @@ def verify_bounds(
     capped = degs < wants
     capped[pair_k[(np.asarray(f.degrees) < np.asarray(f.requested))[pair_i]]] = True
 
-    # Phase 2: the checks, column-wise over the tables.  A check reads
-    # the entries marked in `used`; its tables are dropped once its
+    # Phase 2: one ratio check per estimate.  Each reads the entries
+    # marked in its used mask, and its tables are dropped once its
     # verdict is in.
-    checks: list[BoundCheck] = []
-    ds_bins = _half_decades(ds)
-
-    def finish(name, ratios, row_ds, skipped, used=True, **kwargs) -> None:
-        used = np.broadcast_to(used, ratios.shape)
-        maxima = np.fmax.reduce(ratios, axis=0, initial=0.0).tolist()
-        per_alpha = {a: v for a, v in enumerate(maxima) if used[:, a].any()}
-        ds_used = np.broadcast_to(row_ds[:, None], used.shape)[used]
-        checks.append(_finish_check(name, ratios[used], ds_used, per_alpha, skipped, **kwargs))
-
-    mag, logs = _log_abs(tx)
-    ratios = _bound_ratios(mag, logs, taylor_rhs, True, ds_bins, _capped)
-    finish("taylor_value_bound", ratios, ds, 0)
-
-    used = orders < np.minimum(wants, len(consis_rhs))[:, None]
-    mag, logs = _log_abs(np.where(used, tx - jet_tab, 0.0))
-    log_rhs = np.array(consis_rhs + [0.0] * (width - len(consis_rhs)))
-    log_rhs = log_rhs + libm(math.log, ds)[:, None]
-    ratios = _bound_ratios(mag, logs, log_rhs, True, ds_bins, _capped)
-    finish("taylor_jet_consistency", ratios, ds, 0, used)
-
-    mag, logs = _log_abs(diffs)
     i_ok, x_ok = center_ok[pair_i][:, None], near_ok[pair_k][:, None]
-    skipped_pairs = width * int(np.count_nonzero(~i_ok) + np.count_nonzero(~x_ok))
-    log_rhs = far_rhs + center_lh[pair_i][:, None]
-    bins = _half_decades(center_d)[pair_i]
-    ratios = _bound_ratios(mag, logs, log_rhs, i_ok, bins, _capped)
-    finish("pair_difference_interval", ratios, center_d[pair_i], skipped_pairs, i_ok)
-    log_rhs = near_rhs + lh_near[pair_k][:, None]
-    ratios = _bound_ratios(mag, logs, log_rhs, x_ok, ds_bins[pair_k], _capped)
-    finish("pair_difference_point", ratios, ds[pair_k], 0, x_ok)
-
-    # Fit one growth base per terminal estimate, in log space.  The base
-    # is the worst (a + 1)-th root of the per-order log envelope, which
-    # makes the companion constant at most one over the sample, so every
-    # normalized ratio is bounded by one.
-    def fit_log_base(env: list[float]) -> float:
-        vals = [v / (a + 1) for a, v in enumerate(env) if v > -math.inf]
-        return max([0.0] + vals)
-
-    def slope_profile(env: list[float]) -> list[float]:
-        # Consecutive chord slopes of the log envelope.  A uniform base
-        # exists exactly when these stabilize rather than keep growing,
-        # so the order verdict is taken on this profile.  The normalized
-        # per-order maxima rise toward one at the binding order by
-        # construction and carry no verdict of their own.
-        kept = [a for a, v in enumerate(env) if v > -math.inf]
-        return [
-            math.exp(min((env[a2] - env[a1]) / (a2 - a1), 700.0))
-            for a1, a2 in zip(kept, kept[1:])
-        ]
-
-    def terminal(name, values, log_rhs, skipped, used=True) -> float:
-        # The envelope fixes the base, so it is made libm's first; then
-        # each normalized ratio is math.exp(raw - (a + 1) * log_base).
-        mag, logs = _log_abs(values)
-        raw, env = libm_log_maxima(mag, log_rhs, orders, width, logs)
-        env = env.tolist()
-        log_base = fit_log_base(env)
-        shift = (orders + 1) * log_base
-        ratios = _bound_ratios(
-            mag, logs, log_rhs, raw > -np.inf, ds_bins, lambda x, cols: x - shift[cols]
-        )
-        fitted = math.exp(min(log_base, 700.0))
-        finish(name, ratios, ds, skipped, used, fitted=fitted, alpha_profile=slope_profile(env))
-        return fitted
-
     rows = (resid_ok & ~capped)[:, None]
-    log_rhs = growth_log + lh_resid[:, None]
-    skipped = width * int(np.count_nonzero(~rows))
-    m1 = terminal("residual_decay", np.where(rows, dev, 0.0), log_rhs, skipped, rows)
-    m = terminal("global_derivative_growth", glued, growth_log, 0)
+    checks = [
+        _ratio_check("taylor_value_bound", tx, taylor_rhs, ds, 0),
+        _ratio_check(
+            "taylor_jet_consistency", tx - jet_tab, consis_rhs + libm(math.log, ds)[:, None],
+            ds, 0, orders < np.minimum(wants, n_consis)[:, None],
+        ),
+        _ratio_check(
+            "pair_difference_interval", diffs, far_rhs + center_lh[pair_i][:, None],
+            center_d[pair_i], width * int(np.count_nonzero(~i_ok) + np.count_nonzero(~x_ok)),
+            i_ok,
+        ),
+        _ratio_check(
+            "pair_difference_point", diffs, near_rhs + lh_near[pair_k][:, None], ds[pair_k], 0, x_ok
+        ),
+    ]
+    resid, m1 = _ratio_check(
+        "residual_decay", dev, growth_log + lh_resid[:, None], ds,
+        width * int(np.count_nonzero(~rows)), rows, terminal=True,
+    )
+    growth, m = _ratio_check("global_derivative_growth", glued, growth_log, ds, 0, terminal=True)
     return BoundReport(
-        checks=tuple(checks),
+        checks=(*checks, resid, growth),
         sample_count=n,
         alpha_cap=cap,
         fitted_m=m,

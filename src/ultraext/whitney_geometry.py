@@ -313,12 +313,14 @@ class Eq14Report(NamedTuple):
     worst_upper: float  # max over samples of d(x_i)/d(x), must stay <= 3
     checked: int
     violations: list
+    max_overlap: int  # most expanded intervals holding one sample, 0 without samples
 
 
 def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
     """Check (1/2) d(x) <= d(x_i) <= 3 d(x) for samples on expanded intervals.
 
-    Every sample is tested against every expanded interval containing it.
+    Every sample is tested against every expanded interval containing it,
+    and the largest number of such intervals is the report's max_overlap.
     Points landing on E inside some expanded interval (possible only for
     adversarial expansions) are reported as violations with ratio inf.
     A check that tested no (sample, interval) pair fails: it has shown
@@ -329,10 +331,12 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
     d_center = distance_grid(cover.e, cover.centers)
     worst_lo = math.inf
     worst_hi = 0.0
-    checked = 0
+    checked = max_overlap = 0
     violations: list = []
     for x, dx in zip(xs, d_x):
-        for i in cover.members(x, expanded=True):
+        members = cover.members(x, expanded=True)
+        max_overlap = max(max_overlap, len(members))
+        for i in members:
             checked += 1
             if dx == 0.0:
                 violations.append((float(x), int(i), math.inf))
@@ -349,13 +353,8 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
         worst_upper=worst_hi,
         checked=checked,
         violations=violations,
+        max_overlap=max_overlap,
     )
-
-
-def overlap_counts(cover: WhitneyCover, sample_points) -> np.ndarray:
-    """Number of expanded intervals containing each sample point."""
-    xs = np.asarray(sample_points, dtype=float)
-    return np.array([len(cover.members(x, expanded=True)) for x in xs])
 
 
 def covered_sample_grid(cover: WhitneyCover, n: int) -> np.ndarray:

@@ -12,6 +12,15 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ultraext._fitting import GROWING, INCONCLUSIVE, decade_trend, libm_log_maxima
+from ultraext.extension_engine import (
+    BoundCheck,
+    _alpha_trend,
+    _bound_ratios,
+    _capped,
+    _half_decades,
+    _log_abs,
+)
 from ultraext.matrix_calculus import WeightMatrix
 from ultraext.partition_of_unity import (
     PiecewisePolynomial,
@@ -238,3 +247,111 @@ def stack_cover(e, r_cov: float, max_generation: int) -> tuple[np.ndarray, np.nd
             stack.append((left + 0.5 * side, 0.5 * side, gen + 1))
     order = np.argsort(centers)
     return np.asarray(centers)[order], np.asarray(sides)[order], np.asarray(gens)[order]
+
+
+def overlap_counts(cover, sample_points) -> np.ndarray:
+    """Number of expanded intervals containing each sample point, one members call each."""
+    xs = np.asarray(sample_points, dtype=float)
+    return np.array([len(cover.members(x, expanded=True)) for x in xs])
+
+
+def ratio_bins(ds, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """Worst ratio per half-decade of 1/d, abscissae increasing toward d -> 0."""
+    r = np.asarray(ratios, dtype=float)
+    idx = _half_decades(ds)
+    order = np.argsort(idx, kind="stable")
+    keys, starts = np.unique(idx[order], return_index=True)
+    abscissae = 10.0 ** ((keys + 0.5) / 2.0)
+    maxima = np.maximum.reduceat(r[order], starts)
+    return abscissae, maxima
+
+
+def distance_trend(ds, ratios) -> tuple[str, float]:
+    """The distance verdict of a check from its used entries and their distances."""
+    if len(ds) < 4:
+        return INCONCLUSIVE, 1.0
+    abscissae, maxima = ratio_bins(ds, ratios)
+    if len(abscissae) < 4 or abscissae[-1] / abscissae[0] < 100.0:
+        return INCONCLUSIVE, 1.0
+    span = math.log10(abscissae[-1] / abscissae[0])
+    decades = min(2.0, span - 0.5)
+    top = abscissae[-1]
+    mid = top / 10.0 ** (decades / 2.0)
+    lo = top / 10.0**decades * (1.0 - 1e-12)
+    first = np.count_nonzero((abscissae >= lo) & (abscissae < mid))
+    if first < 2 or np.count_nonzero(abscissae >= mid) < 2:
+        return INCONCLUSIVE, 1.0
+    return decade_trend(abscissae, maxima, decades=decades)
+
+
+def finish_check(
+    name, ratios, ds, per_alpha, skipped, fitted=None, notes=(), alpha_profile=None
+) -> BoundCheck:
+    """One check's verdict from its used ratios and their distances (arrays or lists).
+
+    A check without a usable sample fails.  The worst ratio is Python's
+    max over the sequence: a leading NaN is the result, a later one is
+    passed over.  The oracle of extension_engine._ratio_check's verdict.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.size == 0:
+        return BoundCheck(
+            name, 0.0, 0.0, INCONCLUSIVE, 1.0, INCONCLUSIVE, 1.0, 0, skipped, False,
+            notes + (("every sample was skipped",) if skipped else ("no usable samples",)),
+        )
+    max_ratio = float(ratios[0])
+    if not math.isnan(max_ratio):
+        max_ratio = float(np.fmax.reduce(ratios))
+    if alpha_profile is None:
+        alpha_profile = [per_alpha[a] for a in sorted(per_alpha)]
+    at, ag = _alpha_trend(alpha_profile)
+    dt, dg = distance_trend(ds, ratios)
+    passed = math.isfinite(max_ratio) and at != GROWING and dt != GROWING
+    return BoundCheck(
+        name=name,
+        fitted_constant=float(fitted) if fitted is not None else max_ratio,
+        max_ratio=max_ratio,
+        alpha_trend=at,
+        alpha_growth=float(ag),
+        distance_trend=dt,
+        distance_growth=float(dg),
+        samples_used=ratios.size,
+        skipped=skipped,
+        passed=passed,
+        notes=notes,
+    )
+
+
+def entry_ratio_check(name, values, log_rhs, row_ds, skipped, used=True, terminal=False):
+    """extension_engine._ratio_check through a masked copy of the used entries.
+
+    Unused entries of values are zeroed, the whole ratio table is built,
+    and its used entries and their distances go through finish_check in
+    row order; the per-order maxima are the table's column maxima.  A
+    terminal check fits its growth base from the log envelope first and
+    returns (BoundCheck, base).
+    """
+    used = np.broadcast_to(used, values.shape)
+    mag, logs = _log_abs(np.where(used, values, 0.0))
+    orders = np.arange(values.shape[1])
+    exponent, live, kwargs = _capped, True, {}
+    if terminal:
+        raw, env = libm_log_maxima(mag, log_rhs, orders, orders.size, logs)
+        env = env.tolist()
+        kept = [a for a, v in enumerate(env) if v > -math.inf]
+        log_base = max([0.0] + [env[a] / (a + 1) for a in kept])
+        shift = (orders + 1) * log_base
+        exponent, live = (lambda x, cols: x - shift[cols]), raw > -np.inf
+        kwargs = {
+            "fitted": math.exp(min(log_base, 700.0)),
+            "alpha_profile": [
+                math.exp(min((env[a2] - env[a1]) / (a2 - a1), 700.0))
+                for a1, a2 in zip(kept, kept[1:])
+            ],
+        }
+    ratios = _bound_ratios(mag, logs, log_rhs, live, _half_decades(row_ds), exponent)
+    maxima = np.fmax.reduce(ratios, axis=0, initial=0.0).tolist()
+    per_alpha = {a: v for a, v in enumerate(maxima) if used[:, a].any()}
+    ds_used = np.broadcast_to(np.asarray(row_ds)[:, None], used.shape)[used]
+    check = finish_check(name, ratios[used], ds_used, per_alpha, skipped, **kwargs)
+    return (check, kwargs["fitted"]) if terminal else check

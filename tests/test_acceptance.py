@@ -53,13 +53,13 @@ from ultraext.whitney_geometry import (
     CompactSet1D,
     build_cover,
     covered_sample_grid,
-    overlap_counts,
     verify_eq14,
 )
 from _reference import (
     derivative,
     distance_and_nearest,
     gamma_doubling_check,
+    overlap_counts,
     partition_value,
     rebuilt,
     sup_norm,
@@ -224,7 +224,7 @@ def test_criterion_07_cover_geometry():
         rep = verify_eq14(cover, xs)
         assert rep.ok and not rep.violations
         assert rep.worst_lower >= 0.5 and rep.worst_upper <= 3.0
-        assert int(overlap_counts(cover, xs).max()) <= 3
+        assert rep.max_overlap == int(overlap_counts(cover, xs).max()) <= 3
 
     # an aggressive expansion must break the proportionality check; the
     # builder refuses it outright, so it is forced onto a built cover

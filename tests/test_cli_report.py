@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1063,7 +1064,31 @@ def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch)
     for site in CERTIFY_SITES:
         sent.pop(site)
     through_libm = sum(sent.values())
-    assert set(sent) == {
-        "_bound_ratios<verify_bounds", "_bound_ratios<terminal", "libm_log_maxima<terminal"
-    }
+    assert set(sent) == {"_bound_ratios<_ratio_check", "libm_log_maxima<_ratio_check"}
     assert 0 < through_libm <= 0.01 * 109_952  # 920 entries
+
+
+def test_dense_audit_heap_peak_stays_under_its_bound(tmp_path, monkeypatch):
+    # verify_bounds on the audit_dense config, traced from its entry.  Its
+    # tracemalloc peak was 3.6 MB while every check's tables lived until
+    # the audit returned; each check now drops its tables when it is done.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import CONFIGS
+
+    peaks = []
+    real = cli.verify_bounds
+
+    def traced(f, **kwargs):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            report = real(f, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+        return report
+
+    monkeypatch.setattr(cli, "verify_bounds", traced)
+    cfg = write_config(tmp_path, CONFIGS["audit_dense"])
+    assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(peaks) == 1 and peaks[0] <= 2.6e6  # 2.44 MB

@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraext import extension_engine
@@ -29,10 +29,10 @@ from ultraext.extension_engine import (
     _bound_ratios,
     _capped,
     _difference_derivatives,
-    _finish_check,
     _local_taylor,
     _log_abs,
     _log_decay,
+    _ratio_check,
     _valuation_oks,
     assemble,
     eval_derivative,
@@ -57,7 +57,14 @@ from ultraext.whitney_geometry import (
     distance_grid,
     distances_and_nearest,
 )
-from _reference import distance_and_nearest, numpy_phi_derivatives, rebuilt, terms
+from _reference import (
+    distance_and_nearest,
+    entry_ratio_check,
+    finish_check,
+    numpy_phi_derivatives,
+    rebuilt,
+    terms,
+)
 
 
 # The scalar local Taylor rule, the oracle of _local_taylor: the anchor
@@ -551,19 +558,19 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
     growth_n = normalize(growth_raw, log_m)
 
     checks = (
-        _finish_check("taylor_value_bound", taylor_ratios, taylor_ds, taylor_alpha, 0),
-        _finish_check("taylor_jet_consistency", consis_ratios, consis_ds, consis_alpha, 0),
-        _finish_check(
+        finish_check("taylor_value_bound", taylor_ratios, taylor_ds, taylor_alpha, 0),
+        finish_check("taylor_jet_consistency", consis_ratios, consis_ds, consis_alpha, 0),
+        finish_check(
             "pair_difference_interval", pair_i_ratios, pair_i_ds, pair_i_alpha, skipped_pairs
         ),
-        _finish_check(
+        finish_check(
             "pair_difference_point", pair_x_ratios, pair_x_ds, pair_x_alpha, 0
         ),
-        _finish_check(
+        finish_check(
             "residual_decay", resid_n[0], resid_n[1], resid_n[2], skipped_resid,
             fitted=m1, alpha_profile=slope_profile(resid_env),
         ),
-        _finish_check(
+        finish_check(
             "global_derivative_growth", growth_n[0], growth_n[1], growth_n[2], 0,
             fitted=m, alpha_profile=slope_profile(growth_env),
         ),
@@ -702,8 +709,8 @@ NAN, INF = math.nan, math.inf
 def test_finish_check_takes_arrays_with_the_list_semantics(ratios):
     ds = np.geomspace(1e-9, 1e-1, len(ratios)).tolist()
     per_alpha = {a: r for a, r in enumerate(ratios[:3])}
-    want = _finish_check("check", ratios, ds, per_alpha, 1)
-    got = _finish_check("check", np.array(ratios), np.array(ds), per_alpha, 1)
+    want = finish_check("check", ratios, ds, per_alpha, 1)
+    got = finish_check("check", np.array(ratios), np.array(ds), per_alpha, 1)
     assert repr(got) == repr(want)
     assert repr(got.max_ratio) == repr(max(ratios))
 
@@ -712,10 +719,65 @@ def test_finish_check_takes_arrays_with_the_list_semantics(ratios):
     "skipped, note", [(0, "no usable samples"), (2160, "every sample was skipped")]
 )
 def test_finish_check_without_a_usable_sample_fails(skipped, note):
-    check = _finish_check("residual_decay", [], [], {}, skipped, notes=("cap",))
+    check = finish_check("residual_decay", [], [], {}, skipped, notes=("cap",))
     assert check.passed is False
     assert (check.samples_used, check.skipped) == (0, skipped)
     assert check.notes == ("cap", note)
+
+
+@st.composite
+def ratio_tables(draw):
+    """_ratio_check arguments: a table with zeros, NaN and inf, masks and binned distances.
+
+    A wild table draws every entry and log_rhs from all floats.  A tame
+    one grows like d^-p e^(s a) in distance d and order a, so its trends
+    can come out bounded or growing, and carries a few special entries.
+    """
+    def cells(entry, shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(entry, min_size=size, max_size=size)), float).reshape(shape)
+
+    rows, width = draw(st.integers(0, 40)), draw(st.integers(1, 9) | st.just(9))
+    special = st.sampled_from([0.0, -0.0, 5e-324, 1e300, INF, -INF, NAN])
+    # Rows fall in half-decade bins 0-8 of 1/d, several to a bin.
+    bins = cells(st.integers(0, 8), (rows,)) + cells(st.floats(0.05, 0.95), (rows,))
+    ds = 10.0 ** (-bins / 2.0)
+    if draw(st.booleans()):
+        values = cells(st.one_of(special, st.floats(-1e6, 1e6), st.floats()), (rows, width))
+        rhs_entry = st.one_of(
+            st.sampled_from([0.0, INF, -INF, NAN]), st.floats(-60.0, 60.0), st.floats(-1e4, 1e4)
+        )
+        log_rhs = cells(rhs_entry, draw(st.sampled_from([(width,), (rows, width)])))
+    else:
+        power = draw(st.sampled_from([0.0, 1.0, 3.0]))
+        slope = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        values = cells(st.floats(1.0, 2.0), (rows, width)) * ds[:, None] ** -power
+        values *= np.exp(slope * np.arange(width))
+        spots = st.tuples(st.integers(0, max(values.size - 1, 0)), special)
+        for k, v in draw(st.lists(spots, max_size=3 if values.size else 0)):
+            values.flat[k] = v
+        log_rhs = cells(st.sampled_from([0.0, 0.25]), (width,))
+    kind = draw(st.sampled_from(["all", "rows", "columns", "entries", "none"]))
+    if kind == "all":
+        used = True
+    else:
+        shape = {"rows": (rows, 1), "columns": (1, width)}.get(kind, (rows, width))
+        used = (cells(st.booleans(), shape) > 0) & (kind != "none")
+    return values, log_rhs, ds, draw(st.integers(0, 40)), used, draw(st.booleans())
+
+
+@given(ratio_tables())
+# A leading NaN ratio (inf / e^inf), and a later one among two used entries.
+@example((np.array([[INF, 1.0], [2.0, NAN]]), np.array([INF, 0.0]), np.array([0.1, 0.01]), 0, True, False))
+@example((np.array([[1.0, INF]]), np.array([0.0, INF]), np.array([0.1]), 0, True, False))
+@settings(max_examples=400, deadline=None)
+def test_ratio_check_is_the_entry_verdict(args):
+    # The verdict from row maxima against the one from a masked copy of the used entries.
+    values, log_rhs, ds, skipped, used, terminal = args
+    with np.errstate(all="ignore"):
+        got = _ratio_check("check", values, log_rhs, ds, skipped, used, terminal)
+        want = entry_ratio_check("check", values, log_rhs, ds, skipped, used, terminal)
+    assert repr(got) == repr(want)
 
 
 def test_audit_log_and_exp_are_libm_per_entry():

@@ -287,25 +287,21 @@ def _local_taylor(jet: UltraJet, row: WeightSequence, dilation: float, xs) -> _L
 class ExtensionFunction(NamedTuple):
     """The glued extension and everything needed to evaluate and audit it.
 
-    Valid arguments are the stored base points of the jet together with
-    the off-set band 0 < d(x) < d_max resolved by the cover.
+    Cover interval i carries the bump phi_i of the partition and the
+    Taylor polynomial local.polys[local.which[i]], the local Taylor rule
+    at its center.  Valid arguments are the stored base points of the
+    jet together with the off-set band 0 < d(x) < d_max resolved by the
+    cover.
     """
 
     jet: UltraJet
     plan: ExtensionPlan
     cover: WhitneyCover
     partition: Partition
-    taylors: tuple[TaylorPolynomial, ...]
-    degrees: tuple[int, ...]
-    requested: tuple[int, ...]
-    anchors: tuple[float, ...]
+    local: _LocalTaylor
     degree_row: WeightSequence
     residual_row: WeightSequence
-    value_row_log: tuple[float, ...]
-    growth_row_log: tuple[float, ...]
     d_max: float
-    degree_cutoffs: int
-    degree_caps: int
 
     def __call__(self, x: float) -> float:
         return eval_derivative(self, x, 0)
@@ -323,16 +319,16 @@ def assemble(
     """Build the extension for a jet against a regularized matrix.
 
     ``matrix`` must hold log-convex divided rows at 2*xi and 4*xi (the
-    strong regularization of the associated matrix).  Degrees above the
-    stored jet order are capped and counted; quotient-range cutoffs in
-    the degree rule are likewise counted, never silently absorbed.  A
-    plan below its threshold raises PlanInvalid unless the degenerate
-    run is requested explicitly.  The partition comes from
-    build_partition, which certifies the bump total positive on the
-    whole covered band from the template's plateau (no sampling) and
-    raises UncoveredPoint where it cannot.  The cover uses the 9/8
-    expansion.  Each interval's Taylor polynomial is _local_taylor's at
-    its center, and intervals with one (anchor, degree) share one object.
+    strong regularization of the associated matrix); the extension keeps
+    those two rows and nothing else of it.  A plan below its threshold
+    raises PlanInvalid unless the degenerate run is requested
+    explicitly.  The partition comes from build_partition, which
+    certifies the bump total positive on the whole covered band from the
+    template's plateau (no sampling) and raises UncoveredPoint where it
+    cannot.  The cover uses the 9/8 expansion.  The local Taylor rule is
+    _local_taylor's at the interval centers: intervals with one (anchor,
+    degree) share one polynomial, and its degrees above the stored jet
+    order are capped and flagged, as are quotient-range cutoffs.
     """
     if not plan.meets_threshold and not allow_degenerate:
         raise PlanInvalid(
@@ -344,8 +340,6 @@ def assemble(
     for name, row in (("2*xi", degree_row), ("4*xi", residual_row)):
         if not row.is_log_convex:
             raise ValueError(f"row at {name} must be log-convex; regularize first")
-    value_row = interleave_matrix(matrix, [plan.xi]).full_log_row(plan.xi)
-    growth_row = matrix.full_log_row(2.0 * plan.xi)
 
     cover = build_cover(jet.e, r_cov, EXPANSION, max_generation)
     partition = build_partition(cover, plan.folds)
@@ -355,23 +349,15 @@ def assemble(
         1.0 / (3.0 * plan.dilation * s1),
     )
 
-    local = _local_taylor(jet, degree_row, plan.dilation, cover.centers)
     return ExtensionFunction(
         jet=jet,
         plan=plan,
         cover=cover,
         partition=partition,
-        taylors=tuple(local.polys[w] for w in local.which.tolist()),
-        degrees=tuple(local.degree.tolist()),
-        requested=tuple(local.requested.tolist()),
-        anchors=tuple(jet.base_points[a] for a in local.anchor.tolist()),
+        local=_local_taylor(jet, degree_row, plan.dilation, cover.centers),
         degree_row=degree_row,
         residual_row=residual_row,
-        value_row_log=tuple(float(v) for v in value_row),
-        growth_row_log=tuple(float(v) for v in growth_row),
         d_max=d_max,
-        degree_cutoffs=int(np.count_nonzero(local.cutoff)),
-        degree_caps=int(np.count_nonzero(local.degree < local.requested)),
     )
 
 
@@ -454,21 +440,36 @@ def _deviation_derivatives(owners, diffs, phis, n: int, width: int) -> np.ndarra
     return out
 
 
+def _memberships(cover: WhitneyCover, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ref, pair_k, pair_i): the interval holding each point, and its members.
+
+    The members of x are the intervals whose bump can be alive at x,
+    those whose expanded interval holds it; (pair_k, pair_i) lists each
+    (point, member) pair, each point's members ascending.  ref is the
+    first interval containing x, or else its first member.  All of it
+    comes from WhitneyCover.window_memberships (CoverOverlap where its
+    two-interval window cannot serve the cover).
+    """
+    cand, inside, expanded = cover.window_memberships(xs)
+    slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
+    pair_k, pair_slot = np.nonzero(expanded)
+    return cand[np.arange(len(cand)), slot], pair_k, cand[pair_k, pair_slot]
+
+
 def _glued_derivatives(f: ExtensionFunction, x: float, order: int) -> list[float]:
     """Derivatives 0..order of the extension at one point x off the set.
 
-    The members are the intervals whose bump can be alive at x, those
-    whose expanded interval holds it.  The sum is taken as t_ref plus
-    the deviation from it, t_ref the Taylor polynomial of the interval
-    holding x: the first one containing x, or else the first expanded one.
+    The sum runs over the members of x (_memberships) and is taken as
+    t_ref plus the deviation from it, t_ref the Taylor polynomial of the
+    interval holding x.
     """
-    inside, expanded = f.cover.memberships(x)
-    members = expanded.tolist()
-    t_ref = f.taylors[int(inside[0]) if len(inside) else members[0]]
+    ref, _, members = _memberships(f.cover, [x])
+    polys, which = f.local.polys, f.local.which
+    t_ref = polys[which[ref[0]]]
     ref_vals = t_ref.derivatives(x, order)
     diffs, phis = [], []
-    for i in members:
-        dvals = _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
+    for i in members.tolist():
+        dvals = _difference_derivatives(polys[which[i]], t_ref, ref_vals, x, order)
         if dvals is not None:
             diffs.append(dvals)
             phis.append(f.partition.derivatives(i, x, order))
@@ -477,16 +478,10 @@ def _glued_derivatives(f: ExtensionFunction, x: float, order: int) -> list[float
     return out.tolist()
 
 
-def _interval_keys(f: ExtensionFunction) -> np.ndarray:
-    """Each interval's Taylor polynomial as anchor index * (alpha_max + 1) + degree."""
-    anchors = np.searchsorted(f.jet.base_points, f.anchors)
-    return anchors * (f.jet.alpha_max + 1) + np.asarray(f.degrees)
-
-
 class _Glue(NamedTuple):
     """The glued sum at n points, each taken around its polynomial t_ref."""
 
-    ref: np.ndarray  # the interval holding each point (_glued_derivatives' rule)
+    ref: np.ndarray  # the interval holding each point (_memberships)
     pair_k: np.ndarray  # (point, member) pairs, each point's members ascending
     pair_i: np.ndarray
     diffs: np.ndarray  # T_i - t_ref per pair; a row that vanishes stays zero
@@ -498,30 +493,22 @@ class _Glue(NamedTuple):
 def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=None) -> _Glue:
     """_glued_derivatives at every point of xs in array passes, bit for bit.
 
-    The points lie off the set, inside the band.  refs = (polys, which)
-    takes point k around polys[which[k]] (distinct polynomials) instead
-    of its holding interval's.  Members come from one
-    WhitneyCover.window_memberships (CoverOverlap where its two-interval
-    window cannot serve the cover).  Shared center and vanishing are
-    decided once per distinct (T_i, t_ref); the t_ref vectors and the
-    difference rows that do not vanish come from one Horner pass each
+    The points lie off the set, inside the band.  Point k is taken
+    around polys[which[k]] for refs = (polys, which), distinct
+    polynomials; by default around its holding interval's, the local
+    rule's polys[which[ref[k]]].  Members and holding intervals come
+    from one _memberships call.  Shared center and vanishing are decided
+    once per distinct (T_i, t_ref); the t_ref vectors and the difference
+    rows that do not vanish come from one Horner pass each
     (taylor_vectors), a distinct-center row less the t_ref vector
     (_difference_derivatives' two cases).  The phi vector of each live
     (x, member) pair is read from the dict phis, or computed by
     Partition.derivatives and added to it.
     """
     n = len(xs)
-    cand, inside, expanded = f.cover.window_memberships(xs)
-    slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
-    ref = cand[np.arange(n), slot]
-    pair_k, pair_slot = np.nonzero(expanded)
-    pair_i = cand[pair_k, pair_slot]
-    interval_key = _interval_keys(f)
-    if refs is None:
-        holder = dict(zip(interval_key[ref].tolist(), ref.tolist()))
-        held = sorted(holder)
-        refs = [f.taylors[holder[k]] for k in held], np.searchsorted(held, interval_key[ref])
-    polys, which = refs
+    ref, pair_k, pair_i = _memberships(f.cover, xs)
+    interval = f.local.which  # the polynomial of each interval in f.local.polys
+    polys, which = (f.local.polys, interval[ref]) if refs is None else refs
     base = taylor_vectors(polys, which, xs, order)
 
     diff_polys: list[TaylorPolynomial] = []
@@ -529,10 +516,10 @@ def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=Non
     apart = np.zeros(pair_k.size, dtype=bool)  # centers differ
     shared = []
     # One group per distinct (T_i, t_ref), its pairs in ascending order.
-    keys = interval_key[pair_i] * len(polys) + which[pair_k]
+    keys = interval[pair_i] * len(polys) + which[pair_k]
     by_key = np.argsort(keys, kind="stable")
     for sel in np.split(by_key, np.flatnonzero(np.diff(keys[by_key])) + 1):
-        t_i, t_ref = f.taylors[pair_i[sel[0]]], polys[which[pair_k[sel[0]]]]
+        t_i, t_ref = f.local.polys[interval[pair_i[sel[0]]]], polys[which[pair_k[sel[0]]]]
         if t_i.center != t_ref.center:
             apart[sel] = True
             poly = t_i
@@ -827,7 +814,11 @@ def verify_bounds(
     passes when the ratios are finite and neither trend is growing.
     The two terminal estimates fit a growth base instead (one base for
     all orders, no per-order refit).  Failures are entries in the
-    report, not exceptions, so a degenerate plan can be audited.
+    report, not exceptions, so a degenerate plan can be audited.  Both
+    yardsticks come from the degree row f.degree_row (row 2*xi of the
+    regularized matrix): the Taylor value checks take the full row of
+    its interleaving at xi (interleave_matrix, so the row's quotient
+    view), the growth checks the full row 2*xi itself.
 
     Phase 1 fills (samples x orders) tables with the vectors of t_x
     (the sample's Taylor polynomial), its jet row, dev_x (the glued sum
@@ -837,8 +828,9 @@ def verify_bounds(
     sample set, bitwise equal to a per-sample walk: distances and t_x by
     _local_taylor (the rule assemble applies to the interval centers),
     then one _glue pass around t_x for the t_x vectors, the difference
-    rows and dev_x.  Its members come from WhitneyCover.window_memberships,
-    which tests only the two intervals whose centers bracket a sample.
+    rows and dev_x.  Its members come from _memberships, whose
+    WhitneyCover.window_memberships tests only the two intervals whose
+    centers bracket a sample.
     That window holds because no expanded interval reaches a neighbouring
     center (sorted centers, disjoint cells, the 9/8 expansion); it is
     checked once per call and CoverOverlap raised if it fails.  Shared
@@ -874,19 +866,23 @@ def verify_bounds(
     center_d = distance_grid(f.jet.e, f.cover.centers)
     center_lh, center_ok = _log_decay(f.degree_row, libm(math.log, ld * center_d))
 
+    # The yardsticks, full rows built from the degree row alone.
+    degree_matrix = WeightMatrix.from_divided_rows({2.0 * plan.xi: f.degree_row})
+    value_log = interleave_matrix(degree_matrix, [plan.xi]).full_log_row(plan.xi).tolist()
+    growth_log = degree_matrix.full_log_row(2.0 * plan.xi)[:width]
+
     # Order-only log terms, each the left part of the per-sample sum it
     # starts, so adding the sample's own term gives the same float.
     log_2ld = math.log(2.0 * ld)
-    taylor_rhs = np.array([(a + 1) * log_2ld + f.value_row_log[a] for a in range(width)])
-    n_consis = min(width, len(f.value_row_log) - 1)
+    taylor_rhs = np.array([(a + 1) * log_2ld + value_log[a] for a in range(width)])
+    n_consis = min(width, len(value_log) - 1)
     consis_rhs = np.array([
-        (a + 1) * log_2ld + math.lgamma(a + 1) + f.value_row_log[a + 1] - math.lgamma(a + 2)
+        (a + 1) * log_2ld + math.lgamma(a + 1) + value_log[a + 1] - math.lgamma(a + 2)
         for a in range(n_consis)
     ] + [0.0] * (width - n_consis))
     log_rows = [math.lgamma(b + 1) + f.degree_row.log_values[b] for b in range(width)]
     far_rhs = np.array([(b + 1) * math.log(ld) + r for b, r in enumerate(log_rows)])
     near_rhs = np.array([(b + 1) * math.log(3.0 * ld) + r for b, r in enumerate(log_rows)])
-    growth_log = np.array(f.growth_row_log[:width])
 
     # Phase 1: each sample's t_x by the local Taylor rule, then t_x, the
     # (sample, member) difference rows against it and dev_x from one
@@ -906,8 +902,7 @@ def verify_bounds(
     # plus dev_x; the other samples are glued again around their t_ref,
     # reusing the phi vectors already built.
     glued = dev + tx
-    sample_key = local.anchor * (f.jet.alpha_max + 1) + degs
-    other = _interval_keys(f)[g.ref] != sample_key
+    other = (f.local.anchor[g.ref] != local.anchor) | (f.local.degree[g.ref] != degs)
     if other.any():
         h = _glue(f, xs[other], cap, phis)
         glued[other] = h.dev + h.base
@@ -915,7 +910,7 @@ def verify_bounds(
     # what the distance asks for; once the stored jet order caps them
     # the sum decays polynomially, not at the profile rate.
     capped = degs < wants
-    capped[pair_k[(np.asarray(f.degrees) < np.asarray(f.requested))[pair_i]]] = True
+    capped[pair_k[(f.local.degree < f.local.requested)[pair_i]]] = True
 
     # Phase 2: one ratio check per estimate.  Each reads the entries
     # marked in its used mask, and its tables are dropped once its

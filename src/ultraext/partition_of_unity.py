@@ -5,8 +5,8 @@ template bump is built per fold count: the indicator of the core
 [-1/2, 1/2], half inflated by the margin, convolved with `folds` box
 kernels, so derivatives and extrema come from the piece coefficients,
 never from numerical differencing.  A cover partition places that
-template on every interval by t -> center + side*t, an exact dyadic map;
-a placed bump is built only when something reads it.  build_partition
+template on every interval by t -> center + side*t, an exact dyadic map,
+and keeps only the placed breakpoints and the scaled rows.  build_partition
 validates all placements at once (or raises DegenerateSupport) and
 certifies that the bump total is positive on the whole covered band from
 the template's plateau, not from samples (or raises UncoveredPoint).
@@ -71,17 +71,6 @@ def _real_roots_in(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
     return out
 
 
-def _coeff_table(pieces) -> np.ndarray:
-    """The coefficient rows as one array, shorter rows zero-padded."""
-    lengths = {len(row) for row in pieces}
-    if len(lengths) == 1:
-        return np.array(pieces, dtype=float)
-    coeff = np.zeros((len(pieces), max(lengths)))
-    for j, row in enumerate(pieces):
-        coeff[j, : len(row)] = row
-    return coeff
-
-
 class PiecewisePolynomial:
     """Compactly supported piecewise polynomial in local power basis.
 
@@ -103,7 +92,10 @@ class PiecewisePolynomial:
             raise ValueError("need exactly one coefficient row per piece")
         if any(len(row) == 0 for row in pieces):
             raise ValueError("empty coefficient row")
-        coeff = _coeff_table(pieces)
+        # The rows as one array, shorter rows zero-padded.
+        coeff = np.zeros((len(pieces), max(map(len, pieces))))
+        for j, row in enumerate(pieces):
+            coeff[j, : len(row)] = row
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
         self.breakpoints, self.pieces, self._bp, self._coeff = breakpoints, pieces, bp, coeff
@@ -117,14 +109,6 @@ class PiecewisePolynomial:
     def degree(self) -> int:
         return self._coeff.shape[1] - 1
 
-    def piece_index(self, x: float) -> int:
-        """Index of the piece whose interval holds x, -1 outside the span."""
-        bp = self._bp
-        if x < bp[0] or x > bp[-1]:
-            return -1
-        j = int(np.searchsorted(bp, x, side="right")) - 1
-        return min(j, bp.size - 2)
-
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
@@ -137,12 +121,6 @@ class PiecewisePolynomial:
             out = out * dx + self._coeff[idx, m]
         out = np.where((xs >= bp[0]) & (xs <= bp[-1]), out, 0.0)
         return float(out[0]) if scalar else out
-
-
-def _local_coeffs(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray:
-    """Coefficients of poly around t, taken from the piece containing probe."""
-    j = poly.piece_index(probe)
-    return np.array(_taylor_shift(poly.pieces[j], t - poly.breakpoints[j]))
 
 
 def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
@@ -234,49 +212,17 @@ def _derivative_values(coeffs: Sequence[float], t: float, order: int) -> np.ndar
     return out
 
 
-class PlacedBumps(Sequence):
-    """One template bump placed on many intervals, each bump built on first read.
-
-    Row i of ``breakpoints`` is center_i + side_i * t over the template
-    breakpoints t; ``rows[i]`` are the template rows with row m divided
-    by side_i**m, one tuple shared by every interval of a side.  Bump i
-    is the PiecewisePolynomial of those two, built and kept when it is
-    first read.  It is built without PiecewisePolynomial's checks:
-    build_partition has made them on all rows at once (finite, strictly
-    increasing breakpoints; finite rows), and the template's shape fixes
-    the rest (at least two breakpoints, one nonempty row per piece).
-    """
-
-    def __init__(self, breakpoints: np.ndarray, rows: Sequence[tuple]) -> None:
-        self.breakpoints = breakpoints
-        self.rows = rows
-        self._built: dict[int, PiecewisePolynomial] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> PiecewisePolynomial:
-        i = range(len(self.rows))[i]  # IndexError ends iteration
-        got = self._built.get(i)
-        if got is None:
-            bp, rows = self.breakpoints[i], self.rows[i]
-            got = self._built[i] = object.__new__(PiecewisePolynomial)
-            got.breakpoints, got.pieces = tuple(bp.tolist()), rows
-            got._bp, got._coeff = bp, _coeff_table(rows)
-        return got
-
-
 def _live_bumps(
     breakpoints: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[tuple[int, ...], ...]:
     """Per refinement piece, the bumps whose closed support holds its midpoint.
 
-    That is the test piece_index makes.  Bump i covers the pieces from
-    the first midpoint >= starts[i] to the last one <= ends[i]; the
-    (piece, bump) pairs are sorted by piece with a stable sort, so each
-    piece lists its bumps ascending, the summation order.  Runs of
-    pieces with one live set share one tuple, placed by an object-array
-    gather rather than a Python int per piece.
+    Partition.piece reads each live bump's row at that midpoint.  Bump i
+    covers the pieces from the first midpoint >= starts[i] to the last
+    one <= ends[i]; the (piece, bump) pairs are sorted by piece with a
+    stable sort, so each piece lists its bumps ascending, the summation
+    order.  Runs of pieces with one live set share one tuple, placed by
+    an object-array gather rather than a Python int per piece.
     """
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     firsts = np.searchsorted(mids, starts, side="left")
@@ -302,6 +248,8 @@ def _live_bumps(
 class Partition:
     """Normalized bump family phi_i = psi_i / sum_j psi_j.
 
+    Bump psi_i is the piecewise polynomial with breakpoints placed[i] and
+    piece rows rows[i] (one tuple shared by every interval of a side).
     The family lives on the common breakpoint refinement of its bumps.
     Building it records, per refinement piece, only which bumps are alive
     there (from each bump's support slice, not a scan).  A piece's local
@@ -314,31 +262,35 @@ class Partition:
     def __init__(
         self,
         folds: int,
-        bumps: PlacedBumps,
+        placed: np.ndarray,
+        rows: Sequence[tuple],
         cover: WhitneyCover,
         breakpoints: np.ndarray,
         piece_active: tuple[tuple[int, ...], ...],
     ) -> None:
         self.folds = folds
-        self.bumps = bumps
+        self.placed = placed
+        self.rows = rows
         self.cover = cover
         self.breakpoints = breakpoints
         self.piece_active = piece_active
         self._pieces: dict = {}
 
     @classmethod
-    def from_bumps(cls, bumps: PlacedBumps, folds: int, cover: WhitneyCover) -> "Partition":
-        """The partition of the placed bumps on the cover; no bump is built."""
-        if len(bumps) == 0:
+    def from_bumps(
+        cls, placed: np.ndarray, rows: Sequence[tuple], folds: int, cover: WhitneyCover
+    ) -> "Partition":
+        """The partition of the bumps (placed[i], rows[i]) on the cover; no piece is built."""
+        if len(rows) == 0:
             raise ValueError("need at least one bump")
-        flat = bumps.breakpoints
-        all_bp = sorted_unique(flat)
+        all_bp = sorted_unique(placed)
         return cls(
             folds=int(folds),
-            bumps=bumps,
+            placed=placed,
+            rows=rows,
             cover=cover,
             breakpoints=all_bp,
-            piece_active=_live_bumps(all_bp, flat[:, 0], flat[:, -1]),
+            piece_active=_live_bumps(all_bp, placed[:, 0], placed[:, -1]),
         )
 
     def piece(self, j: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
@@ -346,13 +298,18 @@ class Partition:
 
         Returns the rows of the bumps in piece_active[j], in that order,
         and the row of their total, summed in ascending bump order.  Each
-        bump row is taken from the bump piece holding the midpoint.
+        bump row is the row of the bump piece holding the midpoint (the
+        last piece holds its right end), shifted to the left end.
         """
         got = self._pieces.get(j)
         if got is None:
             bp = self.breakpoints
             t, mid = float(bp[j]), float(0.5 * (bp[j] + bp[j + 1]))
-            cfs = tuple(_local_coeffs(self.bumps[i], t, mid) for i in self.piece_active[j])
+            cfs = []
+            for i in self.piece_active[j]:
+                at = self.placed[i]
+                k = min(int(np.searchsorted(at, mid, side="right")) - 1, at.size - 2)
+                cfs.append(np.array(_taylor_shift(self.rows[i][k], t - at[k])))
             tot = np.zeros(max((c.size for c in cfs), default=1))
             for c in cfs:
                 tot[: c.size] += c
@@ -360,11 +317,11 @@ class Partition:
             row = tuple(tot.tolist())
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"bump total coefficients overflow on piece {j}")
-            got = self._pieces[j] = (cfs, row)
+            got = self._pieces[j] = (tuple(cfs), row)
         return got
 
     def __len__(self) -> int:
-        return len(self.bumps)
+        return len(self.rows)
 
     def total(self, xs):
         """The bump total sum_i psi_i at xs, zero outside the breakpoints.
@@ -387,7 +344,8 @@ class Partition:
     def values_matrix(self, xs) -> np.ndarray:
         """phi values, one row per bump, zero where the total vanishes."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        rows = np.vstack([b(xs) for b in self.bumps])
+        bumps = zip(self.placed.tolist(), self.rows)
+        rows = np.vstack([PiecewisePolynomial(tuple(at), r)(xs) for at, r in bumps])
         totals = self.total(xs)
         denom = np.where(totals > 0.0, totals, 1.0)
         out = rows / denom
@@ -590,8 +548,7 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
             raise DegenerateSupport(
                 f"bump at center {float(centers[i])}, side {float(sides[i])}: {exc}"
             ) from None
-    bumps = PlacedBumps(bpm, [rows for rows, _ in placed])
-    partition = Partition.from_bumps(bumps, folds, cover)
+    partition = Partition.from_bumps(bpm, [rows for rows, _ in placed], folds, cover)
 
     q0, q1, floor = template_plateau(template)
     lo, hi = bpm[:, q0], bpm[:, q1]

@@ -192,21 +192,13 @@ class WhitneyCover:
         half = self.expanded_halfwidths() if expanded else 0.5 * self.sides
         return np.nonzero(np.abs(x - self.centers) <= half)[0]
 
-    def memberships(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(members(x), members(x, expanded=True)) from one |x - centers|."""
-        gap = np.abs(x - self.centers)
-        return (
-            np.nonzero(gap <= 0.5 * self.sides)[0],
-            np.nonzero(gap <= self.expanded_halfwidths())[0],
-        )
-
     def window_memberships(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """memberships at many points, with no (points x intervals) table.
+        """Both members tests at many points, with no (points x intervals) table.
 
         Returns (candidates, inside, expanded), each of shape (len(xs), 2):
         the candidates of x are the intervals j - 1 and j whose centers
-        bracket it, j = searchsorted(centers, x), and the masks are
-        memberships' tests on them (false out of range), members ascending.
+        bracket it, j = searchsorted(centers, x), and the masks are the
+        members tests on them (false out of range), members ascending.
 
         The window is complete when no expanded interval reaches the
         center of a neighbour.  On a cover of build_cover that follows
@@ -247,8 +239,8 @@ def build_cover(
     and cover every x with 3 * side_floor <= d(x) < r_cov, where
     side_floor is the finest side the generation cap admits.  At an
     expansion above 9/8 an expanded interval may reach a neighbouring
-    center, and window_memberships (so verify_bounds) then raises
-    CoverOverlap.
+    center, and window_memberships (so every evaluation off the set)
+    then raises CoverOverlap.
     """
     if not (r_cov > 0.0 and math.isfinite(r_cov)):
         raise ValueError("r_cov must be positive and finite")

@@ -27,6 +27,7 @@ from ultraext.partition_of_unity import (
     _derivative_values,
     _eval_local,
     _real_roots_in,
+    _taylor_shift,
 )
 from ultraext.seq_calculus import WeightSequence, _lower_hull_indices, counting_index
 
@@ -96,9 +97,33 @@ def sup_norm(poly: PiecewisePolynomial) -> float:
     return best
 
 
+def piece_index(poly: PiecewisePolynomial, x: float) -> int:
+    """Index of the piece whose interval holds x, -1 outside the span."""
+    bp = np.asarray(poly.breakpoints)
+    if x < bp[0] or x > bp[-1]:
+        return -1
+    return min(int(np.searchsorted(bp, x, side="right")) - 1, bp.size - 2)
+
+
+def bump(part, i: int) -> PiecewisePolynomial:
+    """Bump psi_i of a partition as a checked PiecewisePolynomial."""
+    return PiecewisePolynomial(tuple(part.placed[i].tolist()), part.rows[i])
+
+
+def bump_row(poly: PiecewisePolynomial, t: float, probe: float) -> np.ndarray:
+    """Coefficients of a built bump around t, from its piece holding probe.
+
+    The oracle of Partition.piece, which finds the piece in the placed
+    arrays instead of building the bump.
+    """
+    j = piece_index(poly, probe)
+    assert j >= 0, "probe outside the support"
+    return np.array(_taylor_shift(poly.pieces[j], t - poly.breakpoints[j]))
+
+
 def partition_value(part, i: int, x: float) -> float:
     """phi_i(x) as the quotient of bump i and the bump total."""
-    psi = part.bumps[i](x)
+    psi = bump(part, i)(x)
     if psi == 0.0:
         return 0.0
     return psi / part.total(x)
@@ -143,6 +168,23 @@ def scaled(jet, c: float):
 def terms(f, x: float) -> list[int]:
     """Indices of the intervals whose bump can be alive at x."""
     return [int(i) for i in f.cover.members(x, expanded=True)]
+
+
+def memberships(cover, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(members(x), members(x, expanded=True)) from one |x - centers| over every interval.
+
+    The oracle of WhitneyCover.window_memberships at one point.
+    """
+    gap = np.abs(x - cover.centers)
+    return (
+        np.nonzero(gap <= 0.5 * cover.sides)[0],
+        np.nonzero(gap <= cover.expanded_halfwidths())[0],
+    )
+
+
+def interval_poly(f, i: int):
+    """The Taylor polynomial an extension glues on cover interval i."""
+    return f.local.polys[f.local.which[i]]
 
 
 def taylor_degree(poly) -> int:

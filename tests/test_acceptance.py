@@ -340,7 +340,7 @@ def test_criterion_09_extension_end_to_end():
         d, _ = distance_and_nearest(e, x)
         if not pext.cover.d_min_covered <= d < pext.d_max:
             continue
-        mindeg = min(pext.degrees[int(i)] for i in pext.cover.members(x, expanded=True))
+        mindeg = pext.local.degree[pext.cover.members(x, expanded=True)].min()
         assert mindeg >= 3
         want = coeffs[0] + coeffs[1] * x + coeffs[3] * x**3
         got = eval_derivative(pext, x, 0)

@@ -18,11 +18,13 @@ guard can check only that it still exists.  UltraJet.row does have
 callers (extension_engine._valuation_oks and bench/checks.py).  Dunder
 methods are left out, since Python calls them.
 
-The same holds for data: every attribute a src/ class assigns on self
-is read somewhere in src/ or bench/, as an attribute load or a string
-constant (a getattr key).  Reads match by name alone, as calls do, so an
-attribute sharing its name with one read elsewhere passes.  NamedTuple
-fields are not assigned on self; _asdict serializes them.
+The same holds for data: every attribute a src/ class assigns on self,
+and every field of a src/ NamedTuple, is read somewhere in src/ or
+bench/, as an attribute load or a string constant (a getattr key).
+Reads match by name alone, as calls do, so an attribute sharing its name
+with one read elsewhere passes.  A NamedTuple that serializes itself
+through _asdict reads every field there, so its fields are not checked.
+An unread name kept on purpose is listed in ALLOWED as Class.name.
 """
 
 import ast
@@ -42,6 +44,8 @@ ALLOWED = {
     "associated_weight": "the paper's definition of omega_M, which the acceptance criteria run",
     "Partition.sup_norm": "the exact sup of phi_i^(b), which ROADMAP item 9's exact C_b builds on",
     "equivalent": "ROADMAP item 3 reuses its fitted ratio constant and trend",
+    "EquivalenceResult.equivalent": "the verdict of equivalent, for ROADMAP item 3",
+    "EquivalenceResult.constant": "the fitted ratio constant of equivalent, for ROADMAP item 3",
     "UltraJet.to_json": "the README's writer of the jet-file format",
 }
 
@@ -90,8 +94,21 @@ def uncalled() -> set[str]:
     }
 
 
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """The fields of a NamedTuple class, none if it is another class or calls _asdict."""
+    if not any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases):
+        return []
+    if any(isinstance(n, ast.Attribute) and n.attr == "_asdict" for n in ast.walk(cls)):
+        return []
+    return [
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
 def unread() -> set[str]:
-    """Class.attribute of every self attribute that src/ and bench/ never read."""
+    """Class.name of every self attribute and NamedTuple field that src/ and bench/ never read."""
     src, bench = _trees()
     reads = set()
     for node in (n for tree in src + bench for n in ast.walk(tree)):
@@ -99,9 +116,10 @@ def unread() -> set[str]:
             reads.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             reads.add(node.value)
-    return {
+    classes = [c for tree in src for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    attributes = {
         f"{cls.name}.{node.attr}"
-        for cls in (c for tree in src for c in ast.walk(tree) if isinstance(c, ast.ClassDef))
+        for cls in classes
         for node in ast.walk(cls)
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Store)
@@ -109,6 +127,8 @@ def unread() -> set[str]:
         and node.value.id == "self"
         and node.attr not in reads
     }
+    fields = {f"{cls.name}.{name}" for cls in classes for name in _fields(cls) if name not in reads}
+    return attributes | fields
 
 
 def test_every_src_definition_has_a_caller():
@@ -120,9 +140,9 @@ def test_every_src_definition_has_a_caller():
     defined = Counter(qualname.rsplit(".", 1)[-1] for tree in src for qualname, _ in _definitions(tree))
     present = {qualname for tree in src for qualname, _ in _definitions(tree)}
     shared = {name for name in ALLOWED if defined[name.rsplit(".", 1)[-1]] > 1}
-    assert ALLOWED.keys() - dead - shared == set(), "allowlisted but called or removed"
+    assert ALLOWED.keys() - dead - shared - unread() == set(), "allowlisted but called or removed"
     assert shared <= present, "allowlisted but removed"
 
 
 def test_every_self_attribute_is_read():
-    assert unread() == set(), "assigned on self, never read in src/ or bench/"
+    assert unread() - ALLOWED.keys() == set(), "stored, never read in src/ or bench/"

@@ -40,6 +40,7 @@ from ultraext.extension_engine import (
     region_samples,
     verify_bounds,
 )
+from ultraext import partition_of_unity
 from ultraext.matrix_calculus import associated_matrix, interleave_matrix, strong_regularization
 from ultraext.partition_of_unity import Partition
 from ultraext.seq_calculus import QUOTIENT_TIE_SLACK, counting_index
@@ -61,6 +62,8 @@ from _reference import (
     distance_and_nearest,
     entry_ratio_check,
     finish_check,
+    interval_poly,
+    memberships,
     numpy_phi_derivatives,
     rebuilt,
     terms,
@@ -119,7 +122,7 @@ class PhiVectors(dict):
 def _glued_derivatives(f, x, order, members, phis, t_ref):
     ref_vals = t_ref.derivatives(x, order)
     diffs = {
-        i: _difference_derivatives(f.taylors[i], t_ref, ref_vals, x, order)
+        i: _difference_derivatives(interval_poly(f, i), t_ref, ref_vals, x, order)
         for i in members
     }
     out = _deviation_derivatives(diffs, phis, order)
@@ -128,7 +131,9 @@ def _glued_derivatives(f, x, order, members, phis, t_ref):
     return out
 
 
-def gevrey_extension(points, folds=8, weight=None, e=None):
+# Each builder returns the extension and the regularized matrix it was
+# assembled against.
+def gevrey_extension(points, folds=8, weight=None, e=None, xi=1.0):
     """The README extend job's extension (power 0.5, gevrey jet at xi 1) on points.
 
     e, when given, is the set; points are then its base points.
@@ -136,11 +141,11 @@ def gevrey_extension(points, folds=8, weight=None, e=None):
     weight = WeightFunction.power(0.5) if weight is None else weight
     reg = strong_regularization(associated_matrix(weight, k_max=64))
     inter = interleave_matrix(reg)
-    row = tuple(float(v) for v in np.exp(inter.full_log_row(1.0)[:33]))
+    row = tuple(float(v) for v in np.exp(inter.full_log_row(xi)[:33]))
     e = CompactSet1D.from_points(points) if e is None else e
     jet = UltraJet(e, tuple(points), (row,) * len(points))
-    plan = make_plan(certify(jet, inter, xi=1.0), reg, folds=folds)
-    return assemble(jet, reg, plan)
+    plan = make_plan(certify(jet, inter, xi=xi), reg, folds=folds)
+    return assemble(jet, reg, plan), reg
 
 
 def weight_row_extension(points, xi):
@@ -153,7 +158,7 @@ def weight_row_extension(points, xi):
     reg = strong_regularization(mat)
     row = tuple(math.exp(v) for v in mat.full_log_row(xi)[:33].tolist())
     jet = UltraJet(CompactSet1D.from_points(points), tuple(points), (row,) * len(points))
-    return assemble(jet, reg, make_plan(certify(jet, interleave_matrix(reg)), reg))
+    return assemble(jet, reg, make_plan(certify(jet, interleave_matrix(reg)), reg)), reg
 
 
 def polynomial_extension(points, coeffs):
@@ -161,11 +166,12 @@ def polynomial_extension(points, coeffs):
     reg = strong_regularization(associated_matrix(WeightFunction.power(0.5), k_max=64))
     inter = interleave_matrix(reg)
     jet = polynomial_jet(CompactSet1D.from_points(points), points, coeffs, 32)
-    return assemble(jet, reg, make_plan(certify(jet, inter), reg))
+    return assemble(jet, reg, make_plan(certify(jet, inter), reg)), reg
 
 
 @pytest.fixture(scope="module")
-def extensions():
+def cases():
+    """name -> (extension, the regularized matrix it was assembled against)."""
     return {
         "one_point": gevrey_extension([0.0]),
         "two_points": gevrey_extension([0.0, 0.23]),
@@ -183,7 +189,19 @@ def extensions():
         # Taylor polynomials of distinct anchors.
         "polynomial": polynomial_extension([0.0, 0.01], [1.0, 2.0, -3.0]),
         "weight_row": weight_row_extension([0.0, 0.3, 0.7], 1.0),
+        # The degree row (xi 1/2) is a hull minorant: its quotient view is
+        # not the differences of its values.  On two points a yardstick
+        # built from the values moves an order trend of the report; on
+        # {0} alone it moved none.
+        "hull_minorant": gevrey_extension(
+            [0.0, 0.23], weight=WeightFunction.power(0.9), xi=0.25
+        ),
     }
+
+
+@pytest.fixture(scope="module")
+def extensions(cases):
+    return {name: f for name, (f, _) in cases.items()}
 
 
 def parent_reference_index(f, x):
@@ -196,7 +214,7 @@ def parent_reference_index(f, x):
 def fresh_derivative(f, x, alpha):
     """The order-alpha vector's last entry, built from nothing stored."""
     phis = PhiVectors(f.partition, x, alpha)
-    t_ref = f.taylors[parent_reference_index(f, x)]
+    t_ref = interval_poly(f, parent_reference_index(f, x))
     return float(_glued_derivatives(f, x, alpha, terms(f, x), phis, t_ref)[alpha])
 
 
@@ -226,18 +244,23 @@ def test_eval_derivative_serves_every_order_bitwise_as_fresh(extensions, name, p
         assert eval_derivative(f, x, a).hex() == want.hex(), (x, a)
 
 
-def test_eval_derivative_builds_only_the_bumps_of_its_piece():
-    # A fresh cluster extension: assembly builds no bump and no piece row;
-    # one evaluation builds the bumps alive on the piece holding x.
-    f = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
+def test_eval_derivative_builds_only_the_bumps_of_its_piece(monkeypatch):
+    # A fresh cluster extension: assembly builds no piece row; one
+    # evaluation reads the rows of the bumps alive on the piece holding x.
+    f, _ = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
     part = f.partition
-    assert part.bumps._built == {} and part._pieces == {}
+    assert part._pieces == {}
     for x in region_samples(f, 40).tolist():
         j = int(np.searchsorted(part.breakpoints, x, side="right")) - 1
         if len(part.piece_active[j]) == 2:
             break
+    shifts = []
+    real = partition_of_unity._taylor_shift
+    monkeypatch.setattr(
+        partition_of_unity, "_taylor_shift", lambda *a: shifts.append(a) or real(*a)
+    )
     eval_derivative(f, x, f.plan.folds)
-    assert sorted(part.bumps._built) == list(part.piece_active[j])
+    assert len(shifts) == len(part.piece_active[j])
     assert list(part._pieces) == [j]
 
 
@@ -378,8 +401,12 @@ def test_array_eval_derivative_is_the_scalar_call_on_the_whole_ladder(extensions
     assert any(apart) == (name == "polynomial")
 
 
-def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
-    """verify_bounds with per-sample Taylor vectors and per-order log terms."""
+def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
+    """verify_bounds with per-sample Taylor vectors and per-order log terms.
+
+    Its yardsticks are taken from the regularized matrix reg that f was
+    assembled against: the interleaved row at xi and reg's own row 2xi.
+    """
     plan = f.plan
     cap = min(int(alpha_cap), plan.folds, f.jet.alpha_max)
     notes: list[str] = []
@@ -388,6 +415,8 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
     xs = region_samples(f, samples)
     ld = plan.dilation
     k3 = plan.constants.k3
+    value_row_log = interleave_matrix(reg, [plan.xi]).full_log_row(plan.xi).tolist()
+    growth_row_log = reg.full_log_row(2.0 * plan.xi).tolist()
 
     taylor_ratios: list[float] = []
     taylor_ds: list[float] = []
@@ -410,12 +439,15 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
     val_pairs = 0
     val_ok = True
 
-    # Per-interval decay values at the dilated center distance.
+    # Per-interval decay values at the dilated center distance, and
+    # whether the stored jet order caps the interval's degree.
     center_info: dict[int, tuple[float, float, bool]] = {}
+    center_capped: dict[int, bool] = {}
     for i, c in enumerate(f.cover.centers):
         d_i, _ = distance_and_nearest(f.jet.e, float(c))
         lh, ok = _log_decay(f.degree_row, math.log(ld * d_i))
         center_info[i] = (d_i, lh, ok)
+        center_capped[i] = requested_degree(f.degree_row, ld, d_i)[0] > f.jet.alpha_max
 
     for x in xs:
         x = float(x)
@@ -431,11 +463,11 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         phis = PhiVectors(f.partition, x, cap)
         tx_vals = t_x.derivatives(x, cap)
         diffs_x = {
-            i: _difference_derivatives(f.taylors[i], t_x, tx_vals, x, cap)
+            i: _difference_derivatives(interval_poly(f, i), t_x, tx_vals, x, cap)
             for i in members
         }
         dev_x = _deviation_derivatives(diffs_x, phis, cap)
-        t_ref = f.taylors[parent_reference_index(f, x)]
+        t_ref = interval_poly(f, parent_reference_index(f, x))
         if t_ref == t_x:
             # Same anchor and degree: the glued sum is t_x plus dev_x.
             glued = dev_x.copy()
@@ -449,22 +481,22 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         # The residual estimate presumes the local degrees actually reach
         # what the distance asks for; once the stored jet order caps them
         # the sum decays polynomially, not at the profile rate.
-        capped_here = deg < want or any(f.degrees[i] < f.requested[i] for i in members)
+        capped_here = deg < want or any(center_capped[i] for i in members)
 
         for a in range(cap + 1):
             lhs = abs(tx_vals[a])
-            log_rhs = (a + 1) * math.log(2.0 * ld) + f.value_row_log[a]
+            log_rhs = (a + 1) * math.log(2.0 * ld) + value_row_log[a]
             r = _log_ratio(math.log(lhs), log_rhs) if lhs > 0.0 else 0.0
             taylor_ratios.append(r)
             taylor_ds.append(d)
             taylor_alpha[a] = max(taylor_alpha.get(a, 0.0), r)
 
-            if a < want and a + 1 < len(f.value_row_log):
+            if a < want and a + 1 < len(value_row_log):
                 lhs_c = abs(tx_vals[a] - f.jet.value(anchor, a))
                 log_rhs_c = (
                     (a + 1) * math.log(2.0 * ld)
                     + math.lgamma(a + 1)
-                    + f.value_row_log[a + 1]
+                    + value_row_log[a + 1]
                     - math.lgamma(a + 2)
                     + math.log(d)
                 )
@@ -475,17 +507,17 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
 
             resid = abs(dev_x[a])
             if resid_ok and not capped_here:
-                log_base = f.growth_row_log[a] + lh_resid
+                log_base = growth_row_log[a] + lh_resid
                 resid_raw.append((math.log(resid) - log_base if resid > 0.0 else -math.inf, a, d))
             else:
                 skipped_resid += 1
 
             total = abs(glued[a])
-            growth_raw.append((math.log(total) - f.growth_row_log[a] if total > 0.0 else -math.inf, a, d))
+            growth_raw.append((math.log(total) - growth_row_log[a] if total > 0.0 else -math.inf, a, d))
 
         for i in members:
             d_i, lh_far, i_ok = center_info[i]
-            t_i = f.taylors[i]
+            t_i = interval_poly(f, i)
             if t_i.center == t_x.center:
                 val_pairs += 1
                 if not _valuation_oks(f.jet, anchor, t_i, t_x):
@@ -612,12 +644,14 @@ def parent_verify_bounds(f, *, samples: int = 400, alpha_cap: int = 8):
         # Every base point stores the weight row; the plan is on the row
         # certify picks (xi 1/4), not on a pinned one.
         pytest.param("weight_row", 8, 2000, id="weight_row-8-2000"),
+        # The yardsticks come from the degree row's quotient view.
+        pytest.param("hull_minorant", 8, 240, id="hull_minorant-8"),
     ],
 )
-def test_audit_matches_the_per_sample_audit(extensions, name, alpha_cap, samples):
-    f = extensions[name]
+def test_audit_matches_the_per_sample_audit(cases, name, alpha_cap, samples):
+    f, reg = cases[name]
     got = verify_bounds(f, samples=samples, alpha_cap=alpha_cap).to_json()
-    want = parent_verify_bounds(f, samples=samples, alpha_cap=alpha_cap).to_json()
+    want = parent_verify_bounds(f, reg, samples=samples, alpha_cap=alpha_cap).to_json()
     assert json.dumps(got) == json.dumps(want)
     assert got["alpha_cap"] == alpha_cap
 
@@ -633,6 +667,10 @@ def test_audit_cases_reach_their_edge_tables(extensions):
     assert resid.samples_used == 0 and resid.skipped > 0
     rep = verify_bounds(extensions["log_squared"], samples=240)
     assert rep.degree_cap_hits == 230 and rep.sample_count == 240
+    # A yardstick built from the row's values instead of its quotients
+    # would differ here.
+    row = extensions["hull_minorant"].degree_row
+    assert np.count_nonzero(np.array(row.log_quotients) != np.diff(row.log_values)) > 0
 
 
 @pytest.mark.parametrize("name", ["one_point", "cluster", "log_squared"])
@@ -670,15 +708,18 @@ def test_assembly_is_the_scalar_local_taylor_rule(extensions, name):
         want, at_cut = requested_degree(f.degree_row, f.plan.dilation, d)
         deg = min(want, f.jet.alpha_max)
         t = taylor_poly(f.jet, nearest_base_point(f.jet, xhat), deg)
-        got = f.taylors[i]
+        got = interval_poly(f, i)
         assert [v.hex() for v in (got.center, *got.derivs)] == [
             v.hex() for v in (t.center, *t.derivs)
         ]
-        assert (f.anchors[i].hex(), f.degrees[i], f.requested[i]) == (t.center.hex(), deg, want)
-        assert type(f.degrees[i]) is type(f.requested[i]) is int
+        anchor = f.jet.base_points[f.local.anchor[i]]
+        assert (anchor.hex(), f.local.degree[i], f.local.requested[i]) == (t.center.hex(), deg, want)
+        assert f.local.cutoff[i] == at_cut
         caps += deg < want
         cutoffs += at_cut
-    assert (f.degree_caps, f.degree_cutoffs) == (caps, cutoffs)
+    assert f.local.degree.dtype.kind == f.local.requested.dtype.kind == "i"
+    local_caps = np.count_nonzero(f.local.degree < f.local.requested)
+    assert (local_caps, np.count_nonzero(f.local.cutoff)) == (caps, cutoffs)
 
 
 def test_assembly_builds_one_polynomial_per_anchor_and_degree(monkeypatch):
@@ -688,9 +729,10 @@ def test_assembly_builds_one_polynomial_per_anchor_and_degree(monkeypatch):
     monkeypatch.setattr(
         extension_engine, "taylor_poly", lambda *args: made.append(args) or real(*args)
     )
-    f = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
-    assert len(f.taylors) == 630
-    assert len(made) == len(set(made)) == len(set(f.taylors)) == 73
+    f, _ = gevrey_extension([0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81])
+    assert len(f.local.which) == 630
+    assert len(made) == len(set(made)) == len(set(f.local.polys)) == 73
+    assert sorted(set(f.local.which.tolist())) == list(range(73))
 
 
 NAN, INF = math.nan, math.inf
@@ -853,7 +895,7 @@ def test_phi_derivatives_on_python_floats_are_the_numpy_scalar_rules(extensions,
     f = extensions[name]
     mixed = 0
     for x in region_samples(f, samples).tolist():
-        for i in f.cover.memberships(x)[1].tolist():
+        for i in memberships(f.cover, x)[1].tolist():
             got = f.partition.derivatives(i, x, f.plan.folds)
             want = numpy_phi_derivatives(f.partition, i, x, f.plan.folds)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
@@ -887,7 +929,7 @@ def test_two_point_audit_changes_anchor_and_reference(extensions):
         want, _ = requested_degree(f.degree_row, f.plan.dilation, d)
         t_x = taylor_poly(f.jet, anchor, min(want, f.jet.alpha_max))
         anchors.add(anchor)
-        other_ref += f.taylors[parent_reference_index(f, x)] != t_x
+        other_ref += interval_poly(f, parent_reference_index(f, x)) != t_x
     assert anchors == {0.0, 0.23}
     assert other_ref > 0
 
@@ -909,7 +951,7 @@ def test_array_lookup_matches_the_per_sample_lookup(extensions, name):
         d, xhat = distance_and_nearest(f.jet.e, x)
         assert (ds[k].hex(), grid[k].hex(), hats[k].hex()) == (d.hex(), d.hex(), xhat.hex())
         assert anchors[k].hex() == nearest_base_point(f.jet, xhat).hex()
-        want_in, want_ex = f.cover.memberships(x)
+        want_in, want_ex = memberships(f.cover, x)
         assert cand[k][inside[k]].tolist() == want_in.tolist()
         assert cand[k][expanded[k]].tolist() == want_ex.tolist()
         assert parent_reference_index(f, x) == (want_in.tolist() or want_ex.tolist())[0]
@@ -931,7 +973,7 @@ def test_pair_classification_runs_once_per_distinct_pair(extensions, monkeypatch
     rep = verify_bounds(f, samples=2000)
     assert len(calls) == len(set(calls)) == 26
     assert rep.valuation_pairs == sum(
-        len(f.cover.memberships(x)[1]) for x in region_samples(f, 2000).tolist()
+        len(memberships(f.cover, x)[1]) for x in region_samples(f, 2000).tolist()
     )
 
 

@@ -27,7 +27,7 @@ from ultraext.matrix_calculus import associated_matrix, interleave_matrix, stron
 from ultraext.ultrajets import UltraJet, certify, polynomial_jet
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import CompactSet1D
-from _reference import terms
+from _reference import bump, interval_poly, piece_index, terms
 
 CLUSTER_POINTS = [0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]
 
@@ -76,15 +76,15 @@ def exact_derivatives(f, x: float, order: int) -> tuple[list, list]:
     mid = float(0.5 * (bp[j] + bp[j + 1]))
     products, den = [], [mpf(0)] * n
     for i in part.piece_active[j]:
-        bump = part.bumps[i]
-        k = bump.piece_index(mid)
-        u = mpf(x) - mpf(bump.breakpoints[k])
-        cs = [mpf(c) for c in bump.pieces[k]]
+        psi_i = bump(part, i)
+        k = piece_index(psi_i, mid)
+        u = mpf(x) - mpf(psi_i.breakpoints[k])
+        cs = [mpf(c) for c in psi_i.pieces[k]]
         psi = [
             sum(cs[m] * mpmath.binomial(m, r) * u ** (m - r) for m in range(r, len(cs)))
             for r in range(n)
         ]
-        t = f.taylors[i]
+        t = interval_poly(f, i)
         v = mpf(x) - mpf(t.center)
         ds = [mpf(c) for c in t.derivs]
         tay = [
@@ -135,7 +135,7 @@ def test_eval_derivative_matches_exact_arithmetic(pipeline, name, monkeypatch):
     # Every fine-ladder sample whose live bumps carry two anchors.
     mixed = [
         x for x in region_samples(f, 2000).tolist()
-        if len({f.anchors[i] for i in terms(f, x)}) > 1
+        if len({int(f.local.anchor[i]) for i in terms(f, x)}) > 1
     ]
     assert bool(mixed) == (two_anchor_bound is not None)
     apart = []

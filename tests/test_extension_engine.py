@@ -285,9 +285,10 @@ def test_assemble_rejects_degenerate_plan(pipeline):
 
 def test_assemble_counts_caps_and_cutoffs(pipeline):
     _, _, _, _, _, ext = pipeline
-    assert ext.degree_caps > 0
-    assert ext.degree_cutoffs > 0
-    assert all(d <= want for d, want in zip(ext.degrees, ext.requested))
+    local = ext.local
+    assert np.count_nonzero(local.degree < local.requested) > 0
+    assert np.count_nonzero(local.cutoff) > 0
+    assert (local.degree <= local.requested).all()
     assert ext.d_max > 0.0
 
 
@@ -362,7 +363,7 @@ def test_polynomial_jet_reproduced_exactly(pipeline):
         d, _ = distance_and_nearest(e, x)
         if not ext.cover.d_min_covered <= d < ext.d_max:
             continue
-        mindeg = min(ext.degrees[int(i)] for i in ext.cover.members(x, expanded=True))
+        mindeg = ext.local.degree[ext.cover.members(x, expanded=True)].min()
         assert mindeg >= 3, "probe must sit where the local degree covers the polynomial"
         for a in range(5):
             got = eval_derivative(ext, x, a)
@@ -382,7 +383,7 @@ def test_polynomial_boundary_errors_are_exact_differences(pipeline):
     assert len(bnd.steps) >= 20
     checked = 0
     for s in bnd.steps:
-        mindeg = min(ext.degrees[int(i)] for i in ext.cover.members(s.x, expanded=True))
+        mindeg = ext.local.degree[ext.cover.members(s.x, expanded=True)].min()
         if mindeg < 3:
             continue
         # Where the local degrees cover the polynomial, f is the

@@ -16,7 +16,6 @@ from ultraext.partition_of_unity import (
     MARGIN_FRACTION,
     Partition,
     PiecewisePolynomial,
-    PlacedBumps,
     _convolve_box,
     _eval_local,
     _merge_close,
@@ -31,7 +30,17 @@ from ultraext.whitney_geometry import (
     covered_sample_grid,
     distance_grid,
 )
-from _reference import derivative, integral, partition_value, rebuilt, sup_norm, support
+from _reference import (
+    bump,
+    bump_row,
+    derivative,
+    integral,
+    partition_value,
+    piece_index,
+    rebuilt,
+    sup_norm,
+    support,
+)
 
 EPS = np.finfo(float).eps
 
@@ -50,14 +59,19 @@ def mixed_partition():
 
 
 def placed(folds, centers, sides):
-    """PlacedBumps of the template at each (center, side), as build_partition places it."""
+    """(placed breakpoints, rows) of the template at each (center, side), as build_partition places it."""
     template = build_bump(folds)
     centers, sides = np.asarray(centers, dtype=float), np.asarray(sides, dtype=float)
     rows = [
         tuple(tuple(c / s**m for m, c in enumerate(row)) for row in template.pieces)
         for s in sides.tolist()
     ]
-    return PlacedBumps(centers[:, None] + sides[:, None] * template._bp, rows)
+    return centers[:, None] + sides[:, None] * template._bp, rows
+
+
+def bumps(part):
+    """Every bump of a partition as a checked PiecewisePolynomial."""
+    return [bump(part, i) for i in range(len(part))]
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -110,9 +124,9 @@ def test_piecewise_evaluation_uses_local_coordinates():
     assert f(2.0) == 0.0
     assert f(3.0) == -1.0  # rightmost breakpoint belongs to the last piece
     assert f(-0.1) == 0.0 and f(3.1) == 0.0
-    assert f.piece_index(0.2) == 0
-    assert f.piece_index(3.0) == 1
-    assert f.piece_index(5.0) == -1
+    assert piece_index(f, 0.2) == 0
+    assert piece_index(f, 3.0) == 1
+    assert piece_index(f, 5.0) == -1
     assert support(f) == (0.0, 3.0)
     assert f.degree == 1
     out = f(np.array([0.5, 2.0, 10.0]))
@@ -177,7 +191,7 @@ def test_derivative_chain_bound():
 
 
 def test_single_bump_partition_is_identity():
-    part = Partition.from_bumps(placed(4, [0.5], [1.0]), 4, point_partition().cover)
+    part = Partition.from_bumps(*placed(4, [0.5], [1.0]), 4, point_partition().cover)
     assert len(part) == 1
     for x in (-0.05, 0.0, 0.37, 1.0, 1.05):
         assert partition_value(part, 0, x) == 1.0
@@ -188,7 +202,7 @@ def test_single_bump_partition_is_identity():
 
 
 def test_two_bump_overlap_sums_to_one():
-    part = Partition.from_bumps(placed(3, [0.5, 1.5], [1.0, 1.0]), 3, point_partition().cover)
+    part = Partition.from_bumps(*placed(3, [0.5, 1.5], [1.0, 1.0]), 3, point_partition().cover)
     xs = np.linspace(-0.05, 2.05, 4001)
     sums = part.values_matrix(xs).sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
@@ -211,8 +225,8 @@ def test_supports_stay_inside_expanded_intervals(factory):
     part = factory()
     cover = part.cover
     halves = cover.expanded_halfwidths()
-    for i, bump in enumerate(part.bumps):
-        lo, hi = support(bump)
+    for i, psi in enumerate(bumps(part)):
+        lo, hi = support(psi)
         assert lo >= cover.centers[i] - halves[i] - 1e-12
         assert hi <= cover.centers[i] + halves[i] + 1e-12
         width = (1.0 + 2.0 * MARGIN_FRACTION) * cover.sides[i]
@@ -243,7 +257,7 @@ def test_build_partition_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_partition(narrow, 3)
     with pytest.raises(ValueError):
-        Partition.from_bumps(PlacedBumps(np.empty((0, 2)), []), 2, cover)
+        Partition.from_bumps(np.empty((0, 2)), [], 2, cover)
 
 
 def test_order_caps():
@@ -295,7 +309,7 @@ def test_derivative_sums_of_the_family_vanish():
 def test_sup_norm_dominates_dense_grid():
     part = point_partition()
     i = len(part) // 2
-    lo, hi = support(part.bumps[i])
+    lo, hi = support(bump(part, i))
     xs = np.linspace(lo, hi, 2001)
     for order in (1, 3):
         exact = part.sup_norm(i, order)
@@ -314,7 +328,8 @@ def test_bump_profile_properties(center, log_side, folds):
     # The template placed on the interval (center, side): one on the
     # core, supported on the core widened by a margin of side / 16.
     side = 2.0**log_side
-    b = placed(folds, [center], [side])[0]
+    at, rows = placed(folds, [center], [side])
+    b = PiecewisePolynomial(tuple(at[0].tolist()), rows[0])
     core = (center - 0.5 * side, center + 0.5 * side)
     margin = side * MARGIN_FRACTION
     slo, shi = support(b)
@@ -383,20 +398,21 @@ def ref_convolve_box(f, width):
     return PiecewisePolynomial(tuple(float(b) for b in new_bp), tuple(rows))
 
 
-def ref_partition_rows(bumps):
+def ref_partition_rows(part):
     """(active, coeffs, total) per refinement piece by the pieces x bumps scan."""
-    all_bp = np.unique(np.concatenate([b._bp for b in bumps]))
+    polys = bumps(part)
+    all_bp = np.unique(np.concatenate([b._bp for b in polys]))
     rows = []
     for j in range(all_bp.size - 1):
         t = float(all_bp[j])
         mid = 0.5 * (all_bp[j] + all_bp[j + 1])
         act, cfs = [], []
-        for i, bump in enumerate(bumps):
-            k = bump.piece_index(mid)
+        for i, psi in enumerate(polys):
+            k = piece_index(psi, mid)
             if k < 0:
                 continue
             act.append(i)
-            cfs.append(ref_taylor_shift(bump.pieces[k], t - bump.breakpoints[k]))
+            cfs.append(ref_taylor_shift(psi.pieces[k], t - psi.breakpoints[k]))
         tot = np.zeros(max((c.size for c in cfs), default=1))
         for c in cfs:
             tot[: c.size] += c
@@ -416,7 +432,7 @@ def assert_same_poly(got, want):
 
 
 def assert_partition_matches_scan(part):
-    ref = ref_partition_rows(part.bumps)
+    ref = ref_partition_rows(part)
     assert len(part.piece_active) == len(ref)
     for j, (act, cfs, tot) in enumerate(ref):
         assert part.piece_active[j] == act
@@ -495,7 +511,7 @@ def test_partition_matches_scan_on_three_point_cover():
 
 def test_partition_matches_scan_on_nested_and_shared_supports():
     # Supports at folds 4 are center +- 9/16 side, all dyadic here.
-    bumps = placed(
+    at, rows = placed(
         4,
         [
             0.0,  # support [-2.25, 2.25]
@@ -507,7 +523,7 @@ def test_partition_matches_scan_on_nested_and_shared_supports():
         ],
         [4.0, 0.5, 0.25, 1.0, 1.0, 2.0],
     )
-    part = Partition.from_bumps(bumps, 4, point_partition().cover)
+    part = Partition.from_bumps(at, rows, 4, point_partition().cover)
     assert () in part.piece_active
     assert_partition_matches_scan(part)
 
@@ -521,7 +537,7 @@ def test_live_bumps_match_the_per_bump_slices():
     bp = part.breakpoints
     mids = 0.5 * (bp[:-1] + bp[1:])
     live = [[] for _ in range(mids.size)]
-    for i, row in enumerate(part.bumps.breakpoints):
+    for i, row in enumerate(part.placed):
         lo = int(np.searchsorted(mids, row[0], side="left"))
         hi = int(np.searchsorted(mids, row[-1], side="right"))
         for j in range(lo, hi):
@@ -556,17 +572,17 @@ def test_placed_template_matches_each_fold_chain(points, folds):
     # collapse.
     cover = build_cover(CompactSet1D.from_points(points), 1.0, max_generation=40)
     part = build_partition(cover, folds)
-    for c, s, bump in zip(cover.centers.tolist(), cover.sides.tolist(), part.bumps):
-        assert len(bump.breakpoints) > 2
+    for c, s, psi in zip(cover.centers.tolist(), cover.sides.tolist(), bumps(part)):
+        assert len(psi.breakpoints) > 2
         chain = interval_chain(c, s, folds)
         if len(chain.breakpoints) > 2:
-            assert_same_poly(bump, chain)
+            assert_same_poly(psi, chain)
 
 
 def test_deepest_template_bumps_stay_smooth():
     cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=44)
     part = build_partition(cover, 8)
-    assert min(len(b.breakpoints) for b in part.bumps) > 2
+    assert min(len(b.breakpoints) for b in bumps(part)) > 2
     deep = cover.sides == cover.sides.min()
     xs = np.concatenate(
         [cover.centers[deep] + t * cover.sides[deep] for t in (-0.5, -0.25, 0.0, 0.25, 0.5)]
@@ -589,11 +605,11 @@ def test_unresolvable_placement_raises_degenerate_support(point, generations, re
 
 def test_piece_rows_are_built_on_first_read_only(monkeypatch):
     cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=44)
-    bumps = build_partition(cover, 8).bumps
+    built = build_partition(cover, 8)
     calls = []
-    real = pou._local_coeffs
-    monkeypatch.setattr(pou, "_local_coeffs", lambda *a: calls.append(a) or real(*a))
-    part = Partition.from_bumps(bumps, 8, cover=cover)
+    real = pou._taylor_shift
+    monkeypatch.setattr(pou, "_taylor_shift", lambda *a: calls.append(a) or real(*a))
+    part = Partition.from_bumps(built.placed, built.rows, 8, cover=cover)
     assert calls == []
     j = next(j for j, act in enumerate(part.piece_active) if len(act) >= 2)
     x = float(0.5 * (part.breakpoints[j] + part.breakpoints[j + 1]))
@@ -627,8 +643,8 @@ def test_total_matches_the_piecewise_total(points, folds):
 
 
 def test_piece_rows_that_overflow_raise_on_read():
-    huge = PlacedBumps(np.array([[0.0, 1.0], [0.0, 1.0]]), [((1e308,),), ((1e308,),)])
-    part = Partition.from_bumps(huge, 1, point_partition().cover)
+    huge = np.array([[0.0, 1.0], [0.0, 1.0]]), [((1e308,),), ((1e308,),)]
+    part = Partition.from_bumps(*huge, 1, point_partition().cover)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
         part.piece(0)
 
@@ -747,14 +763,12 @@ def test_every_dropped_band_cell_raises_uncovered_point():
 def test_build_partition_materializes_no_bump_and_no_piece():
     cover = build_cover(CompactSet1D.from_points(list(CLUSTER_POINTS)), 1.0, max_generation=44)
     part = build_partition(cover, 8)
-    assert isinstance(part.bumps, pou.PlacedBumps)
-    assert part.bumps._built == {} and part._pieces == {}
-    # Reading bump i builds bump i only, once: the template placed at (c, s).
-    bump = part.bumps[3]
-    assert list(part.bumps._built) == [3] and part.bumps[3] is bump
+    assert part._pieces == {}
+    # Bump i is held as the template placed at (c, s), never built.
     template = build_bump(8)
     c, s = float(cover.centers[3]), float(cover.sides[3])
-    assert raw(bump.breakpoints) == raw(c + s * template._bp)
+    assert raw(part.placed[3]) == raw(c + s * template._bp)
+    assert part.rows[3] is part.rows[int(np.argmax(cover.sides == s))]
 
 
 def one_interval(center, side):
@@ -777,9 +791,9 @@ def one_interval(center, side):
     ],
 )
 def test_placement_check_enforces_each_piecewise_condition(condition):
-    # PlacedBumps builds bumps without PiecewisePolynomial.__post_init__,
-    # so each condition it checks must hold for every placement that
-    # build_partition accepts: the data ones by the array check, the
+    # Partition.piece reads the placed arrays without PiecewisePolynomial's
+    # checks, so each condition they make must hold for every placement
+    # that build_partition accepts: the data ones by the array check, the
     # shape ones by the template.
     rejected = {
         "finite breakpoints": ((math.inf, 1.0), "breakpoints must be finite"),
@@ -793,25 +807,47 @@ def test_placement_check_enforces_each_piecewise_condition(condition):
         return
     template = build_bump(8)
     cover = build_cover(CompactSet1D.from_points(list(CLUSTER_POINTS)), 1.0, max_generation=44)
-    bumps = build_partition(cover, 8).bumps
-    n = bumps.breakpoints.shape[1]
+    part = build_partition(cover, 8)
+    n = part.placed.shape[1]
     if condition == "two breakpoints":
         assert n == len(template.breakpoints) >= 2
     elif condition == "row per piece":
-        assert all(len(rows) == n - 1 for rows in bumps.rows)
+        assert all(len(rows) == n - 1 for rows in part.rows)
     else:
         lengths = [len(row) for row in template.pieces]
         assert min(lengths) >= 1
-        assert all([len(row) for row in rows] == lengths for rows in bumps.rows)
+        assert all([len(row) for row in rows] == lengths for rows in part.rows)
 
 
 @pytest.mark.parametrize("points", [(0.0,), CLUSTER_POINTS])
 def test_placed_bumps_equal_the_checked_construction(points):
+    # Each bump (placed[i], rows[i]) passes PiecewisePolynomial's checks,
+    # and values_matrix is that bump over the total, bit for bit.
     cover = build_cover(CompactSet1D.from_points(list(points)), 1.0, max_generation=44)
-    bumps = build_partition(cover, 8).bumps
-    for i, bump in enumerate(bumps):
-        want = PiecewisePolynomial(tuple(bumps.breakpoints[i].tolist()), bumps.rows[i])
-        assert bump == want
-        assert raw(bump._bp) == raw(want._bp)
-        assert bump._coeff.shape == want._coeff.shape
-        assert raw(bump._coeff.ravel()) == raw(want._coeff.ravel())
+    part = build_partition(cover, 8)
+    xs = covered_sample_grid(cover, 512)
+    got = part.values_matrix(xs)
+    totals = part.total(xs)
+    for i, want in enumerate(bumps(part)):
+        assert raw(want._bp) == raw(part.placed[i]) and want.pieces is part.rows[i]
+        quotient = want(xs) / np.where(totals > 0.0, totals, 1.0)
+        assert raw(got[i]) == raw(np.where(totals > 0.0, quotient, 0.0))
+
+
+@pytest.mark.parametrize("folds", range(1, 9))
+def test_piece_rows_are_the_built_bump_route(folds):
+    # Partition.piece finds each bump's piece in the placed arrays; the
+    # route through the built bump is its oracle, on every piece of the
+    # cluster cover.  Fold counts 3, 5, 6 and 7 move the template's
+    # breakpoints off the dyadic grid.
+    template = build_bump(folds)
+    dyadic = all((b * 2.0**20).is_integer() for b in template.breakpoints)
+    assert dyadic == (folds not in (3, 5, 6, 7))
+    cover = build_cover(CompactSet1D.from_points(list(CLUSTER_POINTS)), 1.0, max_generation=44)
+    part = build_partition(cover, folds)
+    polys = bumps(part)
+    bp = part.breakpoints
+    for j, act in enumerate(part.piece_active):
+        t, mid = float(bp[j]), float(0.5 * (bp[j] + bp[j + 1]))
+        got, _ = part.piece(j)
+        assert [raw(c) for c in got] == [raw(bump_row(polys[i], t, mid)) for i in act]

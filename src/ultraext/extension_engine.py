@@ -39,6 +39,7 @@ from .seq_calculus import WeightSequence, counting_index, log_h_function
 from .ultrajets import TaylorPolynomial, UltraJet, taylor_poly, taylor_vectors
 from .whitney_geometry import (
     EXPANDED_CLEARANCE,
+    EXPANDED_REACH,
     EXPANSION,
     SIDE_WINDOW_HI,
     WhitneyCover,
@@ -345,7 +346,7 @@ def assemble(
     partition = build_partition(cover, plan.folds)
     s1 = math.exp(degree_row.log_values[1])
     d_max = min(
-        cover.constants.r_0 / (3.0 * cover.constants.B_1),
+        cover.r_cov / (3.0 * EXPANDED_REACH),
         1.0 / (3.0 * plan.dilation * s1),
     )
 
@@ -447,8 +448,8 @@ def _memberships(cover: WhitneyCover, xs) -> tuple[np.ndarray, np.ndarray, np.nd
     those whose expanded interval holds it; (pair_k, pair_i) lists each
     (point, member) pair, each point's members ascending.  ref is the
     first interval containing x, or else its first member.  All of it
-    comes from WhitneyCover.window_memberships (CoverOverlap where its
-    two-interval window cannot serve the cover).
+    comes from WhitneyCover.window_memberships, whose two-interval window
+    build_partition has checked on the cover.
     """
     cand, inside, expanded = cover.window_memberships(xs)
     slot = np.where(inside.any(axis=1), inside.argmax(axis=1), expanded.argmax(axis=1))
@@ -633,12 +634,6 @@ class BoundReport(NamedTuple):
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks) and self.valuation_ok
-
-    def check(self, name: str) -> BoundCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {
@@ -832,8 +827,8 @@ def verify_bounds(
     WhitneyCover.window_memberships tests only the two intervals whose
     centers bracket a sample.
     That window holds because no expanded interval reaches a neighbouring
-    center (sorted centers, disjoint cells, the 9/8 expansion); it is
-    checked once per call and CoverOverlap raised if it fails.  Shared
+    center (sorted centers, disjoint cells, the 9/8 expansion), which
+    build_partition checked when the extension was assembled.  Shared
     center, valuation and vanishing are decided once per distinct
     (T_i, t_x) pair.  The samples whose holding interval carries a
     polynomial other than t_x are glued once more, in a second _glue

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSupport, UncoveredPoint
+from .errors import CoverOverlap, DegenerateSupport, UncoveredPoint
 from .whitney_geometry import WhitneyCover, distance_grid, sorted_unique
 
 # Bump margins are this fraction of the interval side.  Supports then
@@ -264,23 +264,19 @@ class Partition:
         folds: int,
         placed: np.ndarray,
         rows: Sequence[tuple],
-        cover: WhitneyCover,
         breakpoints: np.ndarray,
         piece_active: tuple[tuple[int, ...], ...],
     ) -> None:
         self.folds = folds
         self.placed = placed
         self.rows = rows
-        self.cover = cover
         self.breakpoints = breakpoints
         self.piece_active = piece_active
         self._pieces: dict = {}
 
     @classmethod
-    def from_bumps(
-        cls, placed: np.ndarray, rows: Sequence[tuple], folds: int, cover: WhitneyCover
-    ) -> "Partition":
-        """The partition of the bumps (placed[i], rows[i]) on the cover; no piece is built."""
+    def from_bumps(cls, placed: np.ndarray, rows: Sequence[tuple], folds: int) -> "Partition":
+        """The partition of the bumps (placed[i], rows[i]); no piece is built."""
         if len(rows) == 0:
             raise ValueError("need at least one bump")
         all_bp = sorted_unique(placed)
@@ -288,7 +284,6 @@ class Partition:
             folds=int(folds),
             placed=placed,
             rows=rows,
-            cover=cover,
             breakpoints=all_bp,
             piece_active=_live_bumps(all_bp, placed[:, 0], placed[:, -1]),
         )
@@ -509,15 +504,26 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
     positive, raises UncoveredPoint.  The bound holds for the
     polynomials the float rows define; the Horner evaluation of a
     piece's total row errs by about 1e-14, far below the 1/2 margin.
+
+    First, CoverOverlap if an expanded interval reaches the center of a
+    neighbour, where WhitneyCover.window_memberships would miss members
+    (a wider expansion than 9/8 can do that).
     """
     if cover.expansion < _MIN_EXPANSION - 1e-12:
         raise ValueError(
             f"cover expansion {cover.expansion} leaves bump supports outside"
             " the expanded intervals; need at least 9/8"
         )
-    template = build_bump(int(folds))
     centers = np.asarray(cover.centers, dtype=float)
     sides = np.asarray(cover.sides, dtype=float)
+    half = 0.5 * cover.expansion * sides
+    gaps = np.diff(centers)
+    if not ((gaps > half[:-1]) & (gaps > half[1:])).all():
+        raise CoverOverlap(
+            "an expanded interval reaches a neighbouring center; the"
+            " two-interval window would miss members"
+        )
+    template = build_bump(int(folds))
     with np.errstate(over="ignore", invalid="ignore"):
         bpm = centers[:, None] + sides[:, None] * template._bp
         bad = ~(np.isfinite(bpm).all(axis=1) & (np.diff(bpm, axis=1) > 0.0).all(axis=1))
@@ -548,7 +554,7 @@ def build_partition(cover: WhitneyCover, folds: int) -> Partition:
             raise DegenerateSupport(
                 f"bump at center {float(centers[i])}, side {float(sides[i])}: {exc}"
             ) from None
-    partition = Partition.from_bumps(bpm, [rows for rows, _ in placed], folds, cover)
+    partition = Partition.from_bumps(bpm, [rows for rows, _ in placed], folds)
 
     q0, q1, floor = template_plateau(template)
     lo, hi = bpm[:, q0], bpm[:, q1]

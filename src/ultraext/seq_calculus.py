@@ -102,10 +102,6 @@ class WeightSequence:
         """Index K of the last stored entry."""
         return len(self.log_values) - 1
 
-    def values(self) -> np.ndarray:
-        """Plain m_k values; overflows for fast-growing long sequences."""
-        return np.exp(self._lv)
-
 
 # -- transforms ---------------------------------------------------------
 

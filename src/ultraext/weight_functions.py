@@ -35,19 +35,17 @@ class WeightFunction:
     raw(1) and clamps at zero.  `phi(x)` is the normalized weight at e^x.
     """
 
-    __slots__ = ("family", "parameters", "offset", "_fn", "_inner")
+    __slots__ = ("family", "parameters", "offset", "_fn")
 
     def __init__(
         self,
         family: str,
         parameters: dict,
         log_raw_fn: Callable[[np.ndarray], np.ndarray],
-        inner: "WeightFunction | None" = None,
     ):
         self.family = family
         self.parameters = dict(parameters)
         self._fn = log_raw_fn
-        self._inner = inner
         self.offset = float(np.exp(self._fn(np.zeros(1))[0]))
         _validate_axioms(self)
 
@@ -144,7 +142,7 @@ class WeightFunction:
             return _log_kappa_grid(inner.log_raw, x, rtol=rtol)
 
         params = {"inner": inner, "rtol": float(rtol)}
-        return cls("kappa_of", params, fn, inner=inner)
+        return cls("kappa_of", params, fn)
 
     # -- evaluation ----------------------------------------------------
 

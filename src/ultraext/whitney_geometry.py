@@ -20,17 +20,21 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CoverOverlap, EmptyCover
+from .errors import EmptyCover
 
 EXPANSION = 9.0 / 8.0
 
-# Realized side-to-distance window of the descent rule.
-SIDE_WINDOW_LO = 1.0
+# Realized side-to-distance window of the descent rule:
+# side <= d(center) < SIDE_WINDOW_HI * side.
 SIDE_WINDOW_HI = 2.5
 
 # Distance from E of an expanded interval, in sides: the center sits at
 # least one side out and the default expansion reaches 9/16 of a side.
 EXPANDED_CLEARANCE = 7.0 / 16.0
+
+# Bound on d(x) / d(center) over an expanded interval: d(x) is at most
+# d(center) + 9/16 side, and side <= d(center).
+EXPANDED_REACH = 25.0 / 16.0
 
 
 class CompactSet1D:
@@ -134,23 +138,6 @@ def distance_grid(e: CompactSet1D, xs) -> np.ndarray:
     return distances_and_nearest(e, xs)[0]
 
 
-class ExtensionConstants:
-    """Cover and partition constants as realized by this construction.
-
-    r_0 bounds the covered distances; every x on an expanded interval has
-    b_1 * side <= d(x) <= B_1 * d(center); centers satisfy
-    A_1 * side <= d(center) < A_2 * side.
-    """
-
-    def __init__(self, r_0: float, B_1: float, b_1: float, A_1: float, A_2: float) -> None:
-        for name, value in (("r_0", r_0), ("B_1", B_1), ("b_1", b_1), ("A_1", A_1), ("A_2", A_2)):
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if A_1 > A_2:
-            raise ValueError("need A_1 <= A_2")
-        self.r_0, self.B_1, self.b_1, self.A_1, self.A_2 = r_0, B_1, b_1, A_1, A_2
-
-
 class WhitneyCover:
     """Dyadic interval cover of {0 < d(x, E) < r_cov}.
 
@@ -170,7 +157,6 @@ class WhitneyCover:
         generations: np.ndarray,
         expansion: float,
         d_min_covered: float,
-        constants: ExtensionConstants,
     ) -> None:
         self.e = e
         self.r_cov = r_cov
@@ -179,18 +165,12 @@ class WhitneyCover:
         self.generations = generations
         self.expansion = expansion
         self.d_min_covered = d_min_covered
-        self.constants = constants
 
     def __len__(self) -> int:
         return len(self.centers)
 
     def expanded_halfwidths(self) -> np.ndarray:
         return 0.5 * self.expansion * self.sides
-
-    def members(self, x: float, expanded: bool = False) -> np.ndarray:
-        """Indices of (expanded) intervals containing x."""
-        half = self.expanded_halfwidths() if expanded else 0.5 * self.sides
-        return np.nonzero(np.abs(x - self.centers) <= half)[0]
 
     def window_memberships(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both members tests at many points, with no (points x intervals) table.
@@ -205,18 +185,12 @@ class WhitneyCover:
         from sorted centers, disjoint cells, side <= d(center) < 2.5 side
         and the 9/8 expansion: a neighbour k within 9/16 s_i of center i
         has d(c_k) >= 7/16 s_i, so s_k > 7/40 s_i, yet disjoint cells put
-        it (s_i + s_k) / 2 > 0.5875 s_i away.  The condition is checked on
-        the float centers and halfwidths, so it holds for the float tests;
-        CoverOverlap if it fails (a wider expansion can break it).
+        it (s_i + s_k) / 2 > 0.5875 s_i away.  build_partition checks the
+        condition once on the float centers and halfwidths, so it holds
+        for the float tests of every extension's cover.
         """
         xs = np.asarray(xs, dtype=float)
         half = self.expanded_halfwidths()
-        gaps = np.diff(self.centers)
-        if not ((gaps > half[:-1]) & (gaps > half[1:])).all():
-            raise CoverOverlap(
-                "an expanded interval reaches a neighbouring center; the"
-                " two-interval window would miss members"
-            )
         j = np.searchsorted(self.centers, xs, side="left")
         pair = np.stack([j - 1, j], axis=-1)
         valid = (pair >= 0) & (pair < len(self.centers))
@@ -239,8 +213,7 @@ def build_cover(
     and cover every x with 3 * side_floor <= d(x) < r_cov, where
     side_floor is the finest side the generation cap admits.  At an
     expansion above 9/8 an expanded interval may reach a neighbouring
-    center, and window_memberships (so every evaluation off the set)
-    then raises CoverOverlap.
+    center, and build_partition then raises CoverOverlap.
     """
     if not (r_cov > 0.0 and math.isfinite(r_cov)):
         raise ValueError("r_cov must be positive and finite")
@@ -285,16 +258,9 @@ def build_cover(
     order = np.argsort(centers)
     sides = np.concatenate([np.full(c.size, s) for c, s, _ in kept])
     gens = np.concatenate([np.full(c.size, g) for c, _, g in kept])
-    constants = ExtensionConstants(
-        r_0=r_cov,
-        B_1=25.0 / 16.0,
-        b_1=EXPANDED_CLEARANCE,
-        A_1=SIDE_WINDOW_LO,
-        A_2=SIDE_WINDOW_HI,
-    )
     side_floor = root_side * 2.0 ** (-max_generation)
     return WhitneyCover(e, r_cov, centers[order], sides[order], gens[order], expansion,
-                        d_min_covered=3.0 * side_floor, constants=constants)
+                        d_min_covered=3.0 * side_floor)
 
 
 class Eq14Report(NamedTuple):
@@ -317,35 +283,43 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
     adversarial expansions) are reported as violations with ratio inf.
     A check that tested no (sample, interval) pair fails: it has shown
     nothing.
+
+    The pairs are found in one array pass: the samples passing
+    |x - c| <= half lie within c -+ 2 half after rounding, so bisecting
+    the sorted samples there and keeping those that pass the test finds
+    them all.  Ordered by (sample, interval), they give every figure and
+    violation of a per-sample loop over ascending members, bit for bit.
     """
     xs = np.asarray(sample_points, dtype=float)
     d_x = distance_grid(cover.e, xs)
     d_center = distance_grid(cover.e, cover.centers)
-    worst_lo = math.inf
-    worst_hi = 0.0
-    checked = max_overlap = 0
-    violations: list = []
-    for x, dx in zip(xs, d_x):
-        members = cover.members(x, expanded=True)
-        max_overlap = max(max_overlap, len(members))
-        for i in members:
-            checked += 1
-            if dx == 0.0:
-                violations.append((float(x), int(i), math.inf))
-                worst_hi = math.inf
-                continue
-            ratio = d_center[i] / dx
-            worst_lo = min(worst_lo, ratio)
-            worst_hi = max(worst_hi, ratio)
-            if not 0.5 <= ratio <= 3.0:
-                violations.append((float(x), int(i), float(ratio)))
+    half = cover.expanded_halfwidths()
+    order = np.argsort(xs)
+    lo = np.searchsorted(xs[order], cover.centers - 2.0 * half, side="left")
+    hi = np.searchsorted(xs[order], cover.centers + 2.0 * half, side="right")
+    counts = hi - lo
+    interval = np.repeat(np.arange(len(cover)), counts)
+    run_start = np.cumsum(counts) - counts
+    sample = order[np.arange(counts.sum()) - np.repeat(run_start - lo, counts)]
+    keep = np.abs(xs[sample] - cover.centers[interval]) <= half[interval]
+    by_sample = np.lexsort((interval[keep], sample[keep]))
+    sample, interval = sample[keep][by_sample], interval[keep][by_sample]
+
+    dx = d_x[sample]
+    on_e = dx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d_center[interval] / dx
+    bad = on_e | ~((0.5 <= ratio) & (ratio <= 3.0))
+    ratio[on_e] = math.inf
+    measured = ratio[~on_e]
+    violations = list(zip(xs[sample[bad]].tolist(), interval[bad].tolist(), ratio[bad].tolist()))
     return Eq14Report(
-        ok=checked > 0 and not violations,
-        worst_lower=worst_lo,
-        worst_upper=worst_hi,
-        checked=checked,
+        ok=sample.size > 0 and not violations,
+        worst_lower=float(measured.min(initial=math.inf)),
+        worst_upper=math.inf if on_e.any() else float(measured.max(initial=0.0)),
+        checked=int(sample.size),
         violations=violations,
-        max_overlap=max_overlap,
+        max_overlap=int(np.bincount(sample, minlength=1).max()),
     )
 
 

@@ -30,6 +30,7 @@ from ultraext.partition_of_unity import (
     _taylor_shift,
 )
 from ultraext.seq_calculus import WeightSequence, _lower_hull_indices, counting_index
+from ultraext.whitney_geometry import Eq14Report, distance_grid
 
 
 def rebuilt(obj, **changes):
@@ -167,7 +168,13 @@ def scaled(jet, c: float):
 
 def terms(f, x: float) -> list[int]:
     """Indices of the intervals whose bump can be alive at x."""
-    return [int(i) for i in f.cover.members(x, expanded=True)]
+    return [int(i) for i in members(f.cover, x, expanded=True)]
+
+
+def members(cover, x: float, expanded: bool = False) -> np.ndarray:
+    """Indices of the (expanded) cover intervals containing x, by a scan of every interval."""
+    half = cover.expanded_halfwidths() if expanded else 0.5 * cover.sides
+    return np.nonzero(np.abs(x - cover.centers) <= half)[0]
 
 
 def memberships(cover, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +301,44 @@ def stack_cover(e, r_cov: float, max_generation: int) -> tuple[np.ndarray, np.nd
 def overlap_counts(cover, sample_points) -> np.ndarray:
     """Number of expanded intervals containing each sample point, one members call each."""
     xs = np.asarray(sample_points, dtype=float)
-    return np.array([len(cover.members(x, expanded=True)) for x in xs])
+    return np.array([len(members(cover, x, expanded=True)) for x in xs])
+
+
+def eq14_loop(cover, sample_points) -> Eq14Report:
+    """verify_eq14 as a loop over the samples, each scanning every interval.
+
+    The oracle of the array pass: a sample's pairs are its members in
+    ascending order, and the figures accumulate pair by pair.
+    """
+    xs = np.asarray(sample_points, dtype=float)
+    d_x = distance_grid(cover.e, xs)
+    d_center = distance_grid(cover.e, cover.centers)
+    worst_lo = math.inf
+    worst_hi = 0.0
+    checked = max_overlap = 0
+    violations: list = []
+    for x, dx in zip(xs, d_x):
+        held = members(cover, x, expanded=True)
+        max_overlap = max(max_overlap, len(held))
+        for i in held:
+            checked += 1
+            if dx == 0.0:
+                violations.append((float(x), int(i), math.inf))
+                worst_hi = math.inf
+                continue
+            ratio = d_center[i] / dx
+            worst_lo = min(worst_lo, ratio)
+            worst_hi = max(worst_hi, ratio)
+            if not 0.5 <= ratio <= 3.0:
+                violations.append((float(x), int(i), float(ratio)))
+    return Eq14Report(
+        ok=checked > 0 and not violations,
+        worst_lower=float(worst_lo),
+        worst_upper=float(worst_hi),
+        checked=checked,
+        violations=violations,
+        max_overlap=max_overlap,
+    )
 
 
 def ratio_bins(ds, ratios) -> tuple[np.ndarray, np.ndarray]:

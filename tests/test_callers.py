@@ -1,30 +1,35 @@
 """Every function, method and class in src/ has a caller in src/ or bench/.
 
 The check parses src/ultraext/*.py and bench/*.py with ast and collects
-references: a name that is read (not one that is assigned, such as a
-NamedTuple field), an attribute, or a string constant equal to the
-identifier (as in the benchmark tracer's layer table).  A definition is
-dead when its name has no reference outside its own body.  Tests do not
-count: code that only a test runs belongs in the tests (see
-_reference.py).  Nor does src/ultraext/__init__.py: an export names a
-definition without running it.
+reads.  A method, or an attribute, is read only as a member: by an
+attribute load, as the name argument of getattr or hasattr, as a string
+dict key in src/ (the weight-family table names constructors so), or as
+any string in bench/ (the tracer's layer table names methods so).  A
+function or class is read as a member or by a bare name that is loaded
+(not one that is assigned, such as a NamedTuple field).  Bare names and
+label strings do not read a member, so a local ``check`` or a
+``__slots__`` entry cannot hide a method or attribute nothing reads.
+A definition is dead when its name has no read outside its own body.
+Tests do not count: code that only a test runs belongs in the tests
+(see _reference.py).  Nor does src/ultraext/__init__.py: an export
+names a definition without running it.
 
-Name matching cannot see a dead member when another definition or a
-local variable shares its name: one of the seven ``to_json`` methods
-could lose its caller unseen, and a method named like a local (``row``,
-``degree``) would pass on the local alone.  So a shared name kept
-without a caller is listed in ALLOWED all the same, and for it the
-guard can check only that it still exists.  UltraJet.row does have
-callers (extension_engine._valuation_oks and bench/checks.py).  Dunder
-methods are left out, since Python calls them.
+Name matching cannot see a dead member when another definition or an
+attribute load elsewhere shares its name: one of the seven ``to_json``
+methods could lose its caller unseen, and so could a method named like
+a builtin's (``values``) or an attribute read elsewhere (``cover``).  So
+a shared name kept without a caller is listed in ALLOWED all the same,
+and for it the guard can check only that it still exists.  UltraJet.row
+does have callers (extension_engine._valuation_oks and bench/checks.py).
+Dunder methods are left out, since Python calls them.
 
 The same holds for data: every attribute a src/ class assigns on self,
 and every field of a src/ NamedTuple, is read somewhere in src/ or
-bench/, as an attribute load or a string constant (a getattr key).
-Reads match by name alone, as calls do, so an attribute sharing its name
-with one read elsewhere passes.  A NamedTuple that serializes itself
-through _asdict reads every field there, so its fields are not checked.
-An unread name kept on purpose is listed in ALLOWED as Class.name.
+bench/ as a member.  Reads match by name alone, as calls do, so an
+attribute sharing its name with one read elsewhere passes.  A NamedTuple
+that serializes itself through _asdict reads every field there, so its
+fields are not checked.  An unread name kept on purpose is listed in
+ALLOWED as Class.name.
 """
 
 import ast
@@ -50,26 +55,40 @@ ALLOWED = {
 }
 
 
-def _references(tree: ast.AST) -> Counter:
-    out = Counter()
+def _strings(nodes) -> list[str]:
+    return [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _reads(tree: ast.AST, bench: bool = False) -> tuple[Counter, Counter]:
+    """(bare names read, member names read) in one parsed tree.
+
+    A member is read by an attribute load, as the name argument of
+    getattr or hasattr, as a string dict key in src/ (a table of
+    constructors), or as any string in bench/ (the tracer's layer table).
+    """
+    names, members = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out[node.value] += 1
-    return out
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            members[node.attr] += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("getattr", "hasattr"):
+            members.update(_strings(node.args[1:2]))
+        elif isinstance(node, ast.Dict) and not bench:
+            members.update(_strings(node.keys))
+        elif bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            members[node.value] += 1
+    return names, members
 
 
-def _definitions(tree: ast.AST, prefix: str = ""):
-    """(qualified name, node) of every function, method and class, nested ones too."""
+def _definitions(tree: ast.AST, prefix: str = "", in_class: bool = False):
+    """(qualified name, node, is a class member) of every function, method and class, nested ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + node.name, node
-            yield from _definitions(node, prefix + node.name + ".")
+            yield prefix + node.name, node, in_class
+            yield from _definitions(node, prefix + node.name + ".", isinstance(node, ast.ClassDef))
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
 def _trees() -> tuple[list[ast.AST], list[ast.AST]]:
@@ -81,17 +100,36 @@ def _trees() -> tuple[list[ast.AST], list[ast.AST]]:
     return parse(modules), parse((ROOT / "bench").glob("*.py"))
 
 
-def uncalled() -> set[str]:
-    """Qualified names of src/ definitions referenced only inside themselves."""
+def _all_reads() -> tuple[Counter, Counter]:
+    """Bare names and member names read anywhere in src/ and bench/."""
     src, bench = _trees()
-    refs = sum((_references(tree) for tree in src + bench), Counter())
-    defs = [d for tree in src for d in _definitions(tree)]
-    return {
-        qualname
-        for qualname, node in defs
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and refs[node.name] == _references(node)[node.name]
-    }
+    names, members = Counter(), Counter()
+    for tree, in_bench in [(t, False) for t in src] + [(t, True) for t in bench]:
+        n, m = _reads(tree, in_bench)
+        names += n
+        members += m
+    return names, members
+
+
+def uncalled() -> set[str]:
+    """Qualified names of src/ definitions read only inside themselves.
+
+    A method is read only as a member; a function or class also by its
+    bare name.
+    """
+    src, _ = _trees()
+    names, members = _all_reads()
+    dead = set()
+    for qualname, node, member in (d for tree in src for d in _definitions(tree)):
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        own_names, own_members = _reads(node)
+        outside = members[node.name] - own_members[node.name]
+        if not member:
+            outside += names[node.name] - own_names[node.name]
+        if not outside:
+            dead.add(qualname)
+    return dead
 
 
 def _fields(cls: ast.ClassDef) -> list[str]:
@@ -109,13 +147,8 @@ def _fields(cls: ast.ClassDef) -> list[str]:
 
 def unread() -> set[str]:
     """Class.name of every self attribute and NamedTuple field that src/ and bench/ never read."""
-    src, bench = _trees()
-    reads = set()
-    for node in (n for tree in src + bench for n in ast.walk(tree)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            reads.add(node.value)
+    src, _ = _trees()
+    reads = _all_reads()[1]
     classes = [c for tree in src for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
     attributes = {
         f"{cls.name}.{node.attr}"
@@ -137,8 +170,8 @@ def test_every_src_definition_has_a_caller():
     # An allowlisted name that gained a caller, or is gone, leaves the
     # list; a name several definitions share can be checked for presence only.
     src, _ = _trees()
-    defined = Counter(qualname.rsplit(".", 1)[-1] for tree in src for qualname, _ in _definitions(tree))
-    present = {qualname for tree in src for qualname, _ in _definitions(tree)}
+    defined = Counter(qualname.rsplit(".", 1)[-1] for tree in src for qualname, _, _ in _definitions(tree))
+    present = {qualname for tree in src for qualname, _, _ in _definitions(tree)}
     shared = {name for name in ALLOWED if defined[name.rsplit(".", 1)[-1]] > 1}
     assert ALLOWED.keys() - dead - shared - unread() == set(), "allowlisted but called or removed"
     assert shared <= present, "allowlisted but removed"

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from ultraext import extension_engine
 from ultraext._fitting import libm_log_maxima
-from ultraext.errors import CountingIndexAtCutoff, CoverOverlap, OrderOverflow, OutsideRegion
+from ultraext.errors import CountingIndexAtCutoff, OrderOverflow, OutsideRegion
 from ultraext.extension_engine import (
     BoundReport,
     _bound_ratios,
@@ -63,6 +63,7 @@ from _reference import (
     entry_ratio_check,
     finish_check,
     interval_poly,
+    members,
     memberships,
     numpy_phi_derivatives,
     rebuilt,
@@ -205,10 +206,10 @@ def extensions(cases):
 
 
 def parent_reference_index(f, x):
-    inside = f.cover.members(x, expanded=False)
+    inside = members(f.cover, x)
     if len(inside):
         return int(inside[0])
-    return int(f.cover.members(x, expanded=True)[0])
+    return int(members(f.cover, x, expanded=True)[0])
 
 
 def fresh_derivative(f, x, alpha):
@@ -987,14 +988,6 @@ def test_nan_point_is_outside_the_region_on_both_paths(extensions):
     for x in (math.nan, np.array([0.003, math.nan])):
         with pytest.raises(OutsideRegion, match="d\\(x\\)=nan is not below d_max"):
             eval_derivative(f, x, 0)
-
-
-def test_window_lookup_refuses_a_cover_it_cannot_serve(extensions):
-    # At expansion 1.9 an expanded interval reaches its neighbour's
-    # center, so the two-interval window could miss members.
-    cover = rebuilt(extensions["one_point"].cover, expansion=1.9)
-    with pytest.raises(CoverOverlap):
-        cover.window_memberships(np.array([0.1]))
 
 
 @pytest.mark.parametrize("order", [0, 3, 8, 40])

@@ -37,10 +37,11 @@ from ultraext.ultrajets import JetCertificate, UltraJet, certify, polynomial_jet
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import (
     EXPANDED_CLEARANCE,
+    EXPANDED_REACH,
     SIDE_WINDOW_HI,
     CompactSet1D,
 )
-from _reference import distance_and_nearest, terms
+from _reference import distance_and_nearest, members, terms
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -257,13 +258,14 @@ def test_make_plan_constants(pipeline):
 
 
 def test_make_plan_k1_takes_the_cover_constants(pipeline):
-    # k1 reads A_2 and b_1 from the names the cover is built with, and is
-    # bitwise the rate the plan used when both were spelled as literals.
+    # k1 reads A_2 and b_1 from the cover module's constants, and is
+    # bitwise the rate the plan used when both were spelled as literals;
+    # d_max reads B_1 from there too.
     _, _, _, _, plan, ext = pipeline
-    cover = ext.cover.constants
-    assert (cover.A_2, cover.b_1) == (SIDE_WINDOW_HI, EXPANDED_CLEARANCE) == (2.5, 7.0 / 16.0)
+    assert (SIDE_WINDOW_HI, EXPANDED_CLEARANCE, EXPANDED_REACH) == (2.5, 7.0 / 16.0, 25.0 / 16.0)
     h = plan.constants.h
-    assert plan.constants.k1 == 27.0 * cover.A_2 * h / cover.b_1 == 27.0 * 2.5 * h / (7.0 / 16.0)
+    assert plan.constants.k1 == 27.0 * SIDE_WINDOW_HI * h / EXPANDED_CLEARANCE == 27.0 * 2.5 * h / (7.0 / 16.0)
+    assert ext.d_max <= ext.cover.r_cov / (3.0 * EXPANDED_REACH) == ext.cover.r_cov / (3.0 * 25.0 / 16.0)
 
 
 def test_make_plan_needs_both_rows(pipeline):
@@ -301,9 +303,9 @@ def test_stored_point_agreement_is_exact(pipeline):
 def test_locality_of_terms(pipeline):
     _, _, _, _, _, ext = pipeline
     x = 3.0 / 8.0 * ext.d_max
-    members = terms(ext, x)
-    assert 1 <= len(members) <= 3
-    assert list(members) == list(ext.cover.members(x, expanded=True))
+    held = terms(ext, x)
+    assert 1 <= len(held) <= 3
+    assert held == members(ext.cover, x, expanded=True).tolist()
 
 
 def test_outside_region_and_order_overflow(pipeline):
@@ -363,7 +365,7 @@ def test_polynomial_jet_reproduced_exactly(pipeline):
         d, _ = distance_and_nearest(e, x)
         if not ext.cover.d_min_covered <= d < ext.d_max:
             continue
-        mindeg = ext.local.degree[ext.cover.members(x, expanded=True)].min()
+        mindeg = ext.local.degree[members(ext.cover, x, expanded=True)].min()
         assert mindeg >= 3, "probe must sit where the local degree covers the polynomial"
         for a in range(5):
             got = eval_derivative(ext, x, a)
@@ -383,7 +385,7 @@ def test_polynomial_boundary_errors_are_exact_differences(pipeline):
     assert len(bnd.steps) >= 20
     checked = 0
     for s in bnd.steps:
-        mindeg = ext.local.degree[ext.cover.members(s.x, expanded=True)].min()
+        mindeg = ext.local.degree[members(ext.cover, s.x, expanded=True)].min()
         if mindeg < 3:
             continue
         # Where the local degrees cover the polynomial, f is the
@@ -477,7 +479,7 @@ def test_bound_report_all_green(pipeline):
 def test_sparse_audit_distance_trend_is_inconclusive(pipeline):
     *_, ext = pipeline
     report = verify_bounds(ext, samples=32, alpha_cap=8)
-    assert report.check("residual_decay").distance_trend == "inconclusive"
+    assert {c.name: c for c in report.checks}["residual_decay"].distance_trend == "inconclusive"
 
 
 def test_bound_report_clips_order_cap(pipeline):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraext import partition_of_unity as pou
-from ultraext.errors import DegenerateSupport, UncoveredPoint
+from ultraext.errors import CoverOverlap, DegenerateSupport, UncoveredPoint
 from ultraext.partition_of_unity import (
     MARGIN_FRACTION,
     Partition,
@@ -35,6 +35,7 @@ from _reference import (
     bump_row,
     derivative,
     integral,
+    members,
     partition_value,
     piece_index,
     rebuilt,
@@ -46,16 +47,18 @@ EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=None)
-def point_partition():
-    cover = build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=8)
-    return build_partition(cover, 8)
+def point_cover():
+    return build_cover(CompactSet1D.from_points([0.0]), 1.0, max_generation=8)
 
 
 @functools.lru_cache(maxsize=None)
-def mixed_partition():
-    e = CompactSet1D(((-1.0, 0.0), (1.0, 1.0)))
-    cover = build_cover(e, 1.0, max_generation=7)
-    return build_partition(cover, 8)
+def mixed_cover():
+    return build_cover(CompactSet1D(((-1.0, 0.0), (1.0, 1.0))), 1.0, max_generation=7)
+
+
+@functools.lru_cache(maxsize=None)
+def point_partition():
+    return build_partition(point_cover(), 8)
 
 
 def placed(folds, centers, sides):
@@ -191,7 +194,7 @@ def test_derivative_chain_bound():
 
 
 def test_single_bump_partition_is_identity():
-    part = Partition.from_bumps(*placed(4, [0.5], [1.0]), 4, point_partition().cover)
+    part = Partition.from_bumps(*placed(4, [0.5], [1.0]), 4)
     assert len(part) == 1
     for x in (-0.05, 0.0, 0.37, 1.0, 1.05):
         assert partition_value(part, 0, x) == 1.0
@@ -202,7 +205,7 @@ def test_single_bump_partition_is_identity():
 
 
 def test_two_bump_overlap_sums_to_one():
-    part = Partition.from_bumps(*placed(3, [0.5, 1.5], [1.0, 1.0]), 3, point_partition().cover)
+    part = Partition.from_bumps(*placed(3, [0.5, 1.5], [1.0, 1.0]), 3)
     xs = np.linspace(-0.05, 2.05, 4001)
     sums = part.values_matrix(xs).sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
@@ -211,19 +214,20 @@ def test_two_bump_overlap_sums_to_one():
     assert mid[0, 0] > 0.0 and mid[1, 0] > 0.0
 
 
-@pytest.mark.parametrize("factory", [point_partition, mixed_partition])
+@pytest.mark.parametrize("factory", [point_cover, mixed_cover])
 def test_cover_partition_sums_to_one(factory):
-    part = factory()
-    xs = covered_sample_grid(part.cover, 10_000)
+    cover = factory()
+    part = build_partition(cover, 8)
+    xs = covered_sample_grid(cover, 10_000)
     assert xs.size >= 10_000
     sums = part.values_matrix(xs).sum(axis=0)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("factory", [point_partition, mixed_partition])
+@pytest.mark.parametrize("factory", [point_cover, mixed_cover])
 def test_supports_stay_inside_expanded_intervals(factory):
-    part = factory()
-    cover = part.cover
+    cover = factory()
+    part = build_partition(cover, 8)
     halves = cover.expanded_halfwidths()
     for i, psi in enumerate(bumps(part)):
         lo, hi = support(psi)
@@ -234,7 +238,7 @@ def test_supports_stay_inside_expanded_intervals(factory):
 
 
 def test_dropping_a_cell_breaks_coverage():
-    cover = point_partition().cover
+    cover = point_cover()
     drop = int(np.argsort(np.abs(cover.centers))[len(cover.centers) // 2])
     keep = [k for k in range(len(cover.centers)) if k != drop]
     broken = rebuilt(
@@ -248,7 +252,7 @@ def test_dropping_a_cell_breaks_coverage():
 
 
 def test_build_partition_rejects_bad_parameters():
-    cover = point_partition().cover
+    cover = point_cover()
     with pytest.raises(ValueError):
         build_partition(cover, 0)
     narrow = build_cover(
@@ -257,7 +261,16 @@ def test_build_partition_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_partition(narrow, 3)
     with pytest.raises(ValueError):
-        Partition.from_bumps(np.empty((0, 2)), [], 2, cover)
+        Partition.from_bumps(np.empty((0, 2)), [], 2)
+
+
+def test_build_partition_refuses_a_cover_the_window_cannot_serve():
+    # At expansion 1.9 an expanded interval reaches its neighbour's
+    # center, so the two-interval window of window_memberships could
+    # miss members; build_partition is where every extension's cover
+    # is checked for it.
+    with pytest.raises(CoverOverlap):
+        build_partition(rebuilt(point_cover(), expansion=1.9), 8)
 
 
 def test_order_caps():
@@ -295,10 +308,10 @@ def test_quotient_derivatives_match_difference_oracle():
 
 def test_derivative_sums_of_the_family_vanish():
     part = point_partition()
-    cover = part.cover
+    cover = point_cover()
     xs = covered_sample_grid(cover, 64)[::7]
     for x in xs:
-        idx = cover.members(float(x), expanded=True)
+        idx = members(cover, float(x), expanded=True)
         stack = np.array([part.derivatives(int(i), float(x), 4) for i in idx])
         sums = stack.sum(axis=0)
         scale = max(1.0, float(np.max(np.abs(stack))))
@@ -523,7 +536,7 @@ def test_partition_matches_scan_on_nested_and_shared_supports():
         ],
         [4.0, 0.5, 0.25, 1.0, 1.0, 2.0],
     )
-    part = Partition.from_bumps(at, rows, 4, point_partition().cover)
+    part = Partition.from_bumps(at, rows, 4)
     assert () in part.piece_active
     assert_partition_matches_scan(part)
 
@@ -609,7 +622,7 @@ def test_piece_rows_are_built_on_first_read_only(monkeypatch):
     calls = []
     real = pou._taylor_shift
     monkeypatch.setattr(pou, "_taylor_shift", lambda *a: calls.append(a) or real(*a))
-    part = Partition.from_bumps(built.placed, built.rows, 8, cover=cover)
+    part = Partition.from_bumps(built.placed, built.rows, 8)
     assert calls == []
     j = next(j for j, act in enumerate(part.piece_active) if len(act) >= 2)
     x = float(0.5 * (part.breakpoints[j] + part.breakpoints[j + 1]))
@@ -644,7 +657,7 @@ def test_total_matches_the_piecewise_total(points, folds):
 
 def test_piece_rows_that_overflow_raise_on_read():
     huge = np.array([[0.0, 1.0], [0.0, 1.0]]), [((1e308,),), ((1e308,),)]
-    part = Partition.from_bumps(*huge, 1, point_partition().cover)
+    part = Partition.from_bumps(*huge, 1)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
         part.piece(0)
 
@@ -773,7 +786,7 @@ def test_build_partition_materializes_no_bump_and_no_piece():
 
 def one_interval(center, side):
     """The one-point cover with its intervals replaced by (center, side)."""
-    cover = point_partition().cover
+    cover = point_cover()
     return rebuilt(
         cover, centers=np.array([center]), sides=np.array([side]), generations=np.array([1])
     )

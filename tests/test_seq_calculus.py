@@ -176,7 +176,7 @@ def test_minorant_hull_example():
     m = hull_example()
     assert not m.is_log_convex
     mm = log_convex_minorant(m)
-    vals = mm.values()
+    vals = np.exp(mm.log_values)
     assert vals[1] == pytest.approx(2.0, rel=1e-14)
     assert vals[2] == pytest.approx(4.0, rel=0, abs=0)  # hull vertex keeps its value
     assert vals[3] == pytest.approx(64.0, rel=1e-14)

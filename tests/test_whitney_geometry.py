@@ -14,8 +14,8 @@ from ultraext import whitney_geometry
 from ultraext.cli import main as cli_main
 from ultraext.errors import EmptyCover
 from ultraext.whitney_geometry import (
+    EXPANDED_CLEARANCE,
     CompactSet1D,
-    ExtensionConstants,
     build_cover,
     covered_sample_grid,
     distance_grid,
@@ -23,7 +23,7 @@ from ultraext.whitney_geometry import (
     sorted_unique,
     verify_eq14,
 )
-from _reference import distance_and_nearest, overlap_counts, rebuilt, stack_cover
+from _reference import distance_and_nearest, eq14_loop, members, overlap_counts, rebuilt, stack_cover
 
 POINT = CompactSet1D.from_points([0.0])
 MIXED = CompactSet1D.from_intervals([(-1.0, 0.0), (1.0, 1.0)])
@@ -87,7 +87,7 @@ def test_expanded_intervals_avoid_e():
         # closest approach of Q_i* to E stays at least 7/16 of a side
         d_lo = distance_grid(e, lo)
         d_hi = distance_grid(e, hi)
-        margin = cov.constants.b_1 * cov.sides
+        margin = EXPANDED_CLEARANCE * cov.sides
         assert np.all(np.minimum(d_lo, d_hi) >= margin - 1e-12)
 
 
@@ -116,7 +116,7 @@ def test_eq14_and_overlap_on_dense_samples():
         assert rep.ok, rep.violations[:3]
         assert rep.worst_lower >= 0.5 and rep.worst_upper <= 3.0
         assert rep.max_overlap == overlap_counts(cov, xs).max() <= 3
-        assert min(len(cov.members(x)) for x in xs) >= 1
+        assert min(len(members(cov, x)) for x in xs) >= 1
 
 
 @pytest.mark.parametrize("xs", [[], [100.0]])
@@ -147,16 +147,6 @@ def test_cover_rejects_bad_parameters():
         build_cover(POINT, 1.0, expansion=2.5)
 
 
-def test_constants_validation():
-    c = build_cover(POINT, 1.0).constants
-    assert c.A_1 <= c.A_2
-    assert c.r_0 == 1.0
-    with pytest.raises(ValueError):
-        ExtensionConstants(r_0=1.0, B_1=1.0, b_1=1.0, A_1=2.0, A_2=1.0)
-    with pytest.raises(ValueError):
-        ExtensionConstants(r_0=-1.0, B_1=1.0, b_1=1.0, A_1=1.0, A_2=2.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_cover_window_for_random_sets(data):
@@ -177,8 +167,12 @@ def test_cover_window_for_random_sets(data):
     assert np.all(cov.sides <= d_c)
     assert np.all(d_c < 2.5 * cov.sides)
     xs = covered_sample_grid(cov, 500)
-    assert min(len(cov.members(x)) for x in xs) >= 1
+    assert min(len(members(cov, x)) for x in xs) >= 1
     assert overlap_counts(cov, xs).max() <= 3
+    # The precondition of the two-interval window build_partition checks:
+    # no expanded interval reaches a neighbouring center.
+    half, gaps = cov.expanded_halfwidths(), np.diff(cov.centers)
+    assert ((gaps > half[:-1]) & (gaps > half[1:])).all()
 
 
 def test_csv_dump_round_trips(tmp_path):
@@ -297,15 +291,19 @@ def test_distances_and_nearest_is_the_scan(data):
     assert [(d.hex(), p.hex()) for d, p in zip(ds.tolist(), ps.tolist())] == [(d.hex(), p.hex()) for d, p in want]
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_cover_is_the_stack_descent(data):
+@st.composite
+def _cover_sets(draw):
     # Grid endpoints make cells share endpoints with components, where
     # the enclose and meet tests decide.
     grid = st.integers(-8, 8).map(lambda v: v / 4.0)
-    ends = sorted(data.draw(st.lists(st.one_of(grid, st.floats(-2.0, 2.0)), min_size=1, max_size=8, unique=True)))
-    comps = [(a, b if data.draw(st.booleans()) else a) for a, b in zip(ends[::2], ends[1::2] + ends[-1:])]
-    e = CompactSet1D(comps)
+    ends = sorted(draw(st.lists(st.one_of(grid, st.floats(-2.0, 2.0)), min_size=1, max_size=8, unique=True)))
+    return CompactSet1D([(a, b if draw(st.booleans()) else a) for a, b in zip(ends[::2], ends[1::2] + ends[-1:])])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cover_is_the_stack_descent(data):
+    e = data.draw(_cover_sets())
     r_cov = data.draw(st.sampled_from([0.1, 0.3, 1.0, 2.5]))
     max_generation = data.draw(st.integers(0, 30))
     expansion = data.draw(st.sampled_from([9.0 / 8.0, 1.9]))
@@ -318,6 +316,41 @@ def test_cover_is_the_stack_descent(data):
     got = (cov.centers, cov.sides, cov.generations)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert [a.dtype for a in got] == [a.dtype for a in want]
+
+
+def _eq14_key(rep):
+    """An Eq14Report with every float as its hex, so equal keys are equal bit for bit."""
+    violations = [(x.hex(), i, r.hex()) for x, i, r in rep.violations]
+    return rep.ok, rep.worst_lower.hex(), rep.worst_upper.hex(), rep.checked, violations, rep.max_overlap
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eq14_is_the_per_sample_loop(data):
+    # The array pass against the loop over members scans, bit for bit, on
+    # samples drawn unsorted and repeated from the expanded interval ends
+    # and their neighbouring floats, the set itself, NaN and the
+    # infinities, or no sample at all.  Expansion 3.0, past what
+    # build_cover admits, is the negative control with violations.
+    e = data.draw(_cover_sets())
+    expansion = data.draw(
+        st.one_of(st.sampled_from([9.0 / 8.0, 1.9]), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    )
+    r_cov = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+    try:
+        cov = build_cover(e, r_cov, expansion, data.draw(st.integers(4, 16)))
+    except EmptyCover:
+        return
+    if data.draw(st.booleans()):
+        cov = rebuilt(cov, expansion=3.0)
+    half = cov.expanded_halfwidths()
+    edges = np.concatenate([cov.centers - half, cov.centers + half]).tolist()
+    near = [math.nextafter(v, s) for v in edges for s in (-math.inf, math.inf)]
+    on_e = e.starts.tolist() + e.ends.tolist() + (0.5 * (e.starts + e.ends)).tolist()
+    pool = edges + near + covered_sample_grid(cov, 32).tolist()
+    special = on_e + [math.nan, math.inf, -math.inf]
+    xs = data.draw(st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(special)), max_size=40))
+    assert _eq14_key(verify_eq14(cov, xs)) == _eq14_key(eq14_loop(cov, xs))
 
 
 @pytest.mark.parametrize("points", [[0.0], [8.0], [1000.0], [0.0, 1e-300]])

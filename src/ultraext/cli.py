@@ -16,11 +16,6 @@ plan file are all checked before any work; a wrong kind or a broken
 floor is a ConfigError naming the dotted key.  Only a gevrey jet's checks
 against the interleaved matrix wait for the matrix.
 
-The seed (config "seed" or --seed) is a nonnegative integer; `extend`
-draws its sample-trace jitter from numpy's default generator stream
-(PCG64 as seeded by numpy.random.default_rng), reproduced in-repo so the
-job never imports numpy.random.
-
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.
 
@@ -35,6 +30,7 @@ import gc
 import json
 import math
 import os
+import random
 import sys
 from functools import partial
 from pathlib import Path
@@ -201,11 +197,7 @@ def _check_plan(values: dict, doc: dict, where: str) -> dict:
 
 
 _SET = _Object({"points": (json_numbers, []), "intervals": (_pairs, [])}, _build_set)
-_COMMON = {
-    "command": (_text, None),
-    "out": (_text, _REQUIRED),
-    "seed": (_Number(count=True, least=0, words="a nonnegative integer"), 0),
-}
+_COMMON = {"command": (_text, None), "out": (_text, _REQUIRED)}
 _MATRIX = {
     "weight": (weight_from_json, _REQUIRED),
     "k": (_Number(count=True, least=16), 64),
@@ -233,6 +225,7 @@ _SCHEMA = {
     "extend": _Object({
         **_COMMON,
         **_MATRIX,
+        "seed": (_Number(count=True, least=0, words="a nonnegative integer"), 0),
         "jet": (_Object({
             "kind": (_text, _REQUIRED),
             "path": (_file_of(UltraJet.from_json), None),
@@ -407,70 +400,6 @@ def _build_jet(jcfg: dict, inter) -> UltraJet:
     return UltraJet(e, points, (row,) * len(points))
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_seed_words(seed: int) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(4, uint64): hashmix/mix over a 4-word pool."""
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    entropy = []
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    h = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = (h * 0x931E8875) & _MASK32
-        value = (value * h) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = 0x8B51F9DD
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ h
-        h = (h * 0x58F38DED) & _MASK32
-        value = (value * h) & _MASK32
-        out.append(value ^ (value >> 16))
-    return [out[2 * i] | (out[2 * i + 1] << 32) for i in range(4)]
-
-
-def _uniform_stream(seed: int):
-    """numpy.random.default_rng(seed).uniform() draws, bit for bit, without numpy.random.
-
-    PCG64 (128-bit LCG, XSL-RR output) seeded as numpy seeds it; each
-    draw is the top 53 bits of one 64-bit output.
-    """
-    s = _pcg64_seed_words(seed)
-    inc = ((((s[2] << 64) | s[3]) << 1) | 1) & _MASK128
-    state = ((inc + ((s[0] << 64) | s[1])) * _PCG64_MULT + inc) & _MASK128
-    while True:
-        state = (state * _PCG64_MULT + inc) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
-        yield (x >> 11) * 2.0**-53
-
-
 def cmd_extend(cfg: dict):
     """Full pipeline: certificate, plan, assembly, audit, boundary trace."""
     w, jcfg, pcfg, run, seed = (cfg[key] for key in ("weight", "jet", "plan", "run", "seed"))
@@ -504,10 +433,11 @@ def cmd_extend(cfg: dict):
 
     # Jittered sample trace.  The jitter rescales the distance to the
     # nearest set point, keeping every sample inside the verified band;
-    # the generator is seeded from the config so reruns are identical.
+    # the stdlib generator is seeded from the config so reruns are identical.
     xs = region_samples(ext, run["csv_samples"])
     d, nearest = distances_and_nearest(jet.e, xs)
-    factor = 1.0 + 0.04 * (np.fromiter(_uniform_stream(seed), float, xs.size) - 0.5)
+    rng = random.Random(seed)
+    factor = 1.0 + 0.04 * (np.array([rng.random() for _ in range(xs.size)]) - 0.5)
     moved = (ext.cover.d_min_covered <= d * factor) & (d * factor < ext.d_max)
     xs = np.where(moved, nearest + (xs - nearest) * factor, xs)
     derivs = eval_derivative(ext, xs, np.arange(report.alpha_cap + 1))

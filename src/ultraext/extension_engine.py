@@ -8,7 +8,7 @@ index of the regularized weight row at the dilated distance L*d, so the
 truncation error matches the decay profile of the row's h-function.
 
 Everything here is desk-scale: constants that the existence proofs leave
-free (the threshold multiples, the doubling constant of the decay
+free (the binding threshold multiple, the doubling constant of the decay
 profile, the growth bases of the final estimates) are either recorded in
 the plan or fitted from samples and reported with a trend verdict, never
 assumed.
@@ -70,21 +70,16 @@ MAX_GENERATION = 44
 class PlanConstants(NamedTuple):
     """Derived constants carried by a plan.
 
-    c0, c1, c2 are the threshold multiples; h is the fitted doubling
-    constant linking the decay profiles of the row and its doubled
-    partner; k1 scales the theoretical smoothness degree, k2 is the
-    binding threshold multiple, k3 dilates the argument of the residual
-    decay profile.  m1 stays None until a bound report fits it.
+    h is the fitted doubling constant linking the decay profiles of the
+    row and its doubled partner; k1 scales the theoretical smoothness
+    degree, k2 is the binding threshold multiple, k3 dilates the
+    argument of the residual decay profile.
     """
 
-    c0: float = THRESHOLD_TAYLOR
-    c1: float = THRESHOLD_TELESCOPE
-    c2: float = THRESHOLD_GLUE
     h: float = 1.0
     k1: float = 1.0
     k2: float = max(THRESHOLD_TAYLOR, THRESHOLD_TELESCOPE, THRESHOLD_GLUE)
     k3: float = 3.0
-    m1: float | None = None
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -121,9 +116,9 @@ class ExtensionPlan:
         c = constants
         if not 1.0 <= c.h < math.inf:
             raise PlanInvalid(f"doubling constant h must be finite and >= 1, got {c.h}")
-        bad = [k for k in ("c0", "c1", "c2", "k1", "k2", "k3") if not 0.0 < getattr(c, k) < math.inf]
-        if bad or not (c.m1 is None or math.isfinite(c.m1)):
-            raise PlanInvalid(f"plan constants must be positive and finite: {bad or ['m1']}")
+        bad = [k for k in ("k1", "k2", "k3") if not 0.0 < getattr(c, k) < math.inf]
+        if bad:
+            raise PlanInvalid(f"plan constants must be positive and finite: {bad}")
         self.dilation = dilation
         self.folds = folds
         self.xi = xi
@@ -159,7 +154,7 @@ class ExtensionPlan:
         Every top-level key but ``constants`` and ``theory_degree`` is
         required, and unknown keys are rejected.  ``folds`` and
         ``theory_degree`` must be integral numbers and every other value
-        a number (``m1`` may be null); booleans and strings are rejected.
+        a number; booleans and strings are rejected.
         """
         required = ("dilation", "folds", "xi", "rho", "jet_bound")
         json_object(doc, "plan", required, ("constants", "theory_degree"), PlanInvalid)
@@ -178,9 +173,7 @@ class ExtensionPlan:
             xi=number("xi", doc["xi"]),
             rho=number("rho", doc["rho"]),
             jet_bound=number("jet_bound", doc["jet_bound"]),
-            constants=PlanConstants(
-                **{k: None if k == "m1" and v is None else number(k, v) for k, v in given.items()}
-            ),
+            constants=PlanConstants(**{k: number(k, v) for k, v in given.items()}),
             theory_degree=integer("theory_degree", doc.get("theory_degree", 0)),
         )
 
@@ -383,8 +376,10 @@ def _shared_center_difference(
 ) -> TaylorPolynomial | None:
     """t_i - t_ref for two truncations of one derivative row; None if zero.
 
-    They differ exactly in the tail entries, so the difference is a
-    sparse polynomial whose evaluation never cancels.
+    Both are taylor_poly truncations of one stored jet row, so their
+    common coefficients are the same floats and the longer one's tail is
+    that row's: the difference is exactly the tail, zero below the lower
+    degree, a sparse polynomial whose evaluation never cancels.
     """
     a, b = t_i.derivs, t_ref.derivs
     lo = min(len(a), len(b))
@@ -488,7 +483,6 @@ class _Glue(NamedTuple):
     diffs: np.ndarray  # T_i - t_ref per pair; a row that vanishes stays zero
     base: np.ndarray  # t_ref at each point
     dev: np.ndarray  # sum_i phi_i (T_i - t_ref); base + dev is the glued sum
-    shared: list  # (T_i, t_ref, pair count) per distinct shared-center pair
 
 
 def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=None) -> _Glue:
@@ -515,7 +509,6 @@ def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=Non
     diff_polys: list[TaylorPolynomial] = []
     row_of = np.full(pair_k.size, -1)
     apart = np.zeros(pair_k.size, dtype=bool)  # centers differ
-    shared = []
     # One group per distinct (T_i, t_ref), its pairs in ascending order.
     keys = interval[pair_i] * len(polys) + which[pair_k]
     by_key = np.argsort(keys, kind="stable")
@@ -525,7 +518,6 @@ def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=Non
             apart[sel] = True
             poly = t_i
         else:
-            shared.append((t_i, t_ref, sel.size))
             poly = _shared_center_difference(t_i, t_ref)
         if poly is not None:
             row_of[sel] = len(diff_polys)
@@ -546,7 +538,7 @@ def _glue(f: ExtensionFunction, xs: np.ndarray, order: int, phis: dict, refs=Non
             vec = phis[xs_list[k], i] = f.partition.derivatives(i, xs_list[k], order)
         vecs.append(vec)
     dev = _deviation_derivatives(live_k, diffs[live], vecs, n, order + 1)
-    return _Glue(ref, pair_k, pair_i, diffs, base, dev, shared)
+    return _Glue(ref, pair_k, pair_i, diffs, base, dev)
 
 
 def eval_derivative(f: ExtensionFunction, x, alpha):
@@ -626,14 +618,12 @@ class BoundReport(NamedTuple):
     fitted_m1: float
     degree_cap_hits: int
     degree_cutoff_hits: int
-    valuation_pairs: int
-    valuation_ok: bool
     plan: ExtensionPlan
     notes: tuple[str, ...] = ()
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks) and self.valuation_ok
+        return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
         return {
@@ -829,12 +819,12 @@ def verify_bounds(
     That window holds because no expanded interval reaches a neighbouring
     center (sorted centers, disjoint cells, the 9/8 expansion), which
     build_partition checked when the extension was assembled.  Shared
-    center, valuation and vanishing are decided once per distinct
-    (T_i, t_x) pair.  The samples whose holding interval carries a
-    polynomial other than t_x are glued once more, in a second _glue
-    pass around that t_ref, so the glued sum is eval_derivative's bit for
-    bit.  Each (sample, member) phi vector is one Partition.derivatives
-    call, shared by the two passes; it is the only per-pair work.
+    center and vanishing are decided once per distinct (T_i, t_x) pair.
+    The samples whose holding interval carries a polynomial other than
+    t_x are glued once more, in a second _glue pass around that t_ref,
+    so the glued sum is eval_derivative's bit for bit.  Each (sample,
+    member) phi vector is one Partition.derivatives call, shared by the
+    two passes; it is the only per-pair work.
 
     Phase 2 runs one _ratio_check per estimate over its table, with
     elementwise array arithmetic in the operation order of a per-sample
@@ -890,8 +880,6 @@ def verify_bounds(
     phis: dict = {}
     g = _glue(f, xs, cap, phis, (local.polys, local.which))
     tx, dev, diffs, pair_k, pair_i = g.base, g.dev, g.diffs, g.pair_k, g.pair_i
-    val_pairs = sum(count for _, _, count in g.shared)
-    val_ok = all([_valuation_oks(f.jet, t_x.center, t_i, t_x) for t_i, t_x, _ in g.shared])
 
     # Where the holding interval's polynomial is t_x the glued sum is t_x
     # plus dev_x; the other samples are glued again around their t_ref,
@@ -920,11 +908,11 @@ def verify_bounds(
         ),
         _ratio_check(
             "pair_difference_interval", diffs, far_rhs + center_lh[pair_i][:, None],
-            center_d[pair_i], width * int(np.count_nonzero(~i_ok) + np.count_nonzero(~x_ok)),
-            i_ok,
+            center_d[pair_i], width * int(np.count_nonzero(~i_ok)), i_ok,
         ),
         _ratio_check(
-            "pair_difference_point", diffs, near_rhs + lh_near[pair_k][:, None], ds[pair_k], 0, x_ok
+            "pair_difference_point", diffs, near_rhs + lh_near[pair_k][:, None],
+            ds[pair_k], width * int(np.count_nonzero(~x_ok)), x_ok,
         ),
     ]
     resid, m1 = _ratio_check(
@@ -940,37 +928,9 @@ def verify_bounds(
         fitted_m1=m1,
         degree_cap_hits=int(np.count_nonzero(degs < wants)),
         degree_cutoff_hits=int(np.count_nonzero(local.cutoff)),
-        valuation_pairs=val_pairs,
-        valuation_ok=val_ok,
         plan=plan,
         notes=tuple(notes),
     )
-
-
-def _valuation_oks(
-    jet: UltraJet, anchor: float, t_i: TaylorPolynomial, t_x: TaylorPolynomial
-) -> bool:
-    """Shared-anchor difference must vanish exactly to the lower degree.
-
-    Truncations of one derivative row differ exactly by the row entries
-    beyond the lower degree, so the first nonzero coefficient of the
-    difference sits at min degree + 1 whenever that row entry is nonzero.
-    """
-    a, b = t_i.derivs, t_x.derivs
-    lo = min(len(a), len(b))
-    if a[:lo] != b[:lo]:
-        return False
-    if len(a) == len(b):
-        return a == b
-    tail = a[lo:] if len(a) > len(b) else b[lo:]
-    row = jet.row(anchor)
-    first = next((k for k, v in enumerate(tail) if v != 0.0), None)
-    expected = next(
-        (k for k in range(lo, lo + len(tail)) if row[k] != 0.0), None
-    )
-    if expected is None:
-        return first is None
-    return first is not None and lo + first == expected
 
 
 # -- boundary limits ----------------------------------------------------

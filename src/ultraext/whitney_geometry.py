@@ -307,7 +307,7 @@ def verify_eq14(cover: WhitneyCover, sample_points) -> Eq14Report:
 
     dx = d_x[sample]
     on_e = dx == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = d_center[interval] / dx
     bad = on_e | ~((0.5 <= ratio) & (ratio <= 3.0))
     ratio[on_e] = math.inf

@@ -20,7 +20,7 @@ methods could lose its caller unseen, and so could a method named like
 a builtin's (``values``) or an attribute read elsewhere (``cover``).  So
 a shared name kept without a caller is listed in ALLOWED all the same,
 and for it the guard can check only that it still exists.  UltraJet.row
-does have callers (extension_engine._valuation_oks and bench/checks.py).
+does have a caller, bench/checks.py, its only one.
 Dunder methods are left out, since Python calls them.
 
 The same holds for data: every attribute a src/ class assigns on self,

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -25,9 +26,10 @@ from ultraext.cli import (
     _csv_line,
     _csv_text,
     _trace_lines,
-    _uniform_stream,
     main,
 )
+from ultraext.extension_engine import region_samples
+from ultraext.whitney_geometry import distances_and_nearest
 from _reference import matrix_from_json
 
 
@@ -143,6 +145,17 @@ def test_grid_flags_rejected_on_classify(tmp_path):
     cfg = write_config(tmp_path, {"weight": SQRT_WEIGHT, "out": str(tmp_path / "out")})
     assert main(["classify", "--config", cfg, "--k", "32"]) == EXIT_ERROR
     assert main(["classify", "--config", cfg, "--xi", "1,2"]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("command", ["classify", "matrix", "cover-dump"])
+def test_seed_flag_rejected_where_no_jitter_reads_it(tmp_path, capsys, command):
+    # Only extend draws a jitter; the other commands refuse --seed.
+    doc = {"set": {"points": [0.0]}} if command == "cover-dump" else {"weight": SQRT_WEIGHT}
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), "--seed", "7"]
+    assert main(argv) == EXIT_ERROR
+    assert not out.exists()
+    assert f"error: ConfigError: --seed does not apply to {command}\n" in capsys.readouterr().err
 
 
 def test_matrix_dump_round_trips(tmp_path):
@@ -343,8 +356,8 @@ GOLDEN_EXTEND = {
     "seed": 7,
 }
 GOLDEN_SHA256 = {
-    "bound_report.json": "be14b65ad9f09a22498e481bd46370d456a5fc8a12e7e2f06e8271b2f96a4503",
-    "extension_samples.csv": "35657076480824454ef25e912097962ccbe99bde06049c3a4add44561cc699ea",
+    "bound_report.json": "c1774c77ee47246034d0520c9a27fae136c32b8b22c42552d7c47717ee8f760e",
+    "extension_samples.csv": "5155eec7c2d1f32a2f9b08e5d76e15524e6fb20fa880bde6897f8adde61cb3c2",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
 # The same config on the eight points of the extend_cluster benchmark
@@ -352,8 +365,8 @@ GOLDEN_SHA256 = {
 CLUSTER_POINTS = [0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]
 CLUSTER_EXTEND = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": CLUSTER_POINTS}))
 CLUSTER_SHA256 = {
-    "bound_report.json": "c70127a9ecfc15c97717574eae40e3914a264190017414ea94a6fcc9f89daa7f",
-    "extension_samples.csv": "53ba6a24fab07a570d101ed34b63fa14527c5c092b1624bf69c999be65260121",
+    "bound_report.json": "9383b44563b70d5e9c11291c0143678c4cce5399b455fa0c3afd4a8597a9e7dd",
+    "extension_samples.csv": "d8a34031c9bef044b58015912f0c2c40c6c4d9c075d366c1cb3569c7f64a6200",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
 # The benchmark's audit_dense config: one point, a 2000-sample audit and
@@ -364,8 +377,8 @@ DENSE_EXTEND = dict(
     run={"samples": 2000, "alpha_cap": 8, "csv_samples": 400},
 )
 DENSE_SHA256 = {
-    "bound_report.json": "b751d2f23b4b4d429826ff8a9451f911c11f265352a39763d1e054460f2dac7e",
-    "extension_samples.csv": "81ba35613ef6a705afde53a71e9fc5f0eb56c7142b363bbab542b4a14df8bcfb",
+    "bound_report.json": "ffa0b28066f5d347522104e1cf9ee6144ecc2ed13b40a02da9ae6f4089d1ab99",
+    "extension_samples.csv": "331e4bcd861ec77ccf9642688af7d88a35b52c149d73de6395316632751bebd8",
     "boundary_limits.csv": "6ca8ae156c53aa9d9206421ff1d795fa03d3dffc5253feb710dce6ab5f220963",
 }
 
@@ -610,13 +623,34 @@ def test_csv_text_matches_csv_writer():
     assert _trace_lines(xs[:0], derivs[:0]) == []
 
 
-# 2**128 + 5 has five 32-bit words, one more than the seeding pool.
-@pytest.mark.parametrize("seed", [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 17, 2**128 + 5])
-def test_jitter_stream_is_numpys_default_generator(seed):
-    rng = np.random.default_rng(seed)
-    draws = _uniform_stream(seed)
-    want = [rng.uniform().hex() for _ in range(1000)]
-    assert [next(draws).hex() for _ in range(1000)] == want
+@pytest.mark.parametrize("seed", [0, 41, 2**128 + 5])
+def test_trace_jitter_is_the_stdlib_generator(tmp_path, monkeypatch, seed):
+    # The trace points rebuilt one by one from the ladder and the draws u
+    # of random.Random(seed): a point moves to p + (x - p) * (1 + 0.04
+    # (u - 0.5)), p its nearest set point, where that keeps it in the band.
+    ladders = []
+
+    def recorded(ext, n):
+        xs = region_samples(ext, n)
+        ladders.append((ext, xs))
+        return xs
+
+    monkeypatch.setattr(cli, "region_samples", recorded)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(GEVREY_EXTEND, seed=seed))
+    assert main(["extend", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    [(ext, ladder)] = ladders
+    ds, nearest = distances_and_nearest(ext.jet.e, ladder)
+    rng = random.Random(seed)
+    want = []
+    for x, d, p in zip(ladder.tolist(), ds.tolist(), nearest.tolist()):
+        factor = 1.0 + 0.04 * (rng.random() - 0.5)
+        moved = ext.cover.d_min_covered <= d * factor < ext.d_max
+        want.append(p + (x - p) * factor if moved else x)
+    _, rows = read_csv(out / "extension_samples.csv")
+    got = [float(x) for x, alpha, _ in rows if alpha == "0"]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert sum(w != x for w, x in zip(want, ladder.tolist())) > len(want) // 2
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
@@ -712,6 +746,16 @@ BEFORE_WORK = [
     ("extend", "plan.path", 5, "ConfigError: config.plan.path must be a file path string"),
     ("extend", "plan.path", lambda tmp: plan_file_with(tmp, bogus=1),
      "PlanInvalid: plan keys missing: [], unknown: ['bogus']"),
+    # The plan carries h, k1, k2 and k3 only; the threshold multiples and
+    # the fitted m1 are no plan constants.
+    ("extend", "plan.path", lambda tmp: plan_file_with(tmp, constants={"c0": 2.0}),
+     "PlanInvalid: plan.constants keys missing: [], unknown: ['c0']"),
+    ("extend", "plan.path", lambda tmp: plan_file_with(tmp, constants={"k2": 12.0, "m1": None}),
+     "PlanInvalid: plan.constants keys missing: [], unknown: ['m1']"),
+    # Only extend reads a seed.
+    ("classify", "seed", 7, "ConfigError: config keys missing: [], unknown: ['seed']"),
+    ("matrix", "seed", 7, "ConfigError: config keys missing: [], unknown: ['seed']"),
+    ("cover-dump", "seed", 7, "ConfigError: config keys missing: [], unknown: ['seed']"),
     ("extend", "jet.set", {"intervals": [[0.5, 2.0], [0.0, 1.0]]},
      "ConfigError: config.jet.set.intervals entry [0.5, 2.0] meets config.jet.set.intervals entry [0.0, 1.0]"),
     ("cover-dump", "set.intervals", [[-1.0, 0.0], [-0.5, 0.5]],

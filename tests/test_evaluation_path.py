@@ -33,7 +33,6 @@ from ultraext.extension_engine import (
     _log_abs,
     _log_decay,
     _ratio_check,
-    _valuation_oks,
     assemble,
     eval_derivative,
     make_plan,
@@ -433,12 +432,11 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
     pair_x_alpha: dict[int, float] = {}
     resid_raw: list[tuple[float, int, float]] = []
     growth_raw: list[tuple[float, int, float]] = []
-    skipped_pairs = 0
+    skipped_pair_i = 0
+    skipped_pair_x = 0
     skipped_resid = 0
     cap_hits = 0
     cutoff_hits = 0
-    val_pairs = 0
-    val_ok = True
 
     # Per-interval decay values at the dilated center distance, and
     # whether the stored jet order caps the interval's degree.
@@ -518,11 +516,6 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
 
         for i in members:
             d_i, lh_far, i_ok = center_info[i]
-            t_i = interval_poly(f, i)
-            if t_i.center == t_x.center:
-                val_pairs += 1
-                if not _valuation_oks(f.jet, anchor, t_i, t_x):
-                    val_ok = False
             dvals = diffs_x[i]
             for b in range(cap + 1):
                 diff = abs(dvals[b]) if dvals is not None else 0.0
@@ -535,7 +528,7 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
                     pair_i_ds.append(d_i)
                     pair_i_alpha[b] = max(pair_i_alpha.get(b, 0.0), r)
                 else:
-                    skipped_pairs += 1
+                    skipped_pair_i += 1
                 if near_ok:
                     log_rhs = (b + 1) * math.log(3.0 * ld) + log_row + lh_near
                     r = _log_ratio(log_diff, log_rhs)
@@ -543,7 +536,7 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
                     pair_x_ds.append(d)
                     pair_x_alpha[b] = max(pair_x_alpha.get(b, 0.0), r)
                 else:
-                    skipped_pairs += 1
+                    skipped_pair_x += 1
 
     # Fit one growth base per terminal estimate, in log space.  The base
     # is the worst (a + 1)-th root of the per-order log envelope, which
@@ -594,10 +587,10 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
         finish_check("taylor_value_bound", taylor_ratios, taylor_ds, taylor_alpha, 0),
         finish_check("taylor_jet_consistency", consis_ratios, consis_ds, consis_alpha, 0),
         finish_check(
-            "pair_difference_interval", pair_i_ratios, pair_i_ds, pair_i_alpha, skipped_pairs
+            "pair_difference_interval", pair_i_ratios, pair_i_ds, pair_i_alpha, skipped_pair_i
         ),
         finish_check(
-            "pair_difference_point", pair_x_ratios, pair_x_ds, pair_x_alpha, 0
+            "pair_difference_point", pair_x_ratios, pair_x_ds, pair_x_alpha, skipped_pair_x
         ),
         finish_check(
             "residual_decay", resid_n[0], resid_n[1], resid_n[2], skipped_resid,
@@ -616,8 +609,6 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
         fitted_m1=m1,
         degree_cap_hits=cap_hits,
         degree_cutoff_hits=cutoff_hits,
-        valuation_pairs=val_pairs,
-        valuation_ok=val_ok,
         plan=plan,
         notes=tuple(notes),
     )
@@ -961,21 +952,24 @@ def test_array_lookup_matches_the_per_sample_lookup(extensions, name):
 def test_pair_classification_runs_once_per_distinct_pair(extensions, monkeypatch):
     # On the README extension at 2000 samples the (sample, member) pairs
     # fall on 26 distinct (T_i, t_x) pairs, every one on a shared center;
-    # each is classified once and counted once per (sample, member) pair.
+    # each _glue pass builds each of its differences once.
     f = extensions["one_point"]
-    calls = []
-    real = extension_engine._valuation_oks
+    passes = []
+    glue, difference = extension_engine._glue, extension_engine._shared_center_difference
 
-    def counted(jet, anchor, t_i, t_x):
-        calls.append((t_i, t_x))
-        return real(jet, anchor, t_i, t_x)
+    def counted_glue(*args):
+        passes.append([])
+        return glue(*args)
 
-    monkeypatch.setattr(extension_engine, "_valuation_oks", counted)
-    rep = verify_bounds(f, samples=2000)
-    assert len(calls) == len(set(calls)) == 26
-    assert rep.valuation_pairs == sum(
-        len(memberships(f.cover, x)[1]) for x in region_samples(f, 2000).tolist()
-    )
+    def counted(t_i, t_ref):
+        passes[-1].append((t_i, t_ref))
+        return difference(t_i, t_ref)
+
+    monkeypatch.setattr(extension_engine, "_glue", counted_glue)
+    monkeypatch.setattr(extension_engine, "_shared_center_difference", counted)
+    verify_bounds(f, samples=2000)
+    assert len(passes[0]) == len(set(passes[0])) == 26
+    assert all(len(calls) == len(set(calls)) for calls in passes)
 
 
 def test_nan_point_is_outside_the_region_on_both_paths(extensions):

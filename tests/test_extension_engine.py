@@ -17,9 +17,13 @@ from ultraext.errors import (
     PrecisionFloor,
 )
 from ultraext.extension_engine import (
+    THRESHOLD_GLUE,
+    THRESHOLD_TAYLOR,
+    THRESHOLD_TELESCOPE,
     ExtensionPlan,
     PlanConstants,
     _local_taylor,
+    _memberships,
     assemble,
     boundary_limits,
     eval_derivative,
@@ -179,6 +183,16 @@ def test_plan_json_rejects_unknown_constants():
         ExtensionPlan.from_json(dict(doc, constants={"k9": 1.0}))
 
 
+@pytest.mark.parametrize("name, value", [("c0", 2.0), ("c1", 12.0), ("c2", 8.0), ("m1", None), ("m1", 1.5)])
+def test_plan_json_refuses_constants_no_plan_carries(name, value):
+    # The threshold multiples c0, c1, c2 live in THRESHOLD_* (k2 is their
+    # maximum), and m1 is fitted by the audit: a plan file naming one is
+    # refused by name.
+    doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
+    with pytest.raises(PlanInvalid, match=rf"unknown: \['{name}'\]"):
+        ExtensionPlan.from_json(dict(doc, constants={"k2": 12.0, name: value}))
+
+
 @pytest.mark.parametrize("key", ["dilation", "folds", "xi", "rho", "jet_bound"])
 def test_plan_json_rejects_missing_keys(key):
     doc = {"dilation": 16.0, "folds": 8, "xi": 1.0, "rho": 1.0, "jet_bound": 2.0}
@@ -213,7 +227,7 @@ def test_plan_json_rejects_non_numbers(key, value):
         ExtensionPlan.from_json(dict(doc, **{key: value}))
 
 
-@pytest.mark.parametrize("name", ["c0", "c1", "c2", "h", "k1", "k2", "k3", "m1"])
+@pytest.mark.parametrize("name", ["h", "k1", "k2", "k3"])
 @pytest.mark.parametrize("value", [True, "1"])
 def test_plan_json_rejects_non_number_constants(name, value):
     # A string k2 of "1" at dilation 20 and rho 1 would clear the threshold
@@ -223,19 +237,19 @@ def test_plan_json_rejects_non_number_constants(name, value):
         ExtensionPlan.from_json(dict(doc, constants={name: value}))
 
 
-def test_plan_json_accepts_integral_numbers_and_null_m1():
+def test_plan_json_accepts_integral_numbers():
     doc = {"dilation": 16, "folds": 8.0, "xi": 1, "rho": 1, "jet_bound": 2,
-           "constants": {"k2": 12, "m1": None}, "theory_degree": 40.0}
+           "constants": {"k2": 12}, "theory_degree": 40.0}
     plan = ExtensionPlan.from_json(doc)
     assert (plan.folds, plan.theory_degree) == (8, 40)
     assert type(plan.folds) is int and type(plan.theory_degree) is int
-    assert plan.dilation == 16.0 and plan.constants.m1 is None
+    assert plan.dilation == 16.0 and plan.constants.k2 == 12.0
 
 
 @pytest.mark.parametrize(
     "name, value",
-    [("k3", "NaN"), ("k3", "-3"), ("h", "NaN"), ("h", "Infinity"), ("c0", "0"),
-     ("k1", "-Infinity"), ("k2", "NaN"), ("m1", "NaN")],
+    [("k3", "NaN"), ("k3", "-3"), ("h", "NaN"), ("h", "Infinity"), ("k1", "0"),
+     ("k1", "-Infinity"), ("k2", "NaN")],
 )
 def test_plan_file_rejects_non_finite_or_non_positive_constants(name, value):
     text = (
@@ -254,6 +268,8 @@ def test_make_plan_constants(pipeline):
     assert plan.constants.k3 == pytest.approx(3.0 * h)
     assert plan.dilation == pytest.approx(16.0 * cert.rho)
     assert plan.theory_degree == math.ceil(plan.constants.k1 * plan.dilation)
+    assert plan.constants._fields == ("h", "k1", "k2", "k3")
+    assert plan.constants.k2 == max(THRESHOLD_TAYLOR, THRESHOLD_TELESCOPE, THRESHOLD_GLUE) == 12.0
     assert plan.meets_threshold
 
 
@@ -464,14 +480,23 @@ def test_bound_report_all_green(pipeline):
     _, _, _, _, _, ext = pipeline
     rep = verify_bounds(ext, samples=400, alpha_cap=8)
     assert rep.all_passed
-    assert rep.valuation_pairs > 0
-    assert rep.valuation_ok
     assert rep.degree_cap_hits > 0
     assert rep.degree_cutoff_hits > 0
     assert 1.0 <= rep.fitted_m <= 6.0 * ext.plan.dilation
     assert 1.0 <= rep.fitted_m1 <= 6.0 * ext.plan.dilation
     for c in rep.checks:
         assert c.passed, (c.name, c.notes)
+    # Each masked check counts, in entries, the rows outside its own mask:
+    # the pair checks over the (sample, member) pairs, residual_decay over
+    # the samples.
+    xs = region_samples(ext, 400)
+    pairs = _memberships(ext.cover, xs)[1].size
+    by_name = {c.name: c for c in rep.checks}
+    for name, rows in [("pair_difference_interval", pairs), ("pair_difference_point", pairs),
+                       ("residual_decay", len(xs))]:
+        check = by_name[name]
+        assert check.skipped + check.samples_used == rows * (rep.alpha_cap + 1), name
+    assert by_name["pair_difference_point"].skipped > 0
     blob = json.dumps(rep.to_json(), sort_keys=True)
     assert json.loads(blob)["checks"][0]["name"] == rep.checks[0].name
 

@@ -353,6 +353,16 @@ def test_eq14_is_the_per_sample_loop(data):
     assert _eq14_key(verify_eq14(cov, xs)) == _eq14_key(eq14_loop(cov, xs))
 
 
+def test_eq14_ratio_past_the_largest_double_is_the_loop():
+    # A sample one subnormal off the set, inside the negative control's
+    # reach: d(x_i) / d(x) overflows to inf, a violation, as in the loop.
+    cov = rebuilt(build_cover(CompactSet1D.from_points([0.0]), 1.0, 9.0 / 8.0, 4), expansion=3.0)
+    xs = [-5e-324, 5e-324]
+    rep = verify_eq14(cov, xs)
+    assert _eq14_key(rep) == _eq14_key(eq14_loop(cov, xs))
+    assert rep.worst_upper == math.inf and rep.violations
+
+
 @pytest.mark.parametrize("points", [[0.0], [8.0], [1000.0], [0.0, 1e-300]])
 def test_cover_is_the_stack_descent_at_the_precision_floor(points):
     # Past the rounding of x + side, cells and their halves coincide.

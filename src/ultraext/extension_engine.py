@@ -192,12 +192,18 @@ def make_plan(
     and the theoretical smoothness degree k1 * dilation is recorded
     after rounding up (the fold count actually used stays the desk-scale
     default unless overridden).  The default dilation is 16 * rho, the
-    smallest power-of-two multiple clearing every threshold.
+    smallest power-of-two multiple clearing every threshold.  Raises
+    MissingRow, naming the certificate's xi and rho and the xi values the
+    matrix stores, when the row at 2*xi or 4*xi is missing.
     """
     xi = float(certificate.xi)
     rho = float(certificate.rho)
     if not regular.has(2.0 * xi) or not regular.has(4.0 * xi):
-        raise MissingRow(f"plan needs rows at 2*xi={2 * xi} and 4*xi={4 * xi}")
+        stored = ", ".join(map(str, regular.xi_values))
+        raise MissingRow(
+            f"certify accepted the jet first at xi={xi} (rho={rho}); a plan needs rows"
+            f" at 2*xi={2 * xi} and 4*xi={4 * xi}, and the matrix stores xi in ({stored})"
+        )
     inter = interleave_matrix(regular, [2.0 * xi])
     h = sandwich_H(regular, inter, 2.0 * xi, regular.order)
     # Degree rate of the smoothness budget at envelope base 1: the cover's

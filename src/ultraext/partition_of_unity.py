@@ -1,21 +1,23 @@
 """The template bump and the normalized cover partition.
 
 Everything in this module is an exact piecewise polynomial.  One
-template bump is built per fold count: the indicator of the core
+template bump is built per partition: the indicator of the core
 [-1/2, 1/2], half inflated by the margin, convolved with `folds` box
-kernels, so derivatives and extrema come from the piece coefficients,
-never from numerical differencing.  A cover partition places that
-template on every interval by t -> center + side*t, an exact dyadic map,
-and keeps only the placed breakpoints and the scaled rows.  build_partition
-validates all placements at once (or raises DegenerateSupport) and
-certifies that the bump total is positive on the whole covered band from
-the template's plateau, not from samples (or raises UncoveredPoint).
-The normalized family phi_i = psi_i / sum_j psi_j is piecewise rational
-on the common breakpoint refinement of the bumps; its derivatives are
-evaluated with the reciprocal and product rules against the same exact
-piece data.  A refinement piece's coefficients are built when a value,
-derivative or extremum first reads that piece, not when the partition is
-built.
+kernels.  In closed form that is a difference of two integrated cardinal
+B-splines; build_bump evaluates it in integer arithmetic and rounds each
+breakpoint and coefficient once, so derivatives and extrema come from
+the piece coefficients, never from numerical differencing.  A cover
+partition places that template on every interval by t -> center +
+side*t, an exact dyadic map, and keeps only the placed breakpoints and
+the scaled rows.  build_partition validates all placements at once (or
+raises DegenerateSupport) and certifies that the bump total is positive
+on the whole covered band from the template's plateau, not from samples
+(or raises UncoveredPoint).  The normalized family phi_i = psi_i /
+sum_j psi_j is piecewise rational on the common breakpoint refinement of
+the bumps; its derivatives are evaluated with the reciprocal and product
+rules against the same exact piece data.  A refinement piece's
+coefficients are built when a value, derivative or extremum first reads
+that piece, not when the partition is built.
 """
 
 from __future__ import annotations
@@ -123,83 +125,60 @@ class PiecewisePolynomial:
         return float(out[0]) if scalar else out
 
 
-def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
-    kept = [float(values[0])]
-    for v in values[1:]:
-        if v - kept[-1] > tol:
-            kept.append(float(v))
-    return np.asarray(kept)
-
-
-def _convolve_box(
-    bp: list[float], rows: Sequence[Sequence[float]], width: float
-) -> tuple[list[float], list[tuple[float, ...]]]:
-    """Convolution with the unit-mass box of the given width.
-
-    Maps unvalidated PiecewisePolynomial data (breakpoints, rows) to the
-    same, so a fold chain builds and checks one PiecewisePolynomial at
-    its end.  The piece arithmetic runs on Python floats, doing the same
-    operations in the same order as elementwise float64 arrays would.
-    """
-    half = 0.5 * width
-    anti = []
-    acc = 0.0
-    for j, row in enumerate(rows):
-        arow = [acc] + [float(c) / (m + 1) for m, c in enumerate(row)]
-        anti.append(arow)
-        acc = _eval_local(arow, bp[j + 1] - bp[j])
-    total = acc
-
-    def anti_at(expand_at: float, probe: float) -> list[float]:
-        # Expansion of the antiderivative around expand_at.  The piece is
-        # chosen by the probe (a window midpoint), which is immune to the
-        # ulp-level breakpoint jitter that endpoint lookups trip over.
-        if probe < bp[0]:
-            return [0.0]
-        if probe >= bp[-1]:
-            return [total]
-        j = bisect.bisect_right(bp, probe) - 1
-        return _taylor_shift(anti[j], expand_at - bp[j])
-
-    new_bp = sorted_unique(np.concatenate([np.subtract(bp, half), np.add(bp, half)]))
-    # Shifted copies of one exact breakpoint can land an ulp apart; the
-    # sliver pieces they would create poison later piece lookups.
-    tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
-    new_bp = _merge_close(new_bp, tol).tolist()
-    new_rows = []
-    for j in range(len(new_bp) - 1):
-        t = new_bp[j]
-        mid = 0.5 * (new_bp[j] + new_bp[j + 1])
-        upper = anti_at(t + half, mid + half)
-        lower = anti_at(t - half, mid - half)
-        g = [0.0] * max(len(upper), len(lower))
-        for m, u in enumerate(upper):
-            g[m] = 0.0 + u  # as on a zeros row: -0.0 becomes 0.0
-        for m, v in enumerate(lower):
-            g[m] -= v
-        new_rows.append(tuple(np.array(g) / width))
-    return new_bp, new_rows
-
-
 def build_bump(folds: int) -> PiecewisePolynomial:
     """The template: the core [-1/2, 1/2] half inflated, convolved once per fold.
 
-    Each fold convolves with the unit-mass box of width MARGIN_FRACTION /
-    folds.  The result is a spline of degree folds, one on the core,
-    zero outside [-1/2 - MARGIN_FRACTION, 1/2 + MARGIN_FRACTION], and
-    each derivative up to that order is bounded by (2 / width)^order.
-    The folds run on plain rows; the one PiecewisePolynomial built at
-    the end validates the result, so coefficients that overflow partway
-    through the chain still raise ValueError.
+    Each fold convolves with the unit-mass box of width w = MARGIN_FRACTION
+    / folds, so with A = (1 + MARGIN_FRACTION)/2 the template is
+    N((t + A)/w) - N((t - A)/w), N the centered integrated cardinal
+    B-spline of degree folds (de Boor, A Practical Guide to Splines).  It
+    is one on the core and zero outside [-1/2 - MARGIN_FRACTION, 1/2 +
+    MARGIN_FRACTION]; its knots are -1/2 - MARGIN_FRACTION + k*w and
+    1/2 + k*w for k = 0..folds, and between them N is the Irwin-Hall sum
+    N(s) = sum_{k <= x} (-1)^k C(folds, k) (x - k)^folds / folds!, with
+    x = s + folds/2.
+
+    The margin and every float are ratios of integers, so the build is
+    exact: each breakpoint is its exact value rounded once, and each row
+    holds the exact Taylor coefficients of its piece at the stored
+    breakpoint, rounded once by one int / int true division per entry.
+    Rows beyond float range raise ValueError.
     """
     if not (isinstance(folds, int) and folds >= 1):
         raise ValueError("fold count must be a positive integer")
-    half_margin = 0.5 * MARGIN_FRACTION
-    bp = [-0.5 - half_margin, 0.5 + half_margin]
-    rows = [(1.0,)]
-    for _ in range(folds):
-        bp, rows = _convolve_box(bp, rows, MARGIN_FRACTION / folds)
-    return PiecewisePolynomial(tuple(bp), tuple(rows))
+    n = folds
+    p, q = MARGIN_FRACTION.as_integer_ratio()  # margin p/q, w = p/(q*n)
+    # The knots over the common denominator 2*q*n: rising ramp, then falling.
+    knots = [2 * p * k - (q + 2 * p) * n for k in range(n + 1)]
+    knots += [2 * p * k + q * n for k in range(n + 1)]
+    bp = tuple(k / (2 * q * n) for k in knots)
+    rows = []
+    for j, b in enumerate(bp[:-1]):
+        if j == n:  # the core
+            rows.append((1.0,) + (0.0,) * n)
+            continue
+        # Before the core the piece is N(x), x = (t + 1/2)/w + n, with the
+        # terms k <= j; past it, 1 - N(x), x = (t - 1/2)/w, with k < j - n.
+        # At t = b, x = xn / e.
+        rising = j < n
+        bn, bd = b.as_integer_ratio()
+        e = 2 * bd * p
+        xn = (2 * bn + (bd if rising else -bd)) * n * q + (n * e if rising else 0)
+        live = range(j + 1 if rising else j - n)
+        row = []
+        for m in range(n + 1):
+            num = math.comb(n, m) * (n * q) ** m * sum(
+                (-1) ** k * math.comb(n, k) * (xn - k * e) ** (n - m) for k in live
+            )
+            den = math.factorial(n) * p**m * e ** (n - m)
+            if not rising:
+                num = (den if m == 0 else 0) - num
+            try:
+                row.append(num / den)
+            except OverflowError:
+                raise ValueError(f"template coefficients must be finite; row {j} overflows") from None
+        rows.append(tuple(row))
+    return PiecewisePolynomial(bp, tuple(rows))
 
 
 def _derivative_values(coeffs: Sequence[float], t: float, order: int) -> np.ndarray:
@@ -436,9 +415,8 @@ def template_plateau(template: PiecewisePolynomial) -> tuple[int, int, float]:
     its smallest Bernstein coefficient is a lower bound of the piece.
     The plateau [bp[q0], bp[q1]] is the run of contiguous pieces around 0
     whose bound is at least 1/2, and the floor is min(0, smallest bound
-    of any piece).  No row is assumed exact: at fold counts such as 3,
-    5, 6 and 7 the float chain moves the core row off (1, 0, ...) and
-    the core breakpoints off -1/2 and 1/2.
+    of any piece).  No row is assumed exact: the ramp rows are rounded,
+    so their bounds can fall an ulp-sized amount below the exact ones.
     """
     bp = template.breakpoints
     bounds = []

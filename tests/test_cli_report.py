@@ -356,8 +356,8 @@ GOLDEN_EXTEND = {
     "seed": 7,
 }
 GOLDEN_SHA256 = {
-    "bound_report.json": "c1774c77ee47246034d0520c9a27fae136c32b8b22c42552d7c47717ee8f760e",
-    "extension_samples.csv": "5155eec7c2d1f32a2f9b08e5d76e15524e6fb20fa880bde6897f8adde61cb3c2",
+    "bound_report.json": "c083226e6401ef764442fa1aa54db2c4912ffa01cc8451b6cfed7fbab33f45ee",
+    "extension_samples.csv": "22091f51feeff28b0dc8f79ced532aaba75194d1fac3e64a60cbb685a21aa9ff",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
 # The same config on the eight points of the extend_cluster benchmark
@@ -365,7 +365,7 @@ GOLDEN_SHA256 = {
 CLUSTER_POINTS = [0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81]
 CLUSTER_EXTEND = dict(GOLDEN_EXTEND, jet=dict(GOLDEN_EXTEND["jet"], set={"points": CLUSTER_POINTS}))
 CLUSTER_SHA256 = {
-    "bound_report.json": "9383b44563b70d5e9c11291c0143678c4cce5399b455fa0c3afd4a8597a9e7dd",
+    "bound_report.json": "40d7854e44aa790fe2948acf9401a9a2f76f58e8721d828d0a644add945ee2d6",
     "extension_samples.csv": "d8a34031c9bef044b58015912f0c2c40c6c4d9c075d366c1cb3569c7f64a6200",
     "boundary_limits.csv": "71cde6c82396ab160180a92bcd8095b14e2a2705a7539ac447736001b79926d7",
 }
@@ -377,8 +377,8 @@ DENSE_EXTEND = dict(
     run={"samples": 2000, "alpha_cap": 8, "csv_samples": 400},
 )
 DENSE_SHA256 = {
-    "bound_report.json": "ffa0b28066f5d347522104e1cf9ee6144ecc2ed13b40a02da9ae6f4089d1ab99",
-    "extension_samples.csv": "331e4bcd861ec77ccf9642688af7d88a35b52c149d73de6395316632751bebd8",
+    "bound_report.json": "55d04d0ac18c9495a63cae226885ea42a98061197eb55c4f6a29da225951629f",
+    "extension_samples.csv": "e0c69d062153b7745902a13496e889b32628e09d3085c594c5ca71b11dd2cd73",
     "boundary_limits.csv": "6ca8ae156c53aa9d9206421ff1d795fa03d3dffc5253feb710dce6ab5f220963",
 }
 

@@ -113,10 +113,14 @@ def quadratic_jet(points):
 
 # (jet, certificate row, worst relative error over 40 region samples
 # and all orders 0..8, worst error at the two-anchor samples or None
-# where there are none).  Each bound is the observed worst.
+# where there are none).  Each bound is the observed worst.  The cluster
+# bound moved from 2.0e-16 to 8.5e-16 (measured 8.45e-16, under 4 ulps)
+# when the template became the exact one rounded once: the oracle
+# evaluates the program's own rows exactly, so only the float path's
+# rounding on the new rows shows, not a change of the rows themselves.
 CASES = {
     "readme": (lambda p: gevrey_jet(p, [0.0]), 1.0, 1.2e-16, None),
-    "cluster": (lambda p: gevrey_jet(p, CLUSTER_POINTS), 1.0, 2.0e-16, None),
+    "cluster": (lambda p: gevrey_jet(p, CLUSTER_POINTS), 1.0, 8.5e-16, None),
     # An analytic jet on two close points, its row chosen by certify.
     "sine": (lambda p: sine_jet([0.0, 0.01]), None, 1.1e-16, None),
     # Low growth keeps d_max above half the gap, so the bumps near its

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,22 @@ def test_make_plan_needs_both_rows(pipeline):
     reg = pipeline[0]
     cert = JetCertificate(1.0, 1.0, 4.0, "bounded")
     with pytest.raises(MissingRow):
+        make_plan(cert, reg)
+
+
+def test_make_plan_names_the_certificate_row_it_cannot_plan(pipeline):
+    # A certificate at the matrix's top row has no rows at 2*xi and 4*xi;
+    # the error names that row, its rho and the stored grid, so it reads
+    # as a fact of the data rather than of the xi grid.
+    reg = pipeline[0]
+    top = reg.xi_values[-1]
+    stored = ", ".join(map(str, reg.xi_values))
+    cert = JetCertificate(1.0, 724.0, top, "bounded")
+    message = (
+        f"certify accepted the jet first at xi={top} (rho=724.0); a plan needs rows at"
+        f" 2*xi={2 * top} and 4*xi={4 * top}, and the matrix stores xi in ({stored})"
+    )
+    with pytest.raises(MissingRow, match=re.escape(message)):
         make_plan(cert, reg)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraext import partition_of_unity as pou
@@ -16,9 +16,7 @@ from ultraext.partition_of_unity import (
     MARGIN_FRACTION,
     Partition,
     PiecewisePolynomial,
-    _convolve_box,
     _eval_local,
-    _merge_close,
     _taylor_shift,
     build_bump,
     build_partition,
@@ -167,11 +165,11 @@ def test_one_fold_template_frozen_values():
 
 def test_plateau_support_and_range():
     b = build_bump(3)
-    # width 1/48 is not dyadic, so endpoints may carry an ulp of drift
-    assert abs(support(b)[0] + 0.5625) <= 1e-12
-    assert abs(support(b)[1] - 0.5625) <= 1e-12
+    # The box width 1/48 is not dyadic, but the support ends and the core
+    # ends are, and the core row is exactly (1, 0, ...).
+    assert support(b) == (-0.5625, 0.5625)
     for x in (-0.5, -0.25, 0.0, 0.5):
-        assert abs(b(x) - 1.0) <= 1e-14
+        assert b(x) == 1.0
     xs = np.linspace(-0.6, 0.6, 2000)
     vals = b(xs)
     assert np.all(vals >= -1e-14) and np.all(vals <= 1.0 + 1e-14)
@@ -358,10 +356,10 @@ def test_bump_profile_properties(center, log_side, folds):
     assert abs(integral(b) - target) <= 1e-10 * max(1.0, target)
 
 
-# Reference kernels: the Taylor shift and box convolution on float64
-# arrays, and the partition rows by a scan over pieces x bumps.  The
-# pure-float kernels and the support-indexed partition must match them
-# bit for bit, signed zeros included.
+# Reference kernels: the Taylor shift on float64 arrays, and the
+# partition rows by a scan over pieces x bumps.  The pure-float kernel
+# and the support-indexed partition must match them bit for bit, signed
+# zeros included.
 
 
 def ref_taylor_shift(coeffs, shift):
@@ -371,44 +369,6 @@ def ref_taylor_shift(coeffs, shift):
         for j in range(n - 2, i - 1, -1):
             out[j] += shift * out[j + 1]
     return out
-
-
-def ref_convolve_box(f, width):
-    half = 0.5 * width
-    bp = f._bp
-    anti = []
-    acc = 0.0
-    for j, row in enumerate(f.pieces):
-        arow = np.zeros(len(row) + 1)
-        arow[0] = acc
-        for m, c in enumerate(row):
-            arow[m + 1] = c / (m + 1)
-        anti.append(arow)
-        acc = _eval_local(arow, bp[j + 1] - bp[j])
-    total = acc
-
-    def anti_at(expand_at, probe):
-        if probe < bp[0]:
-            return np.array([0.0])
-        if probe >= bp[-1]:
-            return np.array([total])
-        j = int(np.searchsorted(bp, probe, side="right")) - 1
-        return ref_taylor_shift(anti[j], expand_at - bp[j])
-
-    new_bp = np.unique(np.concatenate([bp - half, bp + half]))
-    tol = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(new_bp))))
-    new_bp = _merge_close(new_bp, tol)
-    rows = []
-    for j in range(new_bp.size - 1):
-        t = float(new_bp[j])
-        mid = 0.5 * (new_bp[j] + new_bp[j + 1])
-        upper = anti_at(t + half, mid + half)
-        lower = anti_at(t - half, mid - half)
-        g = np.zeros(max(upper.size, lower.size))
-        g[: upper.size] += upper
-        g[: lower.size] -= lower
-        rows.append(tuple(g / width))
-    return PiecewisePolynomial(tuple(float(b) for b in new_bp), tuple(rows))
 
 
 def ref_partition_rows(part):
@@ -437,13 +397,6 @@ def raw(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def assert_same_poly(got, want):
-    assert raw(got.breakpoints) == raw(want.breakpoints)
-    assert len(got.pieces) == len(want.pieces)
-    for a, b in zip(got.pieces, want.pieces):
-        assert raw(a) == raw(b)
-
-
 def assert_partition_matches_scan(part):
     ref = ref_partition_rows(part)
     assert len(part.piece_active) == len(ref)
@@ -467,52 +420,14 @@ def test_taylor_shift_matches_numpy_reference(coeffs, shift):
     assert raw(as_numpy) == raw(ref_taylor_shift(coeffs, shift))
 
 
-@st.composite
-def piecewise_and_width(draw):
-    n = draw(st.integers(1, 4))
-    start = draw(st.floats(-10.0, 10.0, allow_nan=False))
-    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
-    bp = [start]
-    for g in gaps:
-        bp.append(bp[-1] + g)
-    degree = draw(st.integers(0, 10))
-    pieces = tuple(
-        tuple(draw(st.lists(COEFF, min_size=degree + 1, max_size=degree + 1)))
-        for _ in range(n)
-    )
-    width = draw(st.floats(1e-3, 4.0))
-    return PiecewisePolynomial(tuple(bp), pieces), width
-
-
-@settings(max_examples=150, deadline=None)
-@given(piecewise_and_width())
-# A -0.0 coefficient: the zeros row the difference starts from turns it into 0.0.
-@example((PiecewisePolynomial((0.0, 1.0), ((1.0, -0.0),)), 0.5))
-def test_convolve_box_matches_numpy_reference(case):
-    f, width = case
-    bp, rows = _convolve_box(list(f.breakpoints), f.pieces, width)
-    assert_same_poly(PiecewisePolynomial(tuple(bp), tuple(rows)), ref_convolve_box(f, width))
-
-
-def test_bump_chain_matches_numpy_reference():
-    for folds in range(1, 11):
-        half = 0.5 * MARGIN_FRACTION
-        want = PiecewisePolynomial((-0.5 - half, 0.5 + half), ((1.0,),))
-        for _ in range(folds):
-            want = ref_convolve_box(want, MARGIN_FRACTION / folds)
-        assert_same_poly(build_bump(folds), want)
-
-
-def test_bump_overflow_partway_through_the_chain_raises(monkeypatch):
-    # With a margin of 1e-12 the coefficients overflow at fold 25 of 30;
-    # the one validation at the end of the chain must still see the
-    # non-finite rows.  (With the template's own margin of 1/16 the rows
-    # grow about 1.9 decades per fold, so they overflow near 160 folds,
-    # a chain too slow for a unit test: 0.9 s at 64 folds, ~ folds**4.)
+def test_template_rows_beyond_float_range_raise(monkeypatch):
+    # With a margin of 1e-12 the exact rows at 30 folds exceed float
+    # range; rounding them must raise rather than store infinities.
+    # (With the template's own margin of 1/16 they first overflow
+    # between 150 and 170 folds.)
     monkeypatch.setattr(pou, "MARGIN_FRACTION", 1e-12)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            build_bump(30)
+    with pytest.raises(ValueError, match="finite"):
+        build_bump(30)
 
 
 def test_partition_matches_scan_on_three_point_cover():
@@ -566,30 +481,25 @@ def test_live_bumps_match_the_per_bump_slices():
 CLUSTER_POINTS = (0.0, 0.23, 0.51, 0.7, 1.04, 1.3, 1.62, 1.81)
 
 
-def interval_chain(c, s, folds):
-    """The fold chain run on the interval itself: core [c - s/2, c + s/2], margin s/16."""
-    margin = s * MARGIN_FRACTION
-    half = 0.5 * margin
-    bp, rows = [(c - 0.5 * s) - half, (c + 0.5 * s) + half], [(1.0,)]
-    for _ in range(folds):
-        bp, rows = _convolve_box(bp, rows, margin / folds)
-    return PiecewisePolynomial(tuple(bp), tuple(rows))
-
-
 @pytest.mark.parametrize("points", [(0.0,), CLUSTER_POINTS])
 @pytest.mark.parametrize("folds", [1, 2, 4, 8, 16])
-def test_placed_template_matches_each_fold_chain(points, folds):
-    # Sides are powers of two, so the dyadic placement of the template
-    # reproduces every chain bit for bit (signed zeros included) except
-    # where the chain's breakpoint merge collapses it; placed bumps never
-    # collapse.
+def test_placed_template_matches_the_placed_oracle(points, folds):
+    # Bump (c, s) is the rounded exact template placed at (c, s): each
+    # breakpoint c + s*b and each coefficient row[m] / s**m, taken exactly
+    # and rounded once.  Sides are powers of two, so the placement's float
+    # arithmetic rounds only the sum c + s*b.
     cover = build_cover(CompactSet1D.from_points(points), 1.0, max_generation=40)
     part = build_partition(cover, folds)
+    bp, rows = rounded_template(folds)
+    scaled = {}
     for c, s, psi in zip(cover.centers.tolist(), cover.sides.tolist(), bumps(part)):
-        assert len(psi.breakpoints) > 2
-        chain = interval_chain(c, s, folds)
-        if len(chain.breakpoints) > 2:
-            assert_same_poly(psi, chain)
+        want = [float(Fraction(c) + Fraction(s) * Fraction(b)) for b in bp]
+        assert raw(psi.breakpoints) == raw(want)
+        if s not in scaled:
+            scaled[s] = [
+                [float(Fraction(v) / Fraction(s) ** m) for m, v in enumerate(row)] for row in rows
+            ]
+        assert [raw(r) for r in psi.pieces] == [raw(r) for r in scaled[s]]
 
 
 def test_deepest_template_bumps_stay_smooth():
@@ -712,36 +622,41 @@ def exact_template_rows(folds, lefts, mids):
     return rows
 
 
-# (folds, bound): the float rows' largest deviation from the exact ones,
-# in units of eps times the row's largest exact coefficient.  Measured:
-# 35.5 at folds 3, 122 at folds 6, 0.25 at folds 8 (dyadic box widths).
-@pytest.mark.parametrize("folds, row_eps", [(3, 64.0), (6, 256.0), (8, 1.0)])
-def test_float_template_matches_the_rational_template(folds, row_eps):
-    template = build_bump(folds)
-    bp = [Fraction(b) for b in template.breakpoints]
+def rounded_template(folds):
+    """The exact template rounded once: (breakpoints, rows) as floats.
+
+    Each breakpoint is its exact value rounded; each row is the exact
+    piece expanded at that rounded breakpoint, then rounded entry by entry.
+    """
     w = Fraction(1, 16 * folds)
-    exact_bp = sorted(
-        end + (k - Fraction(folds, 2)) * w
+    bp = sorted(
+        float(end + (k - Fraction(folds, 2)) * w)
         for end in (Fraction(-17, 32), Fraction(17, 32))
         for k in range(folds + 1)
     )
-    assert len(bp) == len(exact_bp)
-    for got, want in zip(bp, exact_bp):
-        assert abs(got - want) <= 2 * Fraction(math.ulp(float(want)))
-    # Expanded at the float breakpoints, so only the rows' rounding shows.
-    mids = [(a + b) / 2 for a, b in zip(bp, bp[1:])]
-    for row, exact in zip(template.pieces, exact_template_rows(folds, bp[:-1], mids)):
-        scale = max(abs(c) for c in exact)
-        assert len(row) == len(exact)
-        assert max(abs(Fraction(c) - e) for c, e in zip(row, exact)) <= row_eps * EPS * scale
+    exact_bp = [Fraction(b) for b in bp]
+    mids = [(a + b) / 2 for a, b in zip(exact_bp, exact_bp[1:])]
+    rows = [[float(c) for c in row] for row in exact_template_rows(folds, exact_bp[:-1], mids)]
+    return bp, rows
+
+
+@pytest.mark.parametrize("folds", [*range(1, 13), 16])
+def test_float_template_matches_the_rational_template(folds):
+    # Every breakpoint and coefficient is the exact value rounded once,
+    # bit for bit.
+    template = build_bump(folds)
+    want_bp, want_rows = rounded_template(folds)
+    assert raw(template.breakpoints) == raw(want_bp)
+    assert [raw(row) for row in template.pieces] == [raw(row) for row in want_rows]
+    bp = [Fraction(b) for b in template.breakpoints]
 
     # The certificate, computed from the float rows, claims no more than
     # the exact template: a plateau holding the exact one, [-1/2, 1/2]
     # (where the exact template is 1), and a floor next to the exact 0.
-    # Floors measured: -13 eps at folds 3, -80 eps at folds 6, 0 at 8.
+    # Floors measured: -0.25 eps at folds 3, above -0.04 eps elsewhere.
     q0, q1, floor = template_plateau(template)
     assert bp[q0] <= Fraction(-1, 2) and bp[q1] >= Fraction(1, 2)
-    assert -256 * EPS <= floor <= 0.0
+    assert -EPS <= floor <= 0.0
 
 
 def test_every_dropped_band_cell_raises_uncovered_point():

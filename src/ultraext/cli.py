@@ -32,7 +32,6 @@ import math
 import os
 import random
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -107,6 +106,15 @@ class _Number(NamedTuple):
         else:
             return x
         raise ConfigError(f"{where} must be {self.words or broken}, got {x}")
+
+
+class _Numbers(NamedTuple):
+    """Reader of a nonempty config list of numbers, each read by entry."""
+
+    entry: _Number
+
+    def __call__(self, value, where: str) -> list[float]:
+        return [self.entry(x, f"{where} entry") for x in json_numbers(value, where, nonempty=True)]
 
 
 class _Object(NamedTuple):
@@ -201,7 +209,7 @@ _COMMON = {"command": (_text, None), "out": (_text, _REQUIRED)}
 _MATRIX = {
     "weight": (weight_from_json, _REQUIRED),
     "k": (_Number(count=True, least=16), 64),
-    "xi": (partial(json_numbers, nonempty=True), list(DEFAULT_XI)),
+    "xi": (_Numbers(_Number(above=0, below=math.inf, words="finite and greater than 0")), list(DEFAULT_XI)),
 }
 
 # Each command's config keys, nested where the value is an object: the
@@ -233,7 +241,7 @@ _SCHEMA = {
             "alpha_max": (_Number(count=True, least=0), 32),
             "xi": (_Number(), None),
             "scale": (_Number(), 1.0),
-            "coefficients": (partial(json_numbers, nonempty=True), None),
+            "coefficients": (_Numbers(_Number()), None),
         }, _check_jet), _REQUIRED),
         "plan": (_Object({
             "path": (_file_of(ExtensionPlan.from_json), None),
@@ -347,7 +355,7 @@ def cmd_matrix(cfg: dict):
     w, k_max, xi_grid = cfg["weight"], cfg["k"], cfg["xi"]
 
     mat = associated_matrix(w, xi_grid, k_max=k_max)
-    reg = strong_regularization(mat, verify=False)
+    reg = strong_regularization(mat)
     fit = sandwich_fit(mat, reg)
     inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
     inter = interleave_matrix(reg, inter_xi) if inter_xi else None
@@ -406,6 +414,7 @@ def cmd_extend(cfg: dict):
 
     mat = associated_matrix(w, cfg["xi"], k_max=cfg["k"])
     reg = strong_regularization(mat)
+    sandwich_fit(mat, reg)  # SandwichUnverifiable ends the job
     inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
     if not inter_xi:
         raise ConfigError("no xi in the grid has a stored doubled row")

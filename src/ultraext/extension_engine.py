@@ -42,6 +42,7 @@ from .whitney_geometry import (
     EXPANDED_REACH,
     EXPANSION,
     SIDE_WINDOW_HI,
+    CompactSet1D,
     WhitneyCover,
     build_cover,
     distance_grid,
@@ -269,10 +270,9 @@ def _local_taylor(jet: UltraJet, row: WeightSequence, dilation: float, xs) -> _L
     (anchor, degree).
     """
     ds, hats = distances_and_nearest(jet.e, xs)
-    points = sorted_unique(hats)
     pts = jet.base_points
-    nearest = [pts.index(min(pts, key=lambda p: (abs(p - y), p))) for y in points.tolist()]
-    anchor = np.array(nearest, dtype=int)[np.searchsorted(points, hats)]
+    _, anchors = distances_and_nearest(CompactSet1D.from_points(pts), hats)
+    anchor = np.searchsorted(pts, anchors)
     gamma = counting_index(row, dilation * ds)
     requested = np.maximum(2 * gamma - 1, 0)
     degree = np.minimum(requested, jet.alpha_max)
@@ -613,7 +613,7 @@ class BoundCheck(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "notes": list(self.notes)}
+        return self._asdict()
 
 
 class BoundReport(NamedTuple):
@@ -637,7 +637,6 @@ class BoundReport(NamedTuple):
             "checks": [c.to_json() for c in self.checks],
             "all_passed": self.all_passed,
             "plan": self.plan.to_json(),
-            "notes": list(self.notes),
         }
 
 
@@ -858,7 +857,7 @@ def verify_bounds(
     center_lh, center_ok = _log_decay(f.degree_row, libm(math.log, ld * center_d))
 
     # The yardsticks, full rows built from the degree row alone.
-    degree_matrix = WeightMatrix.from_divided_rows({2.0 * plan.xi: f.degree_row})
+    degree_matrix = WeightMatrix({2.0 * plan.xi: f.degree_row})
     value_log = interleave_matrix(degree_matrix, [plan.xi]).full_log_row(plan.xi).tolist()
     growth_log = degree_matrix.full_log_row(2.0 * plan.xi)[:width]
 
@@ -970,17 +969,7 @@ class BoundaryReport(NamedTuple):
 
     def to_json(self) -> dict:
         """The summary in bound_report.json; the steps themselves go to a CSV."""
-        return {
-            "a": self.a,
-            "alpha_cap": self.alpha_cap,
-            "steps": len(self.steps),
-            "fitted": list(self.fitted),
-            "nonincreasing": list(self.nonincreasing),
-            "ratio_trend": list(self.ratio_trend),
-            "floor_index": self.floor_index,
-            "floor_reason": self.floor_reason,
-            "decay_scale": self.decay_scale,
-        }
+        return {**self._asdict(), "steps": len(self.steps)}
 
 
 def boundary_limits(

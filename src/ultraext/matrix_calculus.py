@@ -1,10 +1,11 @@
 """Families of weight sequences indexed by a positive parameter.
 
-A weight matrix stores one sequence per index value xi, ordered so that
-larger xi gives a pointwise larger sequence.  Matrices arise here in two
-ways: from the Young conjugate of a weight function (one row per xi), and
-from row-wise surgery on an existing matrix (log-convex regularization,
-interleaving).  All row data lives in the log domain.
+A weight matrix is an ordered family of WeightSequence rows, one per
+index value xi, where larger xi gives a pointwise larger row.  Matrices
+arise here in two ways: from the Young conjugate of a weight function
+(one row per xi), and from row-wise surgery on an existing matrix
+(log-convex regularization, interleaving).  All row data lives in the
+log domain.
 
 Rows are stored in divided form, i.e. with the factorial removed.  The
 factorial-included values are reconstructed on demand; keeping the divided
@@ -26,7 +27,7 @@ from .errors import (
     SandwichUnverifiable,
 )
 from ._fitting import BOUNDED, range_trend
-from .seq_calculus import MIN_ORDER, WeightSequence, log_convex_minorant
+from .seq_calculus import WeightSequence, log_convex_minorant
 from .weight_functions import WeightFunction, young_conjugate_grid
 
 DEFAULT_XI = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -44,104 +45,53 @@ def _as_xi(x: float) -> float:
 
 
 class WeightMatrix:
-    """Ordered family of weight sequences indexed by xi, stored divided.
+    """Ordered family of divided weight sequences indexed by xi.
 
-    ``log_rows[i]`` holds log m_k for ``xi_values[i]`` with the factorial
-    removed; the factorial-included row is the divided row times k!.
-    Construction enforces the row order (larger xi means a pointwise
-    larger row).
-
-    Rows are plain value arrays so that borderline families (a constant
-    divided row is the factorial itself) remain representable.  Where an
-    operation needs the sequence calculus, ``row_sequence`` produces a
-    WeightSequence view on demand; views handed to the constructor (for
-    example minorant outputs, whose quotient view carries exact hull
-    slopes) are kept and returned bit-identical.
+    ``rows[i]`` is the WeightSequence given for ``xi_values[i]``, with the
+    factorial removed; the factorial-included row is the divided row times
+    k!.  Each row has passed its own checks as a WeightSequence, so
+    construction checks only what ties the rows together: at least one
+    row, positive finite xi, one shared order, and the row order (larger
+    xi means a pointwise larger row).
     """
 
-    def __init__(self, xi_values, log_rows) -> None:
-        xis = tuple(_as_xi(x) for x in xi_values)
-        rows = tuple(tuple(float(v) for v in r) for r in log_rows)
-        if len(xis) != len(set(xis)):
-            raise ValueError("duplicate xi values")
-        if list(xis) != sorted(xis):
-            raise ValueError("xi values must be sorted ascending")
-        if len(xis) != len(rows):
-            raise ValueError("one row per xi value required")
-        if not rows:
+    def __init__(self, rows: Mapping[float, WeightSequence]) -> None:
+        xis = tuple(sorted(_as_xi(x) for x in rows))
+        if not xis:
             raise ValueError("matrix needs at least one row")
-        if len({len(r) for r in rows}) != 1:
+        seqs = tuple(rows[x] for x in xis)
+        if len({s.order for s in seqs}) != 1:
             raise ValueError("all rows must share the same order")
-        if len(rows[0]) < MIN_ORDER + 1:
-            raise ValueError(f"rows need at least {MIN_ORDER + 1} entries")
-        prev = None
-        for xi, row in zip(xis, rows):
-            lv = np.asarray(row)
-            if not np.all(np.isfinite(lv)):
-                raise ValueError(f"row xi={xi} has non-finite log values")
-            if lv[0] != 0.0:
-                raise ValueError(f"row xi={xi} must start at m_0 = 1")
-            if prev is not None and np.any(lv < prev - ORDER_SLACK * (1.0 + np.abs(prev))):
+        for xi, lo, hi in zip(xis[1:], seqs, seqs[1:]):
+            if np.any(hi._lv < lo._lv - ORDER_SLACK * (1.0 + np.abs(lo._lv))):
                 raise ValueError(f"row order violated below xi={xi}: rows must grow with xi")
-            prev = lv
         self.xi_values = xis
-        self.log_rows = rows
-        self._seq_cache: dict[int, WeightSequence] = {}
+        self.rows = seqs
 
     @property
     def order(self) -> int:
-        return len(self.log_rows[0]) - 1
+        return self.rows[0].order
 
     def has(self, xi: float) -> bool:
         return _as_xi(xi) in self.xi_values
 
-    def _index(self, xi: float) -> int:
+    def row_sequence(self, xi: float) -> WeightSequence:
+        """The row stored for an exactly stored xi."""
         x = _as_xi(xi)
         try:
-            return self.xi_values.index(x)
+            return self.rows[self.xi_values.index(x)]
         except ValueError:
             raise MissingRow(f"no row stored for xi={xi}") from None
 
     def row_log(self, xi: float) -> np.ndarray:
-        """Divided log values for an exactly stored xi."""
-        return np.asarray(self.log_rows[self._index(xi)])
-
-    def row_sequence(self, xi: float) -> WeightSequence:
-        """Sequence-calculus view of a row; fails for borderline rows.
-
-        The view must satisfy the sequence admissibility conditions
-        (escape of the k-th roots in particular), which genuinely fail
-        for rows at the analytic edge.  Views are cached, and views
-        supplied at construction time are returned unchanged.
-        """
-        i = self._index(xi)
-        cache = self._seq_cache
-        if i not in cache:
-            cache[i] = WeightSequence.from_log_values(self.log_rows[i])
-        return cache[i]
+        """Divided log values for an exactly stored xi, read-only."""
+        return self.row_sequence(xi)._lv
 
     def full_log_row(self, xi: float) -> np.ndarray:
         """log of the factorial-included row, log M_k = log k! + log m_k."""
         lv = self.row_log(xi)
         lg = np.array([math.lgamma(i + 1.0) for i in range(len(lv))])
         return lv + lg
-
-    @classmethod
-    def from_divided_rows(cls, rows: Mapping[float, "WeightSequence | Iterable[float]"]) -> WeightMatrix:
-        """Build from a mapping xi -> divided log values or sequence views."""
-        xis = sorted(_as_xi(x) for x in rows)
-        data = []
-        views: dict[int, WeightSequence] = {}
-        for i, x in enumerate(xis):
-            src = rows[x]
-            if isinstance(src, WeightSequence):
-                views[i] = src
-                data.append(src.log_values)
-            else:
-                data.append(tuple(float(v) for v in src))
-        out = cls(tuple(xis), tuple(data))
-        out._seq_cache.update(views)
-        return out
 
     def to_json(self) -> dict:
         """JSON document with factorial-included rows, {xi_values, rows}."""
@@ -171,7 +121,7 @@ def associated_matrix(
     xi_col = np.array(xis)[:, None]
     full = young_conjugate_grid(w, xi_col * k) / xi_col
     rows = {xi: WeightSequence.from_log_values(r - lgam) for xi, r in zip(xis, full)}
-    return WeightMatrix.from_divided_rows(rows)
+    return WeightMatrix(rows)
 
 
 class SandwichFit(NamedTuple):
@@ -190,21 +140,16 @@ class SandwichFit(NamedTuple):
     per_xi: dict
 
 
-def strong_regularization(matrix: WeightMatrix, verify: bool = True) -> WeightMatrix:
+def strong_regularization(matrix: WeightMatrix) -> WeightMatrix:
     """Row-wise log-convex minorant of the divided rows.
 
     The result has log-convex divided rows sitting below the input, with
-    equality wherever the input row was already convex.  With ``verify``
-    the index-shift sandwich is fitted and SandwichUnverifiable propagates
-    if no stored index ratio admits bounded constants.
+    equality wherever the input row was already convex.  sandwich_fit
+    bounds what the minorant loses.
     """
-    rows = {
-        xi: log_convex_minorant(matrix.row_sequence(xi)) for xi in matrix.xi_values
-    }
-    out = WeightMatrix.from_divided_rows(rows)
-    if verify:
-        sandwich_fit(matrix, out)
-    return out
+    return WeightMatrix({
+        xi: log_convex_minorant(row) for xi, row in zip(matrix.xi_values, matrix.rows)
+    })
 
 
 def sandwich_fit(matrix: WeightMatrix, regular: WeightMatrix) -> SandwichFit:
@@ -282,7 +227,7 @@ def interleave_matrix(
         src = regular.row_sequence(2.0 * xi)
         lq = np.asarray(src.log_quotients)
         rows[xi] = WeightSequence.from_log_quotients(np.repeat(lq, 2))
-    return WeightMatrix.from_divided_rows(rows)
+    return WeightMatrix(rows)
 
 
 def sandwich_H(

@@ -69,8 +69,10 @@ class WeightSequence:
         self.log_values = lv
         self.log_quotients = lq
         self.is_log_convex = all(lq[i] <= lq[i + 1] for i in range(len(lq) - 1))
+        # Read-only, so matrices can hand the arrays out without a copy.
         self._lv = np.asarray(lv, dtype=float)
         self._lq = np.asarray(lq, dtype=float)
+        self._lv.flags.writeable = self._lq.flags.writeable = False
 
     # -- constructors ---------------------------------------------------
 

@@ -46,13 +46,18 @@ def rebuilt(obj, **changes):
     return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
 
 
+def divided_matrix(rows: dict) -> WeightMatrix:
+    """The WeightMatrix of a mapping xi -> divided log values."""
+    return WeightMatrix({xi: WeightSequence.from_log_values(r) for xi, r in rows.items()})
+
+
 def matrix_from_json(doc: dict) -> WeightMatrix:
     """The matrix of a WeightMatrix.to_json document: each full row less log k!."""
     rows = {}
     for x, full in zip(doc["xi_values"], doc["rows"]):
         lg = np.array([math.lgamma(i + 1.0) for i in range(len(full))])
         rows[float(x)] = np.asarray(full, dtype=float) - lg
-    return WeightMatrix.from_divided_rows(rows)
+    return divided_matrix(rows)
 
 
 def support(poly: PiecewisePolynomial) -> tuple[float, float]:
@@ -242,6 +247,14 @@ def fraction_minorant(m: WeightSequence) -> WeightSequence:
     return WeightSequence(tuple(out_values), tuple(out_quotients))
 
 
+def nearest_base_point(jet, y: float) -> float:
+    """The base point of the jet nearest y, ties to the smaller one.
+
+    The oracle of the anchor rule of extension_engine._local_taylor.
+    """
+    return min(jet.base_points, key=lambda p: (abs(p - y), p))
+
+
 def distance_and_nearest(e, x: float) -> tuple[float, float]:
     """Distance to the set and a nearest point, by a scan of every component.
 
@@ -326,7 +339,8 @@ def eq14_loop(cover, sample_points) -> Eq14Report:
                 violations.append((float(x), int(i), math.inf))
                 worst_hi = math.inf
                 continue
-            ratio = d_center[i] / dx
+            with np.errstate(over="ignore"):  # a ratio past the largest double is inf
+                ratio = d_center[i] / dx
             worst_lo = min(worst_lo, ratio)
             worst_hi = max(worst_hi, ratio)
             if not 0.5 <= ratio <= 3.0:

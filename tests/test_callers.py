@@ -41,7 +41,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Definitions kept without a caller in src/ or bench/, one reason each.
 ALLOWED = {
     "remainder": "the scalar reference _remainder_table is tested against bit for bit",
-    "CompactSet1D.from_points": "public constructor of an exported class",
     "CompactSet1D.from_intervals": "public constructor of an exported class",
     "WeightSequence.factorial_power": "public constructor of an exported class",
     "lemma8_regularize": "waits for the caller of ROADMAP item 4 (the sequence form)",

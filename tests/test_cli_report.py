@@ -185,6 +185,21 @@ def test_matrix_xi_flag_overrides(tmp_path):
     assert sorted(mat.xi_values) == [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("command", ["matrix", "extend"])
+@pytest.mark.parametrize("flag, bad", [("0", "0.0"), ("1,-2", "-2.0"), ("nan", "nan"), ("0.5,inf", "inf")])
+def test_xi_flag_entry_off_its_floor_is_config_error(tmp_path, capsys, monkeypatch, command, flag, bad):
+    # --xi goes through the reader of config.xi, before any matrix is built.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "associated_matrix", no_work)
+    doc = {"matrix": {"weight": SQRT_WEIGHT}, "extend": GEVREY_EXTEND}[command]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--xi", flag]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: ConfigError: config.xi entry must be finite and greater than 0, got {bad}\n" in err
+
+
 def test_cover_dump_layout_and_summary(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -715,6 +730,10 @@ BEFORE_WORK = [
     # Every other constant floor of the README tables.
     ("extend", "k", 8, "ConfigError: config.k must be at least 16, got 8"),
     ("matrix", "k", 8, "ConfigError: config.k must be at least 16, got 8"),
+    ("matrix", "xi", [-1], "ConfigError: config.xi entry must be finite and greater than 0, got -1.0"),
+    ("matrix", "xi", [0], "ConfigError: config.xi entry must be finite and greater than 0, got 0.0"),
+    ("matrix", "xi", [1.0, math.nan], "ConfigError: config.xi entry must be finite and greater than 0, got nan"),
+    ("extend", "xi", [math.inf], "ConfigError: config.xi entry must be finite and greater than 0, got inf"),
     ("extend", "jet.alpha_max", -1, "ConfigError: config.jet.alpha_max must be at least 0, got -1"),
     ("extend", "run.r_cov", 0, "ConfigError: config.run.r_cov must be greater than 0, got 0.0"),
     ("extend", "run.r_cov", -1, "ConfigError: config.run.r_cov must be greater than 0, got -1.0"),
@@ -926,6 +945,8 @@ def constant(cell):
 
 def floor_cell(read):
     """A reader's floor as the README's Floor column writes it."""
+    if isinstance(read, cli._Numbers):
+        read = read.entry  # a list's floor holds for each entry
     if not isinstance(read, cli._Number):
         return "—"
     parts = [

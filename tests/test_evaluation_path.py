@@ -64,6 +64,7 @@ from _reference import (
     interval_poly,
     members,
     memberships,
+    nearest_base_point,
     numpy_phi_derivatives,
     rebuilt,
     terms,
@@ -71,12 +72,8 @@ from _reference import (
 
 
 # The scalar local Taylor rule, the oracle of _local_taylor: the anchor
-# is the base point nearest the nearest set point, the degree comes from
-# the counting index at the dilated distance.
-def nearest_base_point(jet, y):
-    return min(jet.base_points, key=lambda p: (abs(p - y), p))
-
-
+# is the base point nearest the nearest set point (nearest_base_point),
+# the degree comes from the counting index at the dilated distance.
 def requested_degree(row, dilation, d):
     """(degree wanted at distance d, cutoff flag); at cutoff the floor 2K - 1."""
     try:

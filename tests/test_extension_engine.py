@@ -46,7 +46,7 @@ from ultraext.whitney_geometry import (
     SIDE_WINDOW_HI,
     CompactSet1D,
 )
-from _reference import distance_and_nearest, members, terms
+from _reference import distance_and_nearest, members, nearest_base_point, terms
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -90,6 +90,42 @@ def square_row_degrees(ds):
     jet = polynomial_jet(CompactSet1D.from_points([0.0]), [0.0], [1.0], 2)
     local = _local_taylor(jet, SQUARE_ROW, 1.0, np.array(ds))
     return list(zip(local.requested.tolist(), local.cutoff.tolist()))
+
+
+@st.composite
+def tied_jets(draw):
+    """A jet on a set of integer points and intervals, samples off the set.
+
+    Integer coordinates and quarter-step samples keep every distance
+    exact, so samples and nearest set points tie often and exactly.
+    """
+    cuts = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8, unique=True))
+    cuts.sort()
+    comps, i = [], 0
+    while i < len(cuts):
+        if i + 1 < len(cuts) and draw(st.booleans()):
+            comps.append((cuts[i], cuts[i + 1]))
+            i += 2
+        else:
+            comps.append((cuts[i], cuts[i]))
+            i += 1
+    ends = sorted({float(v) for c in comps for v in c})
+    base = draw(st.lists(st.sampled_from(ends), min_size=1, unique=True))
+    e = CompactSet1D(comps)
+    xs = [q / 4.0 for q in range(4 * cuts[0] - 8, 4 * cuts[-1] + 9)]
+    xs = [x for x in xs if distance_and_nearest(e, x)[0] > 0.0]
+    return polynomial_jet(e, sorted(base), [1.0], 2), xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_jets())
+def test_local_taylor_anchor_is_the_nearest_base_point_rule(case):
+    # Each anchor is the base point nearest the sample's nearest set
+    # point, ties to the smaller one, as the scalar rule picks it.
+    jet, xs = case
+    local = _local_taylor(jet, SQUARE_ROW, 1.0, np.array(xs))
+    want = [nearest_base_point(jet, distance_and_nearest(jet.e, x)[1]) for x in xs]
+    assert [jet.base_points[k] for k in local.anchor.tolist()] == want
 
 
 def test_requested_degree_frozen_examples():

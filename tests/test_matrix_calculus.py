@@ -24,9 +24,9 @@ from ultraext.matrix_calculus import (
     strong_regularization,
     suffix_minimum,
 )
-from ultraext.seq_calculus import counting_index
+from ultraext.seq_calculus import WeightSequence, counting_index
 from ultraext.weight_functions import WeightFunction
-from _reference import gamma_doubling_check, matrix_from_json
+from _reference import divided_matrix, gamma_doubling_check, matrix_from_json
 
 
 def log_factorials(k_max: int) -> list[float]:
@@ -36,7 +36,7 @@ def log_factorials(k_max: int) -> list[float]:
 def gevrey_matrix(k_max: int = 24) -> WeightMatrix:
     """Divided rows k! and (k!)^2, the worked example pair."""
     lg = log_factorials(k_max)
-    return WeightMatrix.from_divided_rows({1.0: lg, 2.0: [2 * v for v in lg]})
+    return divided_matrix({1.0: lg, 2.0: [2 * v for v in lg]})
 
 
 def interleave_oracle(log_values: np.ndarray) -> np.ndarray:
@@ -55,17 +55,32 @@ def interleave_oracle(log_values: np.ndarray) -> np.ndarray:
 def test_matrix_validation_rejects_bad_input():
     lg = log_factorials(24)
     with pytest.raises(ValueError):
-        WeightMatrix.from_divided_rows({1.0: lg, 2.0: [0.5 * v for v in lg]})  # order flip
+        divided_matrix({1.0: lg, 2.0: [0.5 * v for v in lg]})  # order flip
     with pytest.raises(ValueError):
-        WeightMatrix.from_divided_rows({1.0: [1.0] + lg[1:]})  # m_0 != 1
+        divided_matrix({1.0: [1.0] + lg[1:]})  # m_0 != 1
     with pytest.raises(ValueError):
-        WeightMatrix.from_divided_rows({1.0: lg[:10]})  # too short
+        divided_matrix({1.0: lg[:10]})  # too short
     with pytest.raises(ValueError):
-        WeightMatrix.from_divided_rows({-1.0: lg})
+        divided_matrix({-1.0: lg})
     bad = list(lg)
     bad[5] = math.inf
     with pytest.raises(ValueError):
-        WeightMatrix.from_divided_rows({1.0: bad})
+        divided_matrix({1.0: bad})
+    with pytest.raises(ValueError, match="at least one row"):
+        WeightMatrix({})
+    with pytest.raises(ValueError, match="same order"):
+        divided_matrix({1.0: lg, 2.0: [2 * v for v in log_factorials(30)]})
+
+
+def test_matrix_stores_the_rows_it_is_given():
+    rows = {xi: WeightSequence.factorial_power(xi, 24) for xi in (2.0, 1.0)}
+    m = WeightMatrix(rows)
+    assert m.xi_values == (1.0, 2.0)
+    for xi, row in rows.items():
+        assert m.row_sequence(xi) is row
+        assert m.row_log(xi) is row._lv
+        with pytest.raises(ValueError):
+            m.row_log(xi)[0] = 1.0  # shared, so read-only
 
 
 def test_missing_row_raises():
@@ -182,12 +197,11 @@ def test_sandwich_unverifiable_for_collapsing_hull():
     for dip in (7, 15, 29, 61):
         a[dip] = 0.0
     rows = {xi: xi * a for xi in DEFAULT_XI}
-    bad = WeightMatrix.from_divided_rows(rows)
-    with pytest.raises(SandwichUnverifiable):
-        strong_regularization(bad)
-    # opting out of verification still yields the minorant rows
-    reg = strong_regularization(bad, verify=False)
+    bad = divided_matrix(rows)
+    reg = strong_regularization(bad)
     assert reg.row_sequence(1.0).is_log_convex
+    with pytest.raises(SandwichUnverifiable):
+        sandwich_fit(bad, reg)
 
 
 # -- interleaving -----------------------------------------------------------
@@ -217,7 +231,7 @@ def test_interleave_matches_enumeration_oracle():
 
 
 def test_interleave_gevrey_quotients_and_squares():
-    Gb = strong_regularization(gevrey_matrix(), verify=False)
+    Gb = strong_regularization(gevrey_matrix())
     V = interleave_matrix(Gb, [1.0])
     vq = np.exp(np.asarray(V.row_sequence(1.0).log_quotients))
     np.testing.assert_allclose(vq[:6], [1.0, 1.0, 4.0, 4.0, 9.0, 9.0], rtol=1e-12)
@@ -232,7 +246,7 @@ def test_interleave_gevrey_quotients_and_squares():
 
 
 def test_gamma_doubling_frozen_values():
-    Gb = strong_regularization(gevrey_matrix(), verify=False)
+    Gb = strong_regularization(gevrey_matrix())
     V = interleave_matrix(Gb, [1.0])
     s2 = Gb.row_sequence(2.0)
     v1 = V.row_sequence(1.0)
@@ -255,11 +269,11 @@ def test_gamma_doubling_check_exact_on_grids():
 
 def test_gamma_doubling_detects_mismatch():
     lg = log_factorials(24)
-    Gb = strong_regularization(gevrey_matrix(), verify=False)
-    cubes = WeightMatrix.from_divided_rows(
+    Gb = strong_regularization(gevrey_matrix())
+    cubes = divided_matrix(
         {1.0: [1.5 * v for v in lg], 2.0: [3.0 * v for v in lg]}
     )
-    V3 = interleave_matrix(strong_regularization(cubes, verify=False), [1.0])
+    V3 = interleave_matrix(strong_regularization(cubes), [1.0])
     ok, bad = gamma_doubling_check(Gb, V3, 1.0, [0.25, 0.125])
     assert not ok
     assert bad == 0.125

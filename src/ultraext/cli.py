@@ -12,9 +12,9 @@ can leave a mix of new and old products.
 _SCHEMA, the one table of config keys, gives each key's reader (which
 holds the key's floor) and default.  _load_config reads the config
 through it with the flags applied, so config, weight, sets, jet file and
-plan file are all checked before any work; a wrong kind or a broken
-floor is a ConfigError naming the dotted key.  Only a gevrey jet's checks
-against the interleaved matrix wait for the matrix.
+plan file are all checked before any work, and so are the rules between
+the xi grid, k and the jet that the matrices must meet; a wrong kind or a
+broken floor or rule is a ConfigError naming the dotted key.
 
 Exit codes: 0 on success, 2 when a verdict is inconclusive or a
 negative control was requested and confirmed, 1 on any error.
@@ -53,7 +53,9 @@ from .matrix_calculus import (
     DEFAULT_XI,
     associated_matrix,
     interleave_matrix,
+    partnered,
     sandwich_fit,
+    sandwich_xi,
     strong_regularization,
 )
 from .ultrajets import UltraJet, certify, polynomial_jet
@@ -204,6 +206,35 @@ def _check_plan(values: dict, doc: dict, where: str) -> dict:
     return values
 
 
+def _check_xi(values: dict, doc: dict, where: str) -> dict:
+    """The xi grid, once an entry has xi/b and b*xi on it too for a sandwich ratio b."""
+    grid = values["xi"]
+    if not any(sandwich_xi(grid).values()):
+        raise ConfigError(f"{where}.xi needs an xi with xi/b and b*xi in the grid, b = 2 or 4; got {grid}")
+    return values
+
+
+def _check_extend(values: dict, doc: dict, where: str) -> dict:
+    """The extend config, once grid, k and jet fit the interleaved matrix.
+
+    Its rows are the xi with 2*xi on the grid, and its order is 2*k.
+    """
+    _check_xi(values, doc, where)
+    grid, jet, order = values["xi"], values["jet"], 2 * values["k"]
+    if not partnered(grid, 2.0):
+        raise ConfigError(f"{where}.xi needs an xi with 2*xi in the grid; got {grid}")
+    xi = 1.0 if jet["xi"] is None and jet["kind"] == "gevrey" else jet["xi"]
+    if xi is not None and 2.0 * xi not in grid:
+        raise ConfigError(f"{where}.jet.xi {xi:g} needs 2*xi = {2.0 * xi:g} in {where}.xi {grid}")
+    file = jet["kind"] == "file"
+    key, alpha_max = ("path", jet["path"].alpha_max) if file else ("alpha_max", jet["alpha_max"])
+    if alpha_max > order:
+        raise ConfigError(
+            f"{where}.jet.{key}: jet order {alpha_max} exceeds 2*k = {order}, the matrix order"
+        )
+    return values
+
+
 _SET = _Object({"points": (json_numbers, []), "intervals": (_pairs, [])}, _build_set)
 _COMMON = {"command": (_text, None), "out": (_text, _REQUIRED)}
 _MATRIX = {
@@ -229,7 +260,7 @@ _SCHEMA = {
             "rtol": (_Number(above=0, below=1), 1e-8),
         }), {}),
     }),
-    "matrix": _Object({**_COMMON, **_MATRIX}),
+    "matrix": _Object({**_COMMON, **_MATRIX}, _check_xi),
     "extend": _Object({
         **_COMMON,
         **_MATRIX,
@@ -257,7 +288,7 @@ _SCHEMA = {
             "boundary_base": (_Number(), None),
             "boundary_max_index": (_Number(count=True, least=0), 40),
         }), {}),
-    }),
+    }, _check_extend),
     "cover-dump": _Object({
         **_COMMON,
         "set": (_SET, _REQUIRED),
@@ -357,8 +388,7 @@ def cmd_matrix(cfg: dict):
     mat = associated_matrix(w, xi_grid, k_max=k_max)
     reg = strong_regularization(mat)
     fit = sandwich_fit(mat, reg)
-    inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
-    inter = interleave_matrix(reg, inter_xi) if inter_xi else None
+    inter = interleave_matrix(reg) if partnered(reg.xi_values, 2.0) else None
 
     doc = {
         "command": "matrix",
@@ -397,12 +427,6 @@ def _build_jet(jcfg: dict, inter) -> UltraJet:
     # gevrey: without jet.xi the jet is the row at 1.0, while the
     # certificate, which reads jet.xi too, tries every row.
     xi = 1.0 if jcfg["xi"] is None else jcfg["xi"]
-    if not inter.has(xi):
-        raise ConfigError(f"config.jet.xi: the interleaved matrix has no row at xi={xi:g}")
-    if alpha_max > inter.order:
-        raise ConfigError(
-            f"config.jet.alpha_max {alpha_max} exceeds the matrix order {inter.order}; raise k"
-        )
     full = inter.full_log_row(xi)[: alpha_max + 1]
     row = tuple(jcfg["scale"] * float(v) for v in np.exp(full))
     return UltraJet(e, points, (row,) * len(points))
@@ -415,10 +439,7 @@ def cmd_extend(cfg: dict):
     mat = associated_matrix(w, cfg["xi"], k_max=cfg["k"])
     reg = strong_regularization(mat)
     sandwich_fit(mat, reg)  # SandwichUnverifiable ends the job
-    inter_xi = tuple(x for x in reg.xi_values if reg.has(2.0 * x))
-    if not inter_xi:
-        raise ConfigError("no xi in the grid has a stored doubled row")
-    inter = interleave_matrix(reg, inter_xi)
+    inter = interleave_matrix(reg)
 
     jet = _build_jet(jcfg, inter)
     cert = certify(jet, inter, xi=jcfg["xi"])

@@ -224,26 +224,17 @@ def make_plan(
     )
 
 
-def _log_decay(
-    row: WeightSequence, log_t, *, negligible_below: float | None = None
-) -> tuple[float, bool]:
+def _log_decay(row: WeightSequence, log_t) -> tuple[float, bool]:
     """(log of the decay profile, settled flag) at log argument log_t.
 
     An array of log arguments gives an array of each, entry by entry.
 
     Settled means the infimum is attained strictly inside the stored
     range, or is already an exact float zero so the missing tail cannot
-    change the value.  When negligible_below is given, a partial infimum
-    below that log threshold also counts as settled: the true value is
-    smaller still, and anything below the threshold is equivalent for
-    the caller (used with log(d * eps), where d + h rounds to d exactly
-    for every h under the threshold).
+    change the value.
     """
     lh, k = log_h_function(row, log_t)
-    settled = (k < row.order) | (lh < _LOG_TINY)
-    if negligible_below is not None:
-        settled = settled | (lh < negligible_below)
-    return lh, settled
+    return lh, (k < row.order) | (lh < _LOG_TINY)
 
 
 class _LocalTaylor(NamedTuple):
@@ -303,9 +294,6 @@ class ExtensionFunction(NamedTuple):
     residual_row: WeightSequence
     d_max: float
 
-    def __call__(self, x: float) -> float:
-        return eval_derivative(self, x, 0)
-
 
 def assemble(
     jet: UltraJet,
@@ -359,14 +347,6 @@ def assemble(
         residual_row=residual_row,
         d_max=d_max,
     )
-
-
-def _check_region(f: ExtensionFunction, d: float) -> None:
-    """Refuse a distance d(x) outside the resolved band (a NaN too)."""
-    if not d < f.d_max:
-        raise OutsideRegion(f"d(x)={d} is not below d_max={f.d_max}")
-    if d < f.cover.d_min_covered:
-        raise OutsideRegion(f"d(x)={d} lies below the resolved cover depth")
 
 
 def _jet_values(f: ExtensionFunction, x: float, order: int) -> list[float]:
@@ -560,38 +540,38 @@ def eval_derivative(f: ExtensionFunction, x, alpha):
     _difference_derivatives subtracts two separately evaluated Taylor
     vectors there.
 
-    Each off-set point's vector 0..max(alpha) is built once: by
-    _glued_derivatives at a float x, by one _glue pass over an array,
-    which agree bit for bit.  Entry a of that vector is bitwise the
-    order-a vector's last entry: the Taylor vectors, Partition.derivatives
-    and the product rule each compute entry a from entries <= a only.
+    A float x is read as a one-point array: one distance lookup, one
+    region check and the jet values on E serve both forms.  Each off-set
+    point's vector 0..max(alpha) is built once: by _glued_derivatives at
+    a float x, by one _glue pass over an array, which agree bit for bit.
+    Entry a of that vector is bitwise the order-a vector's last entry:
+    the Taylor vectors, Partition.derivatives and the product rule each
+    compute entry a from entries <= a only.
     """
     orders = np.asarray(alpha)
     if orders.size == 0 or not ((orders >= 0) & (orders <= f.plan.folds)).all():
         raise OrderOverflow(f"order {alpha} is not within 0..{f.plan.folds}, the fold count")
     top = int(orders.max())
-    if np.ndim(x) == 0:
-        x = float(x)
-        d = distances_and_nearest(f.jet.e, [x])[0].item()
-        if d == 0.0:
-            vec = _jet_values(f, x, top)
-        else:
-            _check_region(f, d)
-            vec = _glued_derivatives(f, x, top)
-        return vec[alpha] if orders.ndim == 0 else np.array(vec)[orders]
-    xs = np.asarray(x, dtype=float)
+    scalar = np.ndim(x) == 0
+    xs = np.asarray(x, dtype=float).reshape(-1)
     ds, _ = distances_and_nearest(f.jet.e, xs)
     off = ds != 0.0
     outside = off & ~((ds >= f.cover.d_min_covered) & (ds < f.d_max))
-    if outside.any():
-        _check_region(f, float(ds[outside][0]))
+    if outside.any():  # the first such point, a NaN distance too
+        d = float(ds[outside][0])
+        if not d < f.d_max:
+            raise OutsideRegion(f"d(x)={d} is not below d_max={f.d_max}")
+        raise OutsideRegion(f"d(x)={d} lies below the resolved cover depth")
     out = np.empty((xs.size, top + 1))
     for k in np.flatnonzero(~off).tolist():
         out[k] = _jet_values(f, float(xs[k]), top)
-    if off.any():
+    if scalar and off[0]:
+        out[0] = _glued_derivatives(f, float(xs[0]), top)
+    elif off.any():
         g = _glue(f, xs[off], top, {})
         out[off] = g.dev + g.base
-    return out[:, orders]
+    vals = out[0, orders] if scalar else out[:, orders]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # -- bound verification -------------------------------------------------
@@ -977,80 +957,64 @@ def boundary_limits(
 ) -> BoundaryReport:
     """Watch f approach its jet along a + 2^-j for j up to max_index.
 
-    The descent stops early, with the index and reason recorded, when
-    the decay scale stops being resolvable or the points drop below the
-    cover depth.  PrecisionFloor is raised only if already the first
-    step is unresolvable.
+    The descent starts at the first step below d_max and stops early,
+    with the index and reason recorded, at the first step that lands in
+    the set, drops below the cover depth or leaves the decay scale
+    unresolved, tested in that order.  Those rules read distances and
+    decay only, so one pass over every step decides the stop before
+    anything is evaluated; each step above it is then one
+    eval_derivative call.  PrecisionFloor is raised when no step lies
+    below d_max or already the first step stops the descent.
     """
     if not 0 <= alpha_cap <= min(f.plan.folds, f.jet.alpha_max):
         raise OrderOverflow(
             f"alpha_cap {alpha_cap} exceeds folds or the stored jet order"
         )
     orders = np.arange(alpha_cap + 1)
-    jet_row = [f.jet.value(a, al) for al in orders.tolist()]
+    jet_row = f.jet.row(a)[orders]
     scale = f.plan.constants.k3 * f.plan.dilation
 
-    j0 = 0
-    while 2.0**-j0 >= f.d_max:
-        j0 += 1
-        if j0 > max_index:
-            raise PrecisionFloor("no dyadic step lands inside the region")
+    js = np.arange(max_index + 1)
+    js = js[np.ldexp(1.0, -js) < f.d_max]
+    if not js.size:
+        raise PrecisionFloor("no dyadic step lands inside the region")
+    xs = a + np.ldexp(1.0, -js)
+    ds = distance_grid(f.jet.e, xs)
+    # The decay is read up to the first distance stop, where log d is defined.
+    near = (ds == 0.0) | (ds < f.cover.d_min_covered)
+    n = int(near.argmax()) if near.any() else js.size
+    lh, settled = _log_decay(f.residual_row, libm(math.log, scale * ds[:n]))
+    # Any decay value below d * eps adds nothing to d + decay in
+    # floating point, so an unresolved tail down there is harmless.
+    settled |= lh < libm(math.log, ds[:n]) + _LOG_EPS
+    kept = int(settled.argmin()) if not settled.all() else n
+    if kept < n:
+        floor_reason = "decay scale unresolved at the stored order"
+    elif n < js.size:
+        floor_reason = "step landed inside the set" if ds[n] == 0.0 else "below the resolved cover depth"
+    else:
+        floor_reason = None
+    if kept == 0:
+        raise PrecisionFloor(f"first dyadic step already unresolvable: {floor_reason}")
 
-    steps: list[BoundaryStep] = []
-    floor_index: int | None = None
-    floor_reason: str | None = None
-    # The stop rules read distances and decay only: one lookup serves every step.
-    xs = [a + 2.0**-j for j in range(j0, max_index + 1)]
-    ds = distance_grid(f.jet.e, xs).tolist()
-    for j, x, d in zip(range(j0, max_index + 1), xs, ds):
-        if d == 0.0:
-            floor_index, floor_reason = j, "step landed inside the set"
-            break
-        if d < f.cover.d_min_covered:
-            floor_index, floor_reason = j, "below the resolved cover depth"
-            break
-        # Any decay value below d * eps adds nothing to d + decay in
-        # floating point, so an unresolved tail down there is harmless.
-        lh, settled = _log_decay(
-            f.residual_row,
-            math.log(scale * d),
-            negligible_below=math.log(d) + _LOG_EPS,
-        )
-        if not settled:
-            floor_index, floor_reason = j, "decay scale unresolved at the stored order"
-            break
-        vals = eval_derivative(f, x, orders).tolist()
-        errs = tuple(abs(v - r) for v, r in zip(vals, jet_row))
-        steps.append(BoundaryStep(j, x, d, math.exp(lh), errs))
-    if not steps:
-        raise PrecisionFloor(
-            f"first dyadic step already unresolvable: {floor_reason}"
-        )
-
-    fitted = []
-    noninc = []
-    trends = []
-    slack = 1e-12
-    for al in range(alpha_cap + 1):
-        e = np.array([s.errors[al] for s in steps])
-        denom = np.array([s.distance + s.decay for s in steps])
-        ratios = e / denom
-        fitted.append(float(ratios.max()))
-        tol = slack * (1.0 + float(e.max(initial=0.0)))
-        noninc.append(bool(np.all(np.diff(e) <= tol)))
-        if len(ratios) >= 8:
-            verdict, _ = range_trend(ratios + 1e-300)
-        else:
-            verdict = INCONCLUSIVE
-        trends.append(verdict)
+    xs, ds, decay = xs[:kept], ds[:kept], libm(math.exp, lh[:kept])
+    errors = np.abs(np.array([eval_derivative(f, x, orders) for x in xs.tolist()]) - jet_row)
+    columns = (js[:kept].tolist(), xs.tolist(), ds.tolist(), decay.tolist(), errors.tolist())
+    steps = tuple(BoundaryStep(j, x, d, h, tuple(e)) for j, x, d, h, e in zip(*columns))
+    ratios = errors / (ds + decay)[:, None]
+    tol = 1e-12 * (1.0 + errors.max(axis=0, initial=0.0))
+    if kept >= 8:
+        trends = tuple(range_trend(col)[0] for col in (ratios + 1e-300).T)
+    else:
+        trends = (INCONCLUSIVE,) * orders.size
     return BoundaryReport(
         a=float(a),
         alpha_cap=alpha_cap,
-        steps=tuple(steps),
-        fitted=tuple(fitted),
-        nonincreasing=tuple(noninc),
-        ratio_trend=tuple(trends),
-        floor_index=floor_index,
+        steps=steps,
+        fitted=tuple(ratios.max(axis=0).tolist()),
+        nonincreasing=tuple((np.diff(errors, axis=0) <= tol).all(axis=0).tolist()),
+        ratio_trend=trends,
+        floor_index=None if floor_reason is None else int(js[kept]),
         floor_reason=floor_reason,
         decay_scale=scale,
     )

@@ -32,6 +32,9 @@ from .weight_functions import WeightFunction, young_conjugate_grid
 
 DEFAULT_XI = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
+# The index ratios b that sandwich_fit tries: the spacings of the default grid.
+SANDWICH_RATIOS = (2.0, 4.0)
+
 # Pointwise comparisons between rows run in the log domain; inversions
 # below this size are treated as rounding noise.
 ORDER_SLACK = 1e-9
@@ -101,6 +104,21 @@ class WeightMatrix:
         }
 
 
+def partnered(xi_values: Iterable[float], *ratios: float) -> list[float]:
+    """The xi of a grid with r*xi on it for every r of ratios, ascending.
+
+    The pairing rule of the matrices: sandwich_fit fits the xi partnered
+    at 1/b and b, interleave_matrix builds the xi partnered at 2.
+    """
+    grid = set(xi_values)
+    return sorted(xi for xi in grid if all(r * xi in grid for r in ratios))
+
+
+def sandwich_xi(xi_values: Iterable[float]) -> dict[float, list[float]]:
+    """Per index ratio b of SANDWICH_RATIOS, the xi sandwich_fit compares: those partnered at 1/b and b."""
+    return {b: partnered(xi_values, 1.0 / b, b) for b in SANDWICH_RATIOS}
+
+
 def associated_matrix(
     w: WeightFunction, xi_grid: Iterable[float] = DEFAULT_XI, k_max: int = 64
 ) -> WeightMatrix:
@@ -155,19 +173,18 @@ def strong_regularization(matrix: WeightMatrix) -> WeightMatrix:
 def sandwich_fit(matrix: WeightMatrix, regular: WeightMatrix) -> SandwichFit:
     """Fit the index-shift constants bounding regularization loss.
 
-    Tries index ratios b in {2, 4} (the spacings available on the default
-    grid).  For each xi with xi/b and b*xi stored, the lower constant is
-    the worst ratio s^(xi/b)/sbar^xi and the upper constant the worst
-    k-th root of s^xi/sbar^(b xi); both ratio sequences must have a
-    bounded trend along the range, otherwise the ratio b is rejected.
+    Tries the index ratios b of SANDWICH_RATIOS.  For each xi with xi/b
+    and b*xi stored (sandwich_xi), the lower constant is the worst ratio
+    s^(xi/b)/sbar^xi and the upper constant the worst k-th root of
+    s^xi/sbar^(b xi); both ratio sequences must have a bounded trend
+    along the range, otherwise the ratio b is rejected.  Raises
+    MissingRow, naming the grid, when no ratio has such an xi.
     """
+    by_ratio = sandwich_xi(matrix.xi_values)
+    if not any(by_ratio.values()):
+        raise MissingRow(f"no xi of the grid {list(matrix.xi_values)} has both xi/b and b*xi stored")
     last_detail: dict = {}
-    for b in (2.0, 4.0):
-        eligible = [
-            xi
-            for xi in matrix.xi_values
-            if matrix.has(xi / b) and matrix.has(b * xi)
-        ]
+    for b, eligible in by_ratio.items():
         if not eligible:
             continue
         a_worst = 1.0
@@ -215,7 +232,7 @@ def interleave_matrix(
     MissingRow.
     """
     if xi_values is None:
-        wanted = [xi for xi in regular.xi_values if regular.has(2.0 * xi)]
+        wanted = partnered(regular.xi_values, 2.0)
         if not wanted:
             raise MissingRow("no xi on the grid has its doubled partner stored")
     else:

@@ -27,6 +27,7 @@ from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
 from .errors import json_components, json_integer, json_number, json_object, json_rows
 from .matrix_calculus import WeightMatrix
+from .partition_of_unity import _derivative_values
 from .whitney_geometry import CompactSet1D, distance_grid
 
 # Candidate growth rates: quarter-octave steps from 1 up to 2^10.
@@ -229,20 +230,13 @@ class UltraJet:
 def polynomial_jet(
     e: CompactSet1D, points: Sequence[float], coeffs: Sequence[float], alpha_max: int
 ) -> UltraJet:
-    """Jet of the polynomial sum_m coeffs[m] y^m, exact derivatives."""
-    cur = [float(c) for c in coeffs] or [0.0]
-    rows_by_order = []
-    for _ in range(alpha_max + 1):
-        rows_by_order.append(list(cur))
-        cur = [m * c for m, c in enumerate(cur)][1:] or [0.0]
+    """Jet of the polynomial sum_m coeffs[m] y^m, exact derivatives.
 
-    def deriv(a: float, alpha: int) -> float:
-        acc = 0.0
-        for c in reversed(rows_by_order[alpha]):
-            acc = acc * a + c
-        return acc
-
-    return UltraJet.from_function(e, points, alpha_max, deriv)
+    Each point's row is _derivative_values there, the power-basis rule
+    the partition evaluates its pieces with.
+    """
+    rows = {a: _derivative_values(coeffs, a, alpha_max) for a in map(float, points)}
+    return UltraJet.from_function(e, points, alpha_max, lambda a, alpha: rows[a][alpha])
 
 
 def taylor_poly(jet: UltraJet, a: float, p: int) -> TaylorPolynomial:

@@ -12,14 +12,20 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ultraext._fitting import GROWING, INCONCLUSIVE, decade_trend, libm_log_maxima
+from ultraext._fitting import GROWING, INCONCLUSIVE, decade_trend, libm_log_maxima, range_trend
+from ultraext.errors import OrderOverflow, PrecisionFloor
 from ultraext.extension_engine import (
+    _LOG_EPS,
+    BoundaryReport,
+    BoundaryStep,
     BoundCheck,
     _alpha_trend,
     _bound_ratios,
     _capped,
     _half_decades,
     _log_abs,
+    _log_decay,
+    eval_derivative,
 )
 from ultraext.matrix_calculus import WeightMatrix
 from ultraext.partition_of_unity import (
@@ -455,3 +461,77 @@ def entry_ratio_check(name, values, log_rhs, row_ds, skipped, used=True, termina
     ds_used = np.broadcast_to(np.asarray(row_ds)[:, None], used.shape)[used]
     check = finish_check(name, ratios[used], ds_used, per_alpha, skipped, **kwargs)
     return (check, kwargs["fitted"]) if terminal else check
+
+
+def polynomial_jet_rows(points, coeffs, alpha_max: int) -> list[tuple[float, ...]]:
+    """The rows polynomial_jet once built, its own Horner loop per derivative row, sorted points."""
+    cur = [float(c) for c in coeffs] or [0.0]
+    rows_by_order = []
+    for _ in range(alpha_max + 1):
+        rows_by_order.append(list(cur))
+        cur = [m * c for m, c in enumerate(cur)][1:] or [0.0]
+
+    def deriv(a: float, alpha: int) -> float:
+        acc = 0.0
+        for c in reversed(rows_by_order[alpha]):
+            acc = acc * a + c
+        return acc
+
+    pts = sorted(float(a) for a in points)
+    return [tuple(deriv(a, alpha) for alpha in range(alpha_max + 1)) for a in pts]
+
+
+def boundary_descent(f, alpha_cap: int, a: float, *, max_index: int = 60) -> BoundaryReport:
+    """boundary_limits as a walk: each step's stop rules, then its evaluation, one step at a time."""
+    if not 0 <= alpha_cap <= min(f.plan.folds, f.jet.alpha_max):
+        raise OrderOverflow(f"alpha_cap {alpha_cap} exceeds folds or the stored jet order")
+    orders = np.arange(alpha_cap + 1)
+    jet_row = [f.jet.value(a, al) for al in orders.tolist()]
+    scale = f.plan.constants.k3 * f.plan.dilation
+
+    j0 = 0
+    while 2.0**-j0 >= f.d_max:
+        j0 += 1
+        if j0 > max_index:
+            raise PrecisionFloor("no dyadic step lands inside the region")
+
+    steps = []
+    floor_index = floor_reason = None
+    for j in range(j0, max_index + 1):
+        x = a + 2.0**-j
+        d = float(distance_grid(f.jet.e, [x])[0])
+        if d == 0.0:
+            floor_index, floor_reason = j, "step landed inside the set"
+            break
+        if d < f.cover.d_min_covered:
+            floor_index, floor_reason = j, "below the resolved cover depth"
+            break
+        lh, settled = _log_decay(f.residual_row, math.log(scale * d))
+        if not (settled or lh < math.log(d) + _LOG_EPS):
+            floor_index, floor_reason = j, "decay scale unresolved at the stored order"
+            break
+        vals = eval_derivative(f, x, orders).tolist()
+        errs = tuple(abs(v - r) for v, r in zip(vals, jet_row))
+        steps.append(BoundaryStep(j, x, d, math.exp(lh), errs))
+    if not steps:
+        raise PrecisionFloor(f"first dyadic step already unresolvable: {floor_reason}")
+
+    fitted, noninc, trends = [], [], []
+    for al in range(alpha_cap + 1):
+        e = np.array([s.errors[al] for s in steps])
+        ratios = e / np.array([s.distance + s.decay for s in steps])
+        fitted.append(float(ratios.max()))
+        tol = 1e-12 * (1.0 + float(e.max(initial=0.0)))
+        noninc.append(bool(np.all(np.diff(e) <= tol)))
+        trends.append(range_trend(ratios + 1e-300)[0] if len(ratios) >= 8 else INCONCLUSIVE)
+    return BoundaryReport(
+        a=float(a),
+        alpha_cap=alpha_cap,
+        steps=tuple(steps),
+        fitted=tuple(fitted),
+        nonincreasing=tuple(noninc),
+        ratio_trend=tuple(trends),
+        floor_index=floor_index,
+        floor_reason=floor_reason,
+        decay_scale=scale,
+    )

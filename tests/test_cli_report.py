@@ -781,6 +781,16 @@ BEFORE_WORK = [
      "ConfigError: config.set.intervals entry [-0.5, 0.5] meets config.set.intervals entry [-1.0, 0.0]"),
     ("cover-dump", "set.intervals", [[0.0, -1.0]], "ConfigError: config.set.intervals entry [0.0, -1.0] is inverted"),
     ("cover-dump", "set.points", [1.0, math.inf], "ConfigError: config.set.points entry [inf, inf] is not finite"),
+    # Rules between the xi grid, k and the jet that the matrices must meet.
+    ("matrix", "xi", [1.0],
+     "ConfigError: config.xi needs an xi with xi/b and b*xi in the grid, b = 2 or 4; got [1.0]"),
+    ("extend", "xi", [1.0, 2.0],
+     "ConfigError: config.xi needs an xi with xi/b and b*xi in the grid, b = 2 or 4; got [1.0, 2.0]"),
+    ("extend", "xi", [0.25, 1.0, 4.0], "ConfigError: config.xi needs an xi with 2*xi in the grid; got [0.25, 1.0, 4.0]"),
+    ("extend", "jet.xi", 8.0,
+     "ConfigError: config.jet.xi 8 needs 2*xi = 16 in config.xi [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]"),
+    ("extend", "jet.alpha_max", 129,
+     "ConfigError: config.jet.alpha_max: jet order 129 exceeds 2*k = 128, the matrix order"),
 ]
 
 
@@ -809,6 +819,19 @@ def test_count_below_its_floor_is_config_error_before_any_work(
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_ERROR
     assert not out.exists()
     assert f"error: {error}\n" in capsys.readouterr().err
+
+
+def test_jet_order_may_reach_twice_k(tmp_path, capsys):
+    # At k = 16 the interleaved matrix has order 32: a jet of order 33 is
+    # refused before any work, one of order 32 runs.
+    codes = {}
+    for alpha_max in (32, 33):
+        cfg = with_key(dict(GEVREY_EXTEND, k=16), "jet.alpha_max", alpha_max)
+        codes[alpha_max] = main(["extend", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    refused = "config.jet.alpha_max: jet order 33 exceeds 2*k = 32, the matrix order"
+    assert codes[33] == EXIT_ERROR and f"error: ConfigError: {refused}\n" in err
+    assert codes[32] != EXIT_ERROR and err.count("error:") == 1
 
 
 def test_jet_file_components_are_sorted(tmp_path):
@@ -1118,7 +1141,9 @@ def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch)
     # math.exp of 109,952 entries of its ratio tables, besides four
     # per-sample logs (86 interval and 3 x 2000 sample entries), which
     # stay.  numpy now fills the tables; only the entries that can decide
-    # a column or distance-bin maximum reach libm.
+    # a column or distance-bin maximum reach libm.  The boundary descent
+    # takes log(scale * d), log d and exp of the decay at each of its 33
+    # steps, which stay too.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import CONFIGS
 
@@ -1126,6 +1151,7 @@ def test_dense_audit_sends_few_table_entries_through_libm(tmp_path, monkeypatch)
     cfg = write_config(tmp_path, CONFIGS["audit_dense"])
     assert main(["extend", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert sent.pop("verify_bounds<cmd_extend") == 86 + 3 * 2000
+    assert sent.pop("boundary_limits<cmd_extend") == 3 * 33
     for site in CERTIFY_SITES:
         sent.pop(site)
     through_libm = sum(sent.values())

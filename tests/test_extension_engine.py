@@ -46,7 +46,7 @@ from ultraext.whitney_geometry import (
     SIDE_WINDOW_HI,
     CompactSet1D,
 )
-from _reference import distance_and_nearest, members, nearest_base_point, terms
+from _reference import boundary_descent, distance_and_nearest, members, nearest_base_point, terms
 
 
 def fd_deriv(fun, x, order, step, levels=3):
@@ -604,6 +604,73 @@ def test_boundary_floor_below_cover_depth(pipeline):
     assert bnd.floor_reason == "below the resolved cover depth"
     assert bnd.floor_index is not None
     assert len(bnd.steps) > 4
+
+
+def gevrey_extension(weight: WeightFunction, **assemble_kw):
+    """The README extend job's extension for a weight: its gevrey row at xi = 1 on {0}."""
+    reg = strong_regularization(associated_matrix(weight, k_max=64))
+    inter = interleave_matrix(reg)
+    full = inter.full_log_row(1.0)
+    jet = UltraJet(CompactSet1D.from_points([0.0]), (0.0,), (tuple(np.exp(full[:33])),))
+    return assemble(jet, reg, make_plan(certify(jet, inter, xi=1.0), reg), **assemble_kw)
+
+
+def landing_extension(pipeline):
+    """An extension whose descent from 0 lands on a small component just right of it."""
+    e = CompactSet1D([(0.0, 0.0), (2.0**-12 + 2.0**-14, 2.0**-11)])
+    jet = polynomial_jet(e, (0.0, 2.0**-12 + 2.0**-14, 2.0**-11), (1.0, -2.0, 0.5), 32)
+    plan = ExtensionPlan(dilation=16.0, folds=4, xi=1.0, rho=1.0, jet_bound=1.0)
+    return assemble(jet, pipeline[0], plan)
+
+
+def interval_extension(pipeline):
+    """An extension of the zero jet off [-1, 0], whose descent from -1 starts inside."""
+    jet = UltraJet(CompactSet1D.from_intervals([(-1.0, 0.0)]), (-1.0, 0.0), ((0.0,) * 9,) * 2)
+    plan = ExtensionPlan(dilation=16.0, folds=4, xi=1.0, rho=1.0, jet_bound=1.0)
+    return assemble(jet, pipeline[0], plan, max_generation=30)
+
+
+def hexed(value):
+    """value with each leaf as (type name, float.hex or the value), tuples and NamedTuples walked."""
+    if isinstance(value, tuple):
+        return tuple(hexed(v) for v in value)
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+# (extension, alpha_cap, base, max_index, floor reason) of each descent.
+DESCENTS = {
+    "no floor": (lambda p: p[5], 6, 0.0, 40, None),
+    "inside the set": (landing_extension, 4, 0.0, 40, "step landed inside the set"),
+    "cover depth": (lambda p: assemble(p[2], p[0], p[4], max_generation=20), 2, 0.0, 40,
+                    "below the resolved cover depth"),
+    # The decay stop (j = 15) comes before the cover depth (j = 42).
+    "unresolved decay": (lambda p: gevrey_extension(WeightFunction.linear_over_log_squared()), 8, 0.0, 60,
+                         "decay scale unresolved at the stored order"),
+}
+
+
+@pytest.mark.parametrize("case", DESCENTS)
+def test_boundary_descent_matches_the_step_walk_bitwise(pipeline, case):
+    # The array descent decides every stop before it evaluates anything;
+    # each report field and step is the per-step walk's, float for float.
+    build, cap, a, max_index, reason = DESCENTS[case]
+    ext = build(pipeline)
+    got = boundary_limits(ext, cap, a, max_index=max_index)
+    assert got.floor_reason == reason
+    assert (got.floor_index is None) == (reason is None)
+    assert hexed(got) == hexed(boundary_descent(ext, cap, a, max_index=max_index))
+
+
+@pytest.mark.parametrize("build, a, max_index, message", [
+    (lambda p: p[5], 0.0, 5, "no dyadic step lands inside the region"),
+    (interval_extension, -1.0, 40, "first dyadic step already unresolvable: step landed inside the set"),
+])
+def test_boundary_descent_raises_as_the_step_walk(pipeline, build, a, max_index, message):
+    ext = build(pipeline)
+    for descent in (boundary_limits, boundary_descent):
+        with pytest.raises(PrecisionFloor) as err:
+            descent(ext, 2, a, max_index=max_index)
+        assert str(err.value) == message
 
 
 def test_negative_control_is_flagged(pipeline):

@@ -19,8 +19,10 @@ from ultraext.matrix_calculus import (
     associated_matrix,
     interleave_matrix,
     lemma8_regularize,
+    partnered,
     sandwich_H,
     sandwich_fit,
+    sandwich_xi,
     strong_regularization,
     suffix_minimum,
 )
@@ -202,6 +204,24 @@ def test_sandwich_unverifiable_for_collapsing_hull():
     assert reg.row_sequence(1.0).is_log_convex
     with pytest.raises(SandwichUnverifiable):
         sandwich_fit(bad, reg)
+
+
+def test_sandwich_fit_without_partnered_rows_names_the_grid():
+    # No xi of {1, 2} has both xi/b and b*xi stored: that is a missing
+    # row, not a sandwich verdict.
+    m = gevrey_matrix()
+    assert sandwich_xi(m.xi_values) == {2.0: [], 4.0: []}
+    with pytest.raises(MissingRow, match=r"no xi of the grid \[1\.0, 2\.0\] has both xi/b and b\*xi"):
+        sandwich_fit(m, strong_regularization(m))
+
+
+def test_partnered_reads_the_grid_as_a_set():
+    grid = [4.0, 0.25, 1.0, 1.0, 0.5]
+    assert partnered(grid, 0.5, 2.0) == [0.5]
+    assert partnered(grid, 0.25, 4.0) == [1.0]
+    assert partnered(grid, 2.0) == [0.25, 0.5]
+    assert partnered(grid) == [0.25, 0.5, 1.0, 4.0]
+    assert sandwich_xi(grid) == {2.0: [0.5], 4.0: [1.0]}
 
 
 # -- interleaving -----------------------------------------------------------

@@ -27,7 +27,7 @@ from ultraext.ultrajets import (
 )
 from ultraext.weight_functions import WeightFunction
 from ultraext.whitney_geometry import CompactSet1D
-from _reference import scaled, taylor_coeffs, taylor_degree
+from _reference import polynomial_jet_rows, scaled, taylor_coeffs, taylor_degree
 
 POINT = CompactSet1D.from_points([0.0])
 PAIR = CompactSet1D.from_points([0.0, 0.5])
@@ -235,6 +235,20 @@ def test_polynomial_jet_derivatives():
     assert jet.value(0.5, 1) == 1.0
     assert jet.value(0.5, 2) == 2.0
     assert jet.value(0.5, 3) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(-1e3, 1e3), max_size=8),
+    st.integers(0, 12),
+)
+def test_polynomial_jet_rows_match_the_horner_loop_bitwise(points, coeffs, alpha_max):
+    # polynomial_jet takes each row from the partition's power-basis rule;
+    # the Horner loop and derivative rows it once ran are the oracle.
+    jet = polynomial_jet(CompactSet1D.from_points(points), points, coeffs, alpha_max)
+    want = polynomial_jet_rows(points, coeffs, alpha_max)
+    assert [[v.hex() for v in row] for row in jet.rows] == [[v.hex() for v in row] for row in want]
 
 
 def test_certify_zero_jet(matrix):

@@ -4,6 +4,11 @@ Whether a sampled ratio stays bounded can only be decided up to a trend
 heuristic; every caller turns the third verdict into an explicit
 InconclusiveTrend error rather than guessing.
 
+Whether a sample can carry a trend is decided here alone: a window half
+of fewer than two samples, a decade grid of fewer than four or an order
+range of fewer than eight is too little to judge, (INCONCLUSIVE, 1.0);
+only malformed input raises ValueError.
+
 A maximum that certify or the audit reports is libm's (math.log,
 math.exp) bit for bit while numpy fills its table, by one rule: libm
 recomputes the entries within LIBM_TOL below their group's numpy maximum
@@ -34,6 +39,25 @@ def check_growth_tol(growth_tol: float) -> None:
         raise ValueError(f"growth tolerance must be finite and at least 1, got {growth_tol}")
 
 
+def _verdict(earlier, later, window, growth_tol: float) -> tuple[str, float]:
+    """The three-way verdict on the growth max(later) / max(earlier) of two window halves.
+
+    Growth within growth_tol means BOUNDED.  Larger growth means GROWING
+    when the window is monotone nondecreasing (a genuine divergence
+    trend) and INCONCLUSIVE otherwise, as it is on a half of fewer than
+    two samples, with growth 1.0.
+    """
+    if len(earlier) < 2 or len(later) < 2:
+        return INCONCLUSIVE, 1.0
+    floor = np.finfo(float).tiny
+    growth = float(max(later.max(), floor) / max(earlier.max(), floor))
+    if growth <= growth_tol:
+        return BOUNDED, growth
+    scale = float(np.abs(window).max())
+    monotone = bool(np.all(np.diff(window) >= -_MONOTONE_SLACK * (1.0 + scale)))
+    return (GROWING if monotone else INCONCLUSIVE), growth
+
+
 def decade_trend(
     abscissae,
     values,
@@ -43,59 +67,42 @@ def decade_trend(
     """Classify the tail of positive values sampled on a geometric grid.
 
     The top `decades` of the abscissa range are split in half; the ratio
-    of the per-half maxima is the growth factor.  Growth within
-    `growth_tol` means BOUNDED.  Larger growth means GROWING when the
-    window is monotone nondecreasing (a genuine divergence trend) and
-    INCONCLUSIVE otherwise.
+    of the per-half maxima is the growth factor, judged by _verdict.
+    Fewer than four samples are too little to judge.
     """
     check_growth_tol(growth_tol)
     t = np.asarray(abscissae, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.shape != v.shape or t.ndim != 1 or len(t) < 4:
-        raise ValueError("need matching 1-d abscissa/value arrays, length >= 4")
+    if t.shape != v.shape or t.ndim != 1:
+        raise ValueError("need matching 1-d abscissa/value arrays")
     if np.any(np.diff(t) <= 0):
         raise ValueError("abscissae must be strictly increasing")
+    if len(t) < 4:
+        return INCONCLUSIVE, 1.0
     top = t[-1]
     lo = top / 10.0**decades
     if lo < t[0] * (1.0 - 1e-12):
         raise ValueError("grid does not span the requested trend window")
     mid = top / 10.0 ** (decades / 2.0)
     window = t >= lo * (1.0 - 1e-12)
-    first = v[window & (t < mid)]
-    second = v[t >= mid]
-    if len(first) < 2 or len(second) < 2:
-        raise ValueError("too few samples in the trend window")
-    floor = np.finfo(float).tiny
-    growth = float(max(second.max(), floor) / max(first.max(), floor))
-    if growth <= growth_tol:
-        return BOUNDED, growth
-    w = v[window]
-    scale = float(np.abs(w).max())
-    monotone = bool(np.all(np.diff(w) >= -_MONOTONE_SLACK * (1.0 + scale)))
-    return (GROWING if monotone else INCONCLUSIVE), growth
+    return _verdict(v[window & (t < mid)], v[t >= mid], v[window], growth_tol)
 
 
 def range_trend(values) -> tuple[str, float]:
     """Quarter-based trend of a positive sequence over its index range.
 
     Compares the maximum over the last quarter against the previous
-    quarter; the same three-way verdict as decade_trend, for sequences
-    indexed by order k rather than by a geometric abscissa, with the
-    fixed tolerance _GROWTH_TOL.
+    quarter by _verdict over the second half, with the fixed tolerance
+    _GROWTH_TOL, for sequences indexed by order k rather than by a
+    geometric abscissa.  Fewer than eight entries are too little to judge.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or len(v) < 8:
-        raise ValueError("need a 1-d sequence of length >= 8 for a trend verdict")
+    if v.ndim != 1:
+        raise ValueError("need a 1-d sequence for a trend verdict")
     n = len(v)
-    q3 = v[n // 2 : 3 * n // 4]
-    q4 = v[3 * n // 4 :]
-    floor = np.finfo(float).tiny
-    growth = float(max(q4.max(), floor) / max(q3.max(), floor))
-    if growth <= _GROWTH_TOL:
-        return BOUNDED, growth
-    tail = v[n // 2 :]
-    monotone = bool(np.all(np.diff(tail) >= -_MONOTONE_SLACK * (1.0 + np.abs(tail).max())))
-    return (GROWING if monotone else INCONCLUSIVE), growth
+    if n < 8:
+        return INCONCLUSIVE, 1.0
+    return _verdict(v[n // 2 : 3 * n // 4], v[3 * n // 4 :], v[n // 2 :], _GROWTH_TOL)
 
 
 def libm(fn, values: np.ndarray) -> np.ndarray:

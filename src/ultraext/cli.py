@@ -640,13 +640,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> int:
-    """main() on sys.argv, then gc.freeze() before the interpreter exits.
+    """main() on sys.argv between two gc.freeze() calls.
 
+    The first spares the job's collections the heap the imports left.
     Once main has returned, every product is written, closed and renamed
-    into place.  The freeze spares shutdown the final cyclic collections
-    over module objects that the OS reclaims with the process anyway;
+    into place; the second spares shutdown the final cyclic collections
+    over module objects that the OS reclaims with the process anyway.
     atexit handlers and the flush of stdout and stderr still run.
     """
+    gc.freeze()
     code = main()
     gc.freeze()
     return code

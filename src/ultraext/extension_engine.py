@@ -17,7 +17,7 @@ assumed.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -641,30 +641,6 @@ def _half_decades(ds) -> np.ndarray:
     return np.floor(np.log10(1.0 / np.asarray(ds, dtype=float)) * 2.0).astype(int)
 
 
-def _bin_trend(abscissae: np.ndarray, maxima: np.ndarray) -> tuple[str, float]:
-    """decade_trend of the distance-bin maxima, inconclusive on too few bins."""
-    if len(abscissae) < 4 or abscissae[-1] / abscissae[0] < 100.0:
-        return INCONCLUSIVE, 1.0
-    span = math.log10(abscissae[-1] / abscissae[0])
-    decades = min(2.0, span - 0.5)
-    # decade_trend compares the two halves of its window and needs two
-    # bins in each; a sparse sample can leave one half short of that.
-    top = abscissae[-1]
-    mid = top / 10.0 ** (decades / 2.0)
-    lo = top / 10.0**decades * (1.0 - 1e-12)
-    first = np.count_nonzero((abscissae >= lo) & (abscissae < mid))
-    if first < 2 or np.count_nonzero(abscissae >= mid) < 2:
-        return INCONCLUSIVE, 1.0
-    return decade_trend(abscissae, maxima, decades=decades)
-
-
-def _alpha_trend(profile: Sequence[float]) -> tuple[str, float]:
-    vals = np.asarray(profile, dtype=float)
-    if len(vals) < 8:
-        return INCONCLUSIVE, 1.0
-    return range_trend(vals)
-
-
 def _log_abs(values: np.ndarray, used=True) -> tuple[np.ndarray, np.ndarray]:
     """(|v|, numpy's log|v|), zeros outside the mask used: log within an ulp or so of math.log."""
     mag = np.abs(values)
@@ -753,12 +729,16 @@ def _ratio_check(name, values, log_rhs, row_ds, skipped, used=True, terminal=Fal
         max_ratio = float(ratios[first, used[first].argmax()])
         if not math.isnan(max_ratio):
             max_ratio = float(maxima.max())
-        at, ag = _alpha_trend(maxima[used.any(axis=0)] if profile is None else profile)
-        # Fewer than four used entries leave fewer than four bins.
+        at, ag = range_trend(maxima[used.any(axis=0)] if profile is None else profile)
         keys, group = np.unique(bins[rows], return_inverse=True)
         top = np.full(keys.size, -np.inf)
         np.maximum.at(top, group, np.max(ratios, axis=1)[rows])
-        dt, dg = _bin_trend(10.0 ** ((keys + 0.5) / 2.0), top)
+        # The audit's own policy: bins spanning under two decades carry no
+        # distance trend, and the window is the top min(2, span - 0.5) decades.
+        mids = 10.0 ** ((keys + 0.5) / 2.0)
+        dt, dg = INCONCLUSIVE, 1.0
+        if mids[-1] / mids[0] >= 100.0:
+            dt, dg = decade_trend(mids, top, decades=min(2.0, math.log10(mids[-1] / mids[0]) - 0.5))
         check = BoundCheck(
             name=name,
             fitted_constant=max_ratio if fitted is None else fitted,
@@ -833,8 +813,7 @@ def verify_bounds(
     orders = np.arange(width)
 
     # Per-interval decay values at the dilated center distance.
-    center_d = distance_grid(f.jet.e, f.cover.centers)
-    center_lh, center_ok = _log_decay(f.degree_row, libm(math.log, ld * center_d))
+    center_lh, center_ok = _log_decay(f.degree_row, libm(math.log, ld * f.local.distance))
 
     # The yardsticks, full rows built from the degree row alone.
     degree_matrix = WeightMatrix({2.0 * plan.xi: f.degree_row})
@@ -893,7 +872,7 @@ def verify_bounds(
         ),
         _ratio_check(
             "pair_difference_interval", diffs, far_rhs + center_lh[pair_i][:, None],
-            center_d[pair_i], width * int(np.count_nonzero(~i_ok)), i_ok,
+            f.local.distance[pair_i], width * int(np.count_nonzero(~i_ok)), i_ok,
         ),
         _ratio_check(
             "pair_difference_point", diffs, near_rhs + lh_near[pair_k][:, None],
@@ -1003,17 +982,13 @@ def boundary_limits(
     steps = tuple(BoundaryStep(j, x, d, h, tuple(e)) for j, x, d, h, e in zip(*columns))
     ratios = errors / (ds + decay)[:, None]
     tol = 1e-12 * (1.0 + errors.max(axis=0, initial=0.0))
-    if kept >= 8:
-        trends = tuple(range_trend(col)[0] for col in (ratios + 1e-300).T)
-    else:
-        trends = (INCONCLUSIVE,) * orders.size
     return BoundaryReport(
         a=float(a),
         alpha_cap=alpha_cap,
         steps=steps,
         fitted=tuple(ratios.max(axis=0).tolist()),
         nonincreasing=tuple((np.diff(errors, axis=0) <= tol).all(axis=0).tolist()),
-        ratio_trend=trends,
+        ratio_trend=tuple(range_trend(col)[0] for col in (ratios + 1e-300).T),
         floor_index=None if floor_reason is None else int(js[kept]),
         floor_reason=floor_reason,
         decay_scale=scale,

@@ -201,10 +201,8 @@ def sandwich_fit(matrix: WeightMatrix, regular: WeightMatrix) -> SandwichFit:
             log_a = lo - sb
             log_c_roots = (s[1:] - sbb[1:]) / k
             for ratios in (np.exp(log_a - log_a.max()), np.exp(log_c_roots - log_c_roots.max())):
-                if len(ratios) >= 8:
-                    verdict, _ = range_trend(ratios)
-                    if verdict != BOUNDED:
-                        ok = False
+                if range_trend(ratios)[0] != BOUNDED:
+                    ok = False
             with np.errstate(over="ignore"):
                 a_xi = float(np.exp(max(log_a.max(), 0.0)))
                 c_xi = float(np.exp(max(log_c_roots.max(), 0.0)))

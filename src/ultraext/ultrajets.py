@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fitting import BOUNDED, GROWING, INCONCLUSIVE, range_trend
+from ._fitting import BOUNDED, GROWING, range_trend
 from ._fitting import libm, libm_log_maxima, libm_picks
 from .errors import ConfigError, InconclusiveTrend, NotInClass, OrderOverflow
 from .errors import json_components, json_integer, json_number, json_object, json_rows
@@ -413,13 +413,8 @@ def certify(
             return JetCertificate(1.0, 1.0, x, BOUNDED)
         rates, witness = _rate_profile(libm_log_maxima(lhs, rest, power, jet.alpha_max + 1)[1])
         needed = float(rates[-1])
-        if len(rates) >= 9:
-            profile = np.exp(rates[1:] - rates.max())
-            trend, growth = range_trend(profile)
-        else:
-            # Too short a range to judge stability; accept and say so.
-            trend, growth = INCONCLUSIVE, 1.0
-        accept = trend == BOUNDED or len(rates) < 9
+        trend, growth = range_trend(np.exp(rates[1:] - rates.max()))
+        accept = trend == BOUNDED or len(rates) < 9  # too short to judge: accept, inconclusive
         snapped = next((g for g in RHO_GRID if math.log(g) >= needed - 1e-12), None)
         if snapped is None:
             accept = False

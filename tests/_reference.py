@@ -19,7 +19,6 @@ from ultraext.extension_engine import (
     BoundaryReport,
     BoundaryStep,
     BoundCheck,
-    _alpha_trend,
     _bound_ratios,
     _capped,
     _half_decades,
@@ -372,6 +371,14 @@ def ratio_bins(ds, ratios) -> tuple[np.ndarray, np.ndarray]:
     return abscissae, maxima
 
 
+def alpha_trend(profile) -> tuple[str, float]:
+    """The order verdict of a check from its per-order profile."""
+    vals = np.asarray(profile, dtype=float)
+    if len(vals) < 8:
+        return INCONCLUSIVE, 1.0
+    return range_trend(vals)
+
+
 def distance_trend(ds, ratios) -> tuple[str, float]:
     """The distance verdict of a check from its used entries and their distances."""
     if len(ds) < 4:
@@ -410,7 +417,7 @@ def finish_check(
         max_ratio = float(np.fmax.reduce(ratios))
     if alpha_profile is None:
         alpha_profile = [per_alpha[a] for a in sorted(per_alpha)]
-    at, ag = _alpha_trend(alpha_profile)
+    at, ag = alpha_trend(alpha_profile)
     dt, dg = distance_trend(ds, ratios)
     passed = math.isfinite(max_ratio) and at != GROWING and dt != GROWING
     return BoundCheck(

@@ -926,13 +926,15 @@ def test_extend_bound_overflow_is_not_in_class(tmp_path, capsys):
 # The command line as `python -m ultraext.cli` runs it, in a fresh
 # interpreter (the test session has every module loaded).  An atexit hook
 # reports, once the entry point has returned, which of these modules were
-# loaded and whether the collector was frozen.
+# loaded and how many times the collector was frozen.
 _ENTRY_PROBE = """
 import atexit, gc, json, runpy, sys
 unwanted = ("numpy.ma", "numpy.random", "numpy.polynomial", "dataclasses", "fractions", "decimal")
+freezes, freeze = [], gc.freeze
+gc.freeze = lambda: (freezes.append(None), freeze())
 atexit.register(lambda: print(json.dumps({
     "loaded": [m for m in unwanted if m in sys.modules],
-    "frozen": gc.get_freeze_count() > 0,
+    "freezes": len(freezes),
 })))
 runpy.run_module("ultraext.cli", run_name="__main__", alter_sys=True)
 """
@@ -1060,13 +1062,14 @@ def test_extend_with_every_default_written_out_gives_the_same_products(tmp_path,
     ids=["ok", "inconclusive", "config_error"],
 )
 def test_entry_point_freezes_after_main_returns_its_code(tmp_path, capsys, readme_config, edit, code):
-    # The process freezes the collector once main has written the
-    # products, so shutdown does not walk the heap; main's exit code,
+    # The process freezes the collector before main, so the job's
+    # collections skip the import heap, and again once main has written
+    # the products, so shutdown does not walk the heap; main's exit code,
     # output and products pass through unchanged.
     cfg = write_config(tmp_path, dict(readme_config, **edit))
     entry, inproc = tmp_path / "entry", tmp_path / "main"
     proc, report = run_entry("extend", "--config", cfg, "--out", str(entry))
-    assert (proc.returncode, report["frozen"]) == (code, True)
+    assert (proc.returncode, report["freezes"]) == (code, 2)
     assert main(["extend", "--config", cfg, "--out", str(inproc)]) == code
     out, err = capsys.readouterr()
     stdout = "".join(proc.stdout.splitlines(keepends=True)[:-1])  # less the exit report
@@ -1082,7 +1085,7 @@ def test_entry_point_usage_error_exits_before_the_freeze():
     proc, report = run_entry("extend")
     assert proc.returncode == 2
     assert "the following arguments are required: --config" in proc.stderr
-    assert report["frozen"] is False
+    assert report["freezes"] == 1  # the one before main
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(tmp_path, readme_config):

@@ -628,6 +628,9 @@ def parent_verify_bounds(f, reg, *, samples: int = 400, alpha_cap: int = 8):
         pytest.param("one_point", 0, 240, id="one_point-0"),
         pytest.param("one_point", 1, 240, id="one_point-1"),
         pytest.param("one_point", 8, 2000, id="one_point-8-2000"),
+        # The sparse_audit config's 32 samples: residual_decay's bins span
+        # under two decades, and four checks hold one bin in a window half.
+        pytest.param("one_point", 8, 32, id="one_point-8-32"),
         # Some (sample, member) pairs join polynomials of distinct anchors.
         pytest.param("polynomial", 8, 2000, id="polynomial-8-2000"),
         # Every base point stores the weight row; the plan is on the row

@@ -661,6 +661,17 @@ def test_boundary_descent_matches_the_step_walk_bitwise(pipeline, case):
     assert hexed(got) == hexed(boundary_descent(ext, cap, a, max_index=max_index))
 
 
+@pytest.mark.parametrize("max_index", range(8, 16))
+def test_a_descent_under_eight_steps_has_no_order_trend(pipeline, max_index):
+    # The first in-band step is j = 8, so max_index 8..14 leaves 1..7
+    # steps, too few for a trend in any order; 15 leaves 8, judged.
+    ext = pipeline[5]
+    got = boundary_limits(ext, 6, 0.0, max_index=max_index)
+    assert len(got.steps) == max_index - 7
+    assert (set(got.ratio_trend) == {"inconclusive"}) == (len(got.steps) < 8)
+    assert hexed(got) == hexed(boundary_descent(ext, 6, 0.0, max_index=max_index))
+
+
 @pytest.mark.parametrize("build, a, max_index, message", [
     (lambda p: p[5], 0.0, 5, "no dyadic step lands inside the region"),
     (interval_extension, -1.0, 40, "first dyadic step already unresolvable: step landed inside the set"),

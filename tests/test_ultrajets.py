@@ -529,6 +529,18 @@ def test_certify_matches_the_per_remainder_certify_bitwise(matrix, xi, alpha_max
         assert got[2] == accepted_xi.hex()
 
 
+@pytest.mark.parametrize("alpha_max", range(1, 9))
+def test_certify_accepts_a_jet_too_short_to_judge(matrix, alpha_max):
+    # Under nine truncation orders the rate profile holds fewer than eight
+    # entries: no trend, and the first row tried accepts, saying so.
+    jet = row_jet(matrix, 1.0, alpha_max)
+    got = outcome(certify, jet, matrix)
+    assert got == outcome(parent_certify, jet, matrix)
+    assert (got[3] == INCONCLUSIVE) == (alpha_max < 8)
+    if alpha_max < 8:
+        assert got[2] == matrix.xi_values[0].hex()
+
+
 def test_certify_not_in_class_message_matches_the_per_remainder_certify(matrix):
     jet = row_jet(matrix, 8.0, 16)
     with pytest.raises(NotInClass) as info:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend
+from ultraext._fitting import BOUNDED, GROWING, INCONCLUSIVE, decade_trend, range_trend
 from ultraext.errors import BracketFailure, ConfigError, DivergentTail, InconclusiveTrend
 from ultraext.weight_functions import (
     WeightFunction,
@@ -361,6 +361,50 @@ def test_decade_trend_rejects_bad_input():
     t = np.geomspace(1.0, 10.0, 21)
     with pytest.raises(ValueError):
         decade_trend(t, np.ones_like(t))  # no two-decade window
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_range_trend_under_eight_entries_is_too_little_to_judge(n):
+    assert range_trend(np.geomspace(1.0, 1e6, n)) == (INCONCLUSIVE, 1.0)
+
+
+def test_range_trend_judges_eight_entries():
+    assert range_trend(np.geomspace(1.0, 1e6, 8))[0] == GROWING
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [], [1.0], [1.0, 100.0], [1.0, 10.0, 100.0],  # fewer than four samples
+        [1.0, 10.0, 50.0, 100.0],  # one sample in the lower half [1, 10)
+        [1.0, 2.0, 5.0, 100.0],  # one sample in the upper half [10, 100]
+    ],
+)
+def test_decade_trend_on_too_few_samples_is_too_little_to_judge(t):
+    # Judged, each of these rising windows would be growing.
+    t = np.array(t)
+    assert decade_trend(t, t) == (INCONCLUSIVE, 1.0)
+
+
+def test_decade_trend_judges_two_samples_in_each_half():
+    t = np.array([1.0, 2.0, 10.0, 100.0])
+    assert decade_trend(t, t)[0] == GROWING
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decade_trend([1.0, 2.0], [1.0]),
+        lambda: decade_trend([[1.0, 2.0]], [[1.0, 2.0]]),
+        lambda: decade_trend([2.0, 1.0], [1.0, 1.0]),
+        lambda: decade_trend([1.0, 2.0], [1.0, 1.0], growth_tol=0.5),
+        lambda: range_trend(np.ones((2, 3))),
+    ],
+    ids=["shapes", "2-d", "order", "growth_tol", "2-d range"],
+)
+def test_trend_helpers_reject_malformed_input_of_any_length(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("growth_tol", [math.nan, math.inf, 0.5, 0.0, -1.0])

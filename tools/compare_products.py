@@ -8,6 +8,8 @@ Each config of bench/workloads.CONFIGS (read from CHANGE) runs at seeds
 per job.  The output path is masked in stdout and stderr.  One line per
 job gives both exit codes and lists which of stdout, stderr and the
 three products differ; the exit code is 1 on any difference, else 0.
+The summary line also gives each checkout's src/ line count, the
+lines of src/ultraext/*.py as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def run_job(checkout: Path, config: Path, out: Path, seed: int) -> dict:
     return result
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/ultraext/*.py, the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "ultraext").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Compare the extend products of two checkouts.")
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -67,7 +74,10 @@ def main() -> int:
                 verdict = "differ: " + ", ".join(diff) if diff else "identical"
                 print(f"{name} seed={seed} exit={runs[0]['exit']}/{runs[1]['exit']} {verdict}")
     jobs = len(CONFIGS) * len(SEEDS)
-    print(f"{jobs - differing} of {jobs} jobs identical")
+    print(
+        f"{jobs - differing} of {jobs} jobs identical; "
+        f"src/ lines {src_lines(parent)} -> {src_lines(change)}"
+    )
     return 1 if differing else 0
 
 
